@@ -13,7 +13,8 @@
 //! `--rounds` cache-hot `/simulate` requests back-to-back, measuring
 //! rps and tail latency as the server multiplexes them all on its one
 //! event-loop thread. `--verify` additionally checks every response
-//! payload bit-identical against a direct in-process simulation.
+//! payload bit-identical against the engine run directly
+//! (`engine::simulate_with` + `sim_result_to_json`, no service).
 //!
 //! `--shards N` (with `--self-host`) starts N in-process downstream
 //! servers and puts the front end in coordinator mode, so the same sweep
@@ -30,12 +31,15 @@
 //! ```
 
 use bbs_json::Json;
+use bbs_models::zoo;
 use bbs_serve::client::Client;
-use bbs_serve::request::SimRequest;
+use bbs_serve::registry::accelerator_by_name;
 use bbs_serve::server::{start, ServeConfig};
-use bbs_serve::service::{self, ServiceConfig};
+use bbs_serve::service::ServiceConfig;
+use bbs_sim::engine::simulate_with;
+use bbs_sim::json::sim_result_to_json;
+use bbs_sim::{ArrayConfig, WorkloadStore};
 use bbs_telemetry::{Format, Histogram, Level, Logger, Value};
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier};
@@ -139,14 +143,20 @@ fn parse_num(s: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("'{s}' is not a positive integer"))
 }
 
-/// The request mix: unique (model, accelerator, seed) points cycling
-/// through light zoo models and the full accelerator spread.
+/// Request `i` of the mix: a unique (model, accelerator, seed) point
+/// cycling through light zoo models and the full accelerator spread.
+fn request_point(i: usize) -> (&'static str, &'static str, u64) {
+    let model = MODELS[i % MODELS.len()];
+    let accel = ACCELS[(i / MODELS.len()) % ACCELS.len()];
+    let seed = 7 + (i / (MODELS.len() * ACCELS.len())) as u64;
+    (model, accel, seed)
+}
+
+/// The first `n` points of the request mix as `/simulate` bodies.
 fn request_bodies(n: usize, cap: usize) -> Vec<String> {
     (0..n)
         .map(|i| {
-            let model = MODELS[i % MODELS.len()];
-            let accel = ACCELS[(i / MODELS.len()) % ACCELS.len()];
-            let seed = 7 + (i / (MODELS.len() * ACCELS.len())) as u64;
+            let (model, accel, seed) = request_point(i);
             format!(
                 "{{\"model\":\"{model}\",\"accelerator\":\"{accel}\",\
                  \"seed\":{seed},\"max_weights_per_layer\":{cap}}}"
@@ -267,24 +277,32 @@ fn extract_result(body: &str) -> Result<&str, String> {
         .ok_or_else(|| format!("unterminated response body: {body}"))
 }
 
-/// Runs every body through a private in-process service (its own cache,
-/// no HTTP) — the reference payloads `--verify` compares against.
-fn reference_results(bodies: &[String]) -> Result<HashMap<String, String>, String> {
-    let service = service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
-    let mut expected = HashMap::new();
-    for body in bodies {
-        let parsed = Json::parse(body).map_err(|e| e.to_string())?;
-        let request = SimRequest::from_json(&parsed, ServiceConfig::default().max_cap)?;
-        let (text, _) = service
-            .execute(request)
-            .map_err(|e| format!("reference simulation failed: {e:?}"))?;
-        expected.insert(body.clone(), text.to_string());
-    }
-    service.stop();
-    Ok(expected)
+/// The `result` payload of each of the first `n` request bodies, from
+/// the engine itself — no service, no cache, no HTTP — so the oracle
+/// `--verify` compares against does not run the path it checks. The cap
+/// is clamped to the default server bound, as a default server clamps it.
+fn reference_results(n: usize, cap: usize) -> Result<Vec<String>, String> {
+    let cap = cap.min(ServiceConfig::default().max_cap);
+    // One store lowers each (model, seed) once for all accelerators;
+    // the engine pins this bit-identical to a fresh lowering per run.
+    let store = WorkloadStore::default();
+    (0..n)
+        .map(|i| {
+            let (model, accel, seed) = request_point(i);
+            let spec = zoo::by_name(model).ok_or_else(|| format!("unknown model {model}"))?;
+            let accel =
+                accelerator_by_name(accel).ok_or_else(|| format!("unknown accelerator {accel}"))?;
+            let sim = simulate_with(
+                &store,
+                accel.as_ref(),
+                &spec,
+                &ArrayConfig::paper_16x32(),
+                seed,
+                cap,
+            );
+            Ok(sim_result_to_json(&sim).to_string())
+        })
+        .collect()
 }
 
 /// Counts live threads named `bbs-serve-*` in this process — in
@@ -392,7 +410,7 @@ fn run_connections_point(
     bodies: &Arc<Vec<String>>,
     conns: usize,
     rounds: usize,
-    expected: &Option<Arc<HashMap<String, String>>>,
+    expected: &Option<Arc<Vec<String>>>,
 ) -> Result<Json, String> {
     // All connections connect, then start together; the main thread joins
     // the barrier too, so the wall clock starts when the flood does.
@@ -411,7 +429,8 @@ fn run_connections_point(
                     barrier.wait();
                     let mut latencies = Vec::with_capacity(rounds);
                     for r in 0..rounds {
-                        let body = &bodies[(c + r) % bodies.len()];
+                        let i = (c + r) % bodies.len();
+                        let body = &bodies[i];
                         let t = Instant::now();
                         let (status, response) =
                             client.simulate(body).map_err(|e| e.to_string())?;
@@ -425,11 +444,7 @@ fn run_connections_point(
                             return Err(format!("request failed: {status} {response}"));
                         }
                         if let Some(expected) = &expected {
-                            let got = extract_result(&response)?;
-                            let want = expected
-                                .get(body)
-                                .ok_or_else(|| "missing reference result".to_string())?;
-                            if got != want {
+                            if extract_result(&response)? != expected[i] {
                                 return Err(format!(
                                     "response differs from direct simulation for {body}"
                                 ));
@@ -474,7 +489,7 @@ fn connections_bench(addr: SocketAddr, args: &Args) -> Result<Json, String> {
     let bodies = Arc::new(request_bodies(args.requests.max(16), args.cap));
 
     let expected = if args.verify {
-        Some(Arc::new(reference_results(&bodies)?))
+        Some(Arc::new(reference_results(bodies.len(), args.cap)?))
     } else {
         None
     };

@@ -9,8 +9,11 @@
 //! by re-requesting only the failed or never-received cells over
 //! `POST /simulate`.
 
+use crate::http::parse_length;
 use crate::service::Served;
-use crate::sweep::{error_record, result_record, summary_record, SweepPlan, SweepTally};
+use crate::sweep::{
+    error_record, result_record, summary_record, PlannedCell, SweepPlan, SweepTally,
+};
 use bbs_json::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -241,7 +244,7 @@ impl Client {
                         ));
                     }
                     content_length =
-                        Some(value.trim().parse().map_err(|_| {
+                        Some(parse_length(value.trim()).ok_or_else(|| {
                             io::Error::new(io::ErrorKind::InvalidData, "bad length")
                         })?);
                 }
@@ -581,9 +584,8 @@ pub fn sweep_with_resume(
         if slot.is_some() {
             continue;
         }
-        let cell = plan.cell(i);
-        let meta = cell.meta();
-        let record = match cell.request {
+        let PlannedCell { meta, request } = plan.cell(i);
+        let record = match request {
             Err(message) => error_record(&meta, &message),
             Ok(request) => {
                 let sim_body = request.to_json().to_string();
@@ -623,12 +625,9 @@ pub fn sweep_with_resume(
         if v.get("error").is_some() {
             tally.errors += 1;
         } else {
-            tally.ok += 1;
-            match v.get("served").and_then(Json::as_str) {
-                Some("cache") => tally.cache_hits += 1,
-                Some("coalesced") => tally.coalesced += 1,
-                _ => tally.simulated += 1,
-            }
+            tally.count_ok(Served::from_label(
+                v.get("served").and_then(Json::as_str).unwrap_or_default(),
+            ));
         }
     }
     let summary = summary_record(&tally, started.elapsed().as_secs_f64() * 1e3);
@@ -650,11 +649,7 @@ pub(crate) fn parse_simulate_response(resp: &str) -> Option<(u64, Served, &str)>
     let v = Json::parse(resp).ok()?;
     let head = v.get("meta")?;
     let key = u64::from_str_radix(head.get("key")?.as_str()?, 16).ok()?;
-    let served = match head.get("served")?.as_str()? {
-        "cache" => Served::Hit,
-        "coalesced" => Served::Coalesced,
-        _ => Served::Fresh,
-    };
+    let served = Served::from_label(head.get("served")?.as_str()?);
     let marker = ",\"result\":";
     let pos = resp.find(marker)?;
     let end = resp.trim_end().strip_suffix('}')?.len();

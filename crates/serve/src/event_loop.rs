@@ -29,14 +29,11 @@
 //! header-drippers (the deadline anchors at the *first* byte of a request,
 //! so dripping cannot refresh it), and stalled writers.
 
-use crate::http::{
-    write_response_ext, write_response_typed, write_stream_head_ext, Request, RequestParser,
-    MAX_BODY,
-};
+use crate::http::{write_response, write_stream_head, Request, RequestParser, MAX_BODY};
 use crate::request::SimRequest;
 use crate::server::{error_body, route_request, simulate_ok_body, RouteOutcome, Shared};
-use crate::service::{ExecuteError, Served, Submitted, Timing};
-use crate::sweep::{error_record, execute_error_record, result_record, CellMeta, SweepStream};
+use crate::service::{Completion, ExecuteError, Outcome, Served, Submitted, Timing};
+use crate::sweep::{CellMeta, SweepStream};
 use crate::telemetry::Telemetry;
 use bbs_telemetry::trace::{next_trace_id, trace_hex};
 use bbs_telemetry::Value;
@@ -513,13 +510,13 @@ enum Done {
     Simulate {
         token: u64,
         key: u64,
-        outcome: Result<(Arc<str>, Served, Timing), ExecuteError>,
+        outcome: Outcome,
     },
     SweepCell {
         token: u64,
         meta: CellMeta,
         key: u64,
-        outcome: Result<(Arc<str>, Served, Timing), ExecuteError>,
+        outcome: Outcome,
     },
 }
 
@@ -566,6 +563,7 @@ enum ConnState {
     /// deadline passes.
     Parked {
         request: Box<SimRequest>,
+        key: u64,
         close: bool,
         since: Instant,
     },
@@ -583,7 +581,6 @@ struct Conn {
     state: ConnState,
     interest: Interest,
     read_closed: bool,
-    close_after_flush: bool,
     /// First byte of the current request head arrived here (slowloris
     /// anchor — more dripped bytes do not refresh it).
     request_started: Option<Instant>,
@@ -607,7 +604,6 @@ impl Conn {
             state: ConnState::Ready,
             interest: Interest::READ,
             read_closed: false,
-            close_after_flush: false,
             request_started: None,
             idle_since: Instant::now(),
             write_stalled_since: None,
@@ -622,22 +618,9 @@ impl Conn {
 }
 
 /// Renders a response into the connection's write buffer (`Vec<u8>` never
-/// fails as a writer).
-fn append_response(conn: &mut Conn, status: u16, body: &str, close: bool, retry_after: bool) {
-    append_response_full(
-        conn,
-        status,
-        "application/json",
-        body,
-        close,
-        retry_after,
-        None,
-    );
-}
-
-/// [`append_response`] with a content type and an optional `x-bbs-trace`
-/// header value.
-fn append_response_full(
+/// fails as a writer), with `Retry-After` and an `x-bbs-trace` header
+/// value when given.
+fn append_response(
     conn: &mut Conn,
     status: u16,
     content_type: &str,
@@ -653,7 +636,7 @@ fn append_response_full(
     if let Some(t) = trace_header {
         extra.push(("x-bbs-trace", t));
     }
-    let _ = write_response_typed(&mut conn.out, status, content_type, body, close, &extra);
+    let _ = write_response(&mut conn.out, status, content_type, body, close, &extra);
     conn.idle_since = Instant::now();
 }
 
@@ -675,14 +658,14 @@ fn route_label(path: &str) -> &'static str {
 }
 
 /// Records a finished request into the stage histograms + span log and
-/// returns `(trace hex, x-bbs-trace header value)`.
+/// returns its `x-bbs-trace` header value.
 fn finish_trace(
     telemetry: &Telemetry,
     ctx: &TraceCtx,
     route: &'static str,
     served: &'static str,
     timing: Timing,
-) -> (String, String) {
+) -> String {
     let hex = trace_hex(ctx.id);
     let total_us = ctx.total_us();
     telemetry.record_request(
@@ -694,45 +677,20 @@ fn finish_trace(
         timing,
         total_us,
     );
-    let header = Telemetry::trace_header(&hex, served, ctx.parse_us, ctx.park_us, timing, total_us);
-    (hex, header)
+    Telemetry::trace_header(&hex, served, ctx.parse_us, ctx.park_us, timing, total_us)
 }
 
-fn sim_completion(
+/// A job's completion: sends `done(outcome)` back to the loop and wakes it.
+fn completion(
     tx: &mpsc::Sender<Done>,
     waker: &Waker,
-    token: u64,
-    key: u64,
-) -> crate::service::Completion {
+    done: impl FnOnce(Outcome) -> Done + Send + 'static,
+) -> Completion {
     let tx = tx.clone();
     let waker = waker.clone();
     Box::new(move |outcome| {
         // A send error means the loop is gone; nothing left to notify.
-        let _ = tx.send(Done::Simulate {
-            token,
-            key,
-            outcome,
-        });
-        waker.wake();
-    })
-}
-
-fn sweep_completion(
-    tx: &mpsc::Sender<Done>,
-    waker: &Waker,
-    token: u64,
-    meta: CellMeta,
-    key: u64,
-) -> crate::service::Completion {
-    let tx = tx.clone();
-    let waker = waker.clone();
-    Box::new(move |outcome| {
-        let _ = tx.send(Done::SweepCell {
-            token,
-            meta,
-            key,
-            outcome,
-        });
+        let _ = tx.send(done(outcome));
         waker.wake();
     })
 }
@@ -894,7 +852,7 @@ impl EventLoop {
             // Fault site: a chaos plan can sever fresh connections, the
             // way a flaky LB or mid-handshake peer crash would. Dropping
             // the stream here sends RST/FIN before any HTTP exchange.
-            if self.shared.service.service().faults().reset_connection() {
+            if self.shared.service.faults().reset_connection() {
                 continue;
             }
             let stopping = self.shared.stopping.load(Ordering::SeqCst);
@@ -906,9 +864,10 @@ impl EventLoop {
                 } else {
                     "connection limit reached"
                 };
-                let _ = write_response_ext(
+                let _ = write_response(
                     &mut &stream,
                     503,
+                    "application/json",
                     &error_body(message),
                     true,
                     &[("retry-after", "1")],
@@ -1013,28 +972,17 @@ impl EventLoop {
                             conn.idle_since = Instant::now();
                             (request, parse_us)
                         }
-                        Ok(None) => {
-                            if conn.read_closed && !conn.parser.is_idle() {
-                                // EOF mid-request: same 400 the blocking
-                                // server produced for a truncated request.
-                                append_response(
-                                    conn,
-                                    400,
-                                    &error_body("malformed request"),
-                                    true,
-                                    false,
-                                );
-                                conn.state = ConnState::Closing;
-                            }
-                            break;
-                        }
-                        Err(_) => {
+                        Ok(None) if !conn.read_closed || conn.parser.is_idle() => break,
+                        // Unframed bytes, or EOF in the middle of a request.
+                        _ => {
                             append_response(
                                 conn,
                                 400,
+                                "application/json",
                                 &error_body("malformed request"),
                                 true,
                                 false,
+                                None,
                             );
                             conn.state = ConnState::Closing;
                             break;
@@ -1090,112 +1038,37 @@ impl EventLoop {
                 retry_after,
                 close_conn,
             } => {
-                let close_now = close || close_conn;
-                let (hex, header) = finish_trace(
+                let close = close || close_conn;
+                let header = finish_trace(
                     &self.shared.telemetry,
                     &ctx,
                     route,
                     "inline",
                     Timing::default(),
                 );
-                let _ = hex;
-                append_response_full(
+                append_response(
                     conn,
                     status,
                     content_type,
                     &body,
-                    close_now,
+                    close,
                     retry_after,
                     Some(&header),
                 );
-                if close_now {
+                if close {
                     conn.state = ConnState::Closing;
-                    conn.close_after_flush = true;
                 }
             }
             RouteOutcome::Simulate { request, key } => {
-                let completion = sim_completion(&self.done_tx, &self.waker, token, key);
-                match self.shared.submit_job(request, completion) {
-                    Submitted::Hit(bytes) => {
-                        self.shared.saturated.store(false, Ordering::SeqCst);
-                        let (_, header) = finish_trace(
-                            &self.shared.telemetry,
-                            &ctx,
-                            route,
-                            "cache",
-                            Timing::default(),
-                        );
-                        append_response_full(
-                            conn,
-                            200,
-                            "application/json",
-                            &simulate_ok_body(key, Served::Hit, &bytes),
-                            close,
-                            false,
-                            Some(&header),
-                        );
-                        if close {
-                            conn.state = ConnState::Closing;
-                            conn.close_after_flush = true;
-                        }
-                    }
-                    Submitted::Pending => {
-                        self.shared.saturated.store(false, Ordering::SeqCst);
-                        conn.trace = Some(ctx);
-                        conn.state = ConnState::Waiting { close };
-                    }
-                    Submitted::Busy(request) => {
-                        if self.opts.park_timeout.is_zero() {
-                            // Fail-fast saturation is readiness-visible
-                            // immediately; with parking it only counts once
-                            // a request waits out the full park deadline.
-                            self.shared.saturated.store(true, Ordering::SeqCst);
-                            let (_, header) = finish_trace(
-                                &self.shared.telemetry,
-                                &ctx,
-                                route,
-                                "busy",
-                                Timing::default(),
-                            );
-                            append_response_full(
-                                conn,
-                                503,
-                                "application/json",
-                                &error_body("queue full, retry later"),
-                                close,
-                                true,
-                                Some(&header),
-                            );
-                            if close {
-                                conn.state = ConnState::Closing;
-                                conn.close_after_flush = true;
-                            }
-                        } else {
-                            conn.trace = Some(ctx);
-                            conn.state = ConnState::Parked {
-                                request: Box::new(request),
-                                close,
-                                since: Instant::now(),
-                            };
-                            self.parked.push_back(token);
-                            self.shared
-                                .connections_parked
-                                .store(self.count_parked(), Ordering::SeqCst);
-                        }
-                    }
-                    Submitted::ShuttingDown => {
-                        append_response(conn, 503, &error_body("shutting down"), true, true);
-                        conn.state = ConnState::Closing;
-                        conn.close_after_flush = true;
-                    }
-                }
+                conn.trace = Some(ctx);
+                self.submit_simulate(token, request, key, close, None);
             }
             RouteOutcome::Sweep { plan } => {
                 // NDJSON stream: EOF-framed, always ends the connection.
                 // The trace id rides the stream head; the span is recorded
                 // when the stream finishes (see `pump_sweep`).
                 let id_header = format!("id={}", trace_hex(ctx.id));
-                let _ = write_stream_head_ext(
+                let _ = write_stream_head(
                     &mut conn.out,
                     200,
                     "application/x-ndjson",
@@ -1210,14 +1083,131 @@ impl EventLoop {
         }
     }
 
+    /// Submits a `/simulate` for a `Ready` connection whose trace is set —
+    /// the one submit path of a new request and of a parked one's retry.
+    /// A hit is answered in this loop turn; a pending job waits in
+    /// `Waiting` for its completion; a full queue parks the connection,
+    /// or answers 503 at once when parking is off. A retry passes the
+    /// time it was first parked as `parked_since`: still refused, it is
+    /// parked again with that deadline and this returns `false`.
+    fn submit_simulate(
+        &mut self,
+        token: u64,
+        request: SimRequest,
+        key: u64,
+        close: bool,
+        parked_since: Option<Instant>,
+    ) -> bool {
+        let done = completion(&self.done_tx, &self.waker, move |outcome| Done::Simulate {
+            token,
+            key,
+            outcome,
+        });
+        let outcome = match self.shared.submit_job(request, done) {
+            Submitted::Hit(bytes) => {
+                self.shared.saturated.store(false, Ordering::SeqCst);
+                Ok((bytes, Served::Hit, Timing::default()))
+            }
+            Submitted::Pending => {
+                self.shared.saturated.store(false, Ordering::SeqCst);
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.state = ConnState::Waiting { close };
+                }
+                return true;
+            }
+            Submitted::Busy(_) if parked_since.is_none() && self.opts.park_timeout.is_zero() => {
+                // Fail-fast saturation is readiness-visible immediately;
+                // with parking it only counts once a request waits out the
+                // full park deadline.
+                self.shared.saturated.store(true, Ordering::SeqCst);
+                Err(ExecuteError::Busy)
+            }
+            Submitted::Busy(request) => {
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    return true;
+                };
+                conn.state = ConnState::Parked {
+                    request: Box::new(request),
+                    key,
+                    close,
+                    since: parked_since.unwrap_or_else(Instant::now),
+                };
+                if parked_since.is_some() {
+                    // Still full: it keeps its place at the head of the line.
+                    return false;
+                }
+                self.parked.push_back(token);
+                self.shared
+                    .connections_parked
+                    .store(self.count_parked(), Ordering::SeqCst);
+                return true;
+            }
+            Submitted::ShuttingDown => Err(ExecuteError::ShuttingDown),
+        };
+        self.answer_simulate(token, key, outcome, close, false);
+        true
+    }
+
+    /// Turns a `/simulate` outcome into its response: the one place a
+    /// `/simulate` is answered, whether it ends at submit (a hit or a
+    /// refusal), on its completion, or at its park deadline (`expired`).
+    /// Records the trace, and leaves the connection `Ready` — or
+    /// `Closing` when the request asked to close, the server is shutting
+    /// down, or the park expired.
+    fn answer_simulate(
+        &mut self,
+        token: u64,
+        key: u64,
+        outcome: Outcome,
+        close: bool,
+        expired: bool,
+    ) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let (status, body, served, timing, close) = match outcome {
+            Ok((bytes, served, timing)) => (
+                200,
+                simulate_ok_body(key, served, &bytes),
+                served.label(),
+                timing,
+                close,
+            ),
+            Err(e) => (
+                e.status(),
+                error_body(e.message()),
+                if expired { "park-expired" } else { e.label() },
+                Timing::default(),
+                close || expired || e == ExecuteError::ShuttingDown,
+            ),
+        };
+        let header = conn
+            .trace
+            .take()
+            .map(|ctx| finish_trace(&self.shared.telemetry, &ctx, "/simulate", served, timing));
+        append_response(
+            conn,
+            status,
+            "application/json",
+            &body,
+            close,
+            status == 503,
+            header.as_deref(),
+        );
+        conn.state = if close {
+            ConnState::Closing
+        } else {
+            ConnState::Ready
+        };
+    }
+
     /// Submits sweep cells while the stream has budget: at most
     /// [`Shared::sweep_budget`] cells in flight (the worker count, or the
     /// shard fan-out width in coordinator mode), pausing above the
-    /// out-buffer high-water mark. Poisoned and queue-refused cells become
-    /// error records inline — exactly the records the blocking path
-    /// produced.
+    /// out-buffer high-water mark. Hits, poisoned cells and refused cells
+    /// get their records inline.
     fn pump_sweep(&mut self, token: u64) {
-        let workers = self.shared.sweep_budget();
+        let budget = self.shared.sweep_budget();
         let high_water = self.opts.high_water;
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -1226,49 +1216,43 @@ impl EventLoop {
             let ConnState::Sweeping { stream } = &mut conn.state else {
                 return;
             };
-            if conn.out.len() - conn.out_pos >= high_water
-                || stream.in_flight() >= workers
-                || stream.all_submitted()
-            {
+            if conn.out.len() - conn.out_pos >= high_water || stream.in_flight() >= budget {
                 break;
             }
             let Some(cell) = stream.take_next() else {
                 break;
             };
-            let meta = cell.meta();
-            match cell.request {
-                Err(message) => {
-                    conn.out
-                        .extend_from_slice(error_record(&meta, &message).as_bytes());
-                    stream.record_error();
-                }
+            let meta = cell.meta;
+            let record = match cell.request {
+                Err(message) => stream.finish_cell(&meta, Err(&message)),
                 Ok(request) => {
                     let key = request.key();
-                    let completion =
-                        sweep_completion(&self.done_tx, &self.waker, token, meta.clone(), key);
-                    match self.shared.submit_job(request, completion) {
+                    let cell_meta = meta.clone();
+                    let done =
+                        completion(&self.done_tx, &self.waker, move |outcome| Done::SweepCell {
+                            token,
+                            meta: cell_meta,
+                            key,
+                            outcome,
+                        });
+                    match self.shared.submit_job(request, done) {
                         Submitted::Hit(bytes) => {
-                            conn.out.extend_from_slice(
-                                result_record(&meta, key, Served::Hit, &bytes).as_bytes(),
-                            );
-                            stream.record_ok(Served::Hit);
+                            stream.finish_cell(&meta, Ok((key, &bytes, Served::Hit)))
                         }
-                        Submitted::Pending => stream.begin_flight(),
+                        Submitted::Pending => {
+                            stream.begin_flight();
+                            continue;
+                        }
                         Submitted::Busy(_) => {
-                            conn.out.extend_from_slice(
-                                execute_error_record(&meta, &ExecuteError::Busy).as_bytes(),
-                            );
-                            stream.record_error();
+                            stream.finish_cell(&meta, Err(ExecuteError::Busy.message()))
                         }
                         Submitted::ShuttingDown => {
-                            conn.out.extend_from_slice(
-                                execute_error_record(&meta, &ExecuteError::ShuttingDown).as_bytes(),
-                            );
-                            stream.record_error();
+                            stream.finish_cell(&meta, Err(ExecuteError::ShuttingDown.message()))
                         }
                     }
                 }
-            }
+            };
+            conn.out.extend_from_slice(record.as_bytes());
         }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -1278,7 +1262,6 @@ impl EventLoop {
                 let summary = stream.summary_line();
                 conn.out.extend_from_slice(summary.as_bytes());
                 conn.state = ConnState::Closing;
-                conn.close_after_flush = true;
                 if let Some(ctx) = conn.trace.take() {
                     // End of stream: fold the whole sweep into one span
                     // (per-cell stage timings were recorded by the workers).
@@ -1301,60 +1284,11 @@ impl EventLoop {
                 key,
                 outcome,
             } => {
-                let Some(conn) = self.conns.get_mut(&token) else {
+                let Some(&ConnState::Waiting { close }) = self.conns.get(&token).map(|c| &c.state)
+                else {
                     return; // connection died while its job ran
                 };
-                let ConnState::Waiting { close } = conn.state else {
-                    return;
-                };
-                let (status, body, retry_after, served, timing) = match outcome {
-                    Ok((bytes, served, timing)) => (
-                        200,
-                        simulate_ok_body(key, served, &bytes),
-                        false,
-                        match served {
-                            Served::Hit => "cache",
-                            Served::Coalesced => "coalesced",
-                            Served::Fresh => "simulated",
-                        },
-                        timing,
-                    ),
-                    Err(ExecuteError::Busy) => (
-                        503,
-                        error_body("queue full, retry later"),
-                        true,
-                        "busy",
-                        Timing::default(),
-                    ),
-                    Err(ExecuteError::ShuttingDown) => (
-                        503,
-                        error_body("shutting down"),
-                        true,
-                        "shutdown",
-                        Timing::default(),
-                    ),
-                    Err(ExecuteError::Failed(e)) => {
-                        (500, error_body(&e), false, "failed", Timing::default())
-                    }
-                };
-                let header = conn.trace.take().map(|ctx| {
-                    finish_trace(&self.shared.telemetry, &ctx, "/simulate", served, timing).1
-                });
-                append_response_full(
-                    conn,
-                    status,
-                    "application/json",
-                    &body,
-                    close,
-                    retry_after,
-                    header.as_deref(),
-                );
-                if close {
-                    conn.state = ConnState::Closing;
-                    conn.close_after_flush = true;
-                } else {
-                    conn.state = ConnState::Ready;
-                }
+                self.answer_simulate(token, key, outcome, close, false);
                 self.advance(token);
             }
             Done::SweepCell {
@@ -1370,22 +1304,15 @@ impl EventLoop {
                     return;
                 };
                 stream.end_flight();
-                match outcome {
-                    // The cell's stage timings already landed in the global
-                    // histograms inside the worker; the NDJSON record stays
-                    // byte-identical to the pre-telemetry format.
+                // The cell's stage timings already landed in the global
+                // histograms inside the worker; the record carries none.
+                let record = match outcome {
                     Ok((bytes, served, _timing)) => {
-                        conn.out.extend_from_slice(
-                            result_record(&meta, key, served, &bytes).as_bytes(),
-                        );
-                        stream.record_ok(served);
+                        stream.finish_cell(&meta, Ok((key, &bytes, served)))
                     }
-                    Err(e) => {
-                        conn.out
-                            .extend_from_slice(execute_error_record(&meta, &e).as_bytes());
-                        stream.record_error();
-                    }
-                }
+                    Err(e) => stream.finish_cell(&meta, Err(e.message())),
+                };
+                conn.out.extend_from_slice(record.as_bytes());
                 // `advance` flushes, re-pumps as the drain opens budget
                 // (the record above may already sit past the high-water
                 // mark), and refreshes interest.
@@ -1399,99 +1326,42 @@ impl EventLoop {
     /// Stops at the first still-refused request to preserve ordering.
     fn retry_parked(&mut self) {
         while let Some(&token) = self.parked.front() {
-            let Some(conn) = self.conns.get_mut(&token) else {
+            let Some((request, key, close, since)) = self.unpark(token) else {
                 self.parked.pop_front();
                 continue;
             };
-            if !matches!(conn.state, ConnState::Parked { .. }) {
-                self.parked.pop_front();
-                continue;
-            }
-            let ConnState::Parked {
-                request,
-                close,
-                since,
-            } = std::mem::replace(&mut conn.state, ConnState::Ready)
-            else {
-                unreachable!()
-            };
-            let key = request.key();
-            let parked_us = since.elapsed().as_micros() as u64;
-            let completion = sim_completion(&self.done_tx, &self.waker, token, key);
-            match self.shared.submit_job(*request, completion) {
-                Submitted::Hit(bytes) => {
-                    self.shared.saturated.store(false, Ordering::SeqCst);
-                    let header = conn.trace.take().map(|mut ctx| {
-                        ctx.park_us = parked_us;
-                        finish_trace(
-                            &self.shared.telemetry,
-                            &ctx,
-                            "/simulate",
-                            "cache",
-                            Timing::default(),
-                        )
-                        .1
-                    });
-                    append_response_full(
-                        conn,
-                        200,
-                        "application/json",
-                        &simulate_ok_body(key, Served::Hit, &bytes),
-                        close,
-                        false,
-                        header.as_deref(),
-                    );
-                    if close {
-                        conn.state = ConnState::Closing;
-                        conn.close_after_flush = true;
-                    }
-                }
-                Submitted::Pending => {
-                    self.shared.saturated.store(false, Ordering::SeqCst);
-                    if let Some(ctx) = conn.trace.as_mut() {
-                        ctx.park_us = parked_us;
-                    }
-                    conn.state = ConnState::Waiting { close };
-                }
-                Submitted::Busy(request) => {
-                    // Still full: back to the front of the line.
-                    conn.state = ConnState::Parked {
-                        request: Box::new(request),
-                        close,
-                        since,
-                    };
-                    break;
-                }
-                Submitted::ShuttingDown => {
-                    let header = conn.trace.take().map(|mut ctx| {
-                        ctx.park_us = parked_us;
-                        finish_trace(
-                            &self.shared.telemetry,
-                            &ctx,
-                            "/simulate",
-                            "shutdown",
-                            Timing::default(),
-                        )
-                        .1
-                    });
-                    append_response_full(
-                        conn,
-                        503,
-                        "application/json",
-                        &error_body("shutting down"),
-                        true,
-                        true,
-                        header.as_deref(),
-                    );
-                    conn.state = ConnState::Closing;
-                    conn.close_after_flush = true;
-                }
+            if !self.submit_simulate(token, request, key, close, Some(since)) {
+                break;
             }
             self.parked.pop_front();
             self.shared
                 .connections_parked
                 .store(self.count_parked(), Ordering::SeqCst);
             self.advance(token);
+        }
+    }
+
+    /// Takes a parked connection's request out of `Parked`, leaving the
+    /// connection `Ready` and booking the time it waited into its trace.
+    /// `None` if the connection is gone or no longer parked.
+    fn unpark(&mut self, token: u64) -> Option<(SimRequest, u64, bool, Instant)> {
+        let conn = self.conns.get_mut(&token)?;
+        match std::mem::replace(&mut conn.state, ConnState::Ready) {
+            ConnState::Parked {
+                request,
+                key,
+                close,
+                since,
+            } => {
+                if let Some(ctx) = conn.trace.as_mut() {
+                    ctx.park_us = since.elapsed().as_micros() as u64;
+                }
+                Some((*request, key, close, since))
+            }
+            other => {
+                conn.state = other;
+                None
+            }
         }
     }
 
@@ -1518,8 +1388,7 @@ impl EventLoop {
                         && conn.out.is_empty()
                         && now.duration_since(conn.idle_since) >= idle
                     {
-                        // Idle keep-alive reap: close quietly, exactly like
-                        // the blocking server's socket timeout did.
+                        // Idle keep-alive reap: close quietly.
                         to_drop.push(token);
                         continue;
                     }
@@ -1546,48 +1415,21 @@ impl EventLoop {
             // A request waited out the whole park deadline and still found
             // the queue full: the instance is saturated, not just bursty.
             self.shared.saturated.store(true, Ordering::SeqCst);
-            self.expire_parked(token, "queue full, retry later");
+            self.expire_parked(token, ExecuteError::Busy);
         }
     }
 
     /// Park deadline passed (or shutdown): degrade to the 503 +
     /// `Retry-After` path instead of a silent disconnect.
-    fn expire_parked(&mut self, token: u64, message: &str) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+    fn expire_parked(&mut self, token: u64, error: ExecuteError) {
+        let Some((_, key, close, _)) = self.unpark(token) else {
             return;
         };
-        let ConnState::Parked { since, .. } = &conn.state else {
-            return;
-        };
-        let since = *since;
-        let header = conn.trace.take().map(|mut ctx| {
-            ctx.park_us = since.elapsed().as_micros() as u64;
-            finish_trace(
-                &self.shared.telemetry,
-                &ctx,
-                "/simulate",
-                "park-expired",
-                Timing::default(),
-            )
-            .1
-        });
-        append_response_full(
-            conn,
-            503,
-            "application/json",
-            &error_body(message),
-            true,
-            true,
-            header.as_deref(),
-        );
-        conn.state = ConnState::Closing;
-        conn.close_after_flush = true;
+        self.answer_simulate(token, key, Err(error), close, true);
         self.shared
             .connections_parked
             .store(self.count_parked(), Ordering::SeqCst);
-        if self.flush_conn(token) {
-            self.update_interest(token);
-        }
+        self.advance(token);
     }
 
     /// Shutdown pass, run every iteration while stopping: idle connections
@@ -1603,7 +1445,7 @@ impl EventLoop {
                 ConnState::Ready if conn.out.is_empty() && conn.parser.is_idle() => {
                     self.remove_conn(token);
                 }
-                ConnState::Parked { .. } => self.expire_parked(token, "shutting down"),
+                ConnState::Parked { .. } => self.expire_parked(token, ExecuteError::ShuttingDown),
                 _ => {}
             }
         }
@@ -1660,7 +1502,7 @@ impl EventLoop {
             }
         }
         let flushed = conn.out_pending() == 0;
-        if dead || (flushed && conn.close_after_flush) {
+        if dead || (flushed && matches!(conn.state, ConnState::Closing)) {
             self.remove_conn(token);
             return false;
         }

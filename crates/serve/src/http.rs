@@ -8,14 +8,15 @@
 //! ([`RequestParser::next_request`]) — a request split across any number
 //! of reads (slowloris, slow links) parses identically to one arriving
 //! whole, and bytes beyond a request boundary stay buffered for HTTP/1.1
-//! pipelining. [`read_request`] wraps the same parser for blocking
-//! callers.
+//! pipelining. Responses go out through [`write_response`] (framed by
+//! `Content-Length`) or, for the streamed `/sweep` body, a
+//! [`write_stream_head`] followed by EOF-framed bytes.
 //!
 //! Supported: request line + headers, `Content-Length` bodies, keep-alive
 //! (`Connection: close` honored both ways), hard limits on header and body
 //! sizes so untrusted input cannot balloon memory.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Longest accepted request line or header line, in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -214,15 +215,6 @@ impl RequestParser {
         }
     }
 
-    /// Body bytes still missing for the in-progress request (a bulk-read
-    /// hint for blocking callers), zero outside the body state.
-    fn body_needed(&self) -> usize {
-        match &self.state {
-            ParseState::Body { length, .. } => length.saturating_sub(self.buffered()),
-            _ => 0,
-        }
-    }
-
     /// Extracts one CRLF- (or LF-) terminated line from the buffer, or
     /// `None` if no full line is buffered yet. Enforces `MAX_LINE` on both
     /// complete and still-accumulating lines (slowloris cannot grow an
@@ -277,10 +269,7 @@ fn content_length(headers: &[(String, String)]) -> io::Result<usize> {
         if content_length.is_some() {
             return Err(bad_input("duplicate content-length"));
         }
-        let parsed = v
-            .parse::<usize>()
-            .map_err(|_| bad_input("bad content-length"))?;
-        content_length = Some(parsed);
+        content_length = Some(parse_length(v).ok_or_else(|| bad_input("bad content-length"))?);
     }
     let length = content_length.unwrap_or(0);
     if length > MAX_BODY {
@@ -289,37 +278,15 @@ fn content_length(headers: &[(String, String)]) -> io::Result<usize> {
     Ok(length)
 }
 
-/// Reads one request from a blocking stream (a [`RequestParser`] driven by
-/// reads). `Ok(None)` means the peer closed the connection cleanly before
-/// sending another request (keep-alive end).
-pub fn read_request<R: BufRead>(stream: &mut R) -> io::Result<Option<Request>> {
-    let mut parser = RequestParser::new();
-    let mut chunk = [0u8; 512];
-    loop {
-        if let Some(request) = parser.next_request()? {
-            return Ok(Some(request));
-        }
-        // Headers are read in small chunks; once the parser is waiting on
-        // a known-length body the remainder is read in one gulp. Never
-        // read *past* what the current request needs — callers own the
-        // stream and may read the next pipelined request themselves.
-        let want = match parser.body_needed() {
-            0 => 1,
-            n => n.min(chunk.len()),
-        };
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return if parser.is_idle() {
-                    Ok(None)
-                } else {
-                    Err(bad_input("eof mid-request"))
-                };
-            }
-            Ok(n) => parser.feed(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+/// Parses a (trimmed) `Content-Length` value: RFC 9112's `1*DIGIT` and
+/// nothing else — no sign, no hex — and `None` past `usize`.
+/// Request and response framing both go through this, so the server and
+/// the client agree on what a length is.
+pub(crate) fn parse_length(value: &str) -> Option<usize> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
     }
+    value.parse().ok()
 }
 
 fn bad_input(msg: &str) -> io::Error {
@@ -339,22 +306,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one `application/json` response. `close` adds
+/// Writes one `Content-Length`-framed response. `close` adds
 /// `Connection: close`; each `extra` pair becomes one additional header
-/// line (e.g. `retry-after` on backpressure 503s).
-pub fn write_response_ext<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &str,
-    close: bool,
-    extra: &[(&str, &str)],
-) -> io::Result<()> {
-    write_response_typed(stream, status, "application/json", body, close, extra)
-}
-
-/// [`write_response_ext`] with an explicit content type (`/metrics` is
-/// `text/plain`, `/logs/tail` is NDJSON).
-pub fn write_response_typed<W: Write>(
+/// line (e.g. `retry-after` on backpressure 503s, `x-bbs-trace`).
+pub fn write_response<W: Write>(
     stream: &mut W,
     status: u16,
     content_type: &str,
@@ -369,12 +324,7 @@ pub fn write_response_typed<W: Write>(
         content_type,
         body.len(),
     );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
+    push_headers(&mut head, extra);
     if close {
         head.push_str("connection: close\r\n");
     }
@@ -382,31 +332,11 @@ pub fn write_response_typed<W: Write>(
     stream.flush()
 }
 
-/// Writes one `application/json` response. `close` adds
-/// `Connection: close`.
-pub fn write_response<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &str,
-    close: bool,
-) -> io::Result<()> {
-    write_response_ext(stream, status, body, close, &[])
-}
-
 /// Writes the head of a streamed response: no `Content-Length`, always
 /// `Connection: close`, so the body is EOF-framed (the `/sweep` NDJSON
-/// stream — record sizes are unknown up front).
+/// stream — record sizes are unknown up front). `extra` as in
+/// [`write_response`] (the stream's `x-bbs-trace`).
 pub fn write_stream_head<W: Write>(
-    stream: &mut W,
-    status: u16,
-    content_type: &str,
-) -> io::Result<()> {
-    write_stream_head_ext(stream, status, content_type, &[])
-}
-
-/// [`write_stream_head`] with additional header lines (the `/sweep`
-/// stream's `x-bbs-trace`).
-pub fn write_stream_head_ext<W: Write>(
     stream: &mut W,
     status: u16,
     content_type: &str,
@@ -418,24 +348,34 @@ pub fn write_stream_head_ext<W: Write>(
         reason(status),
         content_type
     );
+    push_headers(&mut head, extra);
+    head.push_str("connection: close\r\n\r\n");
+    write!(stream, "{head}")?;
+    stream.flush()
+}
+
+fn push_headers(head: &mut String, extra: &[(&str, &str)]) {
     for (name, value) in extra {
         head.push_str(name);
         head.push_str(": ");
         head.push_str(value);
         head.push_str("\r\n");
     }
-    head.push_str("connection: close\r\n\r\n");
-    write!(stream, "{head}")?;
-    stream.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses `raw` as a whole stream: `Ok(None)` for a clean end between
+    /// requests, an error for one cut off mid-request.
     fn parse(raw: &str) -> io::Result<Option<Request>> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        match parser.next_request()? {
+            None if !parser.is_idle() => Err(bad_input("eof mid-request")),
+            request => Ok(request),
+        }
     }
 
     #[test]
@@ -530,6 +470,7 @@ mod tests {
         // Signed and hex forms are not valid lengths either.
         assert!(parse("POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n").is_err());
         assert!(parse("POST / HTTP/1.1\r\nContent-Length: 0x10\r\n\r\n").is_err());
+        assert!(parse("POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd").is_err());
         // A single well-formed zero-length header still parses.
         let req = parse("POST / HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
             .unwrap()
@@ -602,14 +543,22 @@ mod tests {
     #[test]
     fn response_wire_format() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}", false).unwrap();
+        write_response(
+            &mut out,
+            200,
+            "application/json",
+            "{\"ok\":true}",
+            false,
+            &[],
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 11\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
 
         let mut out = Vec::new();
-        write_response(&mut out, 503, "{}", true).unwrap();
+        write_response(&mut out, 503, "application/json", "{}", true, &[]).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("503 Service Unavailable"));
         assert!(text.contains("connection: close\r\n"));
@@ -618,7 +567,15 @@ mod tests {
     #[test]
     fn extra_headers_ride_before_the_blank_line() {
         let mut out = Vec::new();
-        write_response_ext(&mut out, 503, "{}", false, &[("retry-after", "1")]).unwrap();
+        write_response(
+            &mut out,
+            503,
+            "application/json",
+            "{}",
+            false,
+            &[("retry-after", "1")],
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         let head = text.split("\r\n\r\n").next().unwrap();
         assert!(head.contains("retry-after: 1"), "{text}");
@@ -628,7 +585,7 @@ mod tests {
     #[test]
     fn stream_head_has_no_content_length_and_closes() {
         let mut out = Vec::new();
-        write_stream_head(&mut out, 200, "application/x-ndjson").unwrap();
+        write_stream_head(&mut out, 200, "application/x-ndjson", &[]).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-type: application/x-ndjson\r\n"));

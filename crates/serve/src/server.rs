@@ -130,7 +130,7 @@ impl Default for ServeConfig {
 }
 
 pub(crate) struct Shared {
-    pub(crate) service: Arc<service::ServiceHandle>,
+    pub(crate) service: Arc<SimService>,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) requests: AtomicU64,
     pub(crate) sweeps: AtomicU64,
@@ -160,7 +160,7 @@ impl Shared {
     ) -> service::Submitted {
         match &self.coordinator {
             Some(coordinator) => coordinator.submit(request, done),
-            None => self.service.service().submit(request, done),
+            None => self.service.submit(request, done),
         }
     }
 
@@ -169,7 +169,7 @@ impl Shared {
     pub(crate) fn sweep_budget(&self) -> usize {
         match &self.coordinator {
             Some(coordinator) => coordinator.max_in_flight(),
-            None => self.service.service().workers().max(1),
+            None => self.service.workers().max(1),
         }
     }
 }
@@ -201,7 +201,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         ))
     };
     let shared = Arc::new(Shared {
-        service: Arc::new(service::start_with(config.service, Arc::clone(&telemetry))),
+        service: service::start_with(config.service, Arc::clone(&telemetry)),
         telemetry,
         requests: AtomicU64::new(0),
         sweeps: AtomicU64::new(0),
@@ -317,9 +317,9 @@ pub(crate) fn error_body(message: &str) -> String {
     Json::obj(vec![("error", Json::str(message))]).to_string()
 }
 
-/// Routes a parsed request. Counter semantics match the blocking server:
-/// `requests` counts every `/simulate` and `/sweep` POST (even ones that
-/// fail decoding), `sweeps`/`sweep_cells` only successfully decoded plans.
+/// Routes a parsed request. `requests` counts every `/simulate` and
+/// `/sweep` POST (even ones that fail decoding), `sweeps`/`sweep_cells`
+/// only successfully decoded plans.
 pub(crate) fn route_request(request: &Request, shared: &Shared) -> RouteOutcome {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/simulate") => {
@@ -414,8 +414,7 @@ fn simulate_route(body: &[u8], shared: &Shared) -> RouteOutcome {
         Ok(v) => v,
         Err(e) => return respond(400, error_body(&e.to_string())),
     };
-    let service = shared.service.service();
-    let request = match SimRequest::from_json(&parsed, service.max_cap()) {
+    let request = match SimRequest::from_json(&parsed, shared.service.max_cap()) {
         Ok(r) => r,
         Err(e) => return respond(400, error_body(&e)),
     };
@@ -423,16 +422,14 @@ fn simulate_route(body: &[u8], shared: &Shared) -> RouteOutcome {
     RouteOutcome::Simulate { request, key }
 }
 
-/// Decodes a sweep grid. Shape errors answer a regular 400 (with
-/// `Connection: close`, matching the blocking server, which ended the
-/// connection either way); a decoded plan becomes the event loop's
-/// streaming state.
+/// Decodes a sweep grid. Shape errors answer a regular 400 with
+/// `Connection: close` (a `/sweep` always ends its connection); a decoded
+/// plan becomes the event loop's streaming state.
 fn sweep_route(body: &[u8], shared: &Shared) -> RouteOutcome {
-    let service = shared.service.service();
     let plan = match std::str::from_utf8(body)
         .map_err(|_| "body must be utf-8 JSON".to_string())
         .and_then(|text| Json::parse(text).map_err(|e| e.to_string()))
-        .and_then(|parsed| SweepPlan::from_json(&parsed, service.max_cap()))
+        .and_then(|parsed| SweepPlan::from_json(&parsed, shared.service.max_cap()))
     {
         Ok(p) => p,
         Err(e) => {
@@ -458,14 +455,7 @@ fn sweep_route(body: &[u8], shared: &Shared) -> RouteOutcome {
 pub(crate) fn simulate_ok_body(key: u64, served: Served, result_text: &str) -> String {
     let meta = Json::obj(vec![
         ("cached", Json::Bool(served == Served::Hit)),
-        (
-            "served",
-            Json::str(match served {
-                Served::Hit => "cache",
-                Served::Coalesced => "coalesced",
-                Served::Fresh => "simulated",
-            }),
-        ),
+        ("served", Json::str(served.label())),
         ("key", Json::str(&format!("{key:016x}"))),
     ])
     .to_string();
@@ -475,7 +465,7 @@ pub(crate) fn simulate_ok_body(key: u64, served: Served, result_text: &str) -> S
 /// The `GET /metrics` Prometheus exposition: service/connection counters
 /// plus every stage histogram from the shared [`Telemetry`].
 fn metrics_body(shared: &Shared) -> String {
-    let service: &Arc<SimService> = shared.service.service();
+    let service = &shared.service;
     let store = service.workload_store();
     let mut p = PromText::new();
     p.counter_vec(
@@ -651,7 +641,7 @@ fn logs_tail_body(shared: &Shared) -> String {
 }
 
 fn stats_body(shared: &Shared) -> String {
-    let service: &Arc<SimService> = shared.service.service();
+    let service = &shared.service;
     let disk = service.disk_stats();
     let wdisk = service.workload_disk_stats();
     let disk_or = |f: fn(&bbs_store::DiskStats) -> u64| disk.as_ref().map_or(0, f);

@@ -3,17 +3,25 @@
 //!
 //! ## Life of a request
 //!
+//! Every request enters through [`SimService::submit`], which never
+//! blocks: it answers a hit inline and otherwise hands the caller's
+//! [`Completion`] to a flight that fires it later.
+//!
 //! 1. The request's content address ([`crate::request::SimRequest::key`])
-//!    is probed in the [`ShardedCache`] — a hit returns immediately.
+//!    is probed in the [`ShardedCache`] — a hit returns the bytes as
+//!    [`Submitted::Hit`] and the completion is dropped unused.
 //! 2. On a miss the in-flight table is consulted: if the same key is
-//!    already being simulated the caller *coalesces* — it blocks on the
-//!    existing flight instead of enqueueing duplicate work.
+//!    already being simulated the caller *coalesces* — its completion
+//!    subscribes to the existing flight instead of enqueueing duplicate
+//!    work.
 //! 3. Otherwise the caller registers a new flight and enqueues a job; a
-//!    full queue is backpressure ([`ExecuteError::Busy`] → HTTP 503).
+//!    full queue hands the request back ([`Submitted::Busy`]) so the
+//!    caller can park it or answer HTTP 503.
 //! 4. A worker pops the job, double-checks the cache (the result may have
 //!    landed between the caller's miss and the pop — without this
 //!    re-check that race would re-simulate), runs the engine, caches the
-//!    serialized result and completes the flight.
+//!    serialized result and completes the flight, which calls every
+//!    subscribed completion.
 //!
 //! The engine call is wrapped in `catch_unwind` so a panic (e.g. a
 //! degenerate custom layer table) fails that one request instead of
@@ -50,7 +58,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -117,6 +125,28 @@ pub enum Served {
     Fresh,
 }
 
+impl Served {
+    /// The wire label: the `served` field of `/simulate` bodies, sweep
+    /// records and `x-bbs-trace`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Served::Hit => "cache",
+            Served::Coalesced => "coalesced",
+            Served::Fresh => "simulated",
+        }
+    }
+
+    /// Reads a wire [`label`](Self::label) back; anything unrecognised
+    /// counts as a fresh simulation.
+    pub fn from_label(label: &str) -> Served {
+        match label {
+            "cache" => Served::Hit,
+            "coalesced" => Served::Coalesced,
+            _ => Served::Fresh,
+        }
+    }
+}
+
 /// Why a request could not be served.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecuteError {
@@ -126,6 +156,36 @@ pub enum ExecuteError {
     ShuttingDown,
     /// The simulation itself failed (HTTP 500).
     Failed(String),
+}
+
+impl ExecuteError {
+    /// The HTTP status this error answers with. Every 503 carries
+    /// `Retry-After`.
+    pub fn status(&self) -> u16 {
+        match self {
+            ExecuteError::Busy | ExecuteError::ShuttingDown => 503,
+            ExecuteError::Failed(_) => 500,
+        }
+    }
+
+    /// The client-facing message (`/simulate` error body, sweep error
+    /// record).
+    pub fn message(&self) -> &str {
+        match self {
+            ExecuteError::Busy => "queue full, retry later",
+            ExecuteError::ShuttingDown => "shutting down",
+            ExecuteError::Failed(message) => message,
+        }
+    }
+
+    /// The `served` label this outcome gets in `x-bbs-trace`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ExecuteError::Busy => "busy",
+            ExecuteError::ShuttingDown => "shutdown",
+            ExecuteError::Failed(_) => "failed",
+        }
+    }
 }
 
 /// Worker-side stage timings for one computed result (all microseconds).
@@ -144,11 +204,15 @@ pub struct Timing {
     pub ser_us: u64,
 }
 
-/// A caller's completion callback for [`SimService::submit`]. Invoked
-/// exactly once, from whichever thread completes the flight (a worker, or
-/// the submitter itself on an immediate hit/failure path).
-pub type Completion =
-    Box<dyn FnOnce(Result<(Arc<str>, Served, Timing), ExecuteError>) + Send + 'static>;
+/// What became of one submitted request: the result bytes, how they were
+/// served and the worker's stage timings, or why it failed.
+pub type Outcome = Result<(Arc<str>, Served, Timing), ExecuteError>;
+
+/// A caller's completion callback for [`SimService::submit`]. Invoked at
+/// most once, from whichever thread completes the flight (a worker, or
+/// the submitter itself when it finds the flight already done); dropped
+/// unused when `submit` answers inline.
+pub type Completion = Box<dyn FnOnce(Outcome) + Send + 'static>;
 
 /// Immediate outcome of a non-blocking [`SimService::submit`].
 pub enum Submitted {
@@ -170,11 +234,10 @@ pub enum Submitted {
 /// string) means coalesced waiters see the same error class as the owner:
 /// backpressure stays a 503 for everyone, not a 500.
 ///
-/// Waiters come in two shapes: blocking ([`Flight::wait`], the synchronous
-/// `execute` path) and callback ([`Flight::subscribe`], the event loop's
-/// `submit` path). A subscriber arriving after completion is invoked
-/// immediately — the worker may finish between a caller's in-flight probe
-/// and its subscribe.
+/// Waiters are [`Completion`] callbacks ([`Flight::subscribe`]): the
+/// owner's, then one per coalesced caller. A subscriber arriving after
+/// completion is invoked immediately — the worker may finish between a
+/// caller's in-flight probe and its subscribe.
 struct FlightState {
     result: Option<Result<(Arc<str>, Timing), ExecuteError>>,
     subscribers: Vec<(Served, Completion)>,
@@ -182,7 +245,6 @@ struct FlightState {
 
 struct Flight {
     state: Mutex<FlightState>,
-    done: Condvar,
 }
 
 impl Flight {
@@ -192,7 +254,6 @@ impl Flight {
                 result: None,
                 subscribers: Vec::new(),
             }),
-            done: Condvar::new(),
         })
     }
 
@@ -200,7 +261,6 @@ impl Flight {
         let subscribers = {
             let mut state = self.state.lock().unwrap();
             state.result = Some(r.clone());
-            self.done.notify_all();
             std::mem::take(&mut state.subscribers)
         };
         // Callbacks run outside the lock: they re-enter the service
@@ -223,16 +283,6 @@ impl Flight {
         };
         if let Some(r) = done {
             cb(r.map(|(bytes, timing)| (bytes, served, timing)));
-        }
-    }
-
-    fn wait(&self) -> Result<(Arc<str>, Timing), ExecuteError> {
-        let mut guard = self.state.lock().unwrap();
-        loop {
-            if let Some(r) = guard.result.as_ref() {
-                return r.clone();
-            }
-            guard = self.done.wait(guard).unwrap();
         }
     }
 }
@@ -274,11 +324,6 @@ pub struct SimService {
     telemetry: Arc<Telemetry>,
 }
 
-/// The running service: shared state plus the worker threads.
-pub struct ServiceHandle {
-    service: Arc<SimService>,
-}
-
 /// Bridges the [`WorkloadStore`] to the checksummed disk store through the
 /// [`bbs_sim::persist`] codec. A decode failure (version skew) is a miss;
 /// the storage layer already quarantined anything corrupt.
@@ -298,15 +343,16 @@ impl WorkloadTier for DiskWorkloadTier {
     }
 }
 
-/// Spawns the worker pool with default (standalone) telemetry.
-pub fn start(config: ServiceConfig) -> ServiceHandle {
+/// Spawns the worker pool with default (standalone) telemetry; stop it
+/// with [`SimService::stop`].
+pub fn start(config: ServiceConfig) -> Arc<SimService> {
     start_with(config, Arc::new(Telemetry::default()))
 }
 
 /// Spawns the worker pool recording stage timings into `telemetry` —
 /// the server passes its shared instance so worker-side stages land in
 /// the same histograms `GET /metrics` renders.
-pub fn start_with(config: ServiceConfig, telemetry: Arc<Telemetry>) -> ServiceHandle {
+pub fn start_with(config: ServiceConfig, telemetry: Arc<Telemetry>) -> Arc<SimService> {
     assert!(config.workers > 0, "need at least one worker");
     let faults = Arc::clone(&config.faults);
 
@@ -377,7 +423,7 @@ pub fn start_with(config: ServiceConfig, telemetry: Arc<Telemetry>) -> ServiceHa
     for i in 0..config.workers {
         spawn_worker(&service, i);
     }
-    ServiceHandle { service }
+    service
 }
 
 /// Spawns one worker thread and registers its handle for joining. The
@@ -417,25 +463,14 @@ impl Drop for RespawnGuard {
     }
 }
 
-impl ServiceHandle {
-    /// The shared service state.
-    pub fn service(&self) -> &Arc<SimService> {
-        &self.service
-    }
-
-    /// Executes one request to completion (blocking). See the module docs
-    /// for the hit/coalesce/enqueue decision tree.
-    pub fn execute(&self, request: SimRequest) -> Result<(Arc<str>, Served), ExecuteError> {
-        self.service.execute(request)
-    }
-
+impl SimService {
     /// Closes the queue, drains pending jobs, joins the workers (looping,
     /// since a panicking worker may respawn a replacement mid-join) and
     /// flushes the disk tier. Idempotent: later calls find no workers left.
     pub fn stop(&self) {
-        self.service.queue.close();
+        self.queue.close();
         loop {
-            let workers = std::mem::take(&mut *self.service.workers.lock().unwrap());
+            let workers = std::mem::take(&mut *self.workers.lock().unwrap());
             if workers.is_empty() {
                 break;
             }
@@ -443,11 +478,9 @@ impl ServiceHandle {
                 let _ = w.join();
             }
         }
-        self.service.flush_disk();
+        self.flush_disk();
     }
-}
 
-impl SimService {
     /// The configured request cap (`max_weights_per_layer` clamp).
     pub fn max_cap(&self) -> usize {
         self.config.max_cap
@@ -542,62 +575,17 @@ impl SimService {
         }
     }
 
-    fn execute(&self, request: SimRequest) -> Result<(Arc<str>, Served), ExecuteError> {
-        let key = request.key();
-        if let Some(cached) = self.cache.get(key) {
-            return Ok((cached, Served::Hit));
-        }
-        if let Some(cached) = self.disk_fetch(key) {
-            return Ok((cached, Served::Hit));
-        }
-
-        let (flight, owner) = {
-            let mut inflight = self.inflight.lock().unwrap();
-            match inflight.get(&key) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Flight::new();
-                    inflight.insert(key, Arc::clone(&f));
-                    (f, true)
-                }
-            }
-        };
-
-        if !owner {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            return flight.wait().map(|(r, _)| (r, Served::Coalesced));
-        }
-
-        let job = Job {
-            key,
-            request,
-            flight: Arc::clone(&flight),
-            enqueued: Instant::now(),
-        };
-        if let Err((e, job)) = self.queue.try_push(job) {
-            // Nobody will ever complete this flight — unregister it so
-            // coalesced waiters can't pile onto a dead key.
-            self.inflight.lock().unwrap().remove(&key);
-            let err = match e {
-                PushError::Full => ExecuteError::Busy,
-                PushError::Closed => ExecuteError::ShuttingDown,
-            };
-            job.flight.complete(Err(err.clone()));
-            return Err(err);
-        }
-        flight.wait().map(|(r, _)| (r, Served::Fresh))
-    }
-
-    /// Non-blocking twin of [`execute`](Self::execute): same decision tree
-    /// (cache hit → coalesce → enqueue), but instead of blocking on the
-    /// flight the caller hands over a [`Completion`] callback. The event
-    /// loop lives on this — one thread submits thousands of requests and
-    /// workers call back through the completion channel.
+    /// The one way into the service: the cache hit → coalesce → enqueue
+    /// decision tree of the module docs. It never blocks; instead of
+    /// waiting on the flight the caller hands over a [`Completion`]
+    /// callback. The event loop lives on this — one thread submits
+    /// thousands of requests and workers call back through the completion
+    /// channel.
     ///
     /// On a full queue the request is *returned* ([`Submitted::Busy`])
     /// rather than consumed: the loop parks it and resubmits when a slot
-    /// frees. Racing coalescers that subscribed to the failed flight still
-    /// get `Busy` through their callbacks, exactly like the blocking path.
+    /// frees. Racing coalescers that subscribed to the failed flight get
+    /// `Busy` through their callbacks.
     pub fn submit(&self, request: SimRequest, done: Completion) -> Submitted {
         let key = request.key();
         if let Some(cached) = self.cache.get(key) {
@@ -838,7 +826,25 @@ mod tests {
         .unwrap()
     }
 
-    fn test_service() -> ServiceHandle {
+    /// Blocks on one request: `submit` plus a channel the completion
+    /// sends its outcome down.
+    fn run(svc: &SimService, request: SimRequest) -> Result<(Arc<str>, Served), ExecuteError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let done: Completion = Box::new(move |outcome| {
+            let _ = tx.send(outcome);
+        });
+        match svc.submit(request, done) {
+            Submitted::Hit(bytes) => Ok((bytes, Served::Hit)),
+            Submitted::Pending => rx
+                .recv()
+                .expect("a flight completes every subscriber")
+                .map(|(bytes, served, _)| (bytes, served)),
+            Submitted::Busy(_) => Err(ExecuteError::Busy),
+            Submitted::ShuttingDown => Err(ExecuteError::ShuttingDown),
+        }
+    }
+
+    fn test_service() -> Arc<SimService> {
         start(ServiceConfig {
             workers: 2,
             queue_depth: 8,
@@ -853,12 +859,12 @@ mod tests {
     fn fresh_then_hit_same_bytes() {
         let svc = test_service();
         let req = request("ViT-Small", "stripes", 256);
-        let (first, how1) = svc.execute(req.clone()).unwrap();
+        let (first, how1) = run(&svc, req.clone()).unwrap();
         assert_eq!(how1, Served::Fresh);
-        let (second, how2) = svc.execute(req.clone()).unwrap();
+        let (second, how2) = run(&svc, req.clone()).unwrap();
         assert_eq!(how2, Served::Hit);
         assert_eq!(first, second, "cache hit must be byte-identical");
-        assert_eq!(svc.service().sim_runs(), 1);
+        assert_eq!(svc.sim_runs(), 1);
 
         // And the payload decodes to the engine's exact result.
         let direct = simulate(
@@ -874,8 +880,32 @@ mod tests {
     }
 
     #[test]
+    fn submit_on_a_cached_key_answers_inline() {
+        let svc = test_service();
+        let req = request("ViT-Small", "bitlet", 128);
+        let (fresh, _) = run(&svc, req.clone()).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let outcome = svc.submit(
+            req,
+            Box::new(move |_| {
+                let _ = tx.send(());
+            }),
+        );
+        let Submitted::Hit(bytes) = outcome else {
+            panic!("a cached key must be answered inline");
+        };
+        assert_eq!(bytes, fresh, "hit bytes equal the fresh run's");
+        // The completion was dropped without ever being called.
+        assert_eq!(
+            rx.try_recv(),
+            Err(std::sync::mpsc::TryRecvError::Disconnected)
+        );
+        svc.stop();
+    }
+
+    #[test]
     fn concurrent_duplicates_run_once() {
-        let svc = Arc::new(test_service());
+        let svc = test_service();
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -883,7 +913,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    svc.execute(request("ResNet-34", "bitlet", 256)).unwrap().0
+                    run(&svc, request("ResNet-34", "bitlet", 256)).unwrap().0
                 })
             })
             .collect();
@@ -891,17 +921,17 @@ mod tests {
         for r in &results[1..] {
             assert_eq!(r, &results[0]);
         }
-        assert_eq!(svc.service().sim_runs(), 1, "deduplicated to one run");
+        assert_eq!(svc.sim_runs(), 1, "deduplicated to one run");
         svc.stop();
     }
 
     #[test]
     fn distinct_requests_each_run() {
         let svc = test_service();
-        svc.execute(request("ViT-Small", "stripes", 128)).unwrap();
-        svc.execute(request("ViT-Small", "stripes", 192)).unwrap();
-        assert_eq!(svc.service().sim_runs(), 2, "different cap, different key");
-        let store = svc.service().workload_store();
+        run(&svc, request("ViT-Small", "stripes", 128)).unwrap();
+        run(&svc, request("ViT-Small", "stripes", 192)).unwrap();
+        assert_eq!(svc.sim_runs(), 2, "different cap, different key");
+        let store = svc.workload_store();
         assert_eq!(store.misses(), 2, "different cap, different lowering");
         svc.stop();
     }
@@ -910,10 +940,10 @@ mod tests {
     fn accelerator_sweep_lowers_once() {
         let svc = test_service();
         for accel in ["stripes", "bitlet", "bitwave", "ant"] {
-            svc.execute(request("ViT-Small", accel, 256)).unwrap();
+            run(&svc, request("ViT-Small", accel, 256)).unwrap();
         }
-        assert_eq!(svc.service().sim_runs(), 4, "four distinct result keys");
-        let store = svc.service().workload_store();
+        assert_eq!(svc.sim_runs(), 4, "four distinct result keys");
+        let store = svc.workload_store();
         assert_eq!(store.misses(), 1, "one (model, seed, cap) lowering");
         assert_eq!(store.hits(), 3);
         assert_eq!(store.entries(), 1);
@@ -923,14 +953,14 @@ mod tests {
     #[test]
     fn full_queue_reports_busy() {
         // One worker, depth 1: saturate with slow jobs, then overflow.
-        let svc = Arc::new(start(ServiceConfig {
+        let svc = start(ServiceConfig {
             workers: 1,
             queue_depth: 1,
             cache_shards: 1,
             cache_entries: 1024,
             max_cap: 65536,
             ..ServiceConfig::default()
-        }));
+        });
         let running: Vec<_> = (0..4)
             .map(|i| {
                 let svc = Arc::clone(&svc);
@@ -938,7 +968,7 @@ mod tests {
                     // Distinct seeds -> distinct keys -> no coalescing.
                     let mut req = request("VGG-16", "bitvert-moderate", 2048);
                     req.seed = 100 + i;
-                    svc.execute(req)
+                    run(&svc, req)
                 })
             })
             .collect();
@@ -958,8 +988,8 @@ mod tests {
     #[test]
     fn healthy_traffic_records_no_errors() {
         let svc = test_service();
-        svc.execute(request("Bert-SST2", "ant", 128)).unwrap();
-        assert_eq!(svc.service().errors(), 0);
+        run(&svc, request("Bert-SST2", "ant", 128)).unwrap();
+        assert_eq!(svc.errors(), 0);
         svc.stop();
     }
 
@@ -967,7 +997,7 @@ mod tests {
     fn stop_drains_pending_work() {
         let svc = test_service();
         let req = request("ViT-Small", "sparten", 128);
-        let (bytes, _) = svc.execute(req).unwrap();
+        let (bytes, _) = run(&svc, req).unwrap();
         assert!(!bytes.is_empty());
         svc.stop(); // must not hang
     }
@@ -1003,27 +1033,27 @@ mod tests {
         let req = request("ViT-Small", "stripes", 192);
 
         let svc = start(config.clone());
-        let (first, how) = svc.execute(req.clone()).unwrap();
+        let (first, how) = run(&svc, req.clone()).unwrap();
         assert_eq!(how, Served::Fresh);
-        let stats = svc.service().disk_stats().unwrap();
+        let stats = svc.disk_stats().unwrap();
         assert_eq!(stats.writes, 1, "fresh result written through");
         svc.stop();
 
         // A "restarted server": new service, same cache dir.
         let svc = start(config);
-        let (second, how) = svc.execute(req).unwrap();
+        let (second, how) = run(&svc, req).unwrap();
         assert_eq!(how, Served::Hit, "served from disk without simulating");
         assert_eq!(first, second, "disk hit is byte-identical");
-        assert_eq!(svc.service().sim_runs(), 0);
-        let stats = svc.service().disk_stats().unwrap();
+        assert_eq!(svc.sim_runs(), 0);
+        let stats = svc.disk_stats().unwrap();
         assert_eq!((stats.hits, stats.warm_entries), (1, 1));
-        let wl = svc.service().workload_disk_stats().unwrap();
+        let wl = svc.workload_disk_stats().unwrap();
         assert_eq!(wl.warm_entries, 1, "lowering persisted too");
         // A fresh result key over the same (model, seed, cap) loads the
         // lowering from the workload tier instead of re-synthesizing.
-        svc.execute(request("ViT-Small", "bitlet", 192)).unwrap();
-        assert_eq!(svc.service().workload_store().tier_hits(), 1);
-        assert_eq!(svc.service().workload_store().misses(), 0);
+        run(&svc, request("ViT-Small", "bitlet", 192)).unwrap();
+        assert_eq!(svc.workload_store().tier_hits(), 1);
+        assert_eq!(svc.workload_store().misses(), 0);
         svc.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1040,13 +1070,13 @@ mod tests {
             ),
             ..ServiceConfig::default()
         });
-        let err = svc.execute(req_bad).unwrap_err();
+        let err = run(&svc, req_bad).unwrap_err();
         assert!(matches!(&err, ExecuteError::Failed(m) if m.contains("injected fault")));
         // The pool survived: the untouched cell still simulates.
-        let (bytes, _) = svc.execute(req_good).unwrap();
+        let (bytes, _) = run(&svc, req_good).unwrap();
         assert!(!bytes.is_empty());
-        assert_eq!(svc.service().worker_panics(), 1);
-        assert_eq!(svc.service().errors(), 1);
+        assert_eq!(svc.worker_panics(), 1);
+        assert_eq!(svc.errors(), 1);
         svc.stop();
     }
 
@@ -1064,20 +1094,20 @@ mod tests {
             ),
             ..ServiceConfig::default()
         });
-        let err = svc.execute(req_bad).unwrap_err();
+        let err = run(&svc, req_bad).unwrap_err();
         assert!(matches!(&err, ExecuteError::Failed(m) if m.contains("worker died")));
-        let (bytes, _) = svc.execute(req_good).unwrap();
+        let (bytes, _) = run(&svc, req_good).unwrap();
         assert!(!bytes.is_empty(), "replacement worker serves traffic");
-        assert!(svc.service().worker_panics() >= 1);
+        assert!(svc.worker_panics() >= 1);
         svc.stop();
     }
 
     #[test]
     fn no_cache_dir_means_no_disk_io() {
         let svc = test_service();
-        svc.execute(request("ViT-Small", "ant", 128)).unwrap();
-        assert!(svc.service().disk_stats().is_none());
-        assert!(svc.service().workload_disk_stats().is_none());
+        run(&svc, request("ViT-Small", "ant", 128)).unwrap();
+        assert!(svc.disk_stats().is_none());
+        assert!(svc.workload_disk_stats().is_none());
         svc.stop();
     }
 }

@@ -15,12 +15,14 @@
 //! (missing/empty axes, malformed seeds, an oversized grid) still reject
 //! the whole request with a 400.
 //!
-//! Cells run through [`crate::service::ServiceHandle::execute`], so each
-//! one rides the exact hit/coalesce/enqueue path of a single `/simulate`
-//! request: duplicate cells across concurrent sweeps coalesce onto one
-//! engine run, results land in (and are served from) the shared
-//! content-addressed cache, and the lowering store amortizes weight
-//! synthesis across the grid's accelerator/config axes.
+//! The event loop drives a [`SweepStream`]: it submits each cell through
+//! [`crate::service::SimService::submit`] (or the coordinator in
+//! `--shard-of` mode), so each one rides the exact hit/coalesce/enqueue
+//! path of a single `/simulate` request: duplicate cells across
+//! concurrent sweeps coalesce onto one engine run, results land in (and
+//! are served from) the shared content-addressed cache, and the lowering
+//! store amortizes weight synthesis across the grid's accelerator/config
+//! axes.
 //!
 //! Results stream back as newline-delimited JSON **in completion order**
 //! (each line carries its `cell` index for reassembly), with a trailing
@@ -29,15 +31,12 @@
 
 use crate::registry;
 use crate::request::{SimRequest, DEFAULT_CAP};
-use crate::service::{ExecuteError, Served, ServiceHandle};
+use crate::service::Served;
 use bbs_json::{field_arr, Json};
 use bbs_models::json::model_spec_from_json;
 use bbs_models::{zoo, ModelSpec};
 use bbs_sim::json::array_config_from_json;
 use bbs_sim::ArrayConfig;
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// Most cells one sweep may expand to (work-size protection: a sweep is
@@ -63,6 +62,17 @@ pub struct SweepPlan {
 /// the axis decode error that poisons this cell).
 #[derive(Debug)]
 pub struct PlannedCell {
+    /// The coordinates the cell's record echoes.
+    pub meta: CellMeta,
+    /// The executable request, or why this cell cannot run.
+    pub request: Result<SimRequest, String>,
+}
+
+/// The echo coordinates of a cell, detached from its request — what a
+/// record line carries. The event loop holds these across the async gap
+/// between submitting a cell and its completion callback firing.
+#[derive(Debug, Clone)]
+pub struct CellMeta {
     /// Flat index in expansion order (clients reassemble by this).
     pub index: usize,
     /// Display name of the model axis entry.
@@ -75,41 +85,6 @@ pub struct PlannedCell {
     pub seed: u64,
     /// Per-layer weight cap (post-clamp).
     pub cap: usize,
-    /// The executable request, or why this cell cannot run.
-    pub request: Result<SimRequest, String>,
-}
-
-/// The echo coordinates of a cell, detached from its request — what a
-/// record line carries. The event loop holds these across the async gap
-/// between submitting a cell and its completion callback firing.
-#[derive(Debug, Clone)]
-pub struct CellMeta {
-    /// Flat index in expansion order.
-    pub index: usize,
-    /// Display name of the model axis entry.
-    pub model: String,
-    /// Canonical accelerator id (or the raw string if unresolvable).
-    pub accelerator: String,
-    /// Index into the config axis.
-    pub config: usize,
-    /// Weight-synthesis seed.
-    pub seed: u64,
-    /// Per-layer weight cap (post-clamp).
-    pub cap: usize,
-}
-
-impl PlannedCell {
-    /// This cell's echo coordinates.
-    pub fn meta(&self) -> CellMeta {
-        CellMeta {
-            index: self.index,
-            model: self.model.clone(),
-            accelerator: self.accelerator.clone(),
-            config: self.config,
-            seed: self.seed,
-            cap: self.cap,
-        }
-    }
 }
 
 impl SweepPlan {
@@ -258,12 +233,14 @@ impl SweepPlan {
             })
         });
         PlannedCell {
-            index: i,
-            model: model_name.clone(),
-            accelerator: accel_name.clone(),
-            config: c,
-            seed,
-            cap,
+            meta: CellMeta {
+                index: i,
+                model: model_name.clone(),
+                accelerator: accel_name.clone(),
+                config: c,
+                seed,
+                cap,
+            },
             request,
         }
     }
@@ -286,91 +263,16 @@ pub struct SweepTally {
     pub simulated: usize,
 }
 
-enum CellClass {
-    Ok(Served),
-    Error,
-}
-
-/// Runs the whole plan against the service, streaming one NDJSON record
-/// per cell *in completion order* plus a trailing summary record. Cells
-/// are pulled by `min(workers, cells)` scheduler threads so a sweep can
-/// saturate the worker pool without flooding the bounded queue.
-///
-/// A failing cell (unresolvable axis entry, engine panic, backpressure)
-/// yields an error record, not a dead connection. If the *client* goes
-/// away mid-stream (a write fails), the sweep stops pulling new cells
-/// and returns the write error; cells already executing complete and
-/// stay cached.
-pub fn run_streaming(
-    service: &ServiceHandle,
-    plan: &SweepPlan,
-    out: &mut dyn Write,
-) -> std::io::Result<SweepTally> {
-    let cells = plan.cell_count();
-    let concurrency = service.service().workers().min(cells).max(1);
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    // Bounded: a scheduler thread blocks once a few records are waiting
-    // on the writer, so a slow (or stalled) client holds at most
-    // ~2×concurrency formatted records in memory, not the whole grid.
-    let (tx, rx) = mpsc::sync_channel::<(String, CellClass)>(2 * concurrency);
-
-    let start = Instant::now();
-    let mut tally = SweepTally {
-        cells,
-        ..SweepTally::default()
-    };
-    let mut write_error: Option<std::io::Error> = None;
-    std::thread::scope(|scope| {
-        for _ in 0..concurrency {
-            let tx = tx.clone();
-            let (next, abort) = (&next, &abort);
-            scope.spawn(move || loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells {
-                    break;
-                }
-                if tx.send(run_cell(service, plan.cell(i))).is_err() {
-                    break;
-                }
-            });
+impl SweepTally {
+    /// Counts one result record by how it was served.
+    pub fn count_ok(&mut self, served: Served) {
+        self.ok += 1;
+        match served {
+            Served::Hit => self.cache_hits += 1,
+            Served::Coalesced => self.coalesced += 1,
+            Served::Fresh => self.simulated += 1,
         }
-        drop(tx);
-
-        // This (connection) thread is the single writer: records go out
-        // the moment they complete, which is what makes the stream useful
-        // for long grids.
-        while let Ok((line, class)) = rx.recv() {
-            match class {
-                CellClass::Ok(served) => {
-                    tally.ok += 1;
-                    match served {
-                        Served::Hit => tally.cache_hits += 1,
-                        Served::Coalesced => tally.coalesced += 1,
-                        Served::Fresh => tally.simulated += 1,
-                    }
-                }
-                CellClass::Error => tally.errors += 1,
-            }
-            if write_error.is_none() {
-                if let Err(e) = out.write_all(line.as_bytes()).and_then(|()| out.flush()) {
-                    abort.store(true, Ordering::Relaxed);
-                    write_error = Some(e);
-                }
-            }
-        }
-    });
-    if let Some(e) = write_error {
-        return Err(e);
     }
-
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    out.write_all(summary_record(&tally, wall_ms).as_bytes())?;
-    out.flush()?;
-    Ok(tally)
 }
 
 /// The shared echo prefix of every record for a cell (unterminated — a
@@ -393,28 +295,14 @@ pub fn error_record(meta: &CellMeta, message: &str) -> String {
     format!("{},\"error\":{}}}\n", cell_prefix(meta), Json::str(message))
 }
 
-/// The NDJSON error record for a service-level failure, with the same
-/// wording the single-request path uses for each error class.
-pub fn execute_error_record(meta: &CellMeta, e: &ExecuteError) -> String {
-    match e {
-        ExecuteError::Busy => error_record(meta, "queue full, retry later"),
-        ExecuteError::ShuttingDown => error_record(meta, "shutting down"),
-        ExecuteError::Failed(msg) => error_record(meta, msg),
-    }
-}
-
 /// The NDJSON result record for a completed cell (newline included). The
 /// cached payload is spliced in verbatim (never re-encoded), so byte
 /// identity across hits and sweeps is structural.
 pub fn result_record(meta: &CellMeta, key: u64, served: Served, result_text: &str) -> String {
-    let label = match served {
-        Served::Hit => "cache",
-        Served::Coalesced => "coalesced",
-        Served::Fresh => "simulated",
-    };
     format!(
-        "{},\"key\":\"{key:016x}\",\"served\":\"{label}\",\"result\":{result_text}}}\n",
+        "{},\"key\":\"{key:016x}\",\"served\":\"{}\",\"result\":{result_text}}}\n",
         cell_prefix(meta),
+        served.label(),
     )
 }
 
@@ -439,9 +327,8 @@ pub fn summary_record(tally: &SweepTally, wall_ms: f64) -> String {
 /// next, how many are in flight, and the running tally. The loop pulls
 /// cells with [`take_next`](Self::take_next) while it has queue budget,
 /// submits them through the service's non-blocking path, and feeds
-/// completions back; record *formatting* goes through the same
-/// [`result_record`]/[`error_record`] helpers as the blocking
-/// [`run_streaming`], so both paths emit byte-identical lines.
+/// completions back; records are formatted by [`result_record`] and
+/// [`error_record`], which the client's resume path shares.
 #[derive(Debug)]
 pub struct SweepStream {
     plan: SweepPlan,
@@ -479,11 +366,6 @@ impl SweepStream {
         Some(cell)
     }
 
-    /// Whether every cell has been handed out (not necessarily finished).
-    pub fn all_submitted(&self) -> bool {
-        self.next >= self.tally.cells
-    }
-
     /// Cells submitted but not yet completed.
     pub fn in_flight(&self) -> usize {
         self.inflight
@@ -500,53 +382,36 @@ impl SweepStream {
         self.inflight -= 1;
     }
 
-    /// Tallies a result record.
-    pub fn record_ok(&mut self, served: Served) {
-        self.tally.ok += 1;
-        match served {
-            Served::Hit => self.tally.cache_hits += 1,
-            Served::Coalesced => self.tally.coalesced += 1,
-            Served::Fresh => self.tally.simulated += 1,
+    /// Tallies one finished cell and renders its record: the result as
+    /// `(key, result text, how it was served)`, or the message of the
+    /// error that replaced it.
+    pub fn finish_cell(
+        &mut self,
+        meta: &CellMeta,
+        outcome: Result<(u64, &str, Served), &str>,
+    ) -> String {
+        match outcome {
+            Ok((key, result_text, served)) => {
+                self.tally.count_ok(served);
+                result_record(meta, key, served, result_text)
+            }
+            Err(message) => {
+                self.tally.errors += 1;
+                error_record(meta, message)
+            }
         }
-    }
-
-    /// Tallies an error record.
-    pub fn record_error(&mut self) {
-        self.tally.errors += 1;
     }
 
     /// Whether every cell has been handed out *and* completed — time for
     /// the summary record.
     pub fn is_done(&self) -> bool {
-        self.all_submitted() && self.inflight == 0
+        self.next >= self.tally.cells && self.inflight == 0
     }
 
     /// Renders the trailing summary from the running tally and the
     /// stream's own wall clock.
     pub fn summary_line(&self) -> String {
         summary_record(&self.tally, self.start.elapsed().as_secs_f64() * 1e3)
-    }
-
-    /// The running tally.
-    pub fn tally(&self) -> SweepTally {
-        self.tally
-    }
-}
-
-/// Executes one cell and renders its NDJSON line (newline included).
-fn run_cell(service: &ServiceHandle, cell: PlannedCell) -> (String, CellClass) {
-    let meta = cell.meta();
-    let request = match cell.request {
-        Ok(r) => r,
-        Err(message) => return (error_record(&meta, &message), CellClass::Error),
-    };
-    let key = request.key();
-    match service.execute(request) {
-        Ok((result_text, served)) => (
-            result_record(&meta, key, served, &result_text),
-            CellClass::Ok(served),
-        ),
-        Err(e) => (execute_error_record(&meta, &e), CellClass::Error),
     }
 }
 
@@ -563,7 +428,6 @@ fn non_empty<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{start, ServiceConfig};
     use bbs_sim::sweep::SweepSpec;
 
     fn parse_plan(body: &str) -> Result<SweepPlan, String> {
@@ -663,57 +527,6 @@ mod tests {
             8192,
         )
         .unwrap();
-        assert_eq!(plan.cell(0).cap, 8192);
-    }
-
-    #[test]
-    fn streaming_run_emits_records_and_summary() {
-        let service = start(ServiceConfig {
-            workers: 2,
-            queue_depth: 8,
-            cache_shards: 2,
-            cache_entries: 256,
-            max_cap: 65536,
-            ..ServiceConfig::default()
-        });
-        let plan = parse_plan(
-            "{\"models\":[\"ViT-Small\",\"NoSuchNet\"],\
-             \"accelerators\":[\"stripes\",\"bitlet\"],\
-             \"max_weights_per_layer\":[128]}",
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        let tally = run_streaming(&service, &plan, &mut out).unwrap();
-        assert_eq!((tally.cells, tally.ok, tally.errors), (4, 2, 2));
-        assert_eq!(tally.simulated, 2);
-
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5, "4 cells + summary: {text}");
-        let mut seen = [false; 4];
-        for line in &lines[..4] {
-            let v = Json::parse(line).unwrap();
-            let idx = v.get("cell").unwrap().as_usize().unwrap();
-            seen[idx] = true;
-            let is_error = v.get("error").is_some();
-            let model = v.get("model").unwrap().as_str().unwrap();
-            assert_eq!(is_error, model == "NoSuchNet", "{line}");
-            if !is_error {
-                assert!(v.get("result").is_some(), "{line}");
-                assert!(v.get("key").is_some(), "{line}");
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every cell exactly once");
-        let summary = Json::parse(lines[4]).unwrap();
-        let summary = summary.get("summary").expect("summary record");
-        assert_eq!(summary.get("cells").unwrap().as_usize(), Some(4));
-        assert_eq!(summary.get("errors").unwrap().as_usize(), Some(2));
-
-        // Re-running the same plan is all cache hits.
-        let mut out = Vec::new();
-        let tally = run_streaming(&service, &plan, &mut out).unwrap();
-        assert_eq!(tally.cache_hits, 2, "warm sweep served from cache");
-        assert_eq!(service.service().sim_runs(), 2);
-        service.stop();
+        assert_eq!(plan.cell(0).meta.cap, 8192);
     }
 }

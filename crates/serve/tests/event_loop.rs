@@ -8,8 +8,10 @@ use bbs_serve::client::Client;
 use bbs_serve::event_loop::PollerKind;
 use bbs_serve::server::{start, ServeConfig, ServerHandle};
 use bbs_serve::service::ServiceConfig;
+use bbs_telemetry::FaultPlan;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn server_with(configure: impl FnOnce(&mut ServeConfig)) -> ServerHandle {
@@ -313,19 +315,27 @@ fn queue_full_connections_park_and_all_succeed() {
     server.stop();
 }
 
-#[test]
-fn zero_park_timeout_fails_fast_with_retry_after() {
-    // park_timeout zero restores the old fail-fast 503, now with a
-    // Retry-After header. Saturation is racy, so the assertion is on the
-    // shape of whichever outcome each request got: 200, or 503 + header.
-    let server = server_with(|c| {
+/// A server with one worker held `delay_ms` per simulation and a queue of
+/// one: two distinct requests fill it, so any third waits on the queue
+/// for as long as the delay lasts.
+fn saturated_server(delay_ms: u64, park_timeout: Duration) -> ServerHandle {
+    server_with(|c| {
         c.service.workers = 1;
         c.service.queue_depth = 1;
-        c.park_timeout = Duration::ZERO;
-    });
+        c.service.faults = Arc::new(FaultPlan::parse(&format!("sim_delay_ms={delay_ms}")).unwrap());
+        c.park_timeout = park_timeout;
+    })
+}
+
+/// Sends `n` distinct `/simulate` requests at once, one connection each,
+/// and returns every `(status, body, headers)`; the headers are the ones
+/// the tests check (`retry-after`, `connection`, `x-bbs-trace`).
+fn simultaneous_requests(server: &ServerHandle, n: u64) -> Vec<(u16, String, [Option<String>; 3])> {
     let addr = server.addr();
-    let handles: Vec<_> = (0..8)
+    let barrier = Arc::new(Barrier::new(n as usize));
+    let handles: Vec<_> = (0..n)
         .map(|i| {
+            let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let body = format!(
@@ -333,29 +343,68 @@ fn zero_park_timeout_fails_fast_with_retry_after() {
                      \"seed\":{},\"max_weights_per_layer\":64}}",
                     200 + i
                 );
+                barrier.wait();
                 let (status, body) = client.simulate(&body).unwrap();
-                let retry_after = client.response_header("retry-after").map(str::to_string);
-                (status, body, retry_after)
+                let header = |name| client.response_header(name).map(str::to_string);
+                let headers = [
+                    header("retry-after"),
+                    header("connection"),
+                    header("x-bbs-trace"),
+                ];
+                (status, body, headers)
             })
         })
         .collect();
-    let mut saw_503 = false;
-    for h in handles {
-        let (status, body, retry_after) = h.join().unwrap();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+#[test]
+fn zero_park_timeout_fails_fast_with_retry_after() {
+    // park_timeout zero restores the old fail-fast 503, now with a
+    // Retry-After header. The held worker admits at most two of the four
+    // simultaneous requests while the first one sleeps, so at least two
+    // are refused.
+    let server = saturated_server(500, Duration::ZERO);
+    let mut refused = 0;
+    for (status, body, [retry_after, _, trace]) in simultaneous_requests(&server, 4) {
         match status {
             200 => assert!(body.contains("\"result\""), "{body}"),
             503 => {
-                saw_503 = true;
+                refused += 1;
                 assert!(body.contains("queue full"), "{body}");
                 assert_eq!(retry_after.as_deref(), Some("1"), "503 without Retry-After");
+                let trace = trace.expect("x-bbs-trace on a refusal");
+                assert!(trace.contains(";served=busy;"), "{trace}");
             }
             other => panic!("unexpected status {other}: {body}"),
         }
     }
-    // With 8 near-simultaneous distinct requests against a queue of 1,
-    // at least one refusal is overwhelmingly likely; tolerate the lucky
-    // schedule rather than flake.
-    let _ = saw_503;
+    assert!(refused >= 2, "only {refused} of 4 requests were refused");
+    server.stop();
+}
+
+#[test]
+fn parked_request_expires_with_503_retry_after_and_close() {
+    // The worker holds each job for a second and the queue takes one, so
+    // one of three simultaneous requests parks and outlives its 200 ms
+    // park deadline long before a slot frees.
+    let server = saturated_server(1000, Duration::from_millis(200));
+    let mut expired = 0;
+    for (status, body, [retry_after, connection, trace]) in simultaneous_requests(&server, 3) {
+        match status {
+            200 => assert!(body.contains("\"result\""), "{body}"),
+            503 => {
+                expired += 1;
+                assert!(body.contains("queue full"), "{body}");
+                assert_eq!(retry_after.as_deref(), Some("1"), "503 without Retry-After");
+                assert_eq!(connection.as_deref(), Some("close"), "expiry must close");
+                let trace = trace.expect("x-bbs-trace on an expiry");
+                assert!(trace.contains(";served=park-expired;"), "{trace}");
+            }
+            other => panic!("unexpected status {other}: {body}"),
+        }
+    }
+    assert!(expired >= 1, "no parked request expired");
     server.stop();
 }
 
@@ -492,8 +541,16 @@ fn oversized_request_line_gets_a_400_not_a_hang() {
         .unwrap();
     let long_path = "x".repeat(10_000);
     let _ = stream.write_all(format!("GET /{long_path}").as_bytes());
-    let (status, _, body) = read_one_response(&mut stream);
+    let (status, headers, body) = read_one_response(&mut stream);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("malformed request"));
+    // The 400 says `connection: close`, and the server does close: a
+    // connection left open here would hold its slot until shutdown.
+    assert!(
+        headers.iter().any(|h| h == "connection: close"),
+        "{headers:?}"
+    );
+    let mut buf = [0u8; 16];
+    assert_eq!(stream.read(&mut buf).expect("EOF, not a timeout"), 0);
     server.stop();
 }

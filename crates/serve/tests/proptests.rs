@@ -15,12 +15,13 @@ use bbs_json::Json;
 use bbs_serve::http::RequestParser;
 use bbs_serve::registry::{accelerator_by_name, ACCELERATOR_IDS};
 use bbs_serve::request::SimRequest;
-use bbs_serve::service::{start, Served, ServiceConfig};
+use bbs_serve::service::{start, Completion, Served, ServiceConfig, SimService, Submitted};
 use bbs_serve::sweep::SweepPlan;
 use bbs_sim::json::{array_config_to_json, sim_result_from_json, sim_result_to_json};
 use bbs_sim::ArrayConfig;
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::{mpsc, Arc};
 
 /// Light zoo models (the heavyweights would make 64 cases crawl).
 const MODELS: [&str; 4] = ["ViT-Small", "ResNet-34", "Bert-SST2", "ResNet-50"];
@@ -270,6 +271,23 @@ proptest! {
     }
 }
 
+/// Blocks on one request: `submit` plus a channel the completion sends
+/// its outcome down. Backpressure and shutdown are test failures here.
+fn run(service: &SimService, request: SimRequest) -> (Arc<str>, Served) {
+    let (tx, rx) = mpsc::channel();
+    let done: Completion = Box::new(move |outcome| {
+        let _ = tx.send(outcome);
+    });
+    match service.submit(request, done) {
+        Submitted::Hit(bytes) => (bytes, Served::Hit),
+        Submitted::Pending => {
+            let (bytes, served, _) = rx.recv().unwrap().unwrap();
+            (bytes, served)
+        }
+        Submitted::Busy(_) | Submitted::ShuttingDown => panic!("service refused the request"),
+    }
+}
+
 proptest! {
     /// Serving the same request twice yields one fresh run and one cache
     /// hit whose bytes decode to a `SimResult` equal (`==`, so every
@@ -291,8 +309,8 @@ proptest! {
             max_cap: 65536,
             ..ServiceConfig::default()
         });
-        let (fresh, how_fresh) = service.execute(request.clone()).unwrap();
-        let (hit, how_hit) = service.execute(request.clone()).unwrap();
+        let (fresh, how_fresh) = run(&service, request.clone());
+        let (hit, how_hit) = run(&service, request.clone());
         service.stop();
 
         prop_assert_eq!(how_fresh, Served::Fresh);
