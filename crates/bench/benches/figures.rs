@@ -2,7 +2,7 @@
 //! weight cap so `cargo bench` exercises every experiment path quickly.
 //! The full-resolution runs are the `figXX_*`/`tabXX_*` binaries.
 
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionMethod};
+use bbs_models::accuracy::{evaluate_model_fidelity, synthesize_model, CompressionMethod};
 use bbs_models::zoo;
 use bbs_sim::accel::{bitvert::BitVert, stripes::Stripes};
 use bbs_sim::config::ArrayConfig;
@@ -19,7 +19,7 @@ fn fig03_sparsity(c: &mut Criterion) {
 }
 
 fn fig06_kl(c: &mut Criterion) {
-    let model = zoo::resnet34();
+    let model = synthesize_model(&zoo::resnet34(), 7, CAP);
     c.bench_function("fig06/kl_resnet34_4col", |b| {
         b.iter(|| bbs_bench::experiments::fig06::technique_kls(black_box(&model), 4))
     });

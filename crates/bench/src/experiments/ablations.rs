@@ -11,7 +11,7 @@ use bbs_core::averaging::rounded_averaging;
 use bbs_core::global::GlobalPruneConfig;
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
 use bbs_core::shifting::zero_point_shifting;
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
+use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
 use bbs_models::synth::synthesize_weights_sampled;
 use bbs_models::zoo;
 use bbs_sim::accel::bitvert::BitVert;
@@ -26,16 +26,24 @@ use bbs_tensor::rng::SeededRng;
 /// make sparse columns harder to generate (more weights must agree).
 pub fn group_size() {
     let model = zoo::resnet34();
+    let layers: Vec<_> = model
+        .layers
+        .iter()
+        .enumerate()
+        .take(12)
+        .map(|(i, spec)| {
+            // Ensure every sampled channel holds at least one full group of
+            // the largest size swept (64), so padding does not skew ratios.
+            let cap = (weight_cap() / 4).max(spec.channels * 64);
+            synthesize_weights_sampled(spec, model.family, SEED + i as u64, cap)
+        })
+        .collect();
     let mut rows = Vec::new();
     for &group in &[8usize, 16, 32, 64] {
         let mut orig: Vec<i8> = Vec::new();
         let mut recon: Vec<i32> = Vec::new();
         let mut stored = 0usize;
-        for (i, spec) in model.layers.iter().enumerate().take(12) {
-            // Ensure every sampled channel holds at least one full group of
-            // the largest size swept (64), so padding does not skew ratios.
-            let cap = (weight_cap() / 4).max(spec.channels * 64);
-            let synth = synthesize_weights_sampled(spec, model.family, SEED + i as u64, cap);
+        for synth in &layers {
             let qt = &synth.weights;
             let pruner = BinaryPruner::moderate();
             for c in 0..qt.channels() {
@@ -62,6 +70,7 @@ pub fn group_size() {
 /// trade).
 pub fn beta_sweep() {
     let model = zoo::vit_small();
+    let synth = synthesize_model(&model, SEED, weight_cap() / 2);
     let mut rows = Vec::new();
     for &beta in &[0.0f64, 0.05, 0.10, 0.20, 0.40] {
         let method = CompressionMethod {
@@ -71,7 +80,7 @@ pub fn beta_sweep() {
                 beta,
             )
         };
-        let fit = evaluate_model_fidelity(&model, &method, SEED, weight_cap() / 2);
+        let fit = synth.fidelity(&method);
         let cfg = GlobalPruneConfig {
             beta,
             ..GlobalPruneConfig::moderate()

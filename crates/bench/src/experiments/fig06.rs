@@ -6,34 +6,28 @@ use crate::{f, print_table, weight_cap, SEED};
 use bbs_core::averaging::rounded_averaging;
 use bbs_core::shifting::zero_point_shifting;
 use bbs_core::zero_col::sign_magnitude_zero_column;
-use bbs_models::synth::synthesize_weights_sampled;
+use bbs_models::accuracy::{synthesize_model, SynthModel};
 use bbs_models::zoo;
-use bbs_tensor::metrics::kl_divergence_i8_binned;
+use bbs_tensor::metrics::BinnedHistogramI8;
 
 /// KL of one whole-model compression with the given per-group kernel.
-fn model_kl(model: &bbs_models::ModelSpec, kernel: impl Fn(&[i8]) -> Vec<i32>) -> f64 {
-    let mut orig: Vec<i8> = Vec::new();
-    let mut recon: Vec<i32> = Vec::new();
-    for (i, spec) in model.layers.iter().enumerate() {
-        let synth = synthesize_weights_sampled(
-            spec,
-            model.family,
-            SEED.wrapping_add(i as u64),
-            weight_cap(),
-        );
-        let qt = &synth.weights;
+fn model_kl(model: &SynthModel, kernel: impl Fn(&[i8]) -> Vec<i32>) -> f64 {
+    let mut orig = BinnedHistogramI8::new(4);
+    let mut recon = BinnedHistogramI8::new(4);
+    for layer in model.layers() {
+        let qt = &layer.weights;
         for c in 0..qt.channels() {
             for group in qt.channel(c).chunks(32) {
-                orig.extend_from_slice(group);
-                recon.extend(kernel(group));
+                group.iter().for_each(|&w| orig.add(w as i32));
+                kernel(group).into_iter().for_each(|r| recon.add(r));
             }
         }
     }
-    kl_divergence_i8_binned(&orig, &recon, 4)
+    orig.kl_divergence(&recon)
 }
 
 /// The three techniques at one pruning level.
-pub fn technique_kls(model: &bbs_models::ModelSpec, columns: usize) -> [f64; 3] {
+pub fn technique_kls(model: &SynthModel, columns: usize) -> [f64; 3] {
     [
         model_kl(model, |g| sign_magnitude_zero_column(g, columns).decode()),
         model_kl(model, |g| rounded_averaging(g, columns).decode()),
@@ -44,12 +38,13 @@ pub fn technique_kls(model: &bbs_models::ModelSpec, columns: usize) -> [f64; 3] 
 /// Regenerates Fig. 6.
 pub fn run() {
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for model in [zoo::resnet34(), zoo::vit_base()] {
+    for spec in [zoo::resnet34(), zoo::vit_base()] {
+        let model = synthesize_model(&spec, SEED, weight_cap());
         for columns in [2usize, 4] {
             let [zc, avg, zps] = technique_kls(&model, columns);
             let max = zc.max(avg).max(zps).max(1e-12);
             rows.push(vec![
-                model.name.to_string(),
+                spec.name.to_string(),
                 columns.to_string(),
                 format!("{} ({})", f(zc / max, 3), f(zc, 5)),
                 format!("{} ({})", f(avg / max, 3), f(avg, 5)),

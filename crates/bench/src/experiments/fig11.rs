@@ -8,37 +8,44 @@
 //!    seeds).
 
 use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::accuracy::{evaluate_model_fidelity, measure_real_accuracy, CompressionMethod};
+use bbs_models::accuracy::{
+    synthesize_model, train_classifier, CompressionMethod, ModelFidelity, RealAccuracy,
+};
 use bbs_models::zoo;
+use rayon::prelude::*;
 
-/// The Fig. 11 method set at one compression level.
-fn methods(moderate: bool) -> Vec<(&'static str, CompressionMethod)> {
-    if moderate {
-        vec![
-            ("PTQ", CompressionMethod::ptq_moderate()),
-            ("BitWave", CompressionMethod::bitwave_moderate()),
-            ("BBS", CompressionMethod::bbs_moderate()),
-        ]
-    } else {
-        vec![
-            ("PTQ", CompressionMethod::ptq_conservative()),
-            ("BitWave", CompressionMethod::bitwave_conservative()),
-            ("BBS", CompressionMethod::bbs_conservative()),
-        ]
-    }
+/// The Fig. 11 method set: both compression levels, conservative first.
+fn methods() -> [(&'static str, CompressionMethod); 6] {
+    [
+        ("PTQ (cons)", CompressionMethod::ptq_conservative()),
+        ("BitWave (cons)", CompressionMethod::bitwave_conservative()),
+        ("BBS (cons)", CompressionMethod::bbs_conservative()),
+        ("PTQ (mod)", CompressionMethod::ptq_moderate()),
+        ("BitWave (mod)", CompressionMethod::bitwave_moderate()),
+        ("BBS (mod)", CompressionMethod::bbs_moderate()),
+    ]
 }
 
 /// Regenerates Fig. 11.
 pub fn run() {
-    // Leg 1: estimated accuracy loss on the paper's model shapes.
-    for (level, moderate) in [("conservative", false), ("moderate", true)] {
+    let methods = methods();
+
+    // Leg 1: estimated accuracy loss on the paper's model shapes. Each
+    // model is synthesized once and compressed with all six methods.
+    let models = zoo::paper_benchmarks();
+    let fits: Vec<Vec<ModelFidelity>> = models
+        .iter()
+        .map(|model| {
+            let synth = synthesize_model(model, SEED, weight_cap());
+            methods.par_iter().map(|(_, m)| synth.fidelity(m)).collect()
+        })
+        .collect();
+    for (level, level_fits) in ["conservative", "moderate"].into_iter().zip([0..3, 3..6]) {
         let mut rows = Vec::new();
         let mut ratio_sum = [0.0f64; 3];
-        let models = zoo::paper_benchmarks();
-        for model in &models {
+        for (model, model_fits) in models.iter().zip(&fits) {
             let mut row = vec![model.name.to_string()];
-            for (i, (_, method)) in methods(moderate).iter().enumerate() {
-                let fit = evaluate_model_fidelity(model, method, SEED, weight_cap());
+            for (i, fit) in model_fits[level_fits.clone()].iter().enumerate() {
                 ratio_sum[i] += fit.compression_ratio;
                 row.push(format!(
                     "{}% ({}x)",
@@ -63,23 +70,31 @@ pub fn run() {
         );
     }
 
-    // Leg 2: real measured accuracy on the trained substrate.
+    // Leg 2: real measured accuracy on the trained substrate. Each seed's
+    // classifier is trained once and evaluated under every method.
     let seeds = [21u64, 22, 23, 24, 25];
+    let per_seed: Vec<Vec<RealAccuracy>> = seeds
+        .iter()
+        .map(|&s| {
+            let classifier = train_classifier(s);
+            let int8 = classifier.accuracy_under(&CompressionMethod::int8_baseline());
+            methods
+                .iter()
+                .map(|(_, m)| RealAccuracy {
+                    fp32: classifier.fp32_accuracy(),
+                    int8,
+                    compressed: classifier.accuracy_under(m),
+                })
+                .collect()
+        })
+        .collect();
     let mut rows = Vec::new();
-    for (name, method) in [
-        ("PTQ (cons)", CompressionMethod::ptq_conservative()),
-        ("BitWave (cons)", CompressionMethod::bitwave_conservative()),
-        ("BBS (cons)", CompressionMethod::bbs_conservative()),
-        ("PTQ (mod)", CompressionMethod::ptq_moderate()),
-        ("BitWave (mod)", CompressionMethod::bitwave_moderate()),
-        ("BBS (mod)", CompressionMethod::bbs_moderate()),
-    ] {
+    for (mi, (name, _)) in methods.iter().enumerate() {
         let mut loss = 0.0;
         let mut fp32 = 0.0;
-        for &s in &seeds {
-            let acc = measure_real_accuracy(&method, s);
-            loss += acc.loss_vs_int8_pct();
-            fp32 += acc.fp32;
+        for seed_accs in &per_seed {
+            loss += seed_accs[mi].loss_vs_int8_pct();
+            fp32 += seed_accs[mi].fp32;
         }
         rows.push(vec![
             name.to_string(),

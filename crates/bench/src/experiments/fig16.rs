@@ -7,7 +7,7 @@
 use crate::{f, print_table, weight_cap, workload_store, SEED};
 use bbs_core::global::GlobalPruneConfig;
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
+use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
 use bbs_models::zoo;
 use bbs_sim::accel::{
     ant::Ant, bitlet::Bitlet, bitvert::BitVert, bitwave::BitWave, stripes::Stripes,
@@ -46,6 +46,8 @@ pub fn pareto_points() -> Vec<ParetoPoint> {
     let cap = weight_cap();
     let base = simulate_with(workload_store(), &Stripes::new(), &model, &cfg, SEED, cap);
     let base_edp = base.edp();
+    // Every accuracy estimate compresses the same synthesized model.
+    let synth = synthesize_model(&model, SEED, cap);
     let mut points = Vec::new();
 
     // BitVert: pruning sweep (averaging below 3 columns, shifting above —
@@ -65,7 +67,7 @@ pub fn pareto_points() -> Vec<ParetoPoint> {
         let accel = BitVert::with_config(prune, bitvert_label(cols));
         let sim = simulate_with(workload_store(), &accel, &model, &cfg, SEED, cap);
         let method = CompressionMethod::new(CompressionKind::Bbs(strategy, cols), prune.beta);
-        let fit = evaluate_model_fidelity(&model, &method, SEED, cap);
+        let fit = synth.fidelity(&method);
         points.push(ParetoPoint {
             series: "BitVert",
             config: format!("{cols} cols"),
@@ -85,7 +87,7 @@ pub fn pareto_points() -> Vec<ParetoPoint> {
             cap,
         );
         let method = CompressionMethod::new(CompressionKind::ZeroColumn(cols), 0.10);
-        let fit = evaluate_model_fidelity(&model, &method, SEED, cap);
+        let fit = synth.fidelity(&method);
         points.push(ParetoPoint {
             series: "BitWave",
             config: format!("{cols} cols"),
@@ -105,7 +107,7 @@ pub fn pareto_points() -> Vec<ParetoPoint> {
 
     // ANT at 6 bits.
     let ant = simulate_with(workload_store(), &Ant::new(), &model, &cfg, SEED, cap);
-    let ant_fit = evaluate_model_fidelity(&model, &CompressionMethod::ant6(), SEED, cap);
+    let ant_fit = synth.fidelity(&CompressionMethod::ant6());
     points.push(ParetoPoint {
         series: "ANT",
         config: "6b".into(),
@@ -124,7 +126,7 @@ pub fn pareto_points() -> Vec<ParetoPoint> {
             cap,
         );
         let method = CompressionMethod::new(CompressionKind::Ptq(bits as u8), 0.0);
-        let fit = evaluate_model_fidelity(&model, &method, SEED, cap);
+        let fit = synth.fidelity(&method);
         points.push(ParetoPoint {
             series: "PTQ",
             config: format!("{bits}b"),

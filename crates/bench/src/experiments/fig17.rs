@@ -6,8 +6,9 @@
 
 use crate::{f, print_table, weight_cap, SEED};
 use bbs_core::prune::PruneStrategy;
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
-use bbs_models::lm::{llama_subset, measure_lm_perplexity};
+use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
+use bbs_models::lm::{llama_subset, train_micro_lm};
+use rayon::prelude::*;
 
 /// The Fig. 17 method set (β = 0: all channels compressed, §V-H).
 pub fn methods() -> Vec<(&'static str, CompressionMethod)> {
@@ -36,18 +37,35 @@ pub fn methods() -> Vec<(&'static str, CompressionMethod)> {
 
 /// Regenerates Fig. 17.
 pub fn run() {
-    // Leg 1: real perplexity on the micro LM, two corpora.
+    // Leg 1: real perplexity on the micro LM, two corpora, 3 seeds each.
+    // Training depends only on the seed, so each LM is trained once and
+    // evaluated under every method; only its perplexities are kept.
     let corpora = [("wikitext-like", 41u64), ("c4-like", 71u64)];
+    let methods = methods();
+    let seeds: Vec<u64> = corpora
+        .iter()
+        .flat_map(|&(_, corpus_seed)| (0..3u64).map(move |s| corpus_seed + s))
+        .collect();
+    let per_seed: Vec<(f64, Vec<f64>)> = seeds
+        .par_iter()
+        .map(|&seed| {
+            let lm = train_micro_lm(seed);
+            let ppl = methods
+                .iter()
+                .map(|(_, m)| lm.perplexity_under(m))
+                .collect();
+            (lm.fp32_perplexity(), ppl)
+        })
+        .collect();
     let mut rows = Vec::new();
-    for (name, method) in methods() {
+    for (mi, (name, _)) in methods.iter().enumerate() {
         let mut row = vec![name.to_string()];
-        for &(_, corpus_seed) in &corpora {
+        for corpus in per_seed.chunks(3) {
             let mut fp32 = 0.0;
             let mut comp = 0.0;
-            for s in 0..3u64 {
-                let p = measure_lm_perplexity(&method, corpus_seed + s);
-                fp32 += p.fp32;
-                comp += p.compressed;
+            for (seed_fp32, ppl) in corpus {
+                fp32 += seed_fp32;
+                comp += ppl[mi];
             }
             row.push(format!("{} (fp32 {})", f(comp / 3.0, 3), f(fp32 / 3.0, 3)));
         }
@@ -60,12 +78,12 @@ pub fn run() {
     );
 
     // Leg 2: Llama-3-8B-shaped fidelity (first 4 decoder blocks sampled).
-    let llama = llama_subset(4);
-    let rows: Vec<Vec<String>> = methods()
-        .into_iter()
+    let llama = synthesize_model(&llama_subset(4), SEED, weight_cap());
+    let rows: Vec<Vec<String>> = methods
+        .iter()
         .skip(1) // INT8 baseline is exact by construction
         .map(|(name, method)| {
-            let fit = evaluate_model_fidelity(&llama, &method, SEED, weight_cap());
+            let fit = llama.fidelity(method);
             vec![
                 name.to_string(),
                 f(fit.effective_bits, 2),

@@ -2,22 +2,18 @@
 //! effective weight bit width, without fine-tuning.
 
 use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionMethod};
+use bbs_models::accuracy::{synthesize_model, CompressionMethod};
 use bbs_models::zoo;
 
 /// Regenerates Table II.
 pub fn run() {
     let mut rows = Vec::new();
-    for model in [zoo::vgg16(), zoo::resnet50()] {
-        let bbs = evaluate_model_fidelity(
-            &model,
-            &CompressionMethod::bbs_moderate(),
-            SEED,
-            weight_cap(),
-        );
-        let ant = evaluate_model_fidelity(&model, &CompressionMethod::ant6(), SEED, weight_cap());
+    for spec in [zoo::vgg16(), zoo::resnet50()] {
+        let model = synthesize_model(&spec, SEED, weight_cap());
+        let bbs = model.fidelity(&CompressionMethod::bbs_moderate());
+        let ant = model.fidelity(&CompressionMethod::ant6());
         rows.push(vec![
-            model.name.to_string(),
+            spec.name.to_string(),
             format!(
                 "{}% ({} bits)",
                 f(bbs.est_accuracy_loss_pct, 2),

@@ -2,7 +2,7 @@
 //! accuracy loss and effective weight bit width.
 
 use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
+use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
 use bbs_models::zoo;
 
 /// Regenerates Table III.
@@ -19,11 +19,13 @@ pub fn run() {
         ("BBS (cons)", CompressionMethod::bbs_conservative()),
         ("BBS (mod)", CompressionMethod::bbs_moderate()),
     ];
+    let models =
+        [zoo::vit_small(), zoo::vit_base()].map(|m| synthesize_model(&m, SEED, weight_cap()));
     let mut rows = Vec::new();
     for (name, method) in &methods {
         let mut row = vec![name.to_string()];
-        for model in [zoo::vit_small(), zoo::vit_base()] {
-            let fit = evaluate_model_fidelity(&model, method, SEED, weight_cap());
+        for model in &models {
+            let fit = model.fidelity(method);
             row.push(format!(
                 "{}% ({} bits)",
                 f(fit.est_accuracy_loss_pct, 2),

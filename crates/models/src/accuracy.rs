@@ -10,10 +10,16 @@
 //!    ([`evaluate_model_fidelity`]): weight KL/MSE plus layer-output SQNR
 //!    on synthetic activations, mapped to an *estimated* accuracy loss by a
 //!    documented monotone model ([`estimate_accuracy_loss_pct`]).
+//!
+//! BBS compresses an already-quantized model without retraining, so both
+//! split into a value built once and a cheap evaluation per method:
+//! [`train_classifier`] then [`TrainedClassifier::accuracy_under`], and
+//! [`synthesize_model`] then [`SynthModel::fidelity`]. The two `measure`/
+//! `evaluate` functions are those pairs composed for a single method.
 
-use crate::layer::{ModelFamily, ModelSpec};
+use crate::layer::ModelSpec;
 use crate::synth::{synthesize_activations, synthesize_weights_sampled, SynthLayer};
-use crate::trainer::Mlp;
+use crate::trainer::{gaussian_blobs, Dataset, Mlp};
 use bbs_core::global::select_sensitive_channels;
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
 use bbs_core::zero_col::sign_magnitude_zero_column;
@@ -303,12 +309,13 @@ pub struct ModelFidelity {
 /// tracks *quantization-level preservation* — measured by KL divergence —
 /// better than plain MSE, because clipping/collapsing levels destroys the
 /// information outlier weights carry. The estimate therefore blends both
-/// signals: `loss% = 100·(α·KL + β·ε + γ·ε²)` with `ε = 10^(-SQNR/20)` the
-/// relative RMS output perturbation. The three coefficients are calibrated
-/// once against the paper's reported pairs (BBS-cons ≈ 0.25%, BBS-mod ≈
-/// 0.45%, BitWave-mod ≳ 1%) and then reused unchanged for every method and
-/// model. The honest, unmodelled accuracy numbers come from
-/// [`measure_real_accuracy`].
+/// signals: `loss% = min(60, 100·(α·KL + β·ε))` with `ε = 10^(-SQNR/20)`
+/// the relative RMS output perturbation and α = 0.007, β = 0.14. The two
+/// coefficients are calibrated once against the paper's reported pairs
+/// (BBS-cons ≈ 0.25%, BBS-mod ≈ 0.45%, BitWave-mod ≳ 1%) and then reused
+/// unchanged for every method and model; the 60% cap keeps a collapsed
+/// model's estimate finite. The honest, unmodelled accuracy numbers come
+/// from [`measure_real_accuracy`].
 pub fn estimate_accuracy_loss_pct(kl_divergence: f64, output_sqnr_db: f64) -> f64 {
     const ALPHA: f64 = 0.007;
     const BETA: f64 = 0.14;
@@ -316,107 +323,172 @@ pub fn estimate_accuracy_loss_pct(kl_divergence: f64, output_sqnr_db: f64) -> f6
     (100.0 * (ALPHA * kl_divergence + BETA * eps)).min(60.0)
 }
 
-/// Evaluates a compression method over a model's (sampled) layers.
+/// Bin width of the fidelity KL: coarse enough to ignore sub-bin rounding
+/// combs, fine enough to show level collapse (see
+/// [`metrics::kl_divergence_i8_binned`]).
+const KL_BIN_WIDTH: usize = 4;
+
+/// A model's synthesized INT8 layers plus everything about them that no
+/// compression method changes, built once by [`synthesize_model`] and then
+/// evaluated under any number of methods with [`SynthModel::fidelity`].
+#[derive(Debug, Clone)]
+pub struct SynthModel {
+    name: &'static str,
+    layers: Vec<SynthLayer>,
+    /// Per-layer channel scales, the input of global channel selection.
+    scales: Vec<Vec<f32>>,
+    /// One entry per layer: `Some` on the layers whose output SQNR is
+    /// measured.
+    probes: Vec<Option<OutputProbe>>,
+    /// Every original code of the model, binned for the KL.
+    original_hist: metrics::BinnedHistogramI8,
+}
+
+/// A layer whose output SQNR the fidelity averages: its synthetic
+/// activations and the original weights' outputs on them.
+#[derive(Debug, Clone)]
+struct OutputProbe {
+    activations: Vec<i8>,
+    original: Vec<f32>,
+}
+
+/// One channel's output on the probe activations, dequantized.
+fn channel_output(codes: impl IntoIterator<Item = i64>, activations: &[i8], scale: f32) -> f32 {
+    let dot: i64 = codes
+        .into_iter()
+        .zip(activations)
+        .map(|(w, &x)| w * x as i64)
+        .sum();
+    dot as f32 * scale
+}
+
+/// Synthesizes a model's (sampled) layers for fidelity evaluation.
 ///
-/// `max_weights_per_layer` caps the synthesized fan-in (see
+/// Layer `i` is seeded `seed + i` and the activations of output-SQNR layer
+/// `i` are seeded `seed ^ i`. This is the fidelity path's own scheme; the
+/// simulator's lowering seeds its layers differently, so the two never
+/// share weights. `max_weights_per_layer` caps the synthesized fan-in (see
 /// [`synthesize_weights_sampled`]); compression statistics are unaffected
 /// because groups never span channels.
+pub fn synthesize_model(model: &ModelSpec, seed: u64, max_weights_per_layer: usize) -> SynthModel {
+    // Layer-output fidelity on a few spread-out layers.
+    let probe_stride = model.layers.len() / 6 + 1;
+    let mut original_hist = metrics::BinnedHistogramI8::new(KL_BIN_WIDTH);
+    let mut layers = Vec::with_capacity(model.layers.len());
+    let mut probes = Vec::with_capacity(model.layers.len());
+    for (li, spec) in model.layers.iter().enumerate() {
+        let layer = synthesize_weights_sampled(
+            spec,
+            model.family,
+            seed.wrapping_add(li as u64),
+            max_weights_per_layer,
+        );
+        let qt = &layer.weights;
+        for &w in qt.data.as_slice() {
+            original_hist.add(w as i32);
+        }
+        probes.push((li % probe_stride == 0).then(|| {
+            let activations =
+                synthesize_activations(qt.elems_per_channel(), model.family, seed ^ li as u64);
+            let original = (0..qt.channels())
+                .map(|c| {
+                    let codes = qt.channel(c).iter().map(|&w| w as i64);
+                    channel_output(codes, &activations, qt.scales[c])
+                })
+                .collect();
+            OutputProbe {
+                activations,
+                original,
+            }
+        }));
+        layers.push(layer);
+    }
+    SynthModel {
+        name: model.name,
+        scales: layers.iter().map(|l| l.weights.scales.clone()).collect(),
+        layers,
+        probes,
+        original_hist,
+    }
+}
+
+impl SynthModel {
+    /// The synthesized layers, in model order.
+    pub fn layers(&self) -> &[SynthLayer] {
+        &self.layers
+    }
+
+    /// Fidelity of the model compressed with `method`.
+    ///
+    /// Each channel is compressed once and folded into running sums
+    /// (reconstruction histogram, squared error, probe outputs) in model
+    /// order, so the result is bit-identical to comparing whole-model
+    /// copies of the original and reconstructed codes.
+    pub fn fidelity(&self, method: &CompressionMethod) -> ModelFidelity {
+        // Global sensitivity masks over the whole model (Algorithm 2).
+        let masks = select_sensitive_channels(&self.scales, method.beta, method.ch);
+
+        let mut recon_hist = metrics::BinnedHistogramI8::new(KL_BIN_WIDTH);
+        let mut squared_error = 0.0f64;
+        let mut stored_bits = 0usize;
+        let mut sqnr_acc = 0.0;
+        let mut sqnr_layers = 0usize;
+
+        for ((layer, probe), mask) in self.layers.iter().zip(&self.probes).zip(&masks) {
+            let qt = &layer.weights;
+            let mut outputs = Vec::with_capacity(if probe.is_some() { qt.channels() } else { 0 });
+            for (c, &sensitive) in mask.iter().enumerate() {
+                let w = qt.channel(c);
+                let (recon, bits) = if sensitive {
+                    (w.iter().map(|&x| x as i32).collect(), w.len() * 8)
+                } else {
+                    compress_channel(method, w)
+                };
+                stored_bits += bits;
+                for (&o, &r) in w.iter().zip(&recon) {
+                    recon_hist.add(r);
+                    let d = o as f64 - r as f64;
+                    squared_error += d * d;
+                }
+                if let Some(p) = probe {
+                    let codes = recon.iter().map(|&r| r as i64);
+                    outputs.push(channel_output(codes, &p.activations, qt.scales[c]));
+                }
+            }
+            if let Some(p) = probe {
+                sqnr_acc += metrics::sqnr_db(&p.original, &outputs).min(80.0);
+                sqnr_layers += 1;
+            }
+        }
+
+        let weights = self.original_hist.total() as usize;
+        let kl = self.original_hist.kl_divergence(&recon_hist);
+        let mse = squared_error / weights as f64;
+        let sqnr = sqnr_acc / sqnr_layers.max(1) as f64;
+
+        ModelFidelity {
+            model: self.name.to_string(),
+            method: method.to_string(),
+            kl_divergence: kl,
+            mse,
+            effective_bits: stored_bits as f64 / weights as f64,
+            compression_ratio: (weights * 8) as f64 / stored_bits as f64,
+            output_sqnr_db: sqnr,
+            est_accuracy_loss_pct: estimate_accuracy_loss_pct(kl, sqnr),
+        }
+    }
+}
+
+/// Evaluates a compression method over a model's (sampled) layers: one
+/// [`synthesize_model`] followed by one [`SynthModel::fidelity`]. Callers
+/// evaluating several methods on one model should synthesize it once.
 pub fn evaluate_model_fidelity(
     model: &ModelSpec,
     method: &CompressionMethod,
     seed: u64,
     max_weights_per_layer: usize,
 ) -> ModelFidelity {
-    let layers: Vec<SynthLayer> = model
-        .layers
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            synthesize_weights_sampled(
-                spec,
-                model.family,
-                seed.wrapping_add(i as u64),
-                max_weights_per_layer,
-            )
-        })
-        .collect();
-
-    // Global sensitivity masks over the whole model (Algorithm 2).
-    let scales: Vec<Vec<f32>> = layers.iter().map(|l| l.weights.scales.clone()).collect();
-    let masks = select_sensitive_channels(&scales, method.beta, method.ch);
-
-    let mut orig_all: Vec<i8> = Vec::new();
-    let mut recon_all: Vec<i32> = Vec::new();
-    let mut stored_bits = 0usize;
-    let mut sqnr_acc = 0.0;
-    let mut sqnr_layers = 0usize;
-
-    for (li, layer) in layers.iter().enumerate() {
-        let qt = &layer.weights;
-        let mut layer_recon: Vec<Vec<i32>> = Vec::with_capacity(qt.channels());
-        for c in 0..qt.channels() {
-            let w = qt.channel(c);
-            if masks[li][c] {
-                layer_recon.push(w.iter().map(|&x| x as i32).collect());
-                stored_bits += w.len() * 8;
-            } else {
-                let (recon, bits) = compress_channel(method, w);
-                layer_recon.push(recon);
-                stored_bits += bits;
-            }
-            orig_all.extend_from_slice(w);
-            recon_all.extend_from_slice(&layer_recon[c]);
-        }
-
-        // Layer-output fidelity on a few spread-out layers.
-        if li % (model.layers.len() / 6 + 1) == 0 {
-            sqnr_acc += layer_output_sqnr(qt, &layer_recon, model.family, seed ^ li as u64);
-            sqnr_layers += 1;
-        }
-    }
-
-    // Coarse-binned KL: measures level collapse without being dominated by
-    // sub-bin rounding combs (see `kl_divergence_i8_binned`).
-    let kl = metrics::kl_divergence_i8_binned(&orig_all, &recon_all, 4);
-    let mse = metrics::mse_i8(&orig_all, &recon_all);
-    let original_bits = orig_all.len() * 8;
-    let sqnr = sqnr_acc / sqnr_layers.max(1) as f64;
-
-    ModelFidelity {
-        model: model.name.to_string(),
-        method: method.to_string(),
-        kl_divergence: kl,
-        mse,
-        effective_bits: stored_bits as f64 / orig_all.len() as f64,
-        compression_ratio: original_bits as f64 / stored_bits as f64,
-        output_sqnr_db: sqnr,
-        est_accuracy_loss_pct: estimate_accuracy_loss_pct(kl, sqnr),
-    }
-}
-
-/// SQNR between the layer outputs of original and reconstructed weights on
-/// synthetic activations.
-fn layer_output_sqnr(qt: &QuantTensor, recon: &[Vec<i32>], family: ModelFamily, seed: u64) -> f64 {
-    let epc = qt.elems_per_channel();
-    let x = synthesize_activations(epc, family, seed);
-    let mut y_orig = Vec::with_capacity(qt.channels());
-    let mut y_comp = Vec::with_capacity(qt.channels());
-    for (c, rc) in recon.iter().enumerate() {
-        let w = qt.channel(c);
-        let o: i64 = w
-            .iter()
-            .zip(&x)
-            .map(|(&wv, &xv)| wv as i64 * xv as i64)
-            .sum();
-        let r: i64 = rc
-            .iter()
-            .zip(&x)
-            .map(|(&wv, &xv)| wv as i64 * xv as i64)
-            .sum();
-        y_orig.push(o as f32 * qt.scales[c]);
-        y_comp.push(r as f32 * qt.scales[c]);
-    }
-    metrics::sqnr_db(&y_orig, &y_comp).min(80.0)
+    synthesize_model(model, seed, max_weights_per_layer).fidelity(method)
 }
 
 /// Real measured accuracy of a trained MLP before and after compression.
@@ -470,10 +542,17 @@ pub fn compress_mlp(mlp: &mut Mlp, method: &CompressionMethod) {
     mlp.w1 = rebuilt.pop().expect("two layers");
 }
 
-/// Trains an MLP on the synthetic task and measures real accuracy under a
-/// compression method (the honest leg of Fig. 11).
-pub fn measure_real_accuracy(method: &CompressionMethod, seed: u64) -> RealAccuracy {
-    use crate::trainer::gaussian_blobs;
+/// The Fig. 11 classifier trained on one seed's task, with its test set:
+/// the fixed model every compression method starts from.
+#[derive(Debug, Clone)]
+pub struct TrainedClassifier {
+    mlp: Mlp,
+    test: Dataset,
+    fp32: f64,
+}
+
+/// Trains the MLP classifier on the synthetic task for `seed`.
+pub fn train_classifier(seed: u64) -> TrainedClassifier {
     // A deliberately hard task (10 overlapping classes, chance = 10%) so
     // decision margins are thin and weight perturbations measurably move
     // accuracy — the regime where compression methods separate.
@@ -481,26 +560,215 @@ pub fn measure_real_accuracy(method: &CompressionMethod, seed: u64) -> RealAccur
     let mut mlp = Mlp::new(12, 20, 10, seed);
     mlp.train(&train, 14, 0.05, seed);
     let fp32 = mlp.accuracy(&test);
+    TrainedClassifier { mlp, test, fp32 }
+}
 
-    let mut int8_mlp = mlp.clone();
-    compress_mlp(&mut int8_mlp, &CompressionMethod::int8_baseline());
-    let int8 = int8_mlp.accuracy(&test);
+impl TrainedClassifier {
+    /// Test accuracy of the uncompressed FP32 model.
+    pub fn fp32_accuracy(&self) -> f64 {
+        self.fp32
+    }
 
-    let mut comp_mlp = mlp.clone();
-    compress_mlp(&mut comp_mlp, method);
-    let compressed = comp_mlp.accuracy(&test);
+    /// Test accuracy of a compressed copy of the model; the trained
+    /// weights themselves are never modified.
+    pub fn accuracy_under(&self, method: &CompressionMethod) -> f64 {
+        let mut mlp = self.mlp.clone();
+        compress_mlp(&mut mlp, method);
+        mlp.accuracy(&self.test)
+    }
+}
 
+/// Trains an MLP on the synthetic task and measures real accuracy under a
+/// compression method (the honest leg of Fig. 11). Callers evaluating
+/// several methods on one seed should train once with [`train_classifier`].
+pub fn measure_real_accuracy(method: &CompressionMethod, seed: u64) -> RealAccuracy {
+    let classifier = train_classifier(seed);
     RealAccuracy {
-        fp32,
-        int8,
-        compressed,
+        fp32: classifier.fp32_accuracy(),
+        int8: classifier.accuracy_under(&CompressionMethod::int8_baseline()),
+        compressed: classifier.accuracy_under(method),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::{LayerSpec, ModelFamily};
     use crate::zoo;
+
+    /// The fidelity oracle: every layer's codes and reconstruction copied
+    /// into whole-model vectors and handed to the batch metrics.
+    fn materialized_fidelity(
+        model: &ModelSpec,
+        method: &CompressionMethod,
+        seed: u64,
+        max_weights_per_layer: usize,
+    ) -> ModelFidelity {
+        let layers: Vec<SynthLayer> = model
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                synthesize_weights_sampled(
+                    spec,
+                    model.family,
+                    seed.wrapping_add(i as u64),
+                    max_weights_per_layer,
+                )
+            })
+            .collect();
+        let scales: Vec<Vec<f32>> = layers.iter().map(|l| l.weights.scales.clone()).collect();
+        let masks = select_sensitive_channels(&scales, method.beta, method.ch);
+
+        let mut orig_all: Vec<i8> = Vec::new();
+        let mut recon_all: Vec<i32> = Vec::new();
+        let mut stored_bits = 0usize;
+        let mut sqnr_acc = 0.0;
+        let mut sqnr_layers = 0usize;
+        for (li, layer) in layers.iter().enumerate() {
+            let qt = &layer.weights;
+            let mut layer_recon: Vec<Vec<i32>> = Vec::with_capacity(qt.channels());
+            for c in 0..qt.channels() {
+                let w = qt.channel(c);
+                if masks[li][c] {
+                    layer_recon.push(w.iter().map(|&x| x as i32).collect());
+                    stored_bits += w.len() * 8;
+                } else {
+                    let (recon, bits) = compress_channel(method, w);
+                    layer_recon.push(recon);
+                    stored_bits += bits;
+                }
+                orig_all.extend_from_slice(w);
+                recon_all.extend_from_slice(&layer_recon[c]);
+            }
+            if li % (model.layers.len() / 6 + 1) == 0 {
+                sqnr_acc += layer_output_sqnr(qt, &layer_recon, model.family, seed ^ li as u64);
+                sqnr_layers += 1;
+            }
+        }
+
+        let kl = metrics::kl_divergence_i8_binned(&orig_all, &recon_all, 4);
+        let mse = metrics::mse_i8(&orig_all, &recon_all);
+        let original_bits = orig_all.len() * 8;
+        let sqnr = sqnr_acc / sqnr_layers.max(1) as f64;
+        ModelFidelity {
+            model: model.name.to_string(),
+            method: method.to_string(),
+            kl_divergence: kl,
+            mse,
+            effective_bits: stored_bits as f64 / orig_all.len() as f64,
+            compression_ratio: original_bits as f64 / stored_bits as f64,
+            output_sqnr_db: sqnr,
+            est_accuracy_loss_pct: estimate_accuracy_loss_pct(kl, sqnr),
+        }
+    }
+
+    /// The oracle's layer-output SQNR on one layer's full reconstruction.
+    fn layer_output_sqnr(
+        qt: &QuantTensor,
+        recon: &[Vec<i32>],
+        family: ModelFamily,
+        seed: u64,
+    ) -> f64 {
+        let epc = qt.elems_per_channel();
+        let x = synthesize_activations(epc, family, seed);
+        let mut y_orig = Vec::with_capacity(qt.channels());
+        let mut y_comp = Vec::with_capacity(qt.channels());
+        for (c, rc) in recon.iter().enumerate() {
+            let w = qt.channel(c);
+            let o: i64 = w
+                .iter()
+                .zip(&x)
+                .map(|(&wv, &xv)| wv as i64 * xv as i64)
+                .sum();
+            let r: i64 = rc
+                .iter()
+                .zip(&x)
+                .map(|(&wv, &xv)| wv as i64 * xv as i64)
+                .sum();
+            y_orig.push(o as f32 * qt.scales[c]);
+            y_comp.push(r as f32 * qt.scales[c]);
+        }
+        metrics::sqnr_db(&y_orig, &y_comp).min(80.0)
+    }
+
+    /// Every field equal, floats compared by their bits.
+    fn assert_same_bits(a: &ModelFidelity, b: &ModelFidelity) {
+        assert_eq!((&a.model, &a.method), (&b.model, &b.method));
+        let bits = |f: &ModelFidelity| {
+            [
+                f.kl_divergence,
+                f.mse,
+                f.effective_bits,
+                f.compression_ratio,
+                f.output_sqnr_db,
+                f.est_accuracy_loss_pct,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(
+            bits(a),
+            bits(b),
+            "{} / {}: {a:?} vs {b:?}",
+            a.model,
+            a.method
+        );
+    }
+
+    #[test]
+    fn streamed_fidelity_matches_the_materialized_oracle() {
+        // Three layers (SQNR on every one), two of them with fan-ins (27,
+        // 45) that leave a partial compression group.
+        let small = ModelSpec {
+            name: "small",
+            family: ModelFamily::Cnn,
+            layers: vec![
+                LayerSpec::conv2d("stem", 3, 16, 3, 1, 8),
+                LayerSpec::linear("odd", 45, 40, 4),
+                LayerSpec::linear("wide", 256, 64, 4),
+            ],
+        };
+        // Nine layers: SQNR on every second one.
+        let encoder = ModelSpec {
+            name: "encoder",
+            family: ModelFamily::Bert,
+            layers: (0..9)
+                .map(|i| LayerSpec::linear(format!("l{i}"), 96 + 32 * (i % 3), 64, 8))
+                .collect(),
+        };
+        let models = [
+            (small, 11u64, 4096usize),
+            (encoder, 12, 4096),
+            (zoo::resnet34(), 13, 1024), // 36 layers: SQNR stride 7
+        ];
+        let methods = [
+            CompressionMethod::int8_baseline(),
+            CompressionMethod::new(CompressionKind::Olive, 0.0),
+            CompressionMethod::ptq_moderate(),
+            CompressionMethod::bitwave_moderate(),
+            CompressionMethod::bbs_conservative(),
+            CompressionMethod::bbs_moderate(),
+            CompressionMethod::new(
+                CompressionKind::Bbs(PruneStrategy::ZeroPointShifting, 4),
+                0.0,
+            ),
+            CompressionMethod::new(CompressionKind::Microscaling(6), 0.0),
+            CompressionMethod::ant6(),
+        ];
+        for (model, seed, cap) in &models {
+            let synth = synthesize_model(model, *seed, *cap);
+            for method in &methods {
+                let streamed = synth.fidelity(method);
+                assert_same_bits(
+                    &streamed,
+                    &materialized_fidelity(model, method, *seed, *cap),
+                );
+                let one_shot = evaluate_model_fidelity(model, method, *seed, *cap);
+                assert_eq!(one_shot, streamed);
+                assert_same_bits(&one_shot, &streamed);
+            }
+        }
+    }
 
     #[test]
     fn method_display_names() {
@@ -567,11 +835,10 @@ mod tests {
         // compression BBS preserves the weight distribution (KL) better
         // than zero-column pruning and naive PTQ, and its estimated
         // accuracy loss is the lowest.
-        let model = zoo::vit_small();
-        let cap = 48 * 1024;
-        let bbs = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 3, cap);
-        let bw = evaluate_model_fidelity(&model, &CompressionMethod::bitwave_moderate(), 3, cap);
-        let ptq = evaluate_model_fidelity(&model, &CompressionMethod::ptq_moderate(), 3, cap);
+        let model = synthesize_model(&zoo::vit_small(), 3, 48 * 1024);
+        let bbs = model.fidelity(&CompressionMethod::bbs_moderate());
+        let bw = model.fidelity(&CompressionMethod::bitwave_moderate());
+        let ptq = model.fidelity(&CompressionMethod::ptq_moderate());
         assert!(
             bbs.kl_divergence < bw.kl_divergence,
             "BBS KL {} vs BitWave {}",
@@ -636,16 +903,51 @@ mod tests {
         let mut bbs_loss = 0.0;
         let mut ptq_loss = 0.0;
         for seed in [21u64, 22, 23, 24, 25] {
-            bbs_loss +=
-                measure_real_accuracy(&CompressionMethod::bbs_moderate(), seed).loss_vs_int8_pct();
-            ptq_loss +=
-                measure_real_accuracy(&CompressionMethod::new(CompressionKind::Ptq(3), 0.20), seed)
-                    .loss_vs_int8_pct();
+            let classifier = train_classifier(seed);
+            let int8 = classifier.accuracy_under(&CompressionMethod::int8_baseline());
+            let loss = |m: &CompressionMethod| (int8 - classifier.accuracy_under(m)) * 100.0;
+            bbs_loss += loss(&CompressionMethod::bbs_moderate());
+            ptq_loss += loss(&CompressionMethod::new(CompressionKind::Ptq(3), 0.20));
         }
         assert!(
             bbs_loss < ptq_loss,
             "BBS (sum {bbs_loss}) must lose less than 3-bit PTQ (sum {ptq_loss})"
         );
         assert!(bbs_loss / 5.0 < 4.0, "moderate BBS average loss too high");
+    }
+
+    #[test]
+    fn trained_classifier_is_reused_unchanged_across_methods() {
+        // Evaluating never touches the trained weights: any order gives
+        // the same bits, and so does retraining for one method.
+        let classifier = train_classifier(21);
+        let methods = [
+            CompressionMethod::ptq_conservative(),
+            CompressionMethod::bitwave_conservative(),
+            CompressionMethod::bbs_conservative(),
+            CompressionMethod::ptq_moderate(),
+            CompressionMethod::bitwave_moderate(),
+            CompressionMethod::bbs_moderate(),
+        ];
+        let forward: Vec<u64> = methods
+            .iter()
+            .map(|m| classifier.accuracy_under(m).to_bits())
+            .collect();
+        let mut reverse: Vec<u64> = methods
+            .iter()
+            .rev()
+            .map(|m| classifier.accuracy_under(m).to_bits())
+            .collect();
+        reverse.reverse();
+        assert_eq!(forward, reverse);
+
+        let one_shot = measure_real_accuracy(&methods[5], 21);
+        let int8 = classifier.accuracy_under(&CompressionMethod::int8_baseline());
+        assert_eq!(
+            one_shot.fp32.to_bits(),
+            classifier.fp32_accuracy().to_bits()
+        );
+        assert_eq!(one_shot.int8.to_bits(), int8.to_bits());
+        assert_eq!(one_shot.compressed.to_bits(), forward[5]);
     }
 }

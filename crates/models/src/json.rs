@@ -95,11 +95,20 @@ pub fn model_spec_to_json(m: &ModelSpec) -> Json {
 /// so a request may carry a modified layer table under a known name.
 pub fn model_spec_from_json(v: &Json) -> Result<ModelSpec, String> {
     let name = field_str(v, "name")?;
+    // The list is built by hand rather than with `str::join`. rustc placed
+    // that shared generic in the LM's codegen unit, so calling it here
+    // made every binary that decodes specs, the server included, link the
+    // LM, trainer and accuracy objects and their unwind tables.
     let canonical = zoo::by_name(name).ok_or_else(|| {
-        format!(
-            "unknown model '{name}' (known: {})",
-            zoo::names().join(", ")
-        )
+        let mut msg = format!("unknown model '{name}' (known: ");
+        for (i, known) in zoo::names().iter().enumerate() {
+            if i > 0 {
+                msg.push_str(", ");
+            }
+            msg.push_str(known);
+        }
+        msg.push(')');
+        msg
     })?;
     let family = family_from_json(field(v, "family")?)?;
     let layers_json = field_arr(v, "layers")?;
@@ -150,7 +159,8 @@ mod tests {
             pairs[0].1 = Json::str("AlexNet");
         }
         let err = model_spec_from_json(&v).unwrap_err();
-        assert!(err.contains("unknown model"), "{err}");
+        let known = zoo::names().join(", ");
+        assert_eq!(err, format!("unknown model 'AlexNet' (known: {known})"));
     }
 
     #[test]

@@ -112,9 +112,17 @@ impl LmPerplexity {
     }
 }
 
-/// Trains the micro LM on a synthetic corpus and measures perplexity under
-/// a compression method (the honest leg of Fig. 17).
-pub fn measure_lm_perplexity(method: &CompressionMethod, seed: u64) -> LmPerplexity {
+/// The micro LM trained on one seed's corpus, with its held-out split: the
+/// fixed model every compression method of Fig. 17 starts from.
+#[derive(Debug, Clone)]
+pub struct TrainedLm {
+    mlp: Mlp,
+    test: Dataset,
+    fp32: f64,
+}
+
+/// Trains the micro LM on the synthetic corpus for `seed`.
+pub fn train_micro_lm(seed: u64) -> TrainedLm {
     let vocab = 32;
     // One stream, split 80/20 so train and test share the Markov table.
     let corpus = markov_corpus(vocab, 15_000, seed);
@@ -133,19 +141,33 @@ pub fn measure_lm_perplexity(method: &CompressionMethod, seed: u64) -> LmPerplex
     let mut mlp = Mlp::new(2 * vocab, 48, vocab, seed);
     mlp.train(&train, 8, 0.03, seed);
     let fp32 = perplexity(&mlp, &test);
+    TrainedLm { mlp, test, fp32 }
+}
 
-    let mut int8_mlp = mlp.clone();
-    compress_mlp(&mut int8_mlp, &CompressionMethod::int8_baseline());
-    let int8 = perplexity(&int8_mlp, &test);
+impl TrainedLm {
+    /// Test perplexity of the uncompressed FP32 model.
+    pub fn fp32_perplexity(&self) -> f64 {
+        self.fp32
+    }
 
-    let mut comp = mlp.clone();
-    compress_mlp(&mut comp, method);
-    let compressed = perplexity(&comp, &test);
+    /// Test perplexity of a compressed copy of the model; the trained
+    /// weights themselves are never modified.
+    pub fn perplexity_under(&self, method: &CompressionMethod) -> f64 {
+        let mut mlp = self.mlp.clone();
+        compress_mlp(&mut mlp, method);
+        perplexity(&mlp, &self.test)
+    }
+}
 
+/// Trains the micro LM on a synthetic corpus and measures perplexity under
+/// a compression method (the honest leg of Fig. 17). Callers evaluating
+/// several methods on one seed should train once with [`train_micro_lm`].
+pub fn measure_lm_perplexity(method: &CompressionMethod, seed: u64) -> LmPerplexity {
+    let lm = train_micro_lm(seed);
     LmPerplexity {
-        fp32,
-        int8,
-        compressed,
+        fp32: lm.fp32_perplexity(),
+        int8: lm.perplexity_under(&CompressionMethod::int8_baseline()),
+        compressed: lm.perplexity_under(method),
     }
 }
 
@@ -170,6 +192,7 @@ pub fn llama_subset(blocks: usize) -> ModelSpec {
 mod tests {
     use super::*;
     use crate::accuracy::CompressionKind;
+    use bbs_core::prune::PruneStrategy;
 
     #[test]
     fn corpus_is_learnable_structure() {
@@ -202,27 +225,38 @@ mod tests {
         );
     }
 
+    /// The Fig. 17 method set: INT8 plus whole-tensor (β = 0, as in §V-H)
+    /// Olive, BBS conservative and BBS moderate.
+    fn fig17_methods() -> [CompressionMethod; 4] {
+        [
+            CompressionMethod::int8_baseline(),
+            CompressionMethod::new(CompressionKind::Olive, 0.0),
+            CompressionMethod::new(
+                CompressionKind::Bbs(PruneStrategy::RoundedAveraging, 2),
+                0.0,
+            ),
+            CompressionMethod::new(
+                CompressionKind::Bbs(PruneStrategy::ZeroPointShifting, 4),
+                0.0,
+            ),
+        ]
+    }
+
     #[test]
     fn fig17_ordering_conservative_beats_moderate_beats_olive() {
         // Averaged over 2 seeds: conservative BBS ~ lossless, moderate BBS
         // degrades less than Olive-4bit at similar footprint.
+        let [_, m_olive, m_cons, m_mod] = fig17_methods();
         let mut cons = 0.0;
         let mut moderate = 0.0;
         let mut olive = 0.0;
         for seed in [31u64, 32] {
-            // Whole-tensor compression (beta = 0) mirrors §V-H.
-            let m_cons = CompressionMethod::new(
-                CompressionKind::Bbs(bbs_core::prune::PruneStrategy::RoundedAveraging, 2),
-                0.0,
-            );
-            let m_mod = CompressionMethod::new(
-                CompressionKind::Bbs(bbs_core::prune::PruneStrategy::ZeroPointShifting, 4),
-                0.0,
-            );
-            let m_olive = CompressionMethod::new(CompressionKind::Olive, 0.0);
-            cons += measure_lm_perplexity(&m_cons, seed).increase_vs_fp32();
-            moderate += measure_lm_perplexity(&m_mod, seed).increase_vs_fp32();
-            olive += measure_lm_perplexity(&m_olive, seed).increase_vs_fp32();
+            let lm = train_micro_lm(seed);
+            let increase =
+                |m: &CompressionMethod| lm.perplexity_under(m) / lm.fp32_perplexity() - 1.0;
+            cons += increase(&m_cons);
+            moderate += increase(&m_mod);
+            olive += increase(&m_olive);
         }
         assert!(
             cons <= moderate + 0.02,
@@ -232,6 +266,30 @@ mod tests {
             moderate <= olive + 0.02,
             "moderate BBS ({moderate}) must not lose to Olive ({olive})"
         );
+    }
+
+    #[test]
+    fn trained_lm_is_reused_unchanged_across_methods() {
+        // Evaluating never touches the trained weights: any order gives
+        // the same bits, and so does retraining for one method.
+        let lm = train_micro_lm(41);
+        let methods = fig17_methods();
+        let forward: Vec<u64> = methods
+            .iter()
+            .map(|m| lm.perplexity_under(m).to_bits())
+            .collect();
+        let mut reverse: Vec<u64> = methods
+            .iter()
+            .rev()
+            .map(|m| lm.perplexity_under(m).to_bits())
+            .collect();
+        reverse.reverse();
+        assert_eq!(forward, reverse);
+
+        let one_shot = measure_lm_perplexity(&methods[3], 41);
+        assert_eq!(one_shot.fp32.to_bits(), lm.fp32_perplexity().to_bits());
+        assert_eq!(one_shot.int8.to_bits(), forward[0]);
+        assert_eq!(one_shot.compressed.to_bits(), forward[3]);
     }
 
     #[test]

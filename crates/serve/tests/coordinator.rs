@@ -357,6 +357,26 @@ fn readyz_and_metrics_reflect_shard_health() {
     };
     assert!(body.contains("unreachable"), "{body}");
 
+    // A stopping shard first answers `/readyz` 503 (draining), and the
+    // coordinator still tries a shard it has not seen refuse a connection
+    // (its readiness may be stale). Wait until the prober marks it down.
+    let shard_down = || {
+        let stats = stats_of(coordinator.addr());
+        stats
+            .get("coordinator")
+            .and_then(|c| c.get("shards"))
+            .and_then(Json::as_arr)
+            .and_then(|s| s.first()?.get("down")?.as_bool())
+            == Some(true)
+    };
+    while !shard_down() {
+        assert!(
+            Instant::now() < deadline,
+            "prober never marked the stopped shard down"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
     // With no live shard, a simulate answers a clean 500 — no hang.
     let mut client = Client::connect(coordinator.addr()).unwrap();
     let (status, resp) = client

@@ -199,25 +199,74 @@ pub fn kl_divergence_i8(original: &[i8], reconstructed: &[i32]) -> f64 {
 /// Panics if `original` is empty or `bin_width` is zero.
 pub fn kl_divergence_i8_binned(original: &[i8], reconstructed: &[i32], bin_width: usize) -> f64 {
     assert!(!original.is_empty());
-    assert!(bin_width > 0);
-    let bins = 256usize.div_ceil(bin_width);
-    let mut p = vec![0u64; bins];
-    let mut q = vec![0u64; bins];
+    let mut p = BinnedHistogramI8::new(bin_width);
+    let mut q = BinnedHistogramI8::new(bin_width);
     for &w in original {
-        p[((w as i32 + 128) as usize) / bin_width] += 1;
+        p.add(w as i32);
     }
     for &r in reconstructed {
-        q[((r.clamp(-128, 127) + 128) as usize) / bin_width] += 1;
+        q.add(r);
     }
-    let (np, nq) = (original.len() as f64, reconstructed.len() as f64);
-    const EPS: f64 = 1e-4;
-    (0..bins)
-        .map(|i| {
-            let pi = (p[i] as f64 + EPS) / (np + bins as f64 * EPS);
-            let qi = (q[i] as f64 + EPS) / (nq + bins as f64 * EPS);
-            pi * (pi / qi).ln()
-        })
-        .sum()
+    p.kl_divergence(&q)
+}
+
+/// A coarse histogram over the `i8` code range, in bins of `bin_width`
+/// adjacent levels; integer values outside the range are clamped into
+/// the rails. It is the streaming form of [`kl_divergence_i8_binned`]:
+/// count values as they are produced, then compare two histograms,
+/// without holding either tensor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BinnedHistogramI8 {
+    counts: Vec<u64>,
+    bin_width: usize,
+    total: u64,
+}
+
+impl BinnedHistogramI8 {
+    /// An empty histogram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bin_width` is zero.
+    pub fn new(bin_width: usize) -> Self {
+        assert!(bin_width > 0);
+        BinnedHistogramI8 {
+            counts: vec![0; 256usize.div_ceil(bin_width)],
+            bin_width,
+            total: 0,
+        }
+    }
+
+    /// Counts one value.
+    pub fn add(&mut self, value: i32) {
+        self.counts[((value.clamp(-128, 127) + 128) as usize) / self.bin_width] += 1;
+        self.total += 1;
+    }
+
+    /// Number of values counted.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// KL divergence `KL(self ‖ other)` with Laplace smoothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is empty or the bin widths differ.
+    pub fn kl_divergence(&self, other: &BinnedHistogramI8) -> f64 {
+        assert!(self.total > 0);
+        assert_eq!(self.bin_width, other.bin_width, "bin widths differ");
+        let bins = self.counts.len();
+        let (np, nq) = (self.total as f64, other.total as f64);
+        const EPS: f64 = 1e-4;
+        (0..bins)
+            .map(|i| {
+                let pi = (self.counts[i] as f64 + EPS) / (np + bins as f64 * EPS);
+                let qi = (other.counts[i] as f64 + EPS) / (nq + bins as f64 * EPS);
+                pi * (pi / qi).ln()
+            })
+            .sum()
+    }
 }
 
 /// Geometric mean of positive values, the roll-up used by the paper's
@@ -312,6 +361,21 @@ mod tests {
         assert_eq!(h.count(127), 1);
         assert_eq!(h.count(-128), 1);
         assert_eq!(h.count(0), 1);
+    }
+
+    #[test]
+    fn binned_histogram_clamps_rails_and_sees_collapse() {
+        let mut rails = BinnedHistogramI8::new(4);
+        let mut exact = BinnedHistogramI8::new(4);
+        for (r, e) in [(300, 127), (-300, -128), (3, 3)] {
+            rails.add(r);
+            exact.add(e);
+        }
+        assert_eq!(rails, exact);
+        assert_eq!(rails.total(), 3);
+        let orig: Vec<i8> = (-64..64).collect();
+        let collapsed: Vec<i32> = orig.iter().map(|&w| (w as i32 / 16) * 16).collect();
+        assert!(kl_divergence_i8_binned(&orig, &collapsed, 4) > 0.5);
     }
 
     #[test]

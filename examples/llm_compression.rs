@@ -7,8 +7,8 @@
 //! ```
 
 use bbs::core::prune::PruneStrategy;
-use bbs::models::accuracy::{evaluate_model_fidelity, CompressionKind, CompressionMethod};
-use bbs::models::lm::{llama_subset, measure_lm_perplexity};
+use bbs::models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
+use bbs::models::lm::{llama_subset, train_micro_lm};
 
 fn main() {
     let methods = [
@@ -32,22 +32,25 @@ fn main() {
         ),
     ];
 
+    // One trained model and one synthesized model serve every method.
     println!("micro-LM perplexity (measured, lower is better):");
+    let lm = train_micro_lm(41);
+    let fp32 = lm.fp32_perplexity();
     for (name, method) in &methods {
-        let p = measure_lm_perplexity(method, 41);
+        let ppl = lm.perplexity_under(method);
         println!(
             "  {:<17} ppl {:.3} (fp32 {:.3}, +{:.2}%)",
             name,
-            p.compressed,
-            p.fp32,
-            100.0 * p.increase_vs_fp32()
+            ppl,
+            fp32,
+            100.0 * (ppl / fp32 - 1.0)
         );
     }
 
     println!("\nLlama-3-8B-shaped weight fidelity (first 4 decoder blocks, sampled):");
-    let llama = llama_subset(4);
+    let llama = synthesize_model(&llama_subset(4), 7, 64 * 1024);
     for (name, method) in &methods {
-        let f = evaluate_model_fidelity(&llama, method, 7, 64 * 1024);
+        let f = llama.fidelity(method);
         println!(
             "  {:<17} {:.2} bits/weight, KL {:.2e}, output SQNR {:.1} dB",
             name, f.effective_bits, f.kl_divergence, f.output_sqnr_db

@@ -3,19 +3,19 @@
 
 use bbs::core::prune::PruneStrategy;
 use bbs::models::accuracy::{
-    evaluate_model_fidelity, measure_real_accuracy, CompressionKind, CompressionMethod,
+    evaluate_model_fidelity, synthesize_model, train_classifier, CompressionKind, CompressionMethod,
 };
-use bbs::models::lm::measure_lm_perplexity;
+use bbs::models::lm::train_micro_lm;
 use bbs::models::zoo;
 
 const CAP: usize = 8 * 1024;
 
 #[test]
 fn bbs_preserves_distribution_best_at_moderate_compression() {
-    let model = zoo::resnet34();
-    let bbs = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 3, CAP);
-    let bitwave = evaluate_model_fidelity(&model, &CompressionMethod::bitwave_moderate(), 3, CAP);
-    let ptq = evaluate_model_fidelity(&model, &CompressionMethod::ptq_moderate(), 3, CAP);
+    let model = synthesize_model(&zoo::resnet34(), 3, CAP);
+    let bbs = model.fidelity(&CompressionMethod::bbs_moderate());
+    let bitwave = model.fidelity(&CompressionMethod::bitwave_moderate());
+    let ptq = model.fidelity(&CompressionMethod::ptq_moderate());
     assert!(bbs.kl_divergence < bitwave.kl_divergence);
     assert!(bbs.kl_divergence < ptq.kl_divergence);
     assert!(bbs.est_accuracy_loss_pct < bitwave.est_accuracy_loss_pct);
@@ -25,9 +25,9 @@ fn bbs_preserves_distribution_best_at_moderate_compression() {
 #[test]
 fn compression_ratios_near_paper_averages() {
     // Paper: 1.29x conservative, 1.66x moderate (model-size reduction).
-    let model = zoo::vit_base();
-    let cons = evaluate_model_fidelity(&model, &CompressionMethod::bbs_conservative(), 3, CAP);
-    let moderate = evaluate_model_fidelity(&model, &CompressionMethod::bbs_moderate(), 3, CAP);
+    let model = synthesize_model(&zoo::vit_base(), 3, CAP);
+    let cons = model.fidelity(&CompressionMethod::bbs_conservative());
+    let moderate = model.fidelity(&CompressionMethod::bbs_moderate());
     assert!(
         (1.1..=1.45).contains(&cons.compression_ratio),
         "cons {}",
@@ -44,17 +44,21 @@ fn compression_ratios_near_paper_averages() {
 fn real_trained_model_loss_ordering() {
     // Averaged over seeds: BBS moderate hurts less than matched-footprint
     // PTQ, and conservative is near-lossless — measured, not modelled.
+    let methods = [
+        CompressionMethod::bbs_conservative(),
+        CompressionMethod::new(CompressionKind::Ptq(3), 0.20),
+        CompressionMethod::bbs_moderate(),
+    ];
     let seeds = [31u64, 32, 33];
-    let avg = |m: &CompressionMethod| -> f64 {
-        seeds
-            .iter()
-            .map(|&s| measure_real_accuracy(m, s).loss_vs_int8_pct())
-            .sum::<f64>()
-            / seeds.len() as f64
-    };
-    let cons = avg(&CompressionMethod::bbs_conservative());
-    let ptq3 = avg(&CompressionMethod::new(CompressionKind::Ptq(3), 0.20));
-    let moderate = avg(&CompressionMethod::bbs_moderate());
+    let mut loss = [0.0f64; 3];
+    for &s in &seeds {
+        let classifier = train_classifier(s);
+        let int8 = classifier.accuracy_under(&CompressionMethod::int8_baseline());
+        for (sum, m) in loss.iter_mut().zip(&methods) {
+            *sum += (int8 - classifier.accuracy_under(m)) * 100.0;
+        }
+    }
+    let [cons, ptq3, moderate] = loss.map(|sum| sum / seeds.len() as f64);
     assert!(cons < 1.0, "conservative near-lossless: {cons}");
     assert!(moderate < ptq3, "moderate {moderate} vs 3-bit PTQ {ptq3}");
 }
@@ -66,19 +70,12 @@ fn llm_perplexity_ordering_matches_fig17() {
         CompressionKind::Bbs(PruneStrategy::RoundedAveraging, 2),
         0.0,
     );
-    let p_olive = measure_lm_perplexity(&olive, 51);
-    let p_cons = measure_lm_perplexity(&cons, 51);
-    assert!(
-        p_cons.increase_vs_fp32() < 0.02,
-        "conservative BBS ~ lossless: {}",
-        p_cons.increase_vs_fp32()
-    );
-    assert!(
-        p_cons.compressed < p_olive.compressed,
-        "BBS cons {} vs Olive {}",
-        p_cons.compressed,
-        p_olive.compressed
-    );
+    let lm = train_micro_lm(51);
+    let p_olive = lm.perplexity_under(&olive);
+    let p_cons = lm.perplexity_under(&cons);
+    let increase = p_cons / lm.fp32_perplexity() - 1.0;
+    assert!(increase < 0.02, "conservative BBS ~ lossless: {increase}");
+    assert!(p_cons < p_olive, "BBS cons {p_cons} vs Olive {p_olive}");
 }
 
 #[test]
