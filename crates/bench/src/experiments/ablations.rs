@@ -21,6 +21,7 @@ use bbs_sim::config::ArrayConfig;
 use bbs_sim::engine::simulate_with;
 use bbs_tensor::metrics::mse_i8;
 use bbs_tensor::rng::SeededRng;
+use rayon::prelude::*;
 
 /// Ablation A: compression group size. Larger groups amortize metadata but
 /// make sparse columns harder to generate (more weights must agree).
@@ -70,48 +71,45 @@ pub fn group_size() {
 /// trade).
 pub fn beta_sweep() {
     let model = zoo::vit_small();
-    let synth = synthesize_model(&model, SEED, weight_cap() / 2);
-    let mut rows = Vec::new();
-    for &beta in &[0.0f64, 0.05, 0.10, 0.20, 0.40] {
-        let method = CompressionMethod {
-            beta,
-            ..CompressionMethod::new(
-                CompressionKind::Bbs(PruneStrategy::ZeroPointShifting, 4),
+    let cap = weight_cap() / 2;
+    let synth = synthesize_model(&model, SEED, cap);
+    let sim_cfg = ArrayConfig::paper_16x32();
+    let store = workload_store();
+    let base = simulate_with(store, &Stripes::new(), &model, &sim_cfg, SEED, cap).total_cycles();
+    // One flat parallel job per β: its fidelity and its BitVert simulation.
+    let betas = [0.0f64, 0.05, 0.10, 0.20, 0.40];
+    let rows: Vec<Vec<String>> = betas
+        .par_iter()
+        .map(|&beta| {
+            let method = CompressionMethod {
                 beta,
+                ..CompressionMethod::new(
+                    CompressionKind::Bbs(PruneStrategy::ZeroPointShifting, 4),
+                    beta,
+                )
+            };
+            let fit = synth.fidelity(&method);
+            let cfg = GlobalPruneConfig {
+                beta,
+                ..GlobalPruneConfig::moderate()
+            };
+            let bv = simulate_with(
+                store,
+                &BitVert::with_config(cfg, "sweep"),
+                &model,
+                &sim_cfg,
+                SEED,
+                cap,
             )
-        };
-        let fit = synth.fidelity(&method);
-        let cfg = GlobalPruneConfig {
-            beta,
-            ..GlobalPruneConfig::moderate()
-        };
-        let sim_cfg = ArrayConfig::paper_16x32();
-        let store = workload_store();
-        let base = simulate_with(
-            store,
-            &Stripes::new(),
-            &model,
-            &sim_cfg,
-            SEED,
-            weight_cap() / 2,
-        )
-        .total_cycles();
-        let bv = simulate_with(
-            store,
-            &BitVert::with_config(cfg, "sweep"),
-            &model,
-            &sim_cfg,
-            SEED,
-            weight_cap() / 2,
-        )
-        .total_cycles();
-        rows.push(vec![
-            format!("{}%", (beta * 100.0) as u32),
-            f(fit.compression_ratio, 2),
-            format!("{}%", f(fit.est_accuracy_loss_pct, 2)),
-            format!("{}x", f(base as f64 / bv as f64, 2)),
-        ]);
-    }
+            .total_cycles();
+            vec![
+                format!("{}%", (beta * 100.0) as u32),
+                f(fit.compression_ratio, 2),
+                format!("{}%", f(fit.est_accuracy_loss_pct, 2)),
+                format!("{}x", f(base as f64 / bv as f64, 2)),
+            ]
+        })
+        .collect();
     print_table(
         "Ablation B — sensitive fraction β (ViT-Small, moderate pruning): footprint/accuracy/speedup trade",
         &["beta", "compression", "est acc loss", "speedup"],

@@ -5,6 +5,7 @@ use crate::{f, print_table, weight_cap, SEED};
 use bbs_models::synth::synthesize_weights_sampled;
 use bbs_models::zoo;
 use bbs_tensor::bits::SparsityStats;
+use rayon::prelude::*;
 
 /// Measures the four Fig. 3 sparsity statistics for one model.
 pub fn model_sparsity(model: &bbs_models::ModelSpec) -> SparsityStats {
@@ -33,7 +34,7 @@ pub fn run() {
         zoo::bert_mrpc(),
     ];
     let rows: Vec<Vec<String>> = models
-        .iter()
+        .par_iter()
         .map(|m| {
             let s = model_sparsity(m);
             vec![

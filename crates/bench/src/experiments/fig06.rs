@@ -2,13 +2,14 @@
 //! techniques (zero-column, rounded averaging, zero-point shifting) on
 //! ResNet-34 and ViT-Base at 2 and 4 pruned columns, group size 32.
 
-use crate::{f, print_table, weight_cap, SEED};
+use crate::{f, print_table, synthesize_all};
 use bbs_core::averaging::rounded_averaging;
 use bbs_core::shifting::zero_point_shifting;
 use bbs_core::zero_col::sign_magnitude_zero_column;
-use bbs_models::accuracy::{synthesize_model, SynthModel};
+use bbs_models::accuracy::SynthModel;
 use bbs_models::zoo;
 use bbs_tensor::metrics::BinnedHistogramI8;
+use rayon::prelude::*;
 
 /// KL of one whole-model compression with the given per-group kernel.
 fn model_kl(model: &SynthModel, kernel: impl Fn(&[i8]) -> Vec<i32>) -> f64 {
@@ -37,21 +38,25 @@ pub fn technique_kls(model: &SynthModel, columns: usize) -> [f64; 3] {
 
 /// Regenerates Fig. 6.
 pub fn run() {
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for spec in [zoo::resnet34(), zoo::vit_base()] {
-        let model = synthesize_model(&spec, SEED, weight_cap());
-        for columns in [2usize, 4] {
-            let [zc, avg, zps] = technique_kls(&model, columns);
+    let specs = [zoo::resnet34(), zoo::vit_base()];
+    let models = synthesize_all(&specs);
+    let jobs: Vec<(usize, usize)> = (0..specs.len())
+        .flat_map(|m| [2usize, 4].map(|columns| (m, columns)))
+        .collect();
+    let rows: Vec<Vec<String>> = jobs
+        .par_iter()
+        .map(|&(m, columns)| {
+            let [zc, avg, zps] = technique_kls(&models[m], columns);
             let max = zc.max(avg).max(zps).max(1e-12);
-            rows.push(vec![
-                spec.name.to_string(),
+            vec![
+                specs[m].name.to_string(),
                 columns.to_string(),
                 format!("{} ({})", f(zc / max, 3), f(zc, 5)),
                 format!("{} ({})", f(avg / max, 3), f(avg, 5)),
                 format!("{} ({})", f(zps / max, 3), f(zps, 5)),
-            ]);
-        }
-    }
+            ]
+        })
+        .collect();
     print_table(
         "Fig. 6 — normalized KL divergence, lower is better (paper: averaging wins at 2 cols, shifting wins at 4, zero-column worst)",
         &["model", "cols", "zero-col norm (raw)", "rounded-avg norm (raw)", "zps norm (raw)"],

@@ -7,12 +7,24 @@
 //! 2. *real measured* accuracy on the trained-MLP substrate (averaged over
 //!    seeds).
 
-use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::accuracy::{
-    synthesize_model, train_classifier, CompressionMethod, ModelFidelity, RealAccuracy,
-};
+use crate::{f, print_table, synthesize_all};
+use bbs_models::accuracy::{train_classifier, CompressionMethod, ModelFidelity, RealAccuracy};
 use bbs_models::zoo;
 use rayon::prelude::*;
+
+/// One job of the figure's flat parallel list.
+enum Job {
+    /// Fidelity of (model, method).
+    Fidelity(usize, usize),
+    /// Train the classifier for a seed and measure it under every method.
+    Classifier(u64),
+}
+
+/// A finished [`Job`].
+enum Done {
+    Fidelity(ModelFidelity),
+    Classifier(Vec<RealAccuracy>),
+}
 
 /// The Fig. 11 method set: both compression levels, conservative first.
 fn methods() -> [(&'static str, CompressionMethod); 6] {
@@ -30,16 +42,48 @@ fn methods() -> [(&'static str, CompressionMethod); 6] {
 pub fn run() {
     let methods = methods();
 
-    // Leg 1: estimated accuracy loss on the paper's model shapes. Each
-    // model is synthesized once and compressed with all six methods.
+    // Leg 1 estimates accuracy loss on the paper's model shapes: each model
+    // is synthesized once and compressed with all six methods. Leg 2
+    // measures real accuracy on the trained substrate: each seed's
+    // classifier is trained once and evaluated under every method. All of
+    // it runs as one flat parallel job list after the syntheses.
     let models = zoo::paper_benchmarks();
-    let fits: Vec<Vec<ModelFidelity>> = models
-        .iter()
-        .map(|model| {
-            let synth = synthesize_model(model, SEED, weight_cap());
-            methods.par_iter().map(|(_, m)| synth.fidelity(m)).collect()
+    let seeds = [21u64, 22, 23, 24, 25];
+    let synths = synthesize_all(&models);
+    let jobs: Vec<Job> = (0..models.len())
+        .flat_map(|m| (0..methods.len()).map(move |k| Job::Fidelity(m, k)))
+        .chain(seeds.map(Job::Classifier))
+        .collect();
+    let done: Vec<Done> = jobs
+        .par_iter()
+        .map(|job| match *job {
+            Job::Fidelity(m, k) => Done::Fidelity(synths[m].fidelity(&methods[k].1)),
+            Job::Classifier(seed) => {
+                let classifier = train_classifier(seed);
+                let int8 = classifier.accuracy_under(&CompressionMethod::int8_baseline());
+                Done::Classifier(
+                    methods
+                        .iter()
+                        .map(|(_, m)| RealAccuracy {
+                            fp32: classifier.fp32_accuracy(),
+                            int8,
+                            compressed: classifier.accuracy_under(m),
+                        })
+                        .collect(),
+                )
+            }
         })
         .collect();
+    let mut fits = Vec::new();
+    let mut per_seed = Vec::new();
+    for d in done {
+        match d {
+            Done::Fidelity(fit) => fits.push(fit),
+            Done::Classifier(accs) => per_seed.push(accs),
+        }
+    }
+    let fits: Vec<&[ModelFidelity]> = fits.chunks(methods.len()).collect();
+
     for (level, level_fits) in ["conservative", "moderate"].into_iter().zip([0..3, 3..6]) {
         let mut rows = Vec::new();
         let mut ratio_sum = [0.0f64; 3];
@@ -70,24 +114,6 @@ pub fn run() {
         );
     }
 
-    // Leg 2: real measured accuracy on the trained substrate. Each seed's
-    // classifier is trained once and evaluated under every method.
-    let seeds = [21u64, 22, 23, 24, 25];
-    let per_seed: Vec<Vec<RealAccuracy>> = seeds
-        .iter()
-        .map(|&s| {
-            let classifier = train_classifier(s);
-            let int8 = classifier.accuracy_under(&CompressionMethod::int8_baseline());
-            methods
-                .iter()
-                .map(|(_, m)| RealAccuracy {
-                    fp32: classifier.fp32_accuracy(),
-                    int8,
-                    compressed: classifier.accuracy_under(m),
-                })
-                .collect()
-        })
-        .collect();
     let mut rows = Vec::new();
     for (mi, (name, _)) in methods.iter().enumerate() {
         let mut loss = 0.0;

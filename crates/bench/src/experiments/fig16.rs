@@ -10,10 +10,11 @@ use bbs_core::prune::{BinaryPruner, PruneStrategy};
 use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
 use bbs_models::zoo;
 use bbs_sim::accel::{
-    ant::Ant, bitlet::Bitlet, bitvert::BitVert, bitwave::BitWave, stripes::Stripes,
+    ant::Ant, bitlet::Bitlet, bitvert::BitVert, bitwave::BitWave, stripes::Stripes, Accelerator,
 };
 use bbs_sim::config::ArrayConfig;
 use bbs_sim::engine::simulate_with;
+use rayon::prelude::*;
 
 /// One Pareto point.
 #[derive(Debug, Clone)]
@@ -39,16 +40,18 @@ fn bitvert_label(cols: usize) -> &'static str {
     }
 }
 
-/// Computes the Fig. 16 point cloud.
-pub fn pareto_points() -> Vec<ParetoPoint> {
-    let model = zoo::resnet50();
-    let cfg = ArrayConfig::paper_16x32();
-    let cap = weight_cap();
-    let base = simulate_with(workload_store(), &Stripes::new(), &model, &cfg, SEED, cap);
-    let base_edp = base.edp();
-    // Every accuracy estimate compresses the same synthesized model.
-    let synth = synthesize_model(&model, SEED, cap);
-    let mut points = Vec::new();
+/// One point to compute: its labels, the accelerator to simulate, and the
+/// compression whose accuracy loss it reports (`None`: lossless).
+struct PointJob {
+    series: &'static str,
+    config: String,
+    accel: Box<dyn Accelerator>,
+    method: Option<CompressionMethod>,
+}
+
+/// The point list: every sweep of the figure, in output order.
+fn point_jobs() -> Vec<PointJob> {
+    let mut jobs = Vec::new();
 
     // BitVert: pruning sweep (averaging below 3 columns, shifting above —
     // the strategy choice Algorithm 2 makes).
@@ -64,77 +67,91 @@ pub fn pareto_points() -> Vec<ParetoPoint> {
             pruner: BinaryPruner::new(strategy, cols),
             group_size: 32,
         };
-        let accel = BitVert::with_config(prune, bitvert_label(cols));
-        let sim = simulate_with(workload_store(), &accel, &model, &cfg, SEED, cap);
-        let method = CompressionMethod::new(CompressionKind::Bbs(strategy, cols), prune.beta);
-        let fit = synth.fidelity(&method);
-        points.push(ParetoPoint {
+        jobs.push(PointJob {
             series: "BitVert",
             config: format!("{cols} cols"),
-            norm_edp: sim.edp() / base_edp,
-            acc_loss_pct: fit.est_accuracy_loss_pct,
+            accel: Box::new(BitVert::with_config(prune, bitvert_label(cols))),
+            method: Some(CompressionMethod::new(
+                CompressionKind::Bbs(strategy, cols),
+                prune.beta,
+            )),
         });
     }
 
     // BitWave: zero-column sweep.
     for cols in 1..=5usize {
-        let sim = simulate_with(
-            workload_store(),
-            &BitWave::with_columns(cols),
-            &model,
-            &cfg,
-            SEED,
-            cap,
-        );
-        let method = CompressionMethod::new(CompressionKind::ZeroColumn(cols), 0.10);
-        let fit = synth.fidelity(&method);
-        points.push(ParetoPoint {
+        jobs.push(PointJob {
             series: "BitWave",
             config: format!("{cols} cols"),
-            norm_edp: sim.edp() / base_edp,
-            acc_loss_pct: fit.est_accuracy_loss_pct,
+            accel: Box::new(BitWave::with_columns(cols)),
+            method: Some(CompressionMethod::new(
+                CompressionKind::ZeroColumn(cols),
+                0.10,
+            )),
         });
     }
 
     // Bitlet: lossless (no compression), one point.
-    let bitlet = simulate_with(workload_store(), &Bitlet::new(), &model, &cfg, SEED, cap);
-    points.push(ParetoPoint {
+    jobs.push(PointJob {
         series: "Bitlet",
         config: "lossless".into(),
-        norm_edp: bitlet.edp() / base_edp,
-        acc_loss_pct: 0.0,
+        accel: Box::new(Bitlet::new()),
+        method: None,
     });
 
     // ANT at 6 bits.
-    let ant = simulate_with(workload_store(), &Ant::new(), &model, &cfg, SEED, cap);
-    let ant_fit = synth.fidelity(&CompressionMethod::ant6());
-    points.push(ParetoPoint {
+    jobs.push(PointJob {
         series: "ANT",
         config: "6b".into(),
-        norm_edp: ant.edp() / base_edp,
-        acc_loss_pct: ant_fit.est_accuracy_loss_pct,
+        accel: Box::new(Ant::new()),
+        method: Some(CompressionMethod::ant6()),
     });
 
     // PTQ running on reduced-precision Stripes.
     for bits in [4u32, 5, 6] {
-        let sim = simulate_with(
-            workload_store(),
-            &Stripes::with_bits(bits),
-            &model,
-            &cfg,
-            SEED,
-            cap,
-        );
-        let method = CompressionMethod::new(CompressionKind::Ptq(bits as u8), 0.0);
-        let fit = synth.fidelity(&method);
-        points.push(ParetoPoint {
+        jobs.push(PointJob {
             series: "PTQ",
             config: format!("{bits}b"),
-            norm_edp: sim.edp() / base_edp,
-            acc_loss_pct: fit.est_accuracy_loss_pct,
+            accel: Box::new(Stripes::with_bits(bits)),
+            method: Some(CompressionMethod::new(
+                CompressionKind::Ptq(bits as u8),
+                0.0,
+            )),
         });
     }
-    points
+    jobs
+}
+
+/// Computes the Fig. 16 point cloud, one flat parallel job per point.
+pub fn pareto_points() -> Vec<ParetoPoint> {
+    let model = zoo::resnet50();
+    let cfg = ArrayConfig::paper_16x32();
+    let cap = weight_cap();
+    let base = simulate_with(workload_store(), &Stripes::new(), &model, &cfg, SEED, cap);
+    let base_edp = base.edp();
+    // Every accuracy estimate compresses the same synthesized model.
+    let synth = synthesize_model(&model, SEED, cap);
+    point_jobs()
+        .par_iter()
+        .map(|job| {
+            let sim = simulate_with(
+                workload_store(),
+                job.accel.as_ref(),
+                &model,
+                &cfg,
+                SEED,
+                cap,
+            );
+            ParetoPoint {
+                series: job.series,
+                config: job.config.clone(),
+                norm_edp: sim.edp() / base_edp,
+                acc_loss_pct: job
+                    .method
+                    .map_or(0.0, |m| synth.fidelity(&m).est_accuracy_loss_pct),
+            }
+        })
+        .collect()
 }
 
 /// Checks whether a point is on the Pareto frontier of the cloud.

@@ -6,7 +6,7 @@
 
 use crate::{f, print_table, weight_cap, SEED};
 use bbs_core::prune::PruneStrategy;
-use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
+use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod, ModelFidelity};
 use bbs_models::lm::{llama_subset, train_micro_lm};
 use rayon::prelude::*;
 
@@ -35,28 +35,64 @@ pub fn methods() -> Vec<(&'static str, CompressionMethod)> {
     ]
 }
 
+/// One job of the figure's flat parallel list.
+enum Job {
+    /// The Llama leg: synthesize the model, then every compressed method.
+    Llama,
+    /// Train the micro LM for a seed and evaluate it under every method.
+    Lm(u64),
+}
+
+/// A finished [`Job`].
+enum Done {
+    Llama(Vec<ModelFidelity>),
+    Lm(f64, Vec<f64>),
+}
+
 /// Regenerates Fig. 17.
 pub fn run() {
-    // Leg 1: real perplexity on the micro LM, two corpora, 3 seeds each.
-    // Training depends only on the seed, so each LM is trained once and
-    // evaluated under every method; only its perplexities are kept.
+    // Leg 1 measures real perplexity on the micro LM, two corpora, 3 seeds
+    // each. Training depends only on the seed, so each LM is trained once
+    // and evaluated under every method; only its perplexities are kept.
+    // Leg 2 is Llama-3-8B-shaped fidelity (first 4 decoder blocks sampled),
+    // without the INT8 baseline, which is exact by construction. Both legs
+    // run as one flat parallel job list, the long Llama job first.
     let corpora = [("wikitext-like", 41u64), ("c4-like", 71u64)];
     let methods = methods();
-    let seeds: Vec<u64> = corpora
-        .iter()
-        .flat_map(|&(_, corpus_seed)| (0..3u64).map(move |s| corpus_seed + s))
-        .collect();
-    let per_seed: Vec<(f64, Vec<f64>)> = seeds
-        .par_iter()
-        .map(|&seed| {
-            let lm = train_micro_lm(seed);
-            let ppl = methods
+    let compressed = &methods[1..];
+    let jobs: Vec<Job> = std::iter::once(Job::Llama)
+        .chain(
+            corpora
                 .iter()
-                .map(|(_, m)| lm.perplexity_under(m))
-                .collect();
-            (lm.fp32_perplexity(), ppl)
+                .flat_map(|&(_, corpus_seed)| (0..3u64).map(move |s| Job::Lm(corpus_seed + s))),
+        )
+        .collect();
+    let done: Vec<Done> = jobs
+        .par_iter()
+        .map(|job| match *job {
+            Job::Llama => {
+                let llama = synthesize_model(&llama_subset(4), SEED, weight_cap());
+                Done::Llama(compressed.iter().map(|(_, m)| llama.fidelity(m)).collect())
+            }
+            Job::Lm(seed) => {
+                let lm = train_micro_lm(seed);
+                let ppl = methods
+                    .iter()
+                    .map(|(_, m)| lm.perplexity_under(m))
+                    .collect();
+                Done::Lm(lm.fp32_perplexity(), ppl)
+            }
         })
         .collect();
+    let mut fits = Vec::new();
+    let mut per_seed = Vec::new();
+    for d in done {
+        match d {
+            Done::Llama(llama_fits) => fits = llama_fits,
+            Done::Lm(fp32, ppl) => per_seed.push((fp32, ppl)),
+        }
+    }
+
     let mut rows = Vec::new();
     for (mi, (name, _)) in methods.iter().enumerate() {
         let mut row = vec![name.to_string()];
@@ -77,13 +113,10 @@ pub fn run() {
         &rows,
     );
 
-    // Leg 2: Llama-3-8B-shaped fidelity (first 4 decoder blocks sampled).
-    let llama = synthesize_model(&llama_subset(4), SEED, weight_cap());
-    let rows: Vec<Vec<String>> = methods
+    let rows: Vec<Vec<String>> = compressed
         .iter()
-        .skip(1) // INT8 baseline is exact by construction
-        .map(|(name, method)| {
-            let fit = llama.fidelity(method);
+        .zip(&fits)
+        .map(|((name, _), fit)| {
             vec![
                 name.to_string(),
                 f(fit.effective_bits, 2),

@@ -1,17 +1,18 @@
 //! Table II: BBS moderate pruning vs 6-bit ANT — accuracy loss and
 //! effective weight bit width, without fine-tuning.
 
-use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::accuracy::{synthesize_model, CompressionMethod};
+use crate::{f, fidelity_grid, print_table};
+use bbs_models::accuracy::CompressionMethod;
 use bbs_models::zoo;
 
 /// Regenerates Table II.
 pub fn run() {
+    let models = [zoo::vgg16(), zoo::resnet50()];
+    let methods = [CompressionMethod::bbs_moderate(), CompressionMethod::ant6()];
+    let fits = fidelity_grid(&models, &methods);
     let mut rows = Vec::new();
-    for spec in [zoo::vgg16(), zoo::resnet50()] {
-        let model = synthesize_model(&spec, SEED, weight_cap());
-        let bbs = model.fidelity(&CompressionMethod::bbs_moderate());
-        let ant = model.fidelity(&CompressionMethod::ant6());
+    for (spec, model_fits) in models.iter().zip(&fits) {
+        let (bbs, ant) = (&model_fits[0], &model_fits[1]);
         rows.push(vec![
             spec.name.to_string(),
             format!(

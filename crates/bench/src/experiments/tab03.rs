@@ -1,8 +1,8 @@
 //! Table III: BBS vs Microscaling vs NoisyQuant on vision transformers —
 //! accuracy loss and effective weight bit width.
 
-use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
+use crate::{f, fidelity_grid, print_table};
+use bbs_models::accuracy::{CompressionKind, CompressionMethod};
 use bbs_models::zoo;
 
 /// Regenerates Table III.
@@ -19,13 +19,13 @@ pub fn run() {
         ("BBS (cons)", CompressionMethod::bbs_conservative()),
         ("BBS (mod)", CompressionMethod::bbs_moderate()),
     ];
-    let models =
-        [zoo::vit_small(), zoo::vit_base()].map(|m| synthesize_model(&m, SEED, weight_cap()));
+    let compressions: Vec<CompressionMethod> = methods.iter().map(|(_, m)| *m).collect();
+    let fits = fidelity_grid(&[zoo::vit_small(), zoo::vit_base()], &compressions);
     let mut rows = Vec::new();
-    for (name, method) in &methods {
+    for (k, (name, _)) in methods.iter().enumerate() {
         let mut row = vec![name.to_string()];
-        for model in &models {
-            let fit = model.fidelity(method);
+        for model_fits in &fits {
+            let fit = &model_fits[k];
             row.push(format!(
                 "{}% ({} bits)",
                 f(fit.est_accuracy_loss_pct, 2),

@@ -17,7 +17,10 @@
 pub mod experiments;
 pub mod serve_path;
 
+use bbs_models::accuracy::{synthesize_model, CompressionMethod, ModelFidelity, SynthModel};
+use bbs_models::ModelSpec;
 use bbs_sim::store::WorkloadStore;
+use rayon::prelude::*;
 use std::fmt::Display;
 use std::sync::OnceLock;
 
@@ -41,6 +44,39 @@ pub fn weight_cap() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(64 * 1024)
+}
+
+/// Synthesizes every model for fidelity evaluation (at `SEED` and
+/// [`weight_cap`]), one parallel job per model.
+pub fn synthesize_all(models: &[ModelSpec]) -> Vec<SynthModel> {
+    models
+        .par_iter()
+        .map(|m| synthesize_model(m, SEED, weight_cap()))
+        .collect()
+}
+
+/// Fidelity of every model under every method: `fits[m][k]` is model `m`
+/// compressed with method `k`. The models are synthesized in parallel,
+/// then each (model, method) pair is one job of a flat parallel list, so
+/// uneven jobs (PTQ's scale search beside a BBS pass) keep every worker
+/// busy.
+pub fn fidelity_grid(
+    models: &[ModelSpec],
+    methods: &[CompressionMethod],
+) -> Vec<Vec<ModelFidelity>> {
+    let synths = synthesize_all(models);
+    let jobs: Vec<(usize, usize)> = (0..models.len())
+        .flat_map(|m| (0..methods.len()).map(move |k| (m, k)))
+        .collect();
+    let fits: Vec<ModelFidelity> = jobs
+        .par_iter()
+        .map(|&(m, k)| synths[m].fidelity(&methods[k]))
+        .collect();
+    let mut fits = fits.into_iter();
+    models
+        .iter()
+        .map(|_| fits.by_ref().take(methods.len()).collect())
+        .collect()
 }
 
 /// Prints an aligned table: a header row and data rows.

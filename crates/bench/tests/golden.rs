@@ -74,8 +74,9 @@ fn repro_small_cap_stdout_is_byte_identical_to_golden() {
     assert_repro_matches_golden(None);
 }
 
-/// Three workers split the order-preserving parallel loops into uneven
-/// chunks, and force the threaded path even on a single-CPU runner.
+/// Three workers claim the items of the order-preserving parallel loops
+/// in an order that depends on timing, and force the threaded path even
+/// on a single-CPU runner.
 #[test]
 fn repro_is_byte_identical_to_golden_on_three_threads() {
     assert_repro_matches_golden(Some("3"));

@@ -19,7 +19,7 @@
 
 use crate::layer::ModelSpec;
 use crate::synth::{synthesize_activations, synthesize_weights_sampled, SynthLayer};
-use crate::trainer::{gaussian_blobs, Dataset, Mlp};
+use crate::trainer::{gaussian_blobs, Dataset, Mlp, Recipe};
 use bbs_core::global::select_sensitive_channels;
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
 use bbs_core::zero_col::sign_magnitude_zero_column;
@@ -553,14 +553,25 @@ pub struct TrainedClassifier {
 
 /// Trains the MLP classifier on the synthetic task for `seed`.
 pub fn train_classifier(seed: u64) -> TrainedClassifier {
+    let (mlp, test) = classifier_recipe(seed).run();
+    let fp32 = mlp.accuracy(&test);
+    TrainedClassifier { mlp, test, fp32 }
+}
+
+/// The classifier for `seed` before training.
+pub(crate) fn classifier_recipe(seed: u64) -> Recipe {
     // A deliberately hard task (10 overlapping classes, chance = 10%) so
     // decision margins are thin and weight perturbations measurably move
     // accuracy — the regime where compression methods separate.
     let (train, test) = gaussian_blobs(10, 12, 150, 200, 0.55, seed);
-    let mut mlp = Mlp::new(12, 20, 10, seed);
-    mlp.train(&train, 14, 0.05, seed);
-    let fp32 = mlp.accuracy(&test);
-    TrainedClassifier { mlp, test, fp32 }
+    Recipe {
+        mlp: Mlp::new(12, 20, 10, seed),
+        train,
+        test,
+        epochs: 14,
+        lr: 0.05,
+        seed,
+    }
 }
 
 impl TrainedClassifier {

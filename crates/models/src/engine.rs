@@ -34,7 +34,15 @@ pub fn matmul_f32(a: &Tensor<f32>, b: &Tensor<f32>) -> Tensor<f32> {
     Tensor::from_vec(Shape::matrix(m, n), out).expect("shape matches")
 }
 
+/// Output rows [`linear_f32`] sums side by side.
+const ROW_BLOCK: usize = 8;
+
 /// `y[out] = W[out,in] · x[in] + b[out]`.
+///
+/// Every row adds its products in input order from `-0.0`, as
+/// `Iterator::sum` does, then adds its bias. [`ROW_BLOCK`] rows are summed
+/// side by side in one pass over `x`, so their additions overlap instead
+/// of each waiting on the one before.
 ///
 /// # Panics
 ///
@@ -44,16 +52,29 @@ pub fn linear_f32(w: &Tensor<f32>, x: &[f32], bias: &[f32]) -> Vec<f32> {
     let (out_f, in_f) = (w.shape().dim(0), w.shape().dim(1));
     assert_eq!(x.len(), in_f);
     assert_eq!(bias.len(), out_f);
-    (0..out_f)
-        .map(|o| {
-            w.row(o)
-                .iter()
-                .zip(x)
-                .map(|(&wv, &xv)| wv * xv)
-                .sum::<f32>()
-                + bias[o]
-        })
-        .collect()
+    let blocked = out_f - out_f % ROW_BLOCK;
+    let mut out = Vec::with_capacity(out_f);
+    for first in (0..blocked).step_by(ROW_BLOCK) {
+        let rows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|r| w.row(first + r));
+        let mut acc = [-0.0f32; ROW_BLOCK];
+        for (k, &xv) in x.iter().enumerate() {
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a += row[k] * xv;
+            }
+        }
+        out.extend(acc);
+    }
+    out.extend((blocked..out_f).map(|o| {
+        w.row(o)
+            .iter()
+            .zip(x)
+            .map(|(&wv, &xv)| wv * xv)
+            .sum::<f32>()
+    }));
+    for (y, &b) in out.iter_mut().zip(bias) {
+        *y += b;
+    }
+    out
 }
 
 /// Integer linear layer on INT8 codes, dequantized with per-channel weight
@@ -237,6 +258,42 @@ mod tests {
         let y = linear_f32(&w, &[2.0, 4.0, 6.0], &[0.1, -0.1]);
         assert!((y[0] - (2.0 - 4.0 + 3.0 + 0.1)).abs() < 1e-6);
         assert!((y[1] - (4.0 - 3.0 - 0.1)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn linear_matches_one_sum_per_row_bit_for_bit() {
+        // Shapes on both sides of the row block, signed zeros among the
+        // weights and inputs, and rows whose products cancel exactly.
+        let mut rng = bbs_tensor::rng::SeededRng::new(5);
+        for out_f in [1usize, 7, 8, 9, 16, 20] {
+            for in_f in [1usize, 3, 48, 64] {
+                let mut pick = |n: usize| -> Vec<f32> {
+                    (0..n)
+                        .map(|_| match rng.uniform_usize(0, 5) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => 1.0,
+                            3 => -1.0,
+                            _ => rng.gaussian(0.0, 1.0) as f32,
+                        })
+                        .collect()
+                };
+                let w = t(out_f, in_f, pick(out_f * in_f));
+                let x = pick(in_f);
+                let bias = pick(out_f);
+                let want: Vec<u32> = (0..out_f)
+                    .map(|o| {
+                        let dot = w.row(o).iter().zip(&x).map(|(&a, &b)| a * b).sum::<f32>();
+                        (dot + bias[o]).to_bits()
+                    })
+                    .collect();
+                let got: Vec<u32> = linear_f32(&w, &x, &bias)
+                    .iter()
+                    .map(|y| y.to_bits())
+                    .collect();
+                assert_eq!(got, want, "{out_f}x{in_f}");
+            }
+        }
     }
 
     #[test]

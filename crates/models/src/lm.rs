@@ -9,7 +9,7 @@
 
 use crate::accuracy::{compress_mlp, CompressionMethod};
 use crate::layer::ModelSpec;
-use crate::trainer::{Dataset, Mlp};
+use crate::trainer::{Dataset, Mlp, Recipe};
 use crate::zoo;
 use bbs_tensor::rng::SeededRng;
 
@@ -123,6 +123,13 @@ pub struct TrainedLm {
 
 /// Trains the micro LM on the synthetic corpus for `seed`.
 pub fn train_micro_lm(seed: u64) -> TrainedLm {
+    let (mlp, test) = lm_recipe(seed).run();
+    let fp32 = perplexity(&mlp, &test);
+    TrainedLm { mlp, test, fp32 }
+}
+
+/// The micro LM for `seed` before training.
+pub(crate) fn lm_recipe(seed: u64) -> Recipe {
     let vocab = 32;
     // One stream, split 80/20 so train and test share the Markov table.
     let corpus = markov_corpus(vocab, 15_000, seed);
@@ -135,13 +142,14 @@ pub fn train_micro_lm(seed: u64) -> TrainedLm {
         tokens: corpus.tokens[split..].to_vec(),
         vocab,
     };
-    let train = next_token_dataset(&train_corpus);
-    let test = next_token_dataset(&test_corpus);
-
-    let mut mlp = Mlp::new(2 * vocab, 48, vocab, seed);
-    mlp.train(&train, 8, 0.03, seed);
-    let fp32 = perplexity(&mlp, &test);
-    TrainedLm { mlp, test, fp32 }
+    Recipe {
+        mlp: Mlp::new(2 * vocab, 48, vocab, seed),
+        train: next_token_dataset(&train_corpus),
+        test: next_token_dataset(&test_corpus),
+        epochs: 8,
+        lr: 0.03,
+        seed,
+    }
 }
 
 impl TrainedLm {

@@ -83,6 +83,27 @@ pub fn gaussian_blobs(
     (train, test)
 }
 
+/// Everything one training run depends on: the untrained model, its data
+/// and its SGD schedule.
+#[derive(Debug, Clone)]
+pub(crate) struct Recipe {
+    pub(crate) mlp: Mlp,
+    pub(crate) train: Dataset,
+    pub(crate) test: Dataset,
+    pub(crate) epochs: usize,
+    pub(crate) lr: f32,
+    pub(crate) seed: u64,
+}
+
+impl Recipe {
+    /// Trains the model, returning it with the held-out split.
+    pub(crate) fn run(self) -> (Mlp, Dataset) {
+        let mut mlp = self.mlp;
+        mlp.train(&self.train, self.epochs, self.lr, self.seed);
+        (mlp, self.test)
+    }
+}
+
 /// A two-layer ReLU MLP classifier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
@@ -168,19 +189,51 @@ impl Mlp {
 
     /// Trains with plain SGD (shuffled each epoch).
     pub fn train(&mut self, ds: &Dataset, epochs: usize, lr: f32, seed: u64) {
+        self.train_with(ds, epochs, lr, seed, Mlp::sgd_step);
+    }
+
+    /// [`Mlp::train`] with the given per-example step.
+    fn train_with(
+        &mut self,
+        ds: &Dataset,
+        epochs: usize,
+        lr: f32,
+        seed: u64,
+        step: fn(&mut Mlp, &[f32], usize, f32),
+    ) {
         let mut rng = SeededRng::new(seed ^ 0x7a21_0001);
         let mut order: Vec<usize> = (0..ds.len()).collect();
         for _ in 0..epochs {
             rng.shuffle(&mut order);
             for &i in &order {
-                self.sgd_step(&ds.x[i], ds.y[i], lr);
+                step(self, &ds.x[i], ds.y[i], lr);
             }
         }
     }
 
+    /// One SGD step on one example.
+    ///
+    /// The first layer's forward pass and update visit only the nonzero
+    /// inputs (2 of 64 for the micro LM's one-hot rows).
+    ///
+    /// Matches the dense step (every input through [`linear_f32`] and the
+    /// update) bit for bit while every value stays finite and the first
+    /// layer holds no `-0.0` weight or bias. A skipped input is `±0.0`, so
+    /// each skipped product or update term is `±0.0` as well: it can only
+    /// flip the sign of an exact zero, and that sign reaches a stored value
+    /// only through a `-0.0` weight (`-0.0 - -0.0 = +0.0`) or bias
+    /// (`±0.0 + -0.0` keeps the sum's sign). Training never creates `-0.0`,
+    /// because an exact zero difference rounds to `+0.0`.
     fn sgd_step(&mut self, x: &[f32], label: usize, lr: f32) {
+        let active: Vec<usize> = (0..x.len()).filter(|&k| x[k] != 0.0).collect();
+
         // Forward, keeping intermediates.
-        let mut z1 = linear_f32(&self.w1, x, &self.b1);
+        let mut z1: Vec<f32> = (0..self.b1.len())
+            .map(|j| {
+                let row = self.w1.row(j);
+                active.iter().map(|&k| row[k] * x[k]).sum::<f32>() + self.b1[j]
+            })
+            .collect();
         let mut h = z1.clone();
         relu(&mut h);
         let logits = linear_f32(&self.w2, &h, &self.b2);
@@ -213,8 +266,8 @@ impl Mlp {
                 continue;
             }
             let row = self.w1.row_mut(j);
-            for (k, w) in row.iter_mut().enumerate() {
-                *w -= lr * d1 * x[k];
+            for &k in &active {
+                row[k] -= lr * d1 * x[k];
             }
             self.b1[j] -= lr * d1;
         }
@@ -224,6 +277,132 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dense SGD step, every input through [`linear_f32`] and the
+    /// update: the oracle [`Mlp::sgd_step`] must match.
+    fn dense_sgd_step(mlp: &mut Mlp, x: &[f32], label: usize, lr: f32) {
+        let mut z1 = linear_f32(&mlp.w1, x, &mlp.b1);
+        let mut h = z1.clone();
+        relu(&mut h);
+        let logits = linear_f32(&mlp.w2, &h, &mlp.b2);
+        let mut dz2 = softmax(&logits);
+        dz2[label] -= 1.0;
+        let mut dh = vec![0.0f32; h.len()];
+        for (o, &d2) in dz2.iter().enumerate() {
+            let row = mlp.w2.row_mut(o);
+            for (j, w) in row.iter_mut().enumerate() {
+                dh[j] += *w * d2;
+                *w -= lr * d2 * h[j];
+            }
+            mlp.b2[o] -= lr * d2;
+        }
+        for (j, z) in z1.iter_mut().enumerate() {
+            if *z <= 0.0 {
+                dh[j] = 0.0;
+            }
+        }
+        for (j, &d1) in dh.iter().enumerate() {
+            if d1 == 0.0 {
+                continue;
+            }
+            let row = mlp.w1.row_mut(j);
+            for (k, w) in row.iter_mut().enumerate() {
+                *w -= lr * d1 * x[k];
+            }
+            mlp.b1[j] -= lr * d1;
+        }
+    }
+
+    /// Every weight and bias of the model, as bits.
+    fn bits(mlp: &Mlp) -> Vec<u32> {
+        [
+            mlp.w1.as_slice(),
+            &mlp.b1[..],
+            mlp.w2.as_slice(),
+            &mlp.b2[..],
+        ]
+        .concat()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+    }
+
+    #[test]
+    fn sparse_training_matches_the_dense_oracle() {
+        let recipes = [
+            crate::lm::lm_recipe(41),
+            crate::lm::lm_recipe(71),
+            crate::accuracy::classifier_recipe(21),
+        ];
+        for r in recipes {
+            let mut sparse = r.mlp.clone();
+            sparse.train(&r.train, r.epochs, r.lr, r.seed);
+            let mut dense = r.mlp.clone();
+            dense.train_with(&r.train, r.epochs, r.lr, r.seed, dense_sgd_step);
+            assert!(bits(&sparse) == bits(&dense), "seed {}", r.seed);
+        }
+    }
+
+    #[test]
+    fn signed_zeros_follow_the_documented_contract() {
+        // Ten classes: one full block of eight output rows plus two more.
+        let base = Mlp::new(4, 3, 10, 3);
+        let tiny = f32::from_bits(1);
+        // Zero inputs of both signs between two tiny inputs, whose
+        // products with tiny weights underflow to ±0.0.
+        let x = [1e-20f32, 0.0, -0.0, 1e-20];
+        let step = |mlp: &Mlp, sgd: fn(&mut Mlp, &[f32], usize, f32)| {
+            let mut m = mlp.clone();
+            sgd(&mut m, &x, 7, 0.1);
+            m
+        };
+
+        // +0.0 weights and biases, and a first row whose sum is -0.0 over
+        // the nonzero inputs but +0.0 over all of them: no -0.0 in the
+        // first layer, so the steps agree bit for bit.
+        let mut plus = base.clone();
+        plus.w1
+            .row_mut(0)
+            .copy_from_slice(&[-tiny, 0.5, -0.5, -tiny]);
+        plus.w1.row_mut(1).copy_from_slice(&[0.25, 0.0, 0.0, 0.0]);
+        plus.w1.row_mut(2).copy_from_slice(&[-0.75, -0.5, 0.5, 0.0]);
+        plus.b1 = vec![0.0, 0.0, 1.0];
+        let row0 = |m: &Mlp, terms: &[usize]| terms.iter().map(|&k| m.w1.row(0)[k] * x[k]).sum();
+        let (sparse_sum, dense_sum): (f32, f32) =
+            (row0(&plus, &[0, 3]), row0(&plus, &[0, 1, 2, 3]));
+        assert!(sparse_sum.is_sign_negative() && dense_sum.is_sign_positive());
+        assert!(bits(&step(&plus, Mlp::sgd_step)) == bits(&step(&plus, dense_sgd_step)));
+
+        // A -0.0 weight on a zero input is where they part: the dense
+        // update subtracts ±0.0, which turns -0.0 into +0.0 when the term
+        // is -0.0; the sparse step leaves it. With -0.0 under both zero
+        // inputs, exactly one of the two terms is -0.0.
+        let mut minus = plus.clone();
+        minus
+            .w1
+            .row_mut(2)
+            .copy_from_slice(&[-0.75, -0.0, -0.0, 0.0]);
+        let sparse = step(&minus, Mlp::sgd_step);
+        let dense = step(&minus, dense_sgd_step);
+        assert_ne!(sparse.b1[2], minus.b1[2], "hidden unit 2 must be updated");
+        let touched = [sparse.w1.row(2)[1], sparse.w1.row(2)[2]];
+        assert!(touched.iter().all(|w| w.to_bits() == (-0.0f32).to_bits()));
+        let flipped = [dense.w1.row(2)[1], dense.w1.row(2)[2]];
+        assert_eq!(
+            flipped
+                .iter()
+                .filter(|w| w.to_bits() == 0.0f32.to_bits())
+                .count(),
+            1,
+            "dense step: {flipped:?}"
+        );
+        let mut healed = sparse.clone();
+        healed.w1.row_mut(2)[1..3].copy_from_slice(&flipped);
+        assert!(
+            bits(&healed) == bits(&dense),
+            "only the -0.0 weights differ"
+        );
+    }
 
     fn trained() -> (Mlp, Dataset, Dataset) {
         let (train, test) = gaussian_blobs(4, 16, 120, 60, 0.30, 42);

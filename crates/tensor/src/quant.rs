@@ -76,15 +76,11 @@ pub fn qmax(bits: u8) -> i32 {
     (1i32 << (bits - 1)) - 1
 }
 
-/// `max |w|` as `f64`, dispatched over the active lane backend.
+/// `max |w|` as `f64`, dispatched over the lane backend.
 ///
 /// Max is associative and commutative over non-NaN values and both paths
 /// take `|w|` with an exact sign-bit clear followed by an exact f32→f64
 /// conversion, so the wide path is bit-identical to the scalar fold.
-fn absmax_f64(channel: &[f32]) -> f64 {
-    absmax_f64_with(Backend::active(), channel)
-}
-
 fn absmax_f64_with(backend: Backend, channel: &[f32]) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if backend == Backend::Native && Backend::native_available() {
@@ -181,8 +177,12 @@ unsafe fn quantize_row_avx2(row: &[f32], s: f32, qm: i32, out: &mut Vec<i8>) {
 }
 
 fn channel_scale(channel: &[f32], bits: u8, method: ScaleMethod) -> f32 {
+    channel_scale_with(Backend::active(), channel, bits, method)
+}
+
+fn channel_scale_with(backend: Backend, channel: &[f32], bits: u8, method: ScaleMethod) -> f32 {
     let qm = qmax(bits) as f64;
-    let absmax = absmax_f64(channel);
+    let absmax = absmax_f64_with(backend, channel);
     if absmax == 0.0 {
         return 1.0;
     }
@@ -194,28 +194,115 @@ fn channel_scale(channel: &[f32], bits: u8, method: ScaleMethod) -> f32 {
             let idx = ((mags.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize;
             (mags[idx].max(1e-12) / qm) as f32
         }
-        ScaleMethod::MseGrid(steps) => {
-            let mut best_scale = (absmax / qm) as f32;
-            let mut best_mse = f64::INFINITY;
-            for k in 0..steps.max(1) {
-                // Candidate clip points from 40%..100% of absmax.
-                let frac = 0.4 + 0.6 * (k as f64 + 1.0) / steps.max(1) as f64;
-                let s = (absmax * frac / qm) as f32;
-                let mse: f64 = channel
-                    .iter()
-                    .map(|&w| {
-                        let q = (w / s).round().clamp(-(qm as f32) - 1.0, qm as f32);
-                        let r = q * s;
-                        (w as f64 - r as f64).powi(2)
-                    })
-                    .sum();
-                if mse < best_mse {
-                    best_mse = mse;
-                    best_scale = s;
-                }
+        ScaleMethod::MseGrid(steps) => mse_grid_scale(backend, channel, absmax, qm, steps),
+    }
+}
+
+/// Candidate scales the `MseGrid` search scores in one pass over a channel.
+const GRID_LANES: usize = 8;
+
+/// The `MseGrid` search: the scale among `steps` candidate clip points
+/// (40%..100% of `absmax`) with the smallest reconstruction MSE, the first
+/// one on ties. Codes are scored on `[-qmax-1, qmax]`, one level wider
+/// than the `[-qmax, qmax]` grid the callers reconstruct on.
+///
+/// Candidates are scored [`GRID_LANES`] at a time, one `f64` accumulator
+/// each, so every candidate still sums its squared errors in element order
+/// and the choice is bit-identical to scoring them one by one.
+fn mse_grid_scale(backend: Backend, channel: &[f32], absmax: f64, qm: f64, steps: usize) -> f32 {
+    let steps = steps.max(1);
+    let (lo, hi) = (-(qm as f32) - 1.0, qm as f32);
+    let mut best_scale = (absmax / qm) as f32;
+    let mut best_mse = f64::INFINITY;
+    for first in (0..steps).step_by(GRID_LANES) {
+        let count = GRID_LANES.min(steps - first);
+        // Spare lanes of the last batch repeat its last candidate and are
+        // not compared.
+        let scales: [f32; GRID_LANES] = std::array::from_fn(|lane| {
+            let k = first + lane.min(count - 1);
+            let frac = 0.4 + 0.6 * (k as f64 + 1.0) / steps as f64;
+            (absmax * frac / qm) as f32
+        });
+        let mses = grid_mses_with(backend, channel, &scales, lo, hi);
+        for (&s, &mse) in scales.iter().zip(&mses).take(count) {
+            if mse < best_mse {
+                best_mse = mse;
+                best_scale = s;
             }
-            best_scale
         }
+    }
+    best_scale
+}
+
+fn grid_mses_with(
+    backend: Backend,
+    channel: &[f32],
+    scales: &[f32; GRID_LANES],
+    lo: f32,
+    hi: f32,
+) -> [f64; GRID_LANES] {
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Native && Backend::native_available() {
+        // SAFETY: AVX2 support was just verified at runtime.
+        return unsafe { grid_mses_avx2(channel, scales, lo, hi) };
+    }
+    let _ = backend;
+    grid_mses(channel, scales, lo, hi)
+}
+
+/// [`grid_mses`] compiled for AVX2: the same source, wider lanes.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn grid_mses_avx2(
+    channel: &[f32],
+    scales: &[f32; GRID_LANES],
+    lo: f32,
+    hi: f32,
+) -> [f64; GRID_LANES] {
+    grid_mses(channel, scales, lo, hi)
+}
+
+/// Squared reconstruction error of `channel` under each candidate scale,
+/// with codes clamped to `[lo, hi]`. Each lane sums in element order from
+/// `-0.0`, as `Iterator::sum` does.
+#[inline(always)]
+fn grid_mses(channel: &[f32], scales: &[f32; GRID_LANES], lo: f32, hi: f32) -> [f64; GRID_LANES] {
+    let mut acc = [-0.0f64; GRID_LANES];
+    for &w in channel {
+        for (a, &s) in acc.iter_mut().zip(scales) {
+            // `clamp` keeps a NaN quotient (0/0 from a zero scale) NaN, so
+            // that candidate's sum is NaN and never wins.
+            let q = round_half_away(w / s).clamp(lo, hi);
+            let d = w as f64 - (q * s) as f64;
+            *a += d * d;
+        }
+    }
+    acc
+}
+
+/// `f32::round` (halves away from zero) in plain float arithmetic, so it
+/// vectorizes instead of calling `roundf`. Bit-identical to `f32::round`
+/// for every input, signed zeros, infinities and NaN included.
+///
+/// Below 2^23, adding and subtracting 2^23 rounds `|x|` to an integer with
+/// ties to even, exactly. A tie that went down (`|x| - even == 0.5`, also
+/// exact) moves up by one, and the sign is copied back. From 2^23 up every
+/// `f32` is already an integer; infinities and NaN fail the comparison and
+/// pass through unchanged too.
+#[inline(always)]
+fn round_half_away(x: f32) -> f32 {
+    const TWO_POW_23: f32 = 8_388_608.0;
+    let a = x.abs();
+    let even = (a + TWO_POW_23) - TWO_POW_23;
+    let up = if a - even == 0.5 { even + 1.0 } else { even };
+    if a < TWO_POW_23 {
+        up.copysign(x)
+    } else {
+        x
     }
 }
 
@@ -590,6 +677,171 @@ mod tests {
             assert_eq!(absmax_f64_with(backend, &[]), 0.0);
             assert_eq!(absmax_f64_with(backend, &[-0.0f32; 11]), 0.0);
         }
+    }
+
+    /// One candidate's squared reconstruction error, summed in one pass
+    /// with `f32::round`: the per-candidate oracle of [`grid_mses`].
+    fn candidate_mse_oracle(channel: &[f32], s: f32, lo: f32, hi: f32) -> f64 {
+        channel
+            .iter()
+            .map(|&w| {
+                let q = (w / s).round().clamp(lo, hi);
+                let r = q * s;
+                (w as f64 - r as f64).powi(2)
+            })
+            .sum()
+    }
+
+    /// The `MseGrid` scale as a full pass per candidate: the oracle the
+    /// batched search must match bit for bit.
+    fn mse_grid_oracle(channel: &[f32], bits: u8, steps: usize) -> f32 {
+        let qm = qmax(bits) as f64;
+        let absmax = channel.iter().fold(0.0f64, |m, &w| m.max(w.abs() as f64));
+        if absmax == 0.0 {
+            return 1.0;
+        }
+        let mut best_scale = (absmax / qm) as f32;
+        let mut best_mse = f64::INFINITY;
+        for k in 0..steps.max(1) {
+            // Candidate clip points from 40%..100% of absmax.
+            let frac = 0.4 + 0.6 * (k as f64 + 1.0) / steps.max(1) as f64;
+            let s = (absmax * frac / qm) as f32;
+            let mse = candidate_mse_oracle(channel, s, -(qm as f32) - 1.0, qm as f32);
+            if mse < best_mse {
+                best_mse = mse;
+                best_scale = s;
+            }
+        }
+        best_scale
+    }
+
+    /// Asserts every backend's `MseGrid` scale has the oracle's bits.
+    fn assert_grid_scale_matches_oracle(channel: &[f32], bits: u8, steps: usize) {
+        let want = mse_grid_oracle(channel, bits, steps);
+        for backend in Backend::available() {
+            let got = channel_scale_with(backend, channel, bits, ScaleMethod::MseGrid(steps));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{backend:?} bits={bits} steps={steps} channel={channel:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mse_grid_matches_the_per_candidate_oracle_on_random_channels() {
+        let mut rng = SeededRng::new(79);
+        for bits in 2..=8u8 {
+            for steps in [1usize, 7, 8, 32, 64] {
+                for case in 0..4 {
+                    let n = if case == 0 {
+                        1
+                    } else {
+                        rng.uniform_usize(1, 301)
+                    };
+                    let codes: Vec<f32> = (0..n).map(|_| rng.any_i8() as f32).collect();
+                    assert_grid_scale_matches_oracle(&codes, bits, steps);
+                    let sigma = 10f64.powi(rng.uniform_usize(0, 7) as i32 - 4);
+                    let floats: Vec<f32> = (0..n)
+                        .map(|_| rng.student_t(3) as f32 * sigma as f32)
+                        .collect();
+                    assert_grid_scale_matches_oracle(&floats, bits, steps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mse_grid_matches_the_oracle_on_edge_rows() {
+        let tiny = f32::from_bits(1); // the smallest subnormal
+        let rows: Vec<Vec<f32>> = vec![
+            // All zero, both signs: no search, scale 1.
+            vec![0.0; 17],
+            vec![0.0, -0.0, -0.0, 0.0],
+            // Subnormal absmax: candidate scales underflow to 0 (0/0 is NaN,
+            // w/0 is ±inf) or round to a few subnormal steps.
+            vec![tiny, -tiny, 0.0, -0.0],
+            vec![f32::from_bits(3), 0.0, -f32::from_bits(2), tiny],
+            vec![-f32::from_bits(200), f32::from_bits(77), 0.0],
+            // Signed zeros among ordinary weights.
+            vec![0.0, -0.0, 1.0, -1.0, 0.5, -0.0],
+            // Quotients on exact .5 ties: the last candidate of a search is
+            // absmax / qmax, here 2 (3 bits) and 0.25 (8 bits).
+            vec![6.0, -6.0, 1.0, -1.0, 3.0, -3.0, 5.0, -5.0, 0.0],
+            vec![31.75, 0.125, -0.125, 0.375, -0.375, 2.625, -30.875, 0.0],
+        ];
+        for row in &rows {
+            for bits in 2..=8u8 {
+                for steps in [1usize, 2, 7, 8, 32] {
+                    assert_grid_scale_matches_oracle(row, bits, steps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grid_lanes_match_the_per_candidate_sums() {
+        // Every lane's sum, not only the winner, against the oracle; the
+        // exact scales put quotients on .5 ties.
+        let mut rng = SeededRng::new(80);
+        let row: Vec<f32> = (-40..=40).map(|v| v as f32 * 0.5).collect();
+        let scales: [f32; GRID_LANES] = [1.0, 2.0, 0.25, 4.0, 0.0, 3.7e-3, 1e-30, 0.5];
+        let noisy: Vec<f32> = (0..97).map(|_| rng.gaussian(0.0, 0.05) as f32).collect();
+        for backend in Backend::available() {
+            for channel in [&row, &noisy] {
+                for (lo, hi) in [(-128.0f32, 127.0f32), (-2.0, 1.0), (-8.0, 7.0)] {
+                    let got = grid_mses_with(backend, channel, &scales, lo, hi);
+                    for (lane, &s) in scales.iter().enumerate() {
+                        let want = candidate_mse_oracle(channel, s, lo, hi);
+                        assert!(
+                            got[lane].to_bits() == want.to_bits()
+                                || (got[lane].is_nan() && want.is_nan()),
+                            "{backend:?} s={s} [{lo}, {hi}]: {} vs {want}",
+                            got[lane]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_half_away_is_f32_round() {
+        let mut rng = SeededRng::new(81);
+        let edges = [
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            0.499_999_97,
+            -0.499_999_97,
+            1.5,
+            -2.5,
+            4_194_303.5,
+            4_194_304.5,
+            -8_388_607.5,
+            8_388_608.0,
+            16_777_217.0,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let bit_patterns: Vec<f32> = (0..1 << 20)
+            .map(|_| f32::from_bits(rng.uniform_usize(0, 1 << 32) as u32))
+            .collect();
+        let magnitudes: Vec<f32> = (0..1 << 20)
+            .map(|i| rng.gaussian(0.0, 10f64.powi(i % 9 - 1)) as f32)
+            .collect();
+        for x in edges.into_iter().chain(bit_patterns).chain(magnitudes) {
+            let (got, want) = (round_half_away(x), x.round());
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{x:e}: {got:e} vs {want:e}"
+            );
+        }
+        assert!(round_half_away(f32::NAN).is_nan());
     }
 
     #[test]
