@@ -67,11 +67,6 @@ pub fn sweep(models: &[bbs_models::ModelSpec], cfg: &ArrayConfig) -> Vec<Vec<f64
         .collect()
 }
 
-/// Speedups over Stripes for one model, in lineup order.
-pub fn model_speedups(model: &bbs_models::ModelSpec, cfg: &ArrayConfig) -> Vec<f64> {
-    sweep(std::slice::from_ref(model), cfg).remove(0)
-}
-
 /// The same speedup table as [`sweep`], computed by POSTing the grid to
 /// a `bbs-serve` `/sweep` route. Cycle counts travel the wire as exact
 /// integers, so the resulting table is bit-identical to the in-process

@@ -1,8 +1,8 @@
 //! # bbs-bench — the benchmark harness
 //!
 //! One binary per table and figure of the paper (run `repro` for all of
-//! them), plus Criterion micro-benchmarks on the compression kernels,
-//! scheduler and simulators.
+//! them). Performance is measured by the repository benchmark in
+//! `perfbench/`, which drives these experiments and the serve binaries.
 //!
 //! Every harness prints the same rows/series the paper reports, next to the
 //! paper's published values where they exist, so `EXPERIMENTS.md` can be

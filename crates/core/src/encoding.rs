@@ -293,14 +293,6 @@ impl CompressedGroup {
             .collect()
     }
 
-    /// Decodes with saturation to `i8`.
-    pub fn decode_saturating_i8(&self) -> Vec<i8> {
-        self.decode()
-            .into_iter()
-            .map(|v| v.clamp(-128, 127) as i8)
-            .collect()
-    }
-
     /// Reconstruction MSE against the original group.
     ///
     /// # Panics

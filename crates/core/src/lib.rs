@@ -36,7 +36,6 @@
 //! assert_eq!(recon.len(), group.len());
 //! ```
 
-pub mod act_bbs;
 pub mod averaging;
 pub mod bbs_math;
 pub mod encoding;

@@ -9,9 +9,9 @@
 //! group size) and whole 2-D weight tensors, and reports fidelity/storage
 //! statistics.
 
-use crate::averaging::{rounded_averaging_packed, rounded_averaging_scalar};
+use crate::averaging::rounded_averaging_packed;
 use crate::encoding::CompressedGroup;
-use crate::shifting::{zero_point_shifting_packed, zero_point_shifting_scalar};
+use crate::shifting::zero_point_shifting_packed;
 use bbs_tensor::bits::PackedGroup;
 use bbs_tensor::metrics;
 use std::fmt;
@@ -149,21 +149,6 @@ impl BinaryPruner {
             }
             PruneStrategy::ZeroPointShifting => {
                 zero_point_shifting_packed(packed, self.sparse_columns)
-            }
-        }
-    }
-
-    /// Scalar-oracle variant of [`compress_group`] (the per-weight
-    /// reference implementations), for the equivalence tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is empty or exceeds 64 weights.
-    pub fn compress_group_scalar(&self, group: &[i8]) -> CompressedGroup {
-        match self.strategy {
-            PruneStrategy::RoundedAveraging => rounded_averaging_scalar(group, self.sparse_columns),
-            PruneStrategy::ZeroPointShifting => {
-                zero_point_shifting_scalar(group, self.sparse_columns)
             }
         }
     }

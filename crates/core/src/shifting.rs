@@ -392,7 +392,7 @@ impl BestShift {
 }
 
 /// The original one-candidate-at-a-time packed search (the `scalar`
-/// backend, kept as the wide backends' differential oracle).
+/// backend, kept as the wide search's differential oracle).
 fn search_scalar(packed: &PackedGroup, target_sparse: usize) -> BestShift {
     let lanes = packed.lane_mask();
     let mut u = widen9(packed.columns());
@@ -612,38 +612,23 @@ unsafe fn search_avx2(packed: &PackedGroup, target_sparse: usize) -> BestShift {
     search_batched::<bbs_tensor::lanes::Avx2>(packed, target_sparse)
 }
 
-/// [`zero_point_shifting_packed`] with an explicit [`Backend`] — what the
-/// differential tests use to force every compiled backend in-process.
-///
-/// # Panics
-///
-/// Panics if `target_sparse >= 8`.
-pub fn zero_point_shifting_packed_with(
-    backend: Backend,
-    packed: &PackedGroup,
-    target_sparse: usize,
-) -> CompressedGroup {
-    assert!(target_sparse < WEIGHT_BITS);
-    let best = match backend {
+/// The shift search under an explicit [`Backend`].
+fn search_with(backend: Backend, packed: &PackedGroup, target_sparse: usize) -> BestShift {
+    match backend {
         Backend::Scalar => search_scalar(packed, target_sparse),
-        Backend::U64x4 => search_batched::<U64x4>(packed, target_sparse),
-        Backend::Native => {
+        Backend::Wide => {
             #[cfg(target_arch = "x86_64")]
-            {
-                if Backend::native_available() {
-                    // Safety: AVX2 support was just verified.
-                    unsafe { search_avx2(packed, target_sparse) }
-                } else {
-                    search_batched::<U64x4>(packed, target_sparse)
-                }
+            if bbs_tensor::lanes::avx2() {
+                // SAFETY: AVX2 support was just verified.
+                return unsafe { search_avx2(packed, target_sparse) };
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                search_batched::<U64x4>(packed, target_sparse)
-            }
+            search_batched::<U64x4>(packed, target_sparse)
         }
-    };
+    }
+}
 
+/// The group the winning shift `best` encodes.
+fn encode(packed: &PackedGroup, target_sparse: usize, best: BestShift) -> CompressedGroup {
     let g = target_sparse.saturating_sub(best.r);
     debug_assert!(
         best.s.iter().take(g).all(|&c| c == 0),
@@ -672,7 +657,9 @@ pub fn zero_point_shifting_packed_with(
 ///
 /// Panics if `target_sparse >= 8`.
 pub fn zero_point_shifting_packed(packed: &PackedGroup, target_sparse: usize) -> CompressedGroup {
-    zero_point_shifting_packed_with(Backend::active(), packed, target_sparse)
+    assert!(target_sparse < WEIGHT_BITS);
+    let best = search_with(Backend::active(), packed, target_sparse);
+    encode(packed, target_sparse, best)
 }
 
 /// Scalar reference oracle for [`zero_point_shifting`]: the per-weight
@@ -864,11 +851,31 @@ mod tests {
         }
     }
 
+    /// A shift search over one packed group.
+    type Search = fn(&PackedGroup, usize) -> BestShift;
+
+    /// Every search this host runs: the one-candidate scalar search, the
+    /// portable lanes and, when detected, AVX2.
+    fn searches() -> Vec<(&'static str, Search)> {
+        let mut v: Vec<(&'static str, Search)> = vec![
+            ("scalar", search_scalar),
+            ("u64x4", search_batched::<U64x4>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if bbs_tensor::lanes::avx2() {
+            // SAFETY: only listed when AVX2 is detected.
+            v.push(("avx2", |packed, target| unsafe {
+                search_avx2(packed, target)
+            }));
+        }
+        v
+    }
+
     #[test]
     fn every_backend_matches_scalar_oracle() {
-        // Satellite differential test: the batched searches must agree
-        // with the per-weight oracle bit-for-bit on every compiled
-        // backend, including ragged group sizes.
+        // The packed searches must agree with the per-weight oracle
+        // bit-for-bit in every lane flavour this host runs, including
+        // ragged group sizes.
         let mut rng = SeededRng::new(91);
         for case in 0..120 {
             let n = rng.uniform_usize(1, 65);
@@ -880,11 +887,11 @@ mod tests {
             let packed = PackedGroup::from_words(&group);
             for target in 0..WEIGHT_BITS {
                 let oracle = zero_point_shifting_scalar(&group, target);
-                for backend in Backend::available() {
+                for (backend, search) in searches() {
                     assert_eq!(
-                        zero_point_shifting_packed_with(backend, &packed, target),
+                        encode(&packed, target, search(&packed, target)),
                         oracle,
-                        "backend {backend:?} group {group:?} target {target}"
+                        "backend {backend} group {group:?} target {target}"
                     );
                 }
             }
@@ -893,18 +900,18 @@ mod tests {
 
     #[test]
     fn exhaustive_i8_single_weight_all_backends() {
-        // Every i8 value as a 1-weight group, every target, every
-        // backend — exercises the clip/overflow corners exhaustively.
+        // Every i8 value as a 1-weight group, every target, every search
+        // — exercises the clip/overflow corners exhaustively.
         for w in i8::MIN..=i8::MAX {
             let group = [w];
             let packed = PackedGroup::from_words(&group);
             for target in 0..WEIGHT_BITS {
                 let oracle = zero_point_shifting_scalar(&group, target);
-                for backend in Backend::available() {
+                for (backend, search) in searches() {
                     assert_eq!(
-                        zero_point_shifting_packed_with(backend, &packed, target),
+                        encode(&packed, target, search(&packed, target)),
                         oracle,
-                        "backend {backend:?} weight {w} target {target}"
+                        "backend {backend} weight {w} target {target}"
                     );
                 }
             }

@@ -123,14 +123,6 @@ impl Json {
         }
     }
 
-    /// The value's object pairs, if it is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Parses a JSON document (one top-level value, trailing whitespace
     /// allowed). Nesting is limited to 128 levels and the input must be
     /// valid UTF-8 — suitable for untrusted network input.

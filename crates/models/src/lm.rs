@@ -105,13 +105,6 @@ pub struct LmPerplexity {
     pub compressed: f64,
 }
 
-impl LmPerplexity {
-    /// Relative perplexity increase of the compressed model vs FP32.
-    pub fn increase_vs_fp32(&self) -> f64 {
-        self.compressed / self.fp32 - 1.0
-    }
-}
-
 /// The micro LM trained on one seed's corpus, with its held-out split: the
 /// fixed model every compression method of Fig. 17 starts from.
 #[derive(Debug, Clone)]

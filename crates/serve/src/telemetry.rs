@@ -154,7 +154,7 @@ impl Telemetry {
     }
 
     /// The `x-bbs-trace` header value: the trace id plus the per-stage
-    /// breakdown, parseable by `serve_client`.
+    /// breakdown as `key=value` pairs, for clients that time stages.
     pub fn trace_header(
         trace_hex: &str,
         served: &'static str,

@@ -4,10 +4,15 @@
 //! polite `Client` wrapper can't misbehave in the ways these tests need.
 
 use bbs_json::Json;
+use bbs_models::zoo;
 use bbs_serve::client::Client;
 use bbs_serve::event_loop::PollerKind;
+use bbs_serve::registry::accelerator_by_name;
 use bbs_serve::server::{start, ServeConfig, ServerHandle};
 use bbs_serve::service::ServiceConfig;
+use bbs_sim::engine::simulate_with;
+use bbs_sim::json::sim_result_to_json;
+use bbs_sim::{ArrayConfig, WorkloadStore};
 use bbs_telemetry::FaultPlan;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -487,6 +492,106 @@ fn connection_gauges_track_open_and_peak() {
     assert_eq!(
         stats.get("connections_parked").and_then(Json::as_u64),
         Some(0)
+    );
+    server.stop();
+}
+
+/// Slices the `result` payload out of a `/simulate` response body
+/// (`{"meta":{...},"result":<payload>}`), byte for byte.
+fn result_payload(body: &str) -> &str {
+    let idx = body.find("\"result\":").expect("response has a result");
+    body[idx + "\"result\":".len()..]
+        .strip_suffix('}')
+        .expect("result is the last field")
+}
+
+#[test]
+fn keep_alive_flood_returns_the_engine_bytes() {
+    // 256 keep-alive connections, all open at once, each sending a few
+    // cache-hot requests. Every `result` must equal the engine's own JSON,
+    // computed directly (no service, cache or HTTP), byte for byte.
+    const CONNS: usize = 256;
+    const ROUNDS: usize = 4;
+    const CAP: usize = 256;
+    const MODELS: [&str; 4] = ["ViT-Small", "ResNet-34", "Bert-SST2", "VGG-16"];
+    const ACCELS: [&str; 4] = ["stripes", "bitwave", "bitvert-moderate", "bitlet"];
+    let points: Vec<(&str, &str)> = ACCELS
+        .iter()
+        .flat_map(|&accel| MODELS.iter().map(move |&model| (model, accel)))
+        .collect();
+    let bodies: Arc<Vec<String>> = Arc::new(
+        points
+            .iter()
+            .map(|(model, accel)| {
+                format!(
+                    "{{\"model\":\"{model}\",\"accelerator\":\"{accel}\",\
+                     \"seed\":7,\"max_weights_per_layer\":{CAP}}}"
+                )
+            })
+            .collect(),
+    );
+    let store = WorkloadStore::default();
+    let expected: Arc<Vec<String>> = Arc::new(
+        points
+            .iter()
+            .map(|(model, accel)| {
+                let spec = zoo::by_name(model).unwrap();
+                let accel = accelerator_by_name(accel).unwrap();
+                let cfg = ArrayConfig::paper_16x32();
+                let sim = simulate_with(&store, accel.as_ref(), &spec, &cfg, 7, CAP);
+                sim_result_to_json(&sim).to_string()
+            })
+            .collect(),
+    );
+
+    let server = server_with(|_| {});
+    let addr = server.addr();
+    let mut warmer = Client::connect(addr).unwrap();
+    for body in bodies.iter() {
+        let (status, response) = warmer.simulate(body).unwrap();
+        assert_eq!(status, 200, "{response}");
+    }
+
+    // Each connection is served once before the barrier, so all of them
+    // are open on the server when the flood starts.
+    let barrier = Arc::new(Barrier::new(CONNS));
+    let handles: Vec<_> = (0..CONNS)
+        .map(|c| {
+            let (bodies, expected) = (Arc::clone(&bodies), Arc::clone(&expected));
+            let barrier = Arc::clone(&barrier);
+            std::thread::Builder::new()
+                .stack_size(128 * 1024)
+                .spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    assert_eq!(client.get("/healthz").unwrap().0, 200);
+                    barrier.wait();
+                    for round in 0..ROUNDS {
+                        let i = (c + round) % bodies.len();
+                        let (status, response) = client.simulate(&bodies[i]).unwrap();
+                        assert_eq!(status, 200, "{response}");
+                        assert!(
+                            result_payload(&response) == expected[i],
+                            "connection {c} round {round}: {} differs from the engine",
+                            bodies[i]
+                        );
+                    }
+                })
+                .unwrap()
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    let (_, stats) = warmer.get("/stats").unwrap();
+    let stats = Json::parse(&stats).unwrap();
+    let peak = stats.get("connections_peak").and_then(Json::as_u64);
+    assert!(peak >= Some(CONNS as u64), "{stats}");
+    let sim_runs = stats.get("sim_runs").and_then(Json::as_u64);
+    assert_eq!(
+        sim_runs,
+        Some(bodies.len() as u64),
+        "the flood must hit the cache"
     );
     server.stop();
 }

@@ -11,8 +11,8 @@
 //! Recording is wait-free (one relaxed `fetch_add` per bucket plus
 //! count/sum/max upkeep); readers take a [`Snapshot`] and extract
 //! percentiles from it, so `/metrics` scrapes never stall the hot path.
-//! Histograms merge bucket-wise, which is exactly how `serve_client`
-//! combines per-connection histograms into one distribution.
+//! Histograms merge bucket-wise, so per-thread or per-connection
+//! histograms combine into one distribution.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -259,9 +259,9 @@ unsafe fn transpose_rows_avx2(rows: &mut [u64; 8], nchunks: usize) {
     transpose_rows_batched::<crate::lanes::Avx2>(rows, nchunks);
 }
 
-/// Transposes the first `nchunks` 8×8 bit matrices under the selected lane
-/// backend. All backends are bit-identical (differentially tested); the
-/// wide ones run the transpose network over four chunks per instruction.
+/// Transposes the first `nchunks` 8×8 bit matrices under the selected
+/// backend. Both are bit-identical (differentially tested); the wide one
+/// runs the transpose network over four chunks per instruction.
 fn transpose_rows_with(backend: Backend, rows: &mut [u64; 8], nchunks: usize) {
     match backend {
         Backend::Scalar => {
@@ -269,12 +269,14 @@ fn transpose_rows_with(backend: Backend, rows: &mut [u64; 8], nchunks: usize) {
                 *r = transpose8(*r);
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Native if Backend::native_available() => {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { transpose_rows_avx2(rows, nchunks) }
+        Backend::Wide => {
+            #[cfg(target_arch = "x86_64")]
+            if crate::lanes::avx2() {
+                // SAFETY: AVX2 support was just verified at runtime.
+                return unsafe { transpose_rows_avx2(rows, nchunks) };
+            }
+            transpose_rows_batched::<U64x4>(rows, nchunks)
         }
-        _ => transpose_rows_batched::<U64x4>(rows, nchunks),
     }
 }
 
@@ -502,22 +504,20 @@ impl PackedGroup {
         self.low_bits_sum_with(Backend::active(), g)
     }
 
-    /// [`PackedGroup::low_bits_sum`] under an explicit lane backend (the
-    /// wide paths batch the per-plane popcounts four planes at a time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g > 8`.
-    pub fn low_bits_sum_with(&self, backend: Backend, g: usize) -> u32 {
+    /// [`PackedGroup::low_bits_sum`] under an explicit backend (the wide
+    /// one batches the per-plane popcounts four planes at a time).
+    fn low_bits_sum_with(&self, backend: Backend, g: usize) -> u32 {
         assert!(g <= WEIGHT_BITS);
         match backend {
             Backend::Scalar => (0..g).map(|b| (self.cols[b].count_ones()) << b).sum(),
-            #[cfg(target_arch = "x86_64")]
-            Backend::Native if Backend::native_available() => {
-                // SAFETY: AVX2 support was just verified at runtime.
-                unsafe { low_bits_sum_avx2(&self.cols, g) }
+            Backend::Wide => {
+                #[cfg(target_arch = "x86_64")]
+                if crate::lanes::avx2() {
+                    // SAFETY: AVX2 support was just verified at runtime.
+                    return unsafe { low_bits_sum_avx2(&self.cols, g) };
+                }
+                low_bits_sum_batched::<U64x4>(&self.cols, g)
             }
-            _ => low_bits_sum_batched::<U64x4>(&self.cols, g),
         }
     }
 
@@ -803,10 +803,30 @@ mod tests {
         }
     }
 
+    /// A transpose kernel over the first `nchunks` rows.
+    type Transpose = fn(&mut [u64; 8], usize);
+
+    /// Every transpose this host runs: the scalar oracle, the portable
+    /// lanes and, when detected, AVX2.
+    fn transposes() -> Vec<(&'static str, Transpose)> {
+        let mut v: Vec<(&'static str, Transpose)> = vec![
+            ("scalar", |rows, n| {
+                transpose_rows_with(Backend::Scalar, rows, n)
+            }),
+            ("u64x4", transpose_rows_batched::<U64x4>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if crate::lanes::avx2() {
+            // SAFETY: only listed when AVX2 is detected.
+            v.push(("avx2", |rows, n| unsafe { transpose_rows_avx2(rows, n) }));
+        }
+        v
+    }
+
     #[test]
     fn batched_transpose_matches_scalar_on_every_backend() {
         let mut rng = crate::rng::SeededRng::new(17);
-        for backend in Backend::available() {
+        for (backend, transpose) in transposes() {
             for nchunks in 0..=8usize {
                 let mut probe = [0u64; 8];
                 for p in probe.iter_mut() {
@@ -820,8 +840,8 @@ mod tests {
                     *r = transpose8(*r);
                 }
                 let mut got = probe;
-                transpose_rows_with(backend, &mut got, nchunks);
-                assert_eq!(got, want, "{backend:?} nchunks={nchunks}");
+                transpose(&mut got, nchunks);
+                assert_eq!(got, want, "{backend} nchunks={nchunks}");
             }
         }
     }
@@ -872,8 +892,21 @@ mod tests {
                 let mask = if g == 8 { 0xff } else { (1u32 << g) - 1 };
                 let expect: u32 = words.iter().map(|&w| (w as u8 as u32) & mask).sum();
                 assert_eq!(p.low_bits_sum(g), expect, "g={g}");
-                for backend in Backend::available() {
-                    assert_eq!(p.low_bits_sum_with(backend, g), expect, "{backend:?} g={g}");
+                assert_eq!(
+                    p.low_bits_sum_with(Backend::Scalar, g),
+                    expect,
+                    "scalar g={g}"
+                );
+                assert_eq!(
+                    low_bits_sum_batched::<U64x4>(&p.cols, g),
+                    expect,
+                    "u64x4 g={g}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if crate::lanes::avx2() {
+                    // SAFETY: guarded by the AVX2 check.
+                    let got = unsafe { low_bits_sum_avx2(&p.cols, g) };
+                    assert_eq!(got, expect, "avx2 g={g}");
                 }
             }
         }

@@ -1,4 +1,4 @@
-//! Runtime-dispatched wide-lane substrate for the packed kernels.
+//! Wide-lane substrate for the packed kernels.
 //!
 //! BBS's pruning math is bit-plane mask arithmetic: full-adder ripples,
 //! overflow muxes and popcount scoring over `u64` lane masks (one bit per
@@ -6,36 +6,31 @@
 //! shift-search candidates, four 8-weight pack chunks — which is exactly a
 //! 256-bit vector. This module provides that batching substrate:
 //!
-//! * [`Backend`] — the runtime-selected kernel flavour (`scalar`, `u64x4`
-//!   or `native`), overridable with the `BBS_SIMD` environment variable,
-//! * [`Lanes`] — a 4×`u64` vector trait the ported kernels are generic
+//! * [`Backend`] — which kernels run: the `scalar` oracle or the `wide`
+//!   batched kernels,
+//! * [`Lanes`] — a 4×`u64` vector trait the batched kernels are generic
 //!   over, with a portable [`U64x4`] implementation and (on x86_64) an
 //!   AVX2 [`Avx2`] implementation built on `std::arch` intrinsics.
 //!
 //! # Backend selection
 //!
-//! [`Backend::active`] picks the default once per process:
+//! [`Backend::active`] is [`Backend::Wide`] unless `BBS_SIMD=scalar`
+//! forces the scalar oracle; any other value, or none, means wide. The
+//! wide kernels run the [`Avx2`] lanes when [`avx2`] detects the ISA and
+//! the portable [`U64x4`] lanes otherwise (on aarch64 those compile to
+//! NEON, a baseline target feature there).
 //!
-//! 1. `BBS_SIMD=scalar|u64x4|native` forces a backend (forcing `native`
-//!    on a host without the required features falls back to `u64x4`);
-//! 2. otherwise (`auto`, unset, or unrecognized) the best available
-//!    backend wins: `native` when the host supports it (AVX2 on x86_64;
-//!    on aarch64 NEON is a baseline target feature, so the portable
-//!    4×`u64` code already compiles to NEON), else `u64x4`.
-//!
-//! `scalar` is never auto-selected — it is the reference implementation,
-//! kept as the differential-testing oracle and for bisecting miscompiles.
-//!
-//! Kernels that dispatch on the backend also take it as an explicit
-//! argument (`*_with(backend, ..)` variants) so tests can force every
-//! compiled backend in-process instead of relying on the process-wide
-//! environment override.
+//! `scalar` is kept as the differential-testing oracle and for bisecting
+//! miscompiles. Kernels that dispatch on the backend take it in private
+//! `*_with(backend, ..)` forms, and their tests run the scalar oracle, the
+//! portable instantiation and AVX2 (when detected) in one process instead
+//! of relying on the process-wide environment override.
 //!
 //! # Bit-exactness
 //!
-//! Every ported kernel is required to be *bit-for-bit identical* across
-//! backends — the repro pipeline's golden outputs must not depend on the
-//! host CPU. The wide backends therefore only batch exact integer/mask
+//! Every batched kernel is required to be *bit-for-bit identical* to its
+//! scalar oracle — the repro pipeline's golden outputs must not depend on
+//! the host CPU. The wide kernels therefore only batch exact integer/mask
 //! arithmetic; all floating-point kernels either stay scalar or use
 //! provably-exact vector equivalents (IEEE divide, truncate, compares).
 
@@ -44,143 +39,56 @@ use std::sync::OnceLock;
 /// Number of `u64` words in one [`Lanes`] vector.
 pub const WORDS: usize = 4;
 
-/// A runtime-selected kernel flavour.
+/// Which kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The original one-mask-at-a-time kernels (differential oracle).
+    /// The one-mask-at-a-time kernels: the differential oracle, selected
+    /// only by `BBS_SIMD=scalar` or by a test.
     Scalar,
-    /// Portable 4×-unrolled multi-`u64` kernels (auto-vectorized).
-    U64x4,
-    /// `std::arch` kernels behind runtime feature detection: AVX2 on
-    /// x86_64; on aarch64 the portable 4×`u64` path compiled with the
-    /// baseline NEON target feature.
-    Native,
+    /// The batched kernels: the [`Avx2`] lanes when [`avx2`] holds, else
+    /// the portable [`U64x4`] lanes.
+    Wide,
 }
 
 impl Backend {
-    /// The canonical `BBS_SIMD` spelling of this backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::U64x4 => "u64x4",
-            Backend::Native => "native",
-        }
-    }
-
-    /// A human-readable label including the native ISA, e.g.
-    /// `"native-avx2"` — what `/stats`, `/metrics` and the startup log
-    /// advertise.
+    /// What `/stats`, `/metrics` and the startup log advertise:
+    /// `"scalar"`, `"wide-avx2"` or `"wide-u64x4"`.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::U64x4 => "u64x4",
-            Backend::Native => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    "native-avx2"
-                }
-                #[cfg(target_arch = "aarch64")]
-                {
-                    "native-neon"
-                }
-                #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-                {
-                    "native"
-                }
-            }
+            Backend::Wide if avx2() => "wide-avx2",
+            Backend::Wide => "wide-u64x4",
         }
     }
 
-    /// Parses a `BBS_SIMD` value. `auto` and unrecognized values map to
-    /// `None` (use the best available backend).
-    pub fn from_flag(flag: &str) -> Option<Backend> {
-        match flag {
-            "scalar" => Some(Backend::Scalar),
-            "u64x4" => Some(Backend::U64x4),
-            "native" => Some(Backend::Native),
-            _ => None,
+    /// The backend a `BBS_SIMD` value selects.
+    fn from_env(value: Option<&str>) -> Backend {
+        if value == Some("scalar") {
+            Backend::Scalar
+        } else {
+            Backend::Wide
         }
     }
 
-    /// Whether the `native` backend's ISA is usable on this host.
-    pub fn native_available() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            true
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            false
-        }
-    }
-
-    /// All backends that can run on this host (always includes `scalar`
-    /// and `u64x4`) — what the differential tests iterate over.
-    pub fn available() -> Vec<Backend> {
-        let mut v = vec![Backend::Scalar, Backend::U64x4];
-        if Backend::native_available() {
-            v.push(Backend::Native);
-        }
-        v
-    }
-
-    /// The process-wide selected backend: the `BBS_SIMD` override when
-    /// set (and runnable), else the best available. Computed once.
+    /// The process-wide backend: [`Backend::Scalar`] under
+    /// `BBS_SIMD=scalar`, else [`Backend::Wide`]. Computed once.
     pub fn active() -> Backend {
         static ACTIVE: OnceLock<Backend> = OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            let forced = std::env::var("BBS_SIMD")
-                .ok()
-                .and_then(|v| Backend::from_flag(&v));
-            match forced {
-                Some(Backend::Native) if !Backend::native_available() => Backend::U64x4,
-                Some(b) => b,
-                None => {
-                    if Backend::native_available() {
-                        Backend::Native
-                    } else {
-                        Backend::U64x4
-                    }
-                }
-            }
-        })
+        *ACTIVE.get_or_init(|| Backend::from_env(std::env::var("BBS_SIMD").ok().as_deref()))
     }
 }
 
-/// Comma-separated list of the SIMD-relevant CPU features detected at
-/// runtime (bench provenance; empty on unknown architectures).
-pub fn cpu_features() -> String {
+/// Whether this host runs the [`Avx2`] lanes: AVX2 detected at runtime on
+/// x86_64, never elsewhere. The one check every wide kernel dispatches on.
+#[inline]
+pub fn avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        let mut feats = Vec::new();
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            feats.push("sse4.2");
-        }
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            feats.push("popcnt");
-        }
-        if std::arch::is_x86_feature_detected!("avx") {
-            feats.push("avx");
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            feats.push("avx2");
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            feats.push("avx512f");
-        }
-        feats.join(",")
+        std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(target_arch = "aarch64")]
+    #[cfg(not(target_arch = "x86_64"))]
     {
-        "neon".to_string()
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        String::new()
+        false
     }
 }
 
@@ -311,9 +219,8 @@ impl Lanes for U64x4 {
 /// AVX2 backend: one `__m256i` per vector, nibble-LUT popcounts.
 ///
 /// Safety: constructing and using this type executes AVX2 instructions.
-/// It must only be reached through a dispatch path that has verified
-/// `is_x86_feature_detected!("avx2")` (see [`Backend::active`] /
-/// [`Backend::native_available`]).
+/// It must only be reached through a dispatch path that has checked
+/// [`avx2`].
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy)]
 pub struct Avx2(core::arch::x86_64::__m256i);
@@ -475,24 +382,23 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_ops_match_scalar() {
-        if Backend::native_available() {
+        if avx2() {
             check_backend_ops::<Avx2>();
         }
     }
 
     #[test]
-    fn flag_parsing() {
-        assert_eq!(Backend::from_flag("scalar"), Some(Backend::Scalar));
-        assert_eq!(Backend::from_flag("u64x4"), Some(Backend::U64x4));
-        assert_eq!(Backend::from_flag("native"), Some(Backend::Native));
-        assert_eq!(Backend::from_flag("auto"), None);
-        assert_eq!(Backend::from_flag("bogus"), None);
-    }
-
-    #[test]
-    fn available_always_has_oracle_and_portable() {
-        let avail = Backend::available();
-        assert!(avail.contains(&Backend::Scalar));
-        assert!(avail.contains(&Backend::U64x4));
+    fn only_scalar_selects_the_oracle() {
+        assert_eq!(Backend::from_env(Some("scalar")), Backend::Scalar);
+        for other in [
+            None,
+            Some(""),
+            Some("wide"),
+            Some("u64x4"),
+            Some("native"),
+            Some("auto"),
+        ] {
+            assert_eq!(Backend::from_env(other), Backend::Wide, "{other:?}");
+        }
     }
 }

@@ -11,9 +11,9 @@
 //!   fidelity arguments (Figs. 1, 6, 11, 16, 17),
 //! * [`bits`] — bit-plane views of `i8` groups, sign-magnitude conversion and
 //!   the value/bit/BBS sparsity statistics behind Fig. 3,
-//! * [`lanes`] — the runtime-dispatched wide-lane substrate (`scalar` /
-//!   `u64x4` / `native` backends, `BBS_SIMD` override) the packed kernels
-//!   batch their mask arithmetic over.
+//! * [`lanes`] — the wide-lane substrate the packed kernels batch their
+//!   mask arithmetic over (AVX2 when detected, else portable 4×`u64`
+//!   lanes; `BBS_SIMD=scalar` forces the scalar oracle).
 //!
 //! # Example
 //!

@@ -24,24 +24,6 @@ pub fn mse_f32(a: &[f32], b: &[f32]) -> f64 {
         / a.len() as f64
 }
 
-/// Mean square error between two equal-length integer slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mse_i32(a: &[i32], b: &[i32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "mse requires equal lengths");
-    assert!(!a.is_empty(), "mse of empty slices is undefined");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = (x - y) as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / a.len() as f64
-}
-
 /// Mean square error between `i8` values and their (possibly out-of-range)
 /// integer reconstructions.
 ///

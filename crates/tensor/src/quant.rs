@@ -11,7 +11,6 @@
 
 use crate::error::TensorError;
 use crate::lanes::Backend;
-use crate::metrics;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -83,7 +82,7 @@ pub fn qmax(bits: u8) -> i32 {
 /// conversion, so the wide path is bit-identical to the scalar fold.
 fn absmax_f64_with(backend: Backend, channel: &[f32]) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Native && Backend::native_available() {
+    if backend == Backend::Wide && crate::lanes::avx2() {
         // SAFETY: AVX2 support was just verified at runtime.
         return unsafe { absmax_avx2(channel) };
     }
@@ -127,7 +126,7 @@ fn quantize_row(row: &[f32], s: f32, qm: i32, out: &mut Vec<i8>) {
 
 fn quantize_row_with(backend: Backend, row: &[f32], s: f32, qm: i32, out: &mut Vec<i8>) {
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Native && Backend::native_available() {
+    if backend == Backend::Wide && crate::lanes::avx2() {
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe { quantize_row_avx2(row, s, qm, out) };
         return;
@@ -242,7 +241,7 @@ fn grid_mses_with(
     hi: f32,
 ) -> [f64; GRID_LANES] {
     #[cfg(target_arch = "x86_64")]
-    if backend == Backend::Native && Backend::native_available() {
+    if backend == Backend::Wide && crate::lanes::avx2() {
         // SAFETY: AVX2 support was just verified at runtime.
         return unsafe { grid_mses_avx2(channel, scales, lo, hi) };
     }
@@ -350,8 +349,9 @@ pub fn quantize_per_channel(
 /// Figs. 1/6/11).
 ///
 /// The returned values are integers in the INT8 value domain (rounded), so
-/// they can be compared against the originals with [`metrics::mse_i8`] and
-/// [`metrics::kl_divergence_i8`].
+/// they can be compared against the originals with
+/// [`metrics::mse_i8`](crate::metrics::mse_i8) and
+/// [`metrics::kl_divergence_i8`](crate::metrics::kl_divergence_i8).
 ///
 /// # Panics
 ///
@@ -368,12 +368,6 @@ pub fn requantize_i8(group: &[i8], bits: u8, method: ScaleMethod) -> Vec<i32> {
             (q * s).round() as i32
         })
         .collect()
-}
-
-/// Reconstruction MSE of [`requantize_i8`] without materializing the codes.
-pub fn requantize_mse(group: &[i8], bits: u8, method: ScaleMethod) -> f64 {
-    let recon = requantize_i8(group, bits, method);
-    metrics::mse_i8(group, &recon)
 }
 
 /// Microscaling-style shared-exponent reconstruction (Table III).
@@ -459,7 +453,13 @@ pub fn noisy_quant_reconstruct(group: &[i8], bits: u8) -> Vec<i32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics;
     use crate::rng::SeededRng;
+
+    /// The backends the differential tests compare. The portable wide path
+    /// of these kernels is their scalar code, so on a host without AVX2
+    /// both run it, and with AVX2 `Wide` runs the AVX2 kernels.
+    const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Wide];
 
     fn gaussian_matrix(chans: usize, epc: usize, seed: u64) -> Tensor<f32> {
         let mut rng = SeededRng::new(seed);
@@ -620,7 +620,7 @@ mod tests {
             1e-30,
             f32::MIN_POSITIVE,
         ];
-        for backend in Backend::available() {
+        for backend in BACKENDS {
             for s in [1.0f32, 0.02, 3.7e-3] {
                 for qm in [127, 7, 1] {
                     let mut want = Vec::new();
@@ -649,7 +649,7 @@ mod tests {
         // 0/0 = NaN must quantize to 0 and ±x/0 = ±inf must saturate,
         // exactly like the scalar `as i32` cast path.
         let row = [0.0f32, 1.0, -1.0, 5.5, -0.25, 0.0, 2.0, -3.0, 0.0];
-        for backend in Backend::available() {
+        for backend in BACKENDS {
             let mut want = Vec::new();
             quantize_row_with(Backend::Scalar, &row, 0.0, 127, &mut want);
             let mut got = Vec::new();
@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn absmax_matches_scalar_on_every_backend() {
         let mut rng = SeededRng::new(78);
-        for backend in Backend::available() {
+        for backend in BACKENDS {
             for case in 0..40 {
                 let n = rng.uniform_usize(1, 70);
                 let row: Vec<f32> = (0..n)
@@ -718,7 +718,7 @@ mod tests {
     /// Asserts every backend's `MseGrid` scale has the oracle's bits.
     fn assert_grid_scale_matches_oracle(channel: &[f32], bits: u8, steps: usize) {
         let want = mse_grid_oracle(channel, bits, steps);
-        for backend in Backend::available() {
+        for backend in BACKENDS {
             let got = channel_scale_with(backend, channel, bits, ScaleMethod::MseGrid(steps));
             assert_eq!(
                 got.to_bits(),
@@ -787,7 +787,7 @@ mod tests {
         let row: Vec<f32> = (-40..=40).map(|v| v as f32 * 0.5).collect();
         let scales: [f32; GRID_LANES] = [1.0, 2.0, 0.25, 4.0, 0.0, 3.7e-3, 1e-30, 0.5];
         let noisy: Vec<f32> = (0..97).map(|_| rng.gaussian(0.0, 0.05) as f32).collect();
-        for backend in Backend::available() {
+        for backend in BACKENDS {
             for channel in [&row, &noisy] {
                 for (lo, hi) in [(-128.0f32, 127.0f32), (-2.0, 1.0), (-8.0, 7.0)] {
                     let got = grid_mses_with(backend, channel, &scales, lo, hi);

@@ -186,11 +186,6 @@ impl SeededRng {
             .collect()
     }
 
-    /// Fills a vector with clamped Gaussian `i8` samples.
-    pub fn gaussian_vec_i8(&mut self, n: usize, mean: f64, std: f64) -> Vec<i8> {
-        (0..n).map(|_| self.gaussian_i8(mean, std)).collect()
-    }
-
     /// Random `i8` uniform over the full range.
     pub fn any_i8(&mut self) -> i8 {
         self.inner.gen::<i8>()

@@ -63,16 +63,6 @@ impl<T> Tensor<T> {
         &self.data
     }
 
-    /// Mutable flat row-major view of the data.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the tensor, returning the flat buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Row `r` of a rank-2 tensor.
     ///
     /// # Panics
