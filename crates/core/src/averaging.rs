@@ -13,32 +13,12 @@
 //! constant — exactly the encoding the BitVert BBS multiplier consumes.
 
 use crate::encoding::{BbsMetadata, CompressedGroup, ConstantKind, CONSTANT_BITS};
-use crate::redundant::{
-    encoded_redundant_columns_packed, group_redundant_columns_scalar, MAX_ENCODED_REDUNDANT,
-};
-use bbs_tensor::bits::{BitGroup, PackedGroup, WEIGHT_BITS};
+use crate::redundant::encoded_redundant_columns_packed;
+use bbs_tensor::bits::{PackedGroup, WEIGHT_BITS};
 
 /// Maximum total sparse columns a single group may be asked to generate
 /// (at least one column must remain).
 pub const MAX_SPARSE_COLUMNS: usize = WEIGHT_BITS - 1;
-
-/// The MSE-optimal shared constant for the `g` low bits of a group: the
-/// rounded mean of `w & (2^g - 1)`.
-///
-/// # Panics
-///
-/// Panics if `group` is empty or `g > 6`.
-pub fn optimal_low_bits_constant(group: &[i8], g: usize) -> u8 {
-    assert!(!group.is_empty());
-    assert!(g <= CONSTANT_BITS, "averaging constant limited to 6 bits");
-    if g == 0 {
-        return 0;
-    }
-    let mask = (1u32 << g) - 1;
-    let sum: u32 = group.iter().map(|&w| (w as u8 as u32) & mask).sum();
-    let mean = sum as f64 / group.len() as f64;
-    (mean.round() as u32).min(mask) as u8
-}
 
 /// Compresses a group with rounded column averaging, generating at least
 /// `target_sparse` sparse columns (redundant + averaged).
@@ -63,7 +43,7 @@ pub fn rounded_averaging(group: &[i8], target_sparse: usize) -> CompressedGroup 
 /// columns by the constant cannot change columns at significance ≥ `g`, so
 /// no modified group is ever materialized).
 ///
-/// Bit-identical to [`rounded_averaging_scalar`].
+/// Bit-identical to the per-weight oracle in this module's tests.
 ///
 /// # Panics
 ///
@@ -78,8 +58,8 @@ pub fn rounded_averaging_packed(packed: &PackedGroup, target_sparse: usize) -> C
     let c = if g == 0 {
         0u8
     } else {
-        // Same integer sum and f64 rounding as the scalar oracle, so the
-        // constant (ties included) is bit-identical.
+        // Same integer sum and f64 rounding as the per-weight oracle, so
+        // the constant (ties included) is bit-identical.
         let mask = (1u32 << g) - 1;
         let mean = packed.low_bits_sum(g) as f64 / packed.len() as f64;
         (mean.round() as u32).min(mask) as u8
@@ -97,47 +77,119 @@ pub fn rounded_averaging_packed(packed: &PackedGroup, target_sparse: usize) -> C
     )
 }
 
-/// Scalar reference oracle for [`rounded_averaging`]: per-weight low-bit
-/// replacement followed by a full repack. Kept for the packed-vs-scalar
-/// equivalence tests.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`rounded_averaging`].
-pub fn rounded_averaging_scalar(group: &[i8], target_sparse: usize) -> CompressedGroup {
-    assert!(
-        target_sparse <= MAX_SPARSE_COLUMNS,
-        "cannot prune {target_sparse} of {WEIGHT_BITS} columns"
-    );
-    let r = group_redundant_columns_scalar(group).min(MAX_ENCODED_REDUNDANT);
-    let g = target_sparse.saturating_sub(r).min(CONSTANT_BITS);
-    let c = optimal_low_bits_constant(group, g);
-
-    // Replace low bits, then take the kept columns from the modified group.
-    let mask = if g == 0 { 0u8 } else { (1u16 << g) as u8 - 1 };
-    let modified: Vec<i8> = group
-        .iter()
-        .map(|&w| (((w as u8) & !mask) | c) as i8)
-        .collect();
-    let bits = BitGroup::from_words(&modified);
-    let kept: Vec<u64> = (g..WEIGHT_BITS - r).map(|b| bits.column(b)).collect();
-
-    CompressedGroup::from_parts(
-        group.len(),
-        kept,
-        BbsMetadata {
-            num_redundant: r as u8,
-            constant: c as i8,
-        },
-        ConstantKind::LowBitsAverage,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::redundant::{group_redundant_columns_scalar, MAX_ENCODED_REDUNDANT};
     use bbs_tensor::metrics::mse_i8;
     use bbs_tensor::rng::SeededRng;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The MSE-optimal shared constant for the `g` low bits of a group: the
+    /// rounded mean of `w & (2^g - 1)`.
+    fn optimal_low_bits_constant(group: &[i8], g: usize) -> u8 {
+        assert!(!group.is_empty());
+        assert!(g <= CONSTANT_BITS, "averaging constant limited to 6 bits");
+        if g == 0 {
+            return 0;
+        }
+        let mask = (1u32 << g) - 1;
+        let sum: u32 = group.iter().map(|&w| (w as u8 as u32) & mask).sum();
+        let mean = sum as f64 / group.len() as f64;
+        (mean.round() as u32).min(mask) as u8
+    }
+
+    /// The per-weight oracle for [`rounded_averaging`]: low-bit
+    /// replacement followed by a full repack.
+    fn rounded_averaging_scalar(group: &[i8], target_sparse: usize) -> CompressedGroup {
+        assert!(target_sparse <= MAX_SPARSE_COLUMNS);
+        let r = group_redundant_columns_scalar(group).min(MAX_ENCODED_REDUNDANT);
+        let g = target_sparse.saturating_sub(r).min(CONSTANT_BITS);
+        let c = optimal_low_bits_constant(group, g);
+
+        // Replace low bits, then take the kept columns from the modified group.
+        let mask = if g == 0 { 0u8 } else { (1u16 << g) as u8 - 1 };
+        let modified: Vec<i8> = group
+            .iter()
+            .map(|&w| (((w as u8) & !mask) | c) as i8)
+            .collect();
+        let bits = PackedGroup::from_words(&modified);
+        let kept: Vec<u64> = (g..WEIGHT_BITS - r).map(|b| bits.column(b)).collect();
+
+        CompressedGroup::from_parts(
+            group.len(),
+            kept,
+            BbsMetadata {
+                num_redundant: r as u8,
+                constant: c as i8,
+            },
+            ConstantKind::LowBitsAverage,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn packed_averaging_equals_scalar_oracle(
+            w in vec(any::<i8>(), 1..=64),
+            target in 0usize..=7,
+        ) {
+            prop_assert_eq!(
+                rounded_averaging(&w, target),
+                rounded_averaging_scalar(&w, target)
+            );
+        }
+    }
+
+    /// Every `i8` as a single-lane group, and each paired with a sweep of
+    /// companions (group-level redundant counting and low-bit sums),
+    /// across the legal targets.
+    #[test]
+    fn packed_averaging_equals_scalar_oracle_across_all_i8() {
+        for w in i8::MIN..=i8::MAX {
+            for target in 0usize..8 {
+                assert_eq!(
+                    rounded_averaging(&[w], target),
+                    rounded_averaging_scalar(&[w], target),
+                    "averaging w={w} target={target}"
+                );
+            }
+            let o = (w as i16).wrapping_mul(37).wrapping_add(11) as i8;
+            let group = [w, o, w.wrapping_add(o), o.wrapping_sub(w)];
+            for target in [0usize, 2, 4, 7] {
+                assert_eq!(
+                    rounded_averaging(&group, target),
+                    rounded_averaging_scalar(&group, target),
+                    "averaging group={group:?} target={target}"
+                );
+            }
+        }
+    }
+
+    /// Pins the tie behaviour of the averaging constant: the rounded mean
+    /// uses `f64::round`, which breaks `x.5` ties *away from zero* (up,
+    /// since the low-bit mean is non-negative). The packed kernel
+    /// reproduces this exactly because it feeds the identical integer sum
+    /// through the identical f64 expression.
+    #[test]
+    fn optimal_low_bits_constant_tie_rounding_regression() {
+        // mean 0.5 → 1, not 0.
+        assert_eq!(optimal_low_bits_constant(&[0, 1], 1), 1);
+        // mean 2.5 → 3 (two bits).
+        assert_eq!(optimal_low_bits_constant(&[2, 3], 2), 3);
+        // mean 1.5 over four weights → 2.
+        assert_eq!(optimal_low_bits_constant(&[1, 1, 2, 2], 3), 2);
+        // mean 31.5 at the 6-bit field edge → 32.
+        assert_eq!(optimal_low_bits_constant(&[31, 32], 6), 32);
+        // A non-tie sanity point: mean 0.25 → 0.
+        assert_eq!(optimal_low_bits_constant(&[0, 0, 0, 1], 1), 0);
+        // The tie value flows through the full kernel identically on both
+        // paths: low bits {0,1} average to 1.
+        let group = [16i8, 17, 16, 17];
+        let packed = rounded_averaging(&group, 4);
+        assert_eq!(packed.metadata().constant, 1);
+        assert_eq!(packed, rounded_averaging_scalar(&group, 4));
+    }
 
     #[test]
     fn paper_fig4_walkthrough() {

@@ -11,7 +11,7 @@
 //! Weights are two's complement: the MSB column (bit 7) carries weight
 //! `-2^7`; all functions here handle that sign exactly.
 
-use bbs_tensor::bits::{BitGroup, WEIGHT_BITS};
+use bbs_tensor::bits::{PackedGroup, WEIGHT_BITS};
 
 /// Which side of the BBS identity a column uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,7 +39,7 @@ pub fn dot_reference(weights: &[i8], activations: &[i32]) -> i64 {
 /// Signed weight of bit significance `b` in two's complement
 /// (`-2^7` for the MSB, `+2^b` otherwise).
 #[inline]
-pub fn column_weight(b: usize) -> i64 {
+fn column_weight(b: usize) -> i64 {
     debug_assert!(b < WEIGHT_BITS);
     if b == WEIGHT_BITS - 1 {
         -(1i64 << b)
@@ -60,7 +60,7 @@ pub fn column_sum_direct(column: u64, activations: &[i32]) -> i64 {
 
 /// Eq. 3: the same partial sum computed as `ΣA` minus the activations at
 /// zero-bits.
-pub fn column_sum_inverted(column: u64, activations: &[i32]) -> i64 {
+fn column_sum_inverted(column: u64, activations: &[i32]) -> i64 {
     let total: i64 = activations.iter().map(|&a| a as i64).sum();
     let zeros: i64 = activations
         .iter()
@@ -76,7 +76,7 @@ pub fn column_sum_inverted(column: u64, activations: &[i32]) -> i64 {
 ///
 /// The returned sum equals [`column_sum_direct`] either way; the side only
 /// changes *how many additions* a bit-serial PE performs.
-pub fn column_sum_bbs(column: u64, activations: &[i32]) -> (i64, BbsSide) {
+fn column_sum_bbs(column: u64, activations: &[i32]) -> (i64, BbsSide) {
     let n = activations.len();
     let ones = (column & lane_mask(n)).count_ones() as usize;
     if ones * 2 <= n {
@@ -116,14 +116,15 @@ fn lane_mask(n: usize) -> u64 {
 /// elements.
 pub fn dot_bit_serial(weights: &[i8], activations: &[i32]) -> i64 {
     assert_eq!(weights.len(), activations.len());
-    let group = BitGroup::from_words(weights);
+    let group = PackedGroup::from_words(weights);
     (0..WEIGHT_BITS)
         .map(|b| column_weight(b) * column_sum_direct(group.column(b), activations))
         .sum()
 }
 
-/// The full BBS dot product: every column evaluated through
-/// [`column_sum_bbs`]. Numerically identical to [`dot_reference`].
+/// The full BBS dot product: every column evaluated on whichever side of
+/// the identity has at most `⌈N/2⌉` terms. Numerically identical to
+/// [`dot_reference`].
 ///
 /// # Panics
 ///
@@ -131,7 +132,7 @@ pub fn dot_bit_serial(weights: &[i8], activations: &[i32]) -> i64 {
 /// elements.
 pub fn dot_bbs(weights: &[i8], activations: &[i32]) -> i64 {
     assert_eq!(weights.len(), activations.len());
-    let group = BitGroup::from_words(weights);
+    let group = PackedGroup::from_words(weights);
     (0..WEIGHT_BITS)
         .map(|b| {
             let (sum, _) = column_sum_bbs(group.column(b), activations);

@@ -234,34 +234,6 @@ impl CompressedGroup {
         &self.kept
     }
 
-    /// Iterates kept columns as `(significance, mask)`, lowest first. The
-    /// final entry is the narrowed MSB (negative weight).
-    pub fn columns_with_significance(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let g = self.low_pruned();
-        self.kept.iter().enumerate().map(move |(j, &c)| (g + j, c))
-    }
-
-    /// The signed integer contribution of the kept columns for lane `i`
-    /// (the narrowed two's-complement value).
-    pub fn kept_value(&self, i: usize) -> i32 {
-        debug_assert!(i < self.n);
-        let g = self.low_pruned();
-        let msb_index = self.kept.len() - 1;
-        let mut v: i64 = 0;
-        for (j, &col) in self.kept.iter().enumerate() {
-            if (col >> i) & 1 == 1 {
-                let b = g + j;
-                if j == msb_index {
-                    // Narrowed MSB carries -2^b.
-                    v -= 1i64 << b;
-                } else {
-                    v += 1i64 << b;
-                }
-            }
-        }
-        v as i32
-    }
-
     /// Decodes the reconstructed integer weights.
     ///
     /// Values are on the INT8 grid but may slightly exceed the `i8` range
@@ -429,6 +401,26 @@ mod tests {
         }
     }
 
+    /// Per-lane oracle for [`CompressedGroup::decode`]: the signed
+    /// contribution of the kept columns of lane `i` (the narrowed
+    /// two's-complement value), summed column by column.
+    fn kept_value(enc: &CompressedGroup, i: usize) -> i32 {
+        let kept = enc.kept_columns();
+        let mut v: i64 = 0;
+        for (j, &col) in kept.iter().enumerate() {
+            if (col >> i) & 1 == 1 {
+                let b = enc.low_pruned() + j;
+                // The narrowed MSB carries -2^b.
+                v += if j == kept.len() - 1 {
+                    -(1i64 << b)
+                } else {
+                    1i64 << b
+                };
+            }
+        }
+        v as i32
+    }
+
     #[test]
     fn plane_decode_matches_kept_value_path() {
         // The transpose-based decode must agree with the per-lane
@@ -446,8 +438,8 @@ mod tests {
                 let c = enc.metadata().constant as i32;
                 let expect: Vec<i32> = (0..n)
                     .map(|i| match enc.kind() {
-                        ConstantKind::LowBitsAverage => enc.kept_value(i) + c,
-                        ConstantKind::ZeroPointShift => enc.kept_value(i) - c,
+                        ConstantKind::LowBitsAverage => kept_value(&enc, i) + c,
+                        ConstantKind::ZeroPointShift => kept_value(&enc, i) - c,
                     })
                     .collect();
                 assert_eq!(enc.decode(), expect);
@@ -516,13 +508,5 @@ mod tests {
             ConstantKind::ZeroPointShift.to_string(),
             "zero-point-shifting"
         );
-    }
-
-    #[test]
-    fn columns_with_significance_ordering() {
-        let group = [-11i8, 2, -57, 13];
-        let enc = CompressedGroup::lossless(&group);
-        let sigs: Vec<usize> = enc.columns_with_significance().map(|(s, _)| s).collect();
-        assert_eq!(sigs, vec![0, 1, 2, 3, 4, 5, 6]);
     }
 }

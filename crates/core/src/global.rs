@@ -78,11 +78,6 @@ impl ChannelEncoding {
             ChannelEncoding::Pruned(c) => c.stored_bits(),
         }
     }
-
-    /// Whether this channel is sensitive (uncompressed).
-    pub fn is_sensitive(&self) -> bool {
-        matches!(self, ChannelEncoding::Raw(_))
-    }
 }
 
 /// A layer after global binary pruning, indexed by original channel.
@@ -184,7 +179,7 @@ pub fn global_prune(layers: &[QuantTensor], cfg: &GlobalPruneConfig) -> Vec<Prun
 ///
 /// Panics if `layer_targets.len() != layers.len()`, any target is ≥ 8, or
 /// under the same conditions as [`select_sensitive_channels`].
-pub fn global_prune_mixed(
+fn global_prune_mixed(
     layers: &[QuantTensor],
     cfg: &GlobalPruneConfig,
     layer_targets: &[usize],
@@ -214,40 +209,6 @@ pub fn global_prune_mixed(
             }
         })
         .collect()
-}
-
-/// A simple sensitivity-driven per-layer target assignment: layers whose
-/// average scale factor is in the top `protect_fraction` get one fewer
-/// pruned column than `base_target` (they are the fragile layers), the
-/// rest get one more. Keeps the average near `base_target` while shifting
-/// error away from sensitive layers.
-///
-/// # Panics
-///
-/// Panics if `layers` is empty or `base_target` is 0 or ≥ 7.
-pub fn sensitivity_layer_targets(
-    layers: &[QuantTensor],
-    base_target: usize,
-    protect_fraction: f64,
-) -> Vec<usize> {
-    assert!(!layers.is_empty());
-    assert!((1..7).contains(&base_target));
-    let avg_scale: Vec<f64> = layers
-        .iter()
-        .map(|l| l.scales.iter().map(|&s| s as f64).sum::<f64>() / l.scales.len() as f64)
-        .collect();
-    let mut order: Vec<usize> = (0..layers.len()).collect();
-    order.sort_by(|&a, &b| avg_scale[b].partial_cmp(&avg_scale[a]).expect("finite"));
-    let protected = ((layers.len() as f64) * protect_fraction).ceil() as usize;
-    let mut targets = vec![base_target; layers.len()];
-    for (rank, &li) in order.iter().enumerate() {
-        if rank < protected {
-            targets[li] = base_target - 1;
-        } else if rank >= layers.len() - protected {
-            targets[li] = (base_target + 1).min(6);
-        }
-    }
-    targets
 }
 
 #[cfg(test)]
@@ -327,7 +288,7 @@ mod tests {
         for (c, enc) in layer.channels.iter().enumerate() {
             let decoded = enc.decode();
             let original: Vec<i32> = layers[0].channel(c).iter().map(|&w| w as i32).collect();
-            if enc.is_sensitive() {
+            if layer.sensitive[c] {
                 assert_eq!(decoded, original, "sensitive channel must be exact");
             } else {
                 assert_ne!(decoded.len(), 0);
@@ -370,10 +331,8 @@ mod tests {
             beta: 0.0,
             ..GlobalPruneConfig::moderate()
         };
-        let targets = sensitivity_layer_targets(&layers, 4, 0.5);
         // The outlier-heavy layer gets the gentler target.
-        assert_eq!(targets, vec![3, 5]);
-        let mixed = global_prune_mixed(&layers, &cfg, &targets);
+        let mixed = global_prune_mixed(&layers, &cfg, &[3, 5]);
         let uniform = global_prune(&layers, &cfg);
         // Sensitive layer keeps more bits under mixed targets...
         assert!(mixed[0].stored_bits() > uniform[0].stored_bits());

@@ -30,9 +30,9 @@ pub fn group_redundant_columns(group: &[i8]) -> usize {
     PackedGroup::from_words(group).redundant_columns()
 }
 
-/// Scalar reference oracle for [`group_redundant_columns`] (per-weight
-/// minimum of [`redundant_sign_bits`]); kept for the packed-vs-scalar
-/// equivalence tests.
+/// Per-weight minimum of [`redundant_sign_bits`]: the path
+/// [`group_redundant_columns`] takes for groups beyond 64 lanes, and the
+/// oracle its packed path is tested against.
 ///
 /// # Panics
 ///
@@ -48,13 +48,8 @@ pub fn group_redundant_columns_scalar(group: &[i8]) -> usize {
 
 /// The redundant-column count actually encoded, capped at
 /// [`MAX_ENCODED_REDUNDANT`] (the paper prunes the first 3 and averages
-/// additional lower columns instead).
-pub fn encoded_redundant_columns(group: &[i8]) -> usize {
-    group_redundant_columns(group).min(MAX_ENCODED_REDUNDANT)
-}
-
-/// [`encoded_redundant_columns`] for an already-packed group — the single
-/// home of the 2-bit-metadata cap on the packed path.
+/// additional lower columns instead) — the single home of the
+/// 2-bit-metadata cap on the packed path.
 pub fn encoded_redundant_columns_packed(packed: &PackedGroup) -> usize {
     packed.redundant_columns().min(MAX_ENCODED_REDUNDANT)
 }
@@ -71,13 +66,6 @@ pub fn removal_is_lossless(group: &[i8], r: usize) -> bool {
     group.iter().all(|&w| (w as i16) >= lo && (w as i16) <= hi)
 }
 
-/// Value range representable after removing `r` redundant columns.
-pub fn reduced_range(r: usize) -> (i32, i32) {
-    assert!(r < WEIGHT_BITS);
-    let m = WEIGHT_BITS - r;
-    (-(1i32 << (m - 1)), (1i32 << (m - 1)) - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,14 +76,16 @@ mod tests {
         // metadata is 01 (one column).
         let group = [-11i8, 2, -57, 13];
         assert_eq!(group_redundant_columns(&group), 1);
-        assert_eq!(encoded_redundant_columns(&group), 1);
+        let packed = PackedGroup::from_words(&group);
+        assert_eq!(encoded_redundant_columns_packed(&packed), 1);
     }
 
     #[test]
     fn small_groups_have_many_redundant_columns_capped_at_three() {
         let group = [1i8, -2, 3, 0];
         assert!(group_redundant_columns(&group) >= 4);
-        assert_eq!(encoded_redundant_columns(&group), 3);
+        let packed = PackedGroup::from_words(&group);
+        assert_eq!(encoded_redundant_columns_packed(&packed), 3);
     }
 
     #[test]
@@ -118,13 +108,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reduced_range_values() {
-        assert_eq!(reduced_range(0), (-128, 127));
-        assert_eq!(reduced_range(1), (-64, 63));
-        assert_eq!(reduced_range(3), (-16, 15));
     }
 
     #[test]

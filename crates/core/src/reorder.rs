@@ -18,8 +18,6 @@ pub struct ChannelOrder {
     /// `order[pos]` = original channel stored at chunked position `pos`
     /// (this is the contents of BitVert's channel-index buffer).
     order: Vec<usize>,
-    /// `inverse[orig]` = chunked position of original channel `orig`.
-    inverse: Vec<usize>,
     /// Number of sensitive channels (the size of the first chunk).
     sensitive_count: usize,
 }
@@ -37,13 +35,8 @@ impl ChannelOrder {
         order.extend((0..mask.len()).filter(|&c| mask[c]));
         let sensitive_count = order.len();
         order.extend((0..mask.len()).filter(|&c| !mask[c]));
-        let mut inverse = vec![0usize; mask.len()];
-        for (pos, &orig) in order.iter().enumerate() {
-            inverse[orig] = pos;
-        }
         ChannelOrder {
             order,
-            inverse,
             sensitive_count,
         }
     }
@@ -57,7 +50,6 @@ impl ChannelOrder {
         assert!(n > 0);
         ChannelOrder {
             order: (0..n).collect(),
-            inverse: (0..n).collect(),
             sensitive_count: 0,
         }
     }
@@ -81,11 +73,6 @@ impl ChannelOrder {
     /// lookup used at write-back).
     pub fn original_index(&self, pos: usize) -> usize {
         self.order[pos]
-    }
-
-    /// Chunked position of original channel `orig`.
-    pub fn position_of(&self, orig: usize) -> usize {
-        self.inverse[orig]
     }
 
     /// Reorders per-channel data into chunked layout.
@@ -139,9 +126,6 @@ mod tests {
             (0..6).map(|p| ord.original_index(p)).collect::<Vec<_>>(),
             vec![1, 3, 4, 0, 2, 5]
         );
-        for orig in 0..6 {
-            assert_eq!(ord.original_index(ord.position_of(orig)), orig);
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::encoding::{BbsMetadata, CompressedGroup, ConstantKind};
 use crate::redundant::MAX_ENCODED_REDUNDANT;
-use bbs_tensor::bits::{redundant_sign_bits, BitGroup, PackedGroup, WEIGHT_BITS};
+use bbs_tensor::bits::{PackedGroup, WEIGHT_BITS};
 use bbs_tensor::lanes::{Backend, Lanes, U64x4};
 
 /// Inclusive search range of the signed 6-bit shift constant.
@@ -27,90 +27,12 @@ pub const SHIFT_MIN: i32 = -32;
 /// Inclusive upper end of the shift-constant range.
 pub const SHIFT_MAX: i32 = 31;
 
-/// Result of evaluating one shift constant (exposed for the Fig. 5/6
-/// diagnostics and the ablation benches).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShiftCandidate {
-    /// The shift constant.
-    pub constant: i32,
-    /// Redundant columns after shifting.
-    pub num_redundant: usize,
-    /// Shifted-and-rounded weights (low `g` bits zero).
-    pub shifted: Vec<i8>,
-    /// Reconstruction MSE against the original group.
-    pub mse: f64,
-}
-
-fn redundant_after_shift(shifted: &[i8]) -> usize {
-    shifted
-        .iter()
-        .map(|&w| redundant_sign_bits(w))
-        .min()
-        .expect("non-empty group")
-        .min(MAX_ENCODED_REDUNDANT)
-}
-
-/// Evaluates one shift constant for a group and pruning target.
-///
-/// # Panics
-///
-/// Panics if `group` is empty, `target_sparse >= 8`, or `constant` is
-/// outside `[SHIFT_MIN, SHIFT_MAX]`.
-pub fn evaluate_shift(group: &[i8], target_sparse: usize, constant: i32) -> ShiftCandidate {
-    assert!(!group.is_empty());
-    assert!(target_sparse < WEIGHT_BITS);
-    assert!((SHIFT_MIN..=SHIFT_MAX).contains(&constant));
-
-    // Step 1: shift and clip to the INT8 rails.
-    let clipped: Vec<i8> = group
-        .iter()
-        .map(|&w| (w as i32 + constant).clamp(-128, 127) as i8)
-        .collect();
-
-    // Step 2: redundant columns of the shifted group (always removed — they
-    // are free lossless compression, capped by the 2-bit metadata field).
-    let r = redundant_after_shift(&clipped);
-    let g = target_sparse.saturating_sub(r);
-
-    // Step 3: generate g all-zero low columns by rounding to the nearest
-    // multiple of 2^g inside the narrowed range.
-    let step = 1i32 << g;
-    let lo = -(1i32 << (WEIGHT_BITS - 1 - r));
-    let hi = (1i32 << (WEIGHT_BITS - 1 - r)) - step;
-    let shifted: Vec<i8> = clipped
-        .iter()
-        .map(|&w| {
-            let q = ((w as f64 / step as f64).round() as i32) * step;
-            q.clamp(lo, hi) as i8
-        })
-        .collect();
-
-    // Step 4: reconstruction error of Wt' - c against the original.
-    let mse = group
-        .iter()
-        .zip(&shifted)
-        .map(|(&w, &s)| {
-            let recon = s as i32 - constant;
-            let d = (w as i32 - recon) as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / group.len() as f64;
-
-    ShiftCandidate {
-        constant,
-        num_redundant: r,
-        shifted,
-        mse,
-    }
-}
-
 /// Algorithm 1: finds the optimal shift constant and returns the compressed
 /// group.
 ///
 /// Runs entirely on the packed bit-plane representation — see
-/// [`zero_point_shifting_packed`]. Bit-identical to the scalar oracle
-/// [`zero_point_shifting_scalar`].
+/// [`zero_point_shifting_packed`]. Bit-identical to the per-weight
+/// Algorithm 1 oracle in this module's tests.
 ///
 /// # Panics
 ///
@@ -125,11 +47,10 @@ pub fn zero_point_shifting(group: &[i8], target_sparse: usize) -> CompressedGrou
 //
 // The exhaustive 64-constant search is lane-parallel: all ≤64 weights of the
 // group live as bit planes (`u64` masks, one per significance), and every
-// per-weight step of Algorithm 1 becomes a handful of full-adder mask ops:
+// per-weight step of Algorithm 1 becomes a handful of full-adder mask ops,
+// run for four candidate constants at once (one per `Lanes` word):
 //
-// * `W + c`        — one bit-sliced increment per candidate (the search
-//                    walks the constants in order, so each candidate is the
-//                    previous sum plus one),
+// * `W + c`        — a bit-sliced full adder with per-word constant planes,
 // * clip           — two overflow masks and a mux,
 // * redundant cols — mask equality against the MSB plane,
 // * round to 2^g   — bit-sliced add of the rounding bias, clear `g` planes,
@@ -137,9 +58,9 @@ pub fn zero_point_shifting(group: &[i8], target_sparse: usize) -> CompressedGrou
 // * SSE            — plane-pair popcounts of the error magnitudes.
 //
 // The squared error is accumulated as an exact integer. That preserves the
-// scalar oracle's selection bit-for-bit: the scalar per-candidate f64 MSE is
-// `sse / n` with `sse` and `n` exactly representable, and `x ↦ x/n` is
-// strictly monotone and injective for these magnitudes, so integer SSE
+// per-weight oracle's selection bit-for-bit: the oracle's per-candidate f64
+// MSE is `sse / n` with `sse` and `n` exactly representable, and `x ↦ x/n`
+// is strictly monotone and injective for these magnitudes, so integer SSE
 // comparisons (and ties) coincide with the oracle's f64 comparisons.
 // ---------------------------------------------------------------------------
 
@@ -150,211 +71,6 @@ fn widen9(cols: &[u64; 8]) -> [u64; 9] {
     u[..8].copy_from_slice(cols);
     u[8] = cols[7];
     u
-}
-
-/// Lane-parallel `u += k` (broadcast signed constant) within 9 planes.
-#[inline]
-fn add_const9(u: &mut [u64; 9], k: i32, lanes: u64) {
-    let mut carry = 0u64;
-    for (b, plane) in u.iter_mut().enumerate() {
-        let kb = if (k >> b) & 1 != 0 { lanes } else { 0 };
-        let a = *plane;
-        *plane = a ^ kb ^ carry;
-        carry = (a & kb) | (carry & (a ^ kb));
-    }
-}
-
-/// Lane-parallel `u += 1` (9 planes; the search never wraps: values stay
-/// within `[-160, 158]`).
-#[inline]
-fn increment9(u: &mut [u64; 9], lanes: u64) {
-    let mut carry = lanes;
-    for plane in u.iter_mut() {
-        if carry == 0 {
-            break;
-        }
-        let a = *plane;
-        *plane = a ^ carry;
-        carry &= a;
-    }
-}
-
-/// Fast-path SSE when no lane clipped or clamped: the error is purely the
-/// rounding residual `e = d - step/2 + [t < 0]` with `d` the low `g` bits
-/// of the biased sum `a = t + step/2 - [t < 0]` — already computed, so no
-/// wide subtract is needed and `|e| ≤ step/2` fits `g + 1` planes.
-#[inline]
-fn sse_low(a_low: &[u64; 7], g: usize, neg: u64, lanes: u64) -> u64 {
-    debug_assert!((1..WEIGHT_BITS).contains(&g));
-    let np = g + 1;
-    let mut e = [0u64; 8];
-    e[..g].copy_from_slice(&a_low[..g]);
-    // - 2^(g-1): borrow ripple from plane g-1 (mod 2^(g+1) two's complement).
-    let mut borrow = lanes;
-    for plane in e.iter_mut().take(np).skip(g - 1) {
-        if borrow == 0 {
-            break;
-        }
-        let x = *plane;
-        *plane = x ^ borrow;
-        borrow &= !x;
-    }
-    // + 1 on the lanes that were negative before biasing.
-    let mut carry = neg;
-    for plane in e.iter_mut().take(np) {
-        if carry == 0 {
-            break;
-        }
-        let x = *plane;
-        *plane = x ^ carry;
-        carry &= x;
-    }
-    // Conditional negate to magnitudes (≤ 2^(g-1), so planes 0..g suffice).
-    let sign = e[g];
-    let mut m = [0u64; 8];
-    let mut carry = sign;
-    for (b, plane) in m.iter_mut().enumerate().take(np) {
-        let x = e[b] ^ sign;
-        *plane = x ^ carry;
-        carry &= x;
-    }
-    sse_of_magnitudes(&m[..g])
-}
-
-/// `Σ_i m_i²` over lanes from non-negative magnitude planes:
-/// `Σ_{b≤b'} 2^(b+b'+[b≠b']) · |m_b ∧ m_b'|`.
-#[inline]
-fn sse_of_magnitudes(m: &[u64]) -> u64 {
-    let mut sse = 0u64;
-    for (b, &pb) in m.iter().enumerate() {
-        if pb == 0 {
-            continue;
-        }
-        sse += (pb.count_ones() as u64) << (2 * b);
-        for (b2, &pb2) in m.iter().enumerate().skip(b + 1) {
-            if pb2 == 0 {
-                continue;
-            }
-            sse += ((pb & pb2).count_ones() as u64) << (b + b2 + 1);
-        }
-    }
-    sse
-}
-
-/// Exact integer sum of squared errors `Σ (u_i - s_i)²` over the valid
-/// lanes, where `u` is the unclipped shifted sum (9 planes) and `s` the
-/// rounded result (8 planes).
-///
-/// The error fits 9-plane two's complement: `|u - s| ≤ |u - clip(u)| +
-/// |clip(u) - s| ≤ 32 + (step - 1) ≤ 159`.
-#[inline]
-fn sse_planes(u: &[u64; 9], s: &[u64; 8], lanes: u64) -> u64 {
-    // e = u - s as 9-plane two's complement.
-    let mut e = [0u64; 9];
-    let mut carry = lanes;
-    for (b, plane) in e.iter_mut().enumerate() {
-        let a = u[b];
-        let nb = !s[b.min(7)] & lanes;
-        *plane = a ^ nb ^ carry;
-        carry = (a & nb) | (carry & (a ^ nb));
-    }
-    // Conditional negate to magnitudes: small errors clear the high planes,
-    // which lets most plane-pair products below vanish.
-    let neg = e[8];
-    let mut m = [0u64; 9];
-    let mut carry = neg;
-    for (b, plane) in m.iter_mut().enumerate() {
-        let x = e[b] ^ neg;
-        *plane = x ^ carry;
-        carry &= x;
-    }
-    debug_assert_eq!(m[8], 0, "error magnitude exceeds 8 bits");
-    sse_of_magnitudes(&m[..8])
-}
-
-/// Clips, counts redundant columns, rounds and scores one already-shifted
-/// candidate sum `u` (9 planes). Returns the rounded columns, the
-/// redundant count and the exact integer SSE — the per-candidate body
-/// shared by the scalar search and the batched searches' divergent path.
-fn eval_candidate(
-    u: &[u64; 9],
-    lanes: u64,
-    target_sparse: usize,
-) -> ([u64; WEIGHT_BITS], usize, u64) {
-    // Clip to the INT8 rails: 127 sets bits 0..=6, -128 only bit 7.
-    let clip_hi = !u[8] & u[7] & lanes; // ≥ 128  → 127
-    let clip_lo = u[8] & !u[7] & lanes; // < -128 → -128
-    let keep = !(clip_hi | clip_lo);
-    let mut t = [0u64; 8];
-    for (b, out) in t.iter_mut().enumerate() {
-        let rail = if b < 7 { clip_hi } else { clip_lo };
-        *out = (u[b] & keep) | rail;
-    }
-    let msb = t[7];
-    let mut r = 0usize;
-    while r < MAX_ENCODED_REDUNDANT && t[6 - r] == msb {
-        r += 1;
-    }
-    let g = target_sparse.saturating_sub(r);
-    let clipped = clip_hi | clip_lo;
-
-    if g == 0 {
-        // No rounding: the only error source is clipping.
-        let sse = if clipped == 0 {
-            0
-        } else {
-            sse_planes(u, &t, lanes)
-        };
-        (t, r, sse)
-    } else {
-        // Round to the nearest multiple of 2^g, ties away from zero
-        // (f64::round): floor((t + step/2 - [t < 0]) / step) · step.
-        let neg = t[7];
-        let mut a = widen9(&t);
-        let mut borrow = neg;
-        for plane in a.iter_mut() {
-            if borrow == 0 {
-                break;
-            }
-            let x = *plane;
-            *plane = x ^ borrow;
-            borrow &= !x;
-        }
-        // step/2 is a single bit: a carry ripple from plane g-1.
-        let mut carry = lanes;
-        for plane in a.iter_mut().skip(g - 1) {
-            if carry == 0 {
-                break;
-            }
-            let x = *plane;
-            *plane = x ^ carry;
-            carry &= x;
-        }
-        let mut a_low = [0u64; 7];
-        a_low[..g].copy_from_slice(&a[..g]);
-        for plane in a.iter_mut().take(g) {
-            *plane = 0;
-        }
-        // The only value outside [lo, hi] the rounding can produce is
-        // exactly 2^(7-r) (hi + step): positive with bit 7-r set. Mux
-        // those lanes down to hi.
-        let ov = a[7 - r] & !a[8] & lanes;
-        let hi_val = (1i32 << (7 - r)) - (1i32 << g);
-        let mut s = [0u64; 8];
-        for (b, out) in s.iter_mut().enumerate() {
-            let mut v = a[b] & !ov;
-            if (hi_val >> b) & 1 != 0 {
-                v |= ov;
-            }
-            *out = v;
-        }
-        let sse = if clipped | ov == 0 {
-            sse_low(&a_low, g, neg, lanes)
-        } else {
-            sse_planes(u, &s, lanes)
-        };
-        (s, r, sse)
-    }
 }
 
 /// Running winner of the constant search, with the oracle's tie rules:
@@ -391,29 +107,12 @@ impl BestShift {
     }
 }
 
-/// The original one-candidate-at-a-time packed search (the `scalar`
-/// backend, kept as the wide search's differential oracle).
-fn search_scalar(packed: &PackedGroup, target_sparse: usize) -> BestShift {
-    let lanes = packed.lane_mask();
-    let mut u = widen9(packed.columns());
-    add_const9(&mut u, SHIFT_MIN, lanes);
-
-    let mut best = BestShift::new();
-    for constant in SHIFT_MIN..=SHIFT_MAX {
-        if constant != SHIFT_MIN {
-            increment9(&mut u, lanes);
-        }
-        let (s, r, sse) = eval_candidate(&u, lanes, target_sparse);
-        best.consider(sse, r, constant, &s);
-    }
-    best
-}
-
-/// Batched mirror of [`sse_planes`]: per-word exact integer SSE
-/// `Σ (u_i - s_i)²`. Where the scalar kernel picks between this and the
-/// [`sse_low`] fast path, the batched kernel always scores the full
-/// planes — both compute the same exact integer, so selection (and every
-/// tie) is unchanged.
+/// Per-word exact integer sum of squared errors `Σ (u_i - s_i)²` over the
+/// valid lanes, where `u` is the unclipped shifted sum (9 planes) and `s`
+/// the rounded result (8 planes).
+///
+/// The error fits 9-plane two's complement: `|u - s| ≤ |u - clip(u)| +
+/// |clip(u) - s| ≤ 32 + (step - 1) ≤ 159`.
 #[inline(always)]
 fn sse_planes_batched<L: Lanes>(u: &[L; 9], s: &[L; 8], lanes_v: L) -> [u64; 4] {
     // e = u - s as 9-plane two's complement.
@@ -425,7 +124,8 @@ fn sse_planes_batched<L: Lanes>(u: &[L; 9], s: &[L; 8], lanes_v: L) -> [u64; 4] 
         *plane = a.xor(nb).xor(carry);
         carry = a.and(nb).or(carry.and(a.xor(nb)));
     }
-    // Conditional negate to magnitudes.
+    // Conditional negate to magnitudes: small errors clear the high planes,
+    // which lets most plane-pair products below vanish.
     let neg = e[8];
     let mut m = [L::zero(); 9];
     let mut carry = neg;
@@ -438,9 +138,9 @@ fn sse_planes_batched<L: Lanes>(u: &[L; 9], s: &[L; 8], lanes_v: L) -> [u64; 4] 
     sse_of_magnitudes_batched(&m[..8])
 }
 
-/// Batched mirror of [`sse_of_magnitudes`]: per-word plane-pair popcount
-/// sums. Skipping an all-zero vector plane drops only zero terms, so each
-/// word's sum equals its scalar counterpart exactly.
+/// Per-word `Σ_i m_i²` over lanes from non-negative magnitude planes:
+/// `Σ_{b≤b'} 2^(b+b'+[b≠b']) · |m_b ∧ m_b'|`. Skipping an all-zero vector
+/// plane drops only zero terms.
 #[inline(always)]
 fn sse_of_magnitudes_batched<L: Lanes>(m: &[L]) -> [u64; 4] {
     let mut sse = [0u64; 4];
@@ -612,19 +312,16 @@ unsafe fn search_avx2(packed: &PackedGroup, target_sparse: usize) -> BestShift {
     search_batched::<bbs_tensor::lanes::Avx2>(packed, target_sparse)
 }
 
-/// The shift search under an explicit [`Backend`].
+/// The shift search under an explicit [`Backend`]: the AVX2 build under
+/// [`Backend::Wide`] on an AVX2 host, else the portable [`U64x4`] build.
 fn search_with(backend: Backend, packed: &PackedGroup, target_sparse: usize) -> BestShift {
-    match backend {
-        Backend::Scalar => search_scalar(packed, target_sparse),
-        Backend::Wide => {
-            #[cfg(target_arch = "x86_64")]
-            if bbs_tensor::lanes::avx2() {
-                // SAFETY: AVX2 support was just verified.
-                return unsafe { search_avx2(packed, target_sparse) };
-            }
-            search_batched::<U64x4>(packed, target_sparse)
-        }
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Wide && bbs_tensor::lanes::avx2() {
+        // SAFETY: AVX2 support was just verified.
+        return unsafe { search_avx2(packed, target_sparse) };
     }
+    let _ = backend;
+    search_batched::<U64x4>(packed, target_sparse)
 }
 
 /// The group the winning shift `best` encodes.
@@ -649,9 +346,9 @@ fn encode(packed: &PackedGroup, target_sparse: usize, best: BestShift) -> Compre
 
 /// The packed-representation shifting kernel: evaluates all 64 shift
 /// constants with bit-sliced lane-parallel arithmetic on the process-wide
-/// [`Backend::active`] backend. Bit-identical to
-/// [`zero_point_shifting_scalar`] (same winning constant under the same
-/// tie-breaking, same stored columns) on every backend.
+/// [`Backend::active`] backend. Bit-identical to the per-weight oracle in
+/// this module's tests (same winning constant under the same tie-breaking,
+/// same stored columns) on every backend.
 ///
 /// # Panics
 ///
@@ -662,62 +359,136 @@ pub fn zero_point_shifting_packed(packed: &PackedGroup, target_sparse: usize) ->
     encode(packed, target_sparse, best)
 }
 
-/// Scalar reference oracle for [`zero_point_shifting`]: the per-weight
-/// Algorithm 1 search over [`evaluate_shift`] candidates. Kept for the
-/// packed-vs-scalar equivalence tests and the Fig. 5/6 diagnostics.
-///
-/// # Panics
-///
-/// Panics if `group` is empty, exceeds 64 weights, or
-/// `target_sparse >= 8`.
-pub fn zero_point_shifting_scalar(group: &[i8], target_sparse: usize) -> CompressedGroup {
-    assert!(target_sparse < WEIGHT_BITS);
-    let mut best: Option<ShiftCandidate> = None;
-    for constant in SHIFT_MIN..=SHIFT_MAX {
-        let cand = evaluate_shift(group, target_sparse, constant);
-        let better = match &best {
-            None => true,
-            // Ties broken toward more redundant columns (more free
-            // compression), then toward the smaller shift magnitude.
-            Some(b) => {
-                cand.mse < b.mse
-                    || (cand.mse == b.mse && cand.num_redundant > b.num_redundant)
-                    || (cand.mse == b.mse
-                        && cand.num_redundant == b.num_redundant
-                        && cand.constant.abs() < b.constant.abs())
-            }
-        };
-        if better {
-            best = Some(cand);
-        }
-    }
-    let best = best.expect("non-empty constant range");
-
-    let r = best.num_redundant;
-    let g = target_sparse.saturating_sub(r);
-    let bits = BitGroup::from_words(&best.shifted);
-    let kept: Vec<u64> = (g..WEIGHT_BITS - r).map(|b| bits.column(b)).collect();
-    debug_assert!(
-        (0..g).all(|b| bits.column(b) == 0),
-        "generated low columns must be all-zero"
-    );
-
-    CompressedGroup::from_parts(
-        group.len(),
-        kept,
-        BbsMetadata {
-            num_redundant: r as u8,
-            constant: best.constant as i8,
-        },
-        ConstantKind::ZeroPointShift,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::averaging::rounded_averaging;
+    use bbs_tensor::bits::redundant_sign_bits;
     use bbs_tensor::rng::SeededRng;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Result of evaluating one shift constant weight by weight.
+    #[derive(Debug, Clone, PartialEq)]
+    struct ShiftCandidate {
+        /// The shift constant.
+        constant: i32,
+        /// Redundant columns after shifting.
+        num_redundant: usize,
+        /// Shifted-and-rounded weights (low `g` bits zero).
+        shifted: Vec<i8>,
+        /// Reconstruction MSE against the original group.
+        mse: f64,
+    }
+
+    fn redundant_after_shift(shifted: &[i8]) -> usize {
+        shifted
+            .iter()
+            .map(|&w| redundant_sign_bits(w))
+            .min()
+            .expect("non-empty group")
+            .min(MAX_ENCODED_REDUNDANT)
+    }
+
+    /// Evaluates one shift constant for a group and pruning target.
+    fn evaluate_shift(group: &[i8], target_sparse: usize, constant: i32) -> ShiftCandidate {
+        assert!(!group.is_empty());
+        assert!(target_sparse < WEIGHT_BITS);
+        assert!((SHIFT_MIN..=SHIFT_MAX).contains(&constant));
+
+        // Step 1: shift and clip to the INT8 rails.
+        let clipped: Vec<i8> = group
+            .iter()
+            .map(|&w| (w as i32 + constant).clamp(-128, 127) as i8)
+            .collect();
+
+        // Step 2: redundant columns of the shifted group (always removed —
+        // they are free lossless compression, capped by the 2-bit metadata
+        // field).
+        let r = redundant_after_shift(&clipped);
+        let g = target_sparse.saturating_sub(r);
+
+        // Step 3: generate g all-zero low columns by rounding to the nearest
+        // multiple of 2^g inside the narrowed range.
+        let step = 1i32 << g;
+        let lo = -(1i32 << (WEIGHT_BITS - 1 - r));
+        let hi = (1i32 << (WEIGHT_BITS - 1 - r)) - step;
+        let shifted: Vec<i8> = clipped
+            .iter()
+            .map(|&w| {
+                let q = ((w as f64 / step as f64).round() as i32) * step;
+                q.clamp(lo, hi) as i8
+            })
+            .collect();
+
+        // Step 4: reconstruction error of Wt' - c against the original.
+        let mse = group
+            .iter()
+            .zip(&shifted)
+            .map(|(&w, &s)| {
+                let recon = s as i32 - constant;
+                let d = (w as i32 - recon) as f64;
+                d * d
+            })
+            .sum::<f64>()
+            / group.len() as f64;
+
+        ShiftCandidate {
+            constant,
+            num_redundant: r,
+            shifted,
+            mse,
+        }
+    }
+
+    /// The per-weight oracle for [`zero_point_shifting`]: Algorithm 1 as
+    /// written, over [`evaluate_shift`] candidates.
+    fn zero_point_shifting_scalar(group: &[i8], target_sparse: usize) -> CompressedGroup {
+        assert!(target_sparse < WEIGHT_BITS);
+        let mut best: Option<ShiftCandidate> = None;
+        for constant in SHIFT_MIN..=SHIFT_MAX {
+            let cand = evaluate_shift(group, target_sparse, constant);
+            let better = match &best {
+                None => true,
+                // Ties broken toward more redundant columns (more free
+                // compression), then toward the smaller shift magnitude.
+                Some(b) => {
+                    cand.mse < b.mse
+                        || (cand.mse == b.mse && cand.num_redundant > b.num_redundant)
+                        || (cand.mse == b.mse
+                            && cand.num_redundant == b.num_redundant
+                            && cand.constant.abs() < b.constant.abs())
+                }
+            };
+            if better {
+                best = Some(cand);
+            }
+        }
+        let best = best.expect("non-empty constant range");
+
+        let r = best.num_redundant;
+        let g = target_sparse.saturating_sub(r);
+        let bits = PackedGroup::from_words(&best.shifted);
+        let kept: Vec<u64> = (g..WEIGHT_BITS - r).map(|b| bits.column(b)).collect();
+        assert!(
+            (0..g).all(|b| bits.column(b) == 0),
+            "generated low columns must be all-zero"
+        );
+
+        CompressedGroup::from_parts(
+            group.len(),
+            kept,
+            BbsMetadata {
+                num_redundant: r as u8,
+                constant: best.constant as i8,
+            },
+            ConstantKind::ZeroPointShift,
+        )
+    }
+
+    /// Both builds of the search: the portable [`U64x4`] one and, on an
+    /// AVX2 host, AVX2.
+    const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Wide];
 
     #[test]
     fn paper_fig5_constant_minus_14_behaviour() {
@@ -851,31 +622,48 @@ mod tests {
         }
     }
 
-    /// A shift search over one packed group.
-    type Search = fn(&PackedGroup, usize) -> BestShift;
-
-    /// Every search this host runs: the one-candidate scalar search, the
-    /// portable lanes and, when detected, AVX2.
-    fn searches() -> Vec<(&'static str, Search)> {
-        let mut v: Vec<(&'static str, Search)> = vec![
-            ("scalar", search_scalar),
-            ("u64x4", search_batched::<U64x4>),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        if bbs_tensor::lanes::avx2() {
-            // SAFETY: only listed when AVX2 is detected.
-            v.push(("avx2", |packed, target| unsafe {
-                search_avx2(packed, target)
-            }));
+    proptest! {
+        #[test]
+        fn packed_shifting_equals_scalar_oracle(
+            w in vec(any::<i8>(), 1..=64),
+            target in 0usize..=7,
+        ) {
+            prop_assert_eq!(
+                zero_point_shifting(&w, target),
+                zero_point_shifting_scalar(&w, target)
+            );
         }
-        v
+    }
+
+    /// Every `i8` as a single-lane group, and each paired with a sweep of
+    /// companions (multi-lane carry/borrow ripples and group-level
+    /// redundant counting), across the legal targets.
+    #[test]
+    fn packed_shifting_equals_scalar_oracle_across_all_i8() {
+        for w in i8::MIN..=i8::MAX {
+            for target in 0usize..8 {
+                assert_eq!(
+                    zero_point_shifting(&[w], target),
+                    zero_point_shifting_scalar(&[w], target),
+                    "shifting w={w} target={target}"
+                );
+            }
+            let o = (w as i16).wrapping_mul(37).wrapping_add(11) as i8;
+            let group = [w, o, w.wrapping_add(o), o.wrapping_sub(w)];
+            for target in [0usize, 2, 4, 7] {
+                assert_eq!(
+                    zero_point_shifting(&group, target),
+                    zero_point_shifting_scalar(&group, target),
+                    "shifting group={group:?} target={target}"
+                );
+            }
+        }
     }
 
     #[test]
     fn every_backend_matches_scalar_oracle() {
-        // The packed searches must agree with the per-weight oracle
-        // bit-for-bit in every lane flavour this host runs, including
-        // ragged group sizes.
+        // Both builds of the search must agree with the per-weight oracle
+        // bit-for-bit, including ragged group sizes.
         let mut rng = SeededRng::new(91);
         for case in 0..120 {
             let n = rng.uniform_usize(1, 65);
@@ -887,11 +675,11 @@ mod tests {
             let packed = PackedGroup::from_words(&group);
             for target in 0..WEIGHT_BITS {
                 let oracle = zero_point_shifting_scalar(&group, target);
-                for (backend, search) in searches() {
+                for backend in BACKENDS {
                     assert_eq!(
-                        encode(&packed, target, search(&packed, target)),
+                        encode(&packed, target, search_with(backend, &packed, target)),
                         oracle,
-                        "backend {backend} group {group:?} target {target}"
+                        "backend {backend:?} group {group:?} target {target}"
                     );
                 }
             }
@@ -900,18 +688,18 @@ mod tests {
 
     #[test]
     fn exhaustive_i8_single_weight_all_backends() {
-        // Every i8 value as a 1-weight group, every target, every search
-        // — exercises the clip/overflow corners exhaustively.
+        // Every i8 value as a 1-weight group, every target, both builds —
+        // exercises the clip/overflow corners exhaustively.
         for w in i8::MIN..=i8::MAX {
             let group = [w];
             let packed = PackedGroup::from_words(&group);
             for target in 0..WEIGHT_BITS {
                 let oracle = zero_point_shifting_scalar(&group, target);
-                for (backend, search) in searches() {
+                for backend in BACKENDS {
                     assert_eq!(
-                        encode(&packed, target, search(&packed, target)),
+                        encode(&packed, target, search_with(backend, &packed, target)),
                         oracle,
-                        "backend {backend} weight {w} target {target}"
+                        "backend {backend:?} weight {w} target {target}"
                     );
                 }
             }

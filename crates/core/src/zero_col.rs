@@ -1,5 +1,5 @@
 //! Prior-art baseline: sign-magnitude **zero-bit-column** pruning
-//! (BitWave-style, papers [23]/[35]/[39] in the BBS reference list).
+//! (BitWave-style, papers \[23\]/\[35\]/\[39\] in the BBS reference list).
 //!
 //! Weights are viewed in sign-magnitude form, where small Gaussian-like
 //! values produce many inherent all-zero magnitude columns. If a group lacks
@@ -35,11 +35,6 @@ impl ZeroColumnGroup {
     /// Whether the group is empty (never true for a constructed group).
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// Bitmap of zero columns (bit 7 = sign column).
-    pub fn zero_mask(&self) -> u8 {
-        self.zero_mask
     }
 
     /// Number of zero (skippable) columns.
@@ -313,7 +308,7 @@ mod tests {
     fn all_positive_group_skips_sign_column() {
         let group = [1i8, 2, 3, 4];
         let z = sign_magnitude_zero_column(&group, 0);
-        assert!(z.zero_mask() & 0x80 != 0, "sign column inherently zero");
+        assert!(z.zero_mask & 0x80 != 0, "sign column inherently zero");
     }
 
     #[test]

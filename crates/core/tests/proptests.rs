@@ -5,7 +5,7 @@
 //! column removal, error bounds of both pruning strategies, and metadata
 //! roundtripping.
 
-use bbs_core::averaging::{optimal_low_bits_constant, rounded_averaging, rounded_averaging_scalar};
+use bbs_core::averaging::rounded_averaging;
 use bbs_core::bbs_math::{
     dot_bbs, dot_bit_serial, dot_reference, effectual_terms_bbs, effectual_terms_zero_skip,
 };
@@ -15,7 +15,7 @@ use bbs_core::redundant::{
     group_redundant_columns, group_redundant_columns_scalar, removal_is_lossless,
 };
 use bbs_core::reorder::ChannelOrder;
-use bbs_core::shifting::{zero_point_shifting, zero_point_shifting_scalar};
+use bbs_core::shifting::zero_point_shifting;
 use bbs_core::zero_col::{sign_magnitude_zero_column, sign_magnitude_zero_column_scalar};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -145,34 +145,10 @@ proptest! {
         prop_assert!(z.zero_columns() >= target.min(7));
     }
 
-    // ------------------------------------------------------------------
-    // Packed-vs-scalar equivalence: the bit-plane kernels must be
-    // bit-identical to their per-weight scalar oracles — same redundant
-    // counts, same constants (ties included), same stored columns.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn packed_averaging_equals_scalar_oracle(
-        w in group_strategy(),
-        target in 0usize..=7,
-    ) {
-        prop_assert_eq!(
-            rounded_averaging(&w, target),
-            rounded_averaging_scalar(&w, target)
-        );
-    }
-
-    #[test]
-    fn packed_shifting_equals_scalar_oracle(
-        w in group_strategy(),
-        target in 0usize..=7,
-    ) {
-        prop_assert_eq!(
-            zero_point_shifting(&w, target),
-            zero_point_shifting_scalar(&w, target)
-        );
-    }
-
+    // Packed-vs-scalar equivalence of zero-column pruning: the bit-plane
+    // kernel must be bit-identical to the per-weight path it falls back to
+    // for groups beyond 64 lanes. The averaging and shifting oracles live
+    // in their modules' unit tests.
     #[test]
     fn packed_zero_column_equals_scalar_oracle(
         w in group_strategy(),
@@ -200,10 +176,11 @@ proptest! {
     }
 }
 
-/// Exhaustive packed-vs-scalar equivalence over the *entire* `i8` space:
-/// every weight value as a single-lane group, and every value paired with a
-/// sweep of companions (which exercises multi-lane carry/borrow ripples and
-/// group-level redundant counting), across every legal pruning target.
+/// Exhaustive packed-vs-scalar equivalence of redundant counting and
+/// zero-column pruning over the *entire* `i8` space: every weight value as
+/// a single-lane group, and every value paired with a sweep of companions
+/// (which exercises multi-lane carry/borrow ripples and group-level
+/// redundant counting), across every legal pruning target.
 #[test]
 fn packed_kernels_equal_scalar_oracles_across_all_i8() {
     for w in i8::MIN..=i8::MAX {
@@ -213,16 +190,6 @@ fn packed_kernels_equal_scalar_oracles_across_all_i8() {
             "redundant w={w}"
         );
         for target in 0usize..8 {
-            assert_eq!(
-                rounded_averaging(&[w], target),
-                rounded_averaging_scalar(&[w], target),
-                "averaging w={w} target={target}"
-            );
-            assert_eq!(
-                zero_point_shifting(&[w], target),
-                zero_point_shifting_scalar(&[w], target),
-                "shifting w={w} target={target}"
-            );
             assert_eq!(
                 sign_magnitude_zero_column(&[w], target),
                 sign_magnitude_zero_column_scalar(&[w], target),
@@ -234,45 +201,10 @@ fn packed_kernels_equal_scalar_oracles_across_all_i8() {
         let group = [w, o, w.wrapping_add(o), o.wrapping_sub(w)];
         for target in [0usize, 2, 4, 7] {
             assert_eq!(
-                rounded_averaging(&group, target),
-                rounded_averaging_scalar(&group, target),
-                "averaging group={group:?} target={target}"
-            );
-            assert_eq!(
-                zero_point_shifting(&group, target),
-                zero_point_shifting_scalar(&group, target),
-                "shifting group={group:?} target={target}"
-            );
-            assert_eq!(
                 sign_magnitude_zero_column(&group, target),
                 sign_magnitude_zero_column_scalar(&group, target),
                 "zero-column group={group:?} target={target}"
             );
         }
     }
-}
-
-/// Pins the tie behaviour of the averaging constant: the rounded mean uses
-/// `f64::round`, which breaks `x.5` ties *away from zero* (up, since the
-/// low-bit mean is non-negative). The packed kernel reproduces this exactly
-/// because it feeds the identical integer sum through the identical f64
-/// expression.
-#[test]
-fn optimal_low_bits_constant_tie_rounding_regression() {
-    // mean 0.5 → 1, not 0.
-    assert_eq!(optimal_low_bits_constant(&[0, 1], 1), 1);
-    // mean 2.5 → 3 (two bits).
-    assert_eq!(optimal_low_bits_constant(&[2, 3], 2), 3);
-    // mean 1.5 over four weights → 2.
-    assert_eq!(optimal_low_bits_constant(&[1, 1, 2, 2], 3), 2);
-    // mean 31.5 at the 6-bit field edge → 32.
-    assert_eq!(optimal_low_bits_constant(&[31, 32], 6), 32);
-    // A non-tie sanity point: mean 0.25 → 0.
-    assert_eq!(optimal_low_bits_constant(&[0, 0, 0, 1], 1), 0);
-    // The tie value flows through the full kernel identically on both
-    // paths: low bits {0,1} average to 1.
-    let group = [16i8, 17, 16, 17];
-    let packed = rounded_averaging(&group, 4);
-    assert_eq!(packed.metadata().constant, 1);
-    assert_eq!(packed, rounded_averaging_scalar(&group, 4));
 }

@@ -92,7 +92,7 @@ fn accumulator() -> Vec<Block> {
     vec![adder(24), register(24)]
 }
 
-/// Stripes [19]: dense bit-serial. 8 lanes gate an 8-bit activation with one
+/// Stripes \[19\]: dense bit-serial. 8 lanes gate an 8-bit activation with one
 /// weight bit each; an 8:1 adder tree reduces them; a shift-accumulate
 /// produces the output over 8 cycles.
 pub fn stripes_pe() -> PeModel {
@@ -103,7 +103,7 @@ pub fn stripes_pe() -> PeModel {
     }
 }
 
-/// Pragmatic [1]: per-lane essential-bit serialization. Every lane carries a
+/// Pragmatic \[1\]: per-lane essential-bit serialization. Every lane carries a
 /// variable shifter to re-align bit significance, plus offset encoders.
 pub fn pragmatic_pe() -> PeModel {
     PeModel {
@@ -122,7 +122,7 @@ pub fn pragmatic_pe() -> PeModel {
     }
 }
 
-/// Bitlet [26]: sparsity-parallel lanes by significance. Every lane absorbs
+/// Bitlet \[26\]: sparsity-parallel lanes by significance. Every lane absorbs
 /// an essential bit from an arbitrary weight of the digested group, needing
 /// a 64:1 activation mux per lane plus index registers and the distillation
 /// scheduler.
@@ -143,7 +143,7 @@ pub fn bitlet_pe() -> PeModel {
     }
 }
 
-/// BitWave [39]: bit-column-serial over sign-magnitude weights. Each lane
+/// BitWave \[39\]: bit-column-serial over sign-magnitude weights. Each lane
 /// needs a two's complementer to fold the sign back into the partial sum,
 /// plus column-mask control.
 pub fn bitwave_pe() -> PeModel {
@@ -228,7 +228,7 @@ pub fn bitvert_pe(sub_group: usize, optimized: bool) -> PeModel {
     }
 }
 
-/// Olive [15]: outlier-victim pair PE. The 4-bit weight path is widened to
+/// Olive \[15\]: outlier-victim pair PE. The 4-bit weight path is widened to
 /// accommodate the outlier datatype's range (the paper's point about Olive
 /// needing a larger multiplier than plain fixed-point), plus the
 /// outlier-victim decoder and a wide accumulator. One multiplication per
@@ -247,7 +247,7 @@ pub fn olive_pe() -> PeModel {
     }
 }
 
-/// SparTen [13]: value-sparse PE with an 8-bit multiplier, inner-join
+/// SparTen \[13\]: value-sparse PE with an 8-bit multiplier, inner-join
 /// prefix-sum logic over sparse bitmasks and a local buffer — the hardware
 /// overhead the paper's Fig. 13 discussion calls out. Normalized to one
 /// 8-bit multiplier (= 8 bit-serial lanes).
@@ -266,7 +266,7 @@ pub fn sparten_pe() -> PeModel {
     }
 }
 
-/// ANT [16]: 6-bit adaptive-datatype PE — a 6×8 multiplier plus the
+/// ANT \[16\]: 6-bit adaptive-datatype PE — a 6×8 multiplier plus the
 /// datatype decoder ("the complicated hardware to support custom data
 /// types").
 pub fn ant_pe() -> PeModel {

@@ -40,7 +40,7 @@ const ROW_BLOCK: usize = 8;
 /// `y[out] = W[out,in] · x[in] + b[out]`.
 ///
 /// Every row adds its products in input order from `-0.0`, as
-/// `Iterator::sum` does, then adds its bias. [`ROW_BLOCK`] rows are summed
+/// `Iterator::sum` does, then adds its bias. `ROW_BLOCK` rows are summed
 /// side by side in one pass over `x`, so their additions overlap instead
 /// of each waiting on the one before.
 ///

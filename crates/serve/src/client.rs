@@ -15,6 +15,7 @@ use crate::sweep::{
     error_record, result_record, summary_record, PlannedCell, SweepPlan, SweepTally,
 };
 use bbs_json::Json;
+use bbs_telemetry::faults::splitmix64;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -309,16 +310,6 @@ impl Default for RetryPolicy {
             seed: 0x1bb5,
         }
     }
-}
-
-/// SplitMix64 — the same generator the fault plan uses; enough bits to
-/// decorrelate retry storms without pulling in a rand dependency. The
-/// coordinator reuses it to score shards for rendezvous hashing.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

@@ -39,11 +39,12 @@
 //! single-thread loop, its parking/backpressure machinery, and its
 //! byte-identical NDJSON record formatting.
 
-use crate::client::{parse_simulate_response, splitmix64, Client, ClientPool, RetryPolicy};
+use crate::client::{parse_simulate_response, Client, ClientPool, RetryPolicy};
 use crate::request::SimRequest;
 use crate::service::{Completion, ExecuteError, Served, Submitted, Timing};
 use crate::telemetry::Telemetry;
-use bbs_json::Json;
+use bbs_json::{fnv1a_64, Json};
+use bbs_telemetry::faults::splitmix64;
 use bbs_telemetry::prom::PromText;
 use bbs_telemetry::{Histogram, Value};
 use std::collections::VecDeque;
@@ -60,31 +61,6 @@ pub const PROBE_INTERVAL: Duration = Duration::from_millis(250);
 /// Connect/read deadline for `/readyz` probes — a probe must never hang
 /// for the full client timeout.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(1000);
-
-/// Coordinator configuration.
-#[derive(Debug, Clone)]
-pub struct CoordinatorConfig {
-    /// Downstream `bbs-serve` addresses (at most 64).
-    pub shards: Vec<SocketAddr>,
-    /// Forwarder threads per shard.
-    pub connections_per_shard: usize,
-    /// Per-shard retry schedule before a job reroutes.
-    pub retry: RetryPolicy,
-    /// `/readyz` probe cadence.
-    pub probe_interval: Duration,
-}
-
-impl CoordinatorConfig {
-    /// Defaults for a given shard list.
-    pub fn new(shards: Vec<SocketAddr>) -> CoordinatorConfig {
-        CoordinatorConfig {
-            shards,
-            connections_per_shard: CONNECTIONS_PER_SHARD,
-            retry: RetryPolicy::default(),
-            probe_interval: PROBE_INTERVAL,
-        }
-    }
-}
 
 /// One job on its way to a shard.
 struct Job {
@@ -140,9 +116,7 @@ struct Inner {
     shards: Vec<ShardState>,
     pools: Vec<ClientPool>,
     queues: Vec<JobQueue>,
-    retry: RetryPolicy,
     stopping: AtomicBool,
-    probe_interval: Duration,
     /// Aggregate forward latency across every shard (µs).
     latency_us: Histogram,
     telemetry: Arc<Telemetry>,
@@ -160,69 +134,24 @@ pub struct Coordinator {
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// FNV-1a over bytes — the shard salt, so the rendezvous permutation is
-/// stable across restarts for a stable shard list.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl Coordinator {
-    /// Spawns the forwarder pools and the readiness prober.
+    /// Spawns [`CONNECTIONS_PER_SHARD`] forwarders per shard and the
+    /// readiness prober.
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards` is empty or holds more than 64 entries
-    /// (the reroute guard is a `u64` bitmask).
-    pub fn start(config: CoordinatorConfig, telemetry: Arc<Telemetry>) -> Coordinator {
+    /// Panics if `shards` is empty or holds more than 64 entries (the
+    /// reroute guard is a `u64` bitmask).
+    pub fn start(shards: &[SocketAddr], telemetry: Arc<Telemetry>) -> Coordinator {
         assert!(
-            !config.shards.is_empty() && config.shards.len() <= 64,
+            !shards.is_empty() && shards.len() <= 64,
             "coordinator needs 1..=64 shards"
         );
-        let shards: Vec<ShardState> = config
-            .shards
-            .iter()
-            .map(|&addr| {
-                let label = addr.to_string();
-                ShardState {
-                    addr,
-                    salt: fnv1a(label.as_bytes()),
-                    label,
-                    routed: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                    rerouted: AtomicU64::new(0),
-                    in_flight: AtomicU64::new(0),
-                    down: AtomicBool::new(false),
-                    ready: AtomicBool::new(true),
-                    latency_us: Histogram::new(),
-                }
-            })
-            .collect();
-        let per_shard = config.connections_per_shard.max(1);
-        let pools = config
-            .shards
-            .iter()
-            .map(|&addr| ClientPool::new(addr, per_shard))
-            .collect();
-        let queues = (0..shards.len()).map(|_| JobQueue::default()).collect();
-        let inner = Arc::new(Inner {
-            shards,
-            pools,
-            queues,
-            retry: config.retry,
-            stopping: AtomicBool::new(false),
-            probe_interval: config.probe_interval,
-            latency_us: Histogram::new(),
-            telemetry,
-        });
+        let inner = Arc::new(Inner::new(shards, telemetry));
 
         let mut threads = Vec::new();
         for shard in 0..inner.shards.len() {
-            for worker in 0..per_shard {
+            for worker in 0..CONNECTIONS_PER_SHARD {
                 let inner = Arc::clone(&inner);
                 threads.push(
                     std::thread::Builder::new()
@@ -428,6 +357,44 @@ impl Coordinator {
 }
 
 impl Inner {
+    /// Routing state for `addrs`, each with a pool of
+    /// [`CONNECTIONS_PER_SHARD`] keep-alive connections. The rendezvous
+    /// salt is FNV-1a of the address text, so placement is stable across
+    /// restarts for a stable shard list.
+    fn new(addrs: &[SocketAddr], telemetry: Arc<Telemetry>) -> Inner {
+        let shards: Vec<ShardState> = addrs
+            .iter()
+            .map(|&addr| {
+                let label = addr.to_string();
+                ShardState {
+                    addr,
+                    salt: fnv1a_64(label.as_bytes()),
+                    label,
+                    routed: AtomicU64::new(0),
+                    errors: AtomicU64::new(0),
+                    rerouted: AtomicU64::new(0),
+                    in_flight: AtomicU64::new(0),
+                    down: AtomicBool::new(false),
+                    ready: AtomicBool::new(true),
+                    latency_us: Histogram::new(),
+                }
+            })
+            .collect();
+        let pools = addrs
+            .iter()
+            .map(|&addr| ClientPool::new(addr, CONNECTIONS_PER_SHARD))
+            .collect();
+        let queues = (0..shards.len()).map(|_| JobQueue::default()).collect();
+        Inner {
+            shards,
+            pools,
+            queues,
+            stopping: AtomicBool::new(false),
+            latency_us: Histogram::new(),
+            telemetry,
+        }
+    }
+
     /// Shard indices in descending rendezvous score for `key`.
     fn rank(&self, key: u64) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.shards.len()).collect();
@@ -484,14 +451,15 @@ impl Inner {
     fn try_shard(&self, idx: usize, job: &Job) -> Result<(Served, String), ShardError> {
         let shard = &self.shards[idx];
         let pool = &self.pools[idx];
-        let attempts = self.retry.attempts.max(1);
+        let retry = RetryPolicy::default();
+        let attempts = retry.attempts.max(1);
         let mut server_floor: Option<Duration> = None;
         let mut last = String::from("no attempt made");
         for attempt in 0..attempts {
             if attempt > 0 {
-                let mut wait = self.retry.backoff(attempt - 1);
+                let mut wait = retry.backoff(attempt - 1);
                 if let Some(floor) = server_floor.take() {
-                    wait = wait.max(floor.min(self.retry.max));
+                    wait = wait.max(floor.min(retry.max));
                 }
                 std::thread::sleep(wait);
             }
@@ -640,8 +608,8 @@ fn probe_loop(inner: &Inner) {
             }
         }
         let mut slept = Duration::ZERO;
-        while slept < inner.probe_interval && !inner.stopping.load(Ordering::SeqCst) {
-            let step = Duration::from_millis(50).min(inner.probe_interval - slept);
+        while slept < PROBE_INTERVAL && !inner.stopping.load(Ordering::SeqCst) {
+            let step = Duration::from_millis(50).min(PROBE_INTERVAL - slept);
             std::thread::sleep(step);
             slept += step;
         }
@@ -653,37 +621,22 @@ mod tests {
     use super::*;
 
     fn test_inner(addrs: &[&str]) -> Inner {
-        let shards = addrs
-            .iter()
-            .map(|a| {
-                let addr: SocketAddr = a.parse().unwrap();
-                let label = addr.to_string();
-                ShardState {
-                    addr,
-                    salt: fnv1a(label.as_bytes()),
-                    label,
-                    routed: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                    rerouted: AtomicU64::new(0),
-                    in_flight: AtomicU64::new(0),
-                    down: AtomicBool::new(false),
-                    ready: AtomicBool::new(true),
-                    latency_us: Histogram::new(),
-                }
-            })
-            .collect::<Vec<_>>();
-        let pools = shards.iter().map(|s| ClientPool::new(s.addr, 1)).collect();
-        let queues = (0..shards.len()).map(|_| JobQueue::default()).collect();
-        Inner {
-            shards,
-            pools,
-            queues,
-            retry: RetryPolicy::default(),
-            stopping: AtomicBool::new(false),
-            probe_interval: PROBE_INTERVAL,
-            latency_us: Histogram::new(),
-            telemetry: Arc::new(Telemetry::default()),
-        }
+        let addrs: Vec<SocketAddr> = addrs.iter().map(|a| a.parse().unwrap()).collect();
+        Inner::new(&addrs, Arc::new(Telemetry::default()))
+    }
+
+    /// Pins where keys land, so a change of hash cannot silently move
+    /// every key (and its warm cache) to another shard.
+    #[test]
+    fn route_pins_keys_to_their_shards() {
+        let inner = test_inner(&[
+            "127.0.0.1:9001",
+            "127.0.0.1:9002",
+            "127.0.0.1:9003",
+            "127.0.0.1:9004",
+        ]);
+        let homes: Vec<usize> = (0..16u64).map(|k| inner.route(k, 0).unwrap()).collect();
+        assert_eq!(homes, [2, 1, 0, 3, 2, 0, 0, 0, 0, 2, 0, 3, 2, 1, 3, 3]);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   on an `mpsc` completion channel and poke the waker so the loop wakes
 //!   from `wait` without polling the channel on a timer.
 //! * `Conn` — one connection's state machine: a resumable
-//!   [`RequestParser`](crate::http::RequestParser) on the read side, a
-//!   write buffer flushed on writability, and a [`ConnState`] describing
+//!   [`RequestParser`] on the read side, a
+//!   write buffer flushed on writability, and a `ConnState` describing
 //!   what the connection is waiting for (next request, an in-flight
 //!   simulation, a queue slot while *parked*, or sweep-cell completions).
 //!

@@ -26,7 +26,7 @@
 //! `Connection: close` and EOF-framed newline-delimited JSON, one record
 //! per grid cell in completion order (see [`crate::sweep`]).
 
-use crate::coordinator::{Coordinator, CoordinatorConfig};
+use crate::coordinator::Coordinator;
 use crate::event_loop::{waker_pair, EventLoop, LoopOptions, PollerKind, Waker};
 use crate::http::Request;
 use crate::registry::ACCELERATOR_IDS;
@@ -195,10 +195,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     let coordinator = if config.shards.is_empty() {
         None
     } else {
-        Some(Coordinator::start(
-            CoordinatorConfig::new(config.shards.clone()),
-            Arc::clone(&telemetry),
-        ))
+        Some(Coordinator::start(&config.shards, Arc::clone(&telemetry)))
     };
     let shared = Arc::new(Shared {
         service: service::start_with(config.service, Arc::clone(&telemetry)),

@@ -1,4 +1,4 @@
-//! ANT [16]: adaptive 6-bit numeric datatypes.
+//! ANT \[16\]: adaptive 6-bit numeric datatypes.
 //!
 //! ANT quantizes both operands to 6 bits with per-group adaptive types; on
 //! the normalized bit-serial budget this is dense 6-cycle-per-weight

@@ -1,4 +1,4 @@
-//! Bitlet [26]: sparsity-parallel lanes by bit significance.
+//! Bitlet \[26\]: sparsity-parallel lanes by bit significance.
 //!
 //! A PE digests 64 weights of one dot product; lane `b` serially absorbs
 //! the one-bits at significance `b` across the whole group (via a 64:1
@@ -13,7 +13,7 @@ use crate::accel::{
 use crate::config::ArrayConfig;
 use crate::workload::{LayerWorkload, ProfileEntry};
 use bbs_hw::pe::{bitlet_pe, PeModel};
-use bbs_tensor::bits::{BitGroup, WEIGHT_BITS};
+use bbs_tensor::bits::{PackedGroup, WEIGHT_BITS};
 
 /// Weights digested per PE pass.
 pub const GROUP: usize = 64;
@@ -47,7 +47,7 @@ impl Accelerator for Bitlet {
             for c in 0..qt.channels() {
                 let row = qt.channel(c);
                 for group in row.chunks(GROUP) {
-                    let bits = BitGroup::from_words(group);
+                    let bits = PackedGroup::from_words(group);
                     let mut lat = 0usize;
                     let mut ones = 0u64;
                     for b in 0..WEIGHT_BITS {
@@ -106,7 +106,7 @@ mod tests {
         let qt = &wl.weights;
         let row = qt.channel(0);
         for group in row.chunks(GROUP) {
-            let bits = BitGroup::from_words(group);
+            let bits = PackedGroup::from_words(group);
             let max_cnt = (0..8).map(|b| bits.column_popcount(b)).max().unwrap();
             assert!(max_cnt <= group.len());
         }

@@ -1,4 +1,4 @@
-//! BitWave [39]: bit-column-serial over sign-magnitude weights.
+//! BitWave \[39\]: bit-column-serial over sign-magnitude weights.
 //!
 //! A group of 8 weights is processed one bit column per cycle; all-zero
 //! columns (inherent, or forced by BitWave's bit-flip pruning) are neither

@@ -11,7 +11,6 @@ pub mod bitlet;
 pub mod bitvert;
 pub mod bitwave;
 pub mod pragmatic;
-pub mod reference;
 pub mod sparten;
 pub mod stripes;
 
@@ -244,8 +243,8 @@ pub enum SyncGranularity {
 ///
 /// Runs on the flat profile buffers: the per-tile path reduces each
 /// channel's latency/useful rows in one linear pass, then plays the tile
-/// arithmetic on those per-channel sums. Bit-identical to
-/// [`reference::wave_schedule_nested`] (the retained nested-`Vec` oracle).
+/// arithmetic on those per-channel sums. Bit-identical to the nested-`Vec`
+/// scheduler it replaced, which the property tests keep as their oracle.
 ///
 /// # Panics
 ///

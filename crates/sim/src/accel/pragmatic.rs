@@ -1,4 +1,4 @@
-//! Pragmatic [1]: per-weight essential-bit serialization.
+//! Pragmatic \[1\]: per-weight essential-bit serialization.
 //!
 //! Each lane serially processes only the one-bits of its weight; the 8
 //! lanes of a PE synchronize on the weight with the most essential bits

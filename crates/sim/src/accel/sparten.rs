@@ -1,4 +1,4 @@
-//! SparTen [13]: two-sided value sparsity.
+//! SparTen \[13\]: two-sided value sparsity.
 //!
 //! SparTen multiplies only non-zero weight/activation pairs found by an
 //! inner join over sparse bitmasks. On 8-bit PTQ models weight value

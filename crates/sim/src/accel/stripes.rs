@@ -1,4 +1,4 @@
-//! Stripes [19]: the dense bit-serial baseline.
+//! Stripes \[19\]: the dense bit-serial baseline.
 //!
 //! Every PE holds 8 lanes, each serially processing all 8 bits of one
 //! weight: a group of 8 weights always costs 8 cycles, every lane-cycle is

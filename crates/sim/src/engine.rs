@@ -216,9 +216,9 @@ pub fn simulate_with(
 
 /// [`simulate_with`], reporting per-stage wall time to `rec`.
 ///
-/// `rec` sees [`Stage::Lower`](crate::trace::Stage::Lower) only when the
+/// `rec` sees [`Stage::Lower`] only when the
 /// store misses (a cache hit does no lowering) and
-/// [`Stage::Simulate`](crate::trace::Stage::Simulate) on every call. The
+/// [`Stage::Simulate`] on every call. The
 /// returned result is bit-identical to [`simulate_with`].
 pub fn simulate_with_recorder(
     store: &WorkloadStore,

@@ -7,7 +7,6 @@
 use bbs_core::averaging::rounded_averaging;
 use bbs_core::shifting::zero_point_shifting;
 use bbs_models::zoo;
-use bbs_sim::accel::reference::{wave_schedule_nested, NestedProfile};
 use bbs_sim::accel::{wave_schedule_with, LatencyProfile, SyncGranularity};
 use bbs_sim::bitvert_func::pe::group_dot;
 use bbs_sim::bitvert_func::scheduler::subgroup_partial_sum;
@@ -15,6 +14,8 @@ use bbs_sim::store::WorkloadStore;
 use bbs_sim::workload::lower_model;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use reference::{wave_schedule_nested, NestedProfile};
+mod reference;
 
 proptest! {
     #[test]

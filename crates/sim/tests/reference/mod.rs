@@ -1,13 +1,10 @@
 //! The retained nested-`Vec` wave scheduler — the pre-flat-profile
 //! implementation, kept verbatim as the bit-identity oracle for
-//! [`super::wave_schedule_with`].
-//!
-//! Production code must not call this: it allocates per channel and walks
-//! the nested rows twice per tile. Property tests
-//! (`crates/sim/tests/proptests.rs`) drive random profiles through both
-//! implementations and require exact `u64`/`f64` agreement.
+//! `bbs_sim::accel::wave_schedule_with`. It allocates per channel and
+//! walks the nested rows twice per tile, so it lives with the property
+//! tests, which require exact `u64`/`f64` agreement on random profiles.
 
-use super::{SyncGranularity, WaveStats};
+use bbs_sim::accel::{SyncGranularity, WaveStats};
 
 /// Per-channel, per-group latency/usefulness rows in the historical
 /// nested representation.
@@ -19,8 +16,8 @@ pub struct NestedProfile {
     pub useful: Vec<Vec<u64>>,
 }
 
-/// The original nested-row wave scheduler (see [`super::wave_schedule_with`]
-/// for the semantics).
+/// The original nested-row wave scheduler (see
+/// `bbs_sim::accel::wave_schedule_with` for the semantics).
 ///
 /// # Panics
 ///

@@ -83,7 +83,9 @@ impl Default for FaultPlan {
 
 /// SplitMix64: a tiny, well-mixed stateless hash; `z -> u64` is bijective,
 /// so distinct (seed, site, draw) triples give independent-looking draws.
-fn splitmix64(mut z: u64) -> u64 {
+/// Also the serve client's retry jitter and the coordinator's rendezvous
+/// score.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -38,7 +38,7 @@ fn index_of(value: u64) -> usize {
 }
 
 /// Inclusive `[lower, upper]` value range of bucket `i` (the inverse of
-/// [`index_of`]).
+/// `index_of`).
 pub fn bucket_bounds(i: usize) -> (u64, u64) {
     debug_assert!(i < BUCKETS);
     if i < SUB_BUCKETS {

@@ -16,7 +16,7 @@ pub const MAX_GROUP: usize = 64;
 
 /// Returns bit `b` (0 = LSB) of a weight's two's-complement representation.
 #[inline]
-pub fn bit_of(w: i8, b: usize) -> bool {
+fn bit_of(w: i8, b: usize) -> bool {
     debug_assert!(b < WEIGHT_BITS);
     (w as u8 >> b) & 1 == 1
 }
@@ -26,14 +26,16 @@ pub fn bit_of(w: i8, b: usize) -> bool {
 ///
 /// # Example
 ///
+/// Seen through its public complement `redundant_sign_bits` (`8 - width`):
+///
 /// ```
-/// use bbs_tensor::bits::min_twos_complement_width;
-/// assert_eq!(min_twos_complement_width(0), 1);
-/// assert_eq!(min_twos_complement_width(-1), 1);
-/// assert_eq!(min_twos_complement_width(-57), 7); // needs 7 bits: 1000111b
-/// assert_eq!(min_twos_complement_width(127), 8);
+/// use bbs_tensor::bits::redundant_sign_bits;
+/// assert_eq!(redundant_sign_bits(0), 7); // width 1
+/// assert_eq!(redundant_sign_bits(-1), 7); // width 1
+/// assert_eq!(redundant_sign_bits(-57), 1); // width 7: 1000111b
+/// assert_eq!(redundant_sign_bits(127), 0); // width 8
 /// ```
-pub fn min_twos_complement_width(w: i8) -> usize {
+fn min_twos_complement_width(w: i8) -> usize {
     for m in 1..WEIGHT_BITS {
         let lo = -(1i16 << (m - 1));
         let hi = 1i16 << (m - 1);
@@ -62,147 +64,6 @@ pub fn sign_magnitude(w: i8) -> u8 {
     let sign = if w < 0 { 0x80u8 } else { 0 };
     let mag = (w as i16).unsigned_abs().min(127) as u8;
     sign | mag
-}
-
-/// Bit-plane view of a group of up to 64 weights.
-///
-/// Column `b` is stored as a `u64` mask whose bit `i` is bit `b` of word `i`.
-///
-/// # Example
-///
-/// ```
-/// use bbs_tensor::bits::BitGroup;
-///
-/// let g = BitGroup::from_words(&[-11, 2, -57, 13]);
-/// assert_eq!(g.len(), 4);
-/// // Weight -11 = 0b1111_0101: bit 0 set, bit 1 clear.
-/// assert!(g.bit(0, 0));
-/// assert!(!g.bit(0, 1));
-/// assert_eq!(g.into_words(), vec![-11, 2, -57, 13]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitGroup {
-    columns: [u64; WEIGHT_BITS],
-    n: usize,
-}
-
-impl BitGroup {
-    /// Builds the bit-plane view of a weight group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group is empty or larger than [`MAX_GROUP`].
-    pub fn from_words(words: &[i8]) -> Self {
-        assert!(
-            !words.is_empty() && words.len() <= MAX_GROUP,
-            "group size must be in 1..={MAX_GROUP}, got {}",
-            words.len()
-        );
-        BitGroup {
-            columns: pack_planes(words),
-            n: words.len(),
-        }
-    }
-
-    /// Rebuilds a group from raw column masks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not in `1..=MAX_GROUP` or a mask has bits beyond `n`.
-    pub fn from_columns(n: usize, columns: [u64; WEIGHT_BITS]) -> Self {
-        assert!((1..=MAX_GROUP).contains(&n));
-        let valid = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        for (b, &c) in columns.iter().enumerate() {
-            assert!(c & !valid == 0, "column {b} has bits beyond group size");
-        }
-        BitGroup { columns, n }
-    }
-
-    /// Number of weights in the group.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the group is empty (never true for a constructed group).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The mask of valid lanes (`n` low bits set).
-    pub fn lane_mask(&self) -> u64 {
-        if self.n == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.n) - 1
-        }
-    }
-
-    /// Column mask at significance `b` (bit `i` = bit `b` of word `i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b >= 8`.
-    pub fn column(&self, b: usize) -> u64 {
-        self.columns[b]
-    }
-
-    /// Number of one-bits in column `b`.
-    pub fn column_popcount(&self, b: usize) -> usize {
-        self.columns[b].count_ones() as usize
-    }
-
-    /// Whether column `b` is entirely zero.
-    pub fn column_all_zero(&self, b: usize) -> bool {
-        self.columns[b] == 0
-    }
-
-    /// Whether column `b` is entirely one.
-    pub fn column_all_one(&self, b: usize) -> bool {
-        self.columns[b] == self.lane_mask()
-    }
-
-    /// Whether column `b` is bi-directionally sparse (all zeros or all ones),
-    /// i.e. prunable under BBS encoding.
-    pub fn column_bidirectional_sparse(&self, b: usize) -> bool {
-        self.column_all_zero(b) || self.column_all_one(b)
-    }
-
-    /// Bit `b` of word `i`.
-    pub fn bit(&self, i: usize, b: usize) -> bool {
-        debug_assert!(i < self.n);
-        (self.columns[b] >> i) & 1 == 1
-    }
-
-    /// Number of one-bits in word `i` (its essential-bit count in 2's
-    /// complement — Pragmatic's per-weight serial latency).
-    pub fn row_popcount(&self, i: usize) -> usize {
-        debug_assert!(i < self.n);
-        (0..WEIGHT_BITS)
-            .filter(|&b| (self.columns[b] >> i) & 1 == 1)
-            .count()
-    }
-
-    /// Reconstructs the word at lane `i`.
-    pub fn word(&self, i: usize) -> i8 {
-        debug_assert!(i < self.n);
-        let mut v = 0u8;
-        for b in 0..WEIGHT_BITS {
-            if (self.columns[b] >> i) & 1 == 1 {
-                v |= 1 << b;
-            }
-        }
-        v as i8
-    }
-
-    /// Reconstructs all words.
-    pub fn into_words(self) -> Vec<i8> {
-        unpack_planes(&self.columns, self.n)
-    }
-
-    /// Reconstructs all words without consuming the view.
-    pub fn to_words(&self) -> Vec<i8> {
-        unpack_planes(&self.columns, self.n)
-    }
 }
 
 /// Transposes an 8×8 bit matrix held in a `u64` (byte `i` = row `i`,
@@ -259,25 +120,17 @@ unsafe fn transpose_rows_avx2(rows: &mut [u64; 8], nchunks: usize) {
     transpose_rows_batched::<crate::lanes::Avx2>(rows, nchunks);
 }
 
-/// Transposes the first `nchunks` 8×8 bit matrices under the selected
-/// backend. Both are bit-identical (differentially tested); the wide one
-/// runs the transpose network over four chunks per instruction.
+/// Transposes the first `nchunks` 8×8 bit matrices, four chunks per
+/// [`Lanes`] op: the AVX2 build under [`Backend::Wide`] on an AVX2 host,
+/// else the portable [`U64x4`] build of the same source.
 fn transpose_rows_with(backend: Backend, rows: &mut [u64; 8], nchunks: usize) {
-    match backend {
-        Backend::Scalar => {
-            for r in rows[..nchunks].iter_mut() {
-                *r = transpose8(*r);
-            }
-        }
-        Backend::Wide => {
-            #[cfg(target_arch = "x86_64")]
-            if crate::lanes::avx2() {
-                // SAFETY: AVX2 support was just verified at runtime.
-                return unsafe { transpose_rows_avx2(rows, nchunks) };
-            }
-            transpose_rows_batched::<U64x4>(rows, nchunks)
-        }
+    #[cfg(target_arch = "x86_64")]
+    if backend == Backend::Wide && crate::lanes::avx2() {
+        // SAFETY: AVX2 support was just verified at runtime.
+        return unsafe { transpose_rows_avx2(rows, nchunks) };
     }
+    let _ = backend;
+    transpose_rows_batched::<U64x4>(rows, nchunks)
 }
 
 /// The shared chunk/transpose/scatter packing loop, generic over the
@@ -313,13 +166,13 @@ fn pack_planes_with<T: Copy>(words: &[T], to_byte: impl Fn(T) -> u8) -> [u64; WE
 ///
 /// Panics if `words` has more than [`MAX_GROUP`] elements (a larger slice
 /// cannot be represented and would otherwise corrupt the lane masks).
-pub fn pack_planes(words: &[i8]) -> [u64; WEIGHT_BITS] {
+fn pack_planes(words: &[i8]) -> [u64; WEIGHT_BITS] {
     assert!(words.len() <= MAX_GROUP, "at most {MAX_GROUP} lanes");
     pack_planes_with(words, |w| w as u8)
 }
 
-/// Inverse of [`pack_planes`]: reconstructs the first `n` words from their
-/// bit-plane masks.
+/// Reconstructs the first `n` words from their bit-plane masks (the
+/// inverse of [`PackedGroup::from_words`]).
 ///
 /// # Panics
 ///
@@ -346,14 +199,15 @@ pub fn unpack_planes(cols: &[u64; WEIGHT_BITS], n: usize) -> Vec<i8> {
     out
 }
 
-/// Bit-plane (bit-sliced) view of a weight group, the representation the
-/// packed pruning kernels in `bbs-core` operate on directly.
+/// Bit-plane (bit-sliced) view of a group of up to 64 weights, the
+/// representation the packed pruning kernels in `bbs-core` operate on
+/// directly.
 ///
-/// Layout is identical to [`BitGroup`] — eight `u64` column masks plus the
-/// group length — but `PackedGroup` adds the mask-arithmetic surface the
-/// binary-pruning algorithms need: fast transpose-based pack/unpack,
-/// popcount column statistics, redundant-column counting as mask
-/// comparisons, and zero-padded packing for partial trailing groups.
+/// Column `b` is stored as a `u64` mask whose bit `i` is bit `b` of word
+/// `i`. On top of the transpose-based pack/unpack it offers the
+/// mask-arithmetic surface the binary-pruning algorithms need: popcount
+/// column statistics, redundant-column counting as mask comparisons, and
+/// zero-padded packing for partial trailing groups.
 ///
 /// # Example
 ///
@@ -362,6 +216,9 @@ pub fn unpack_planes(cols: &[u64; WEIGHT_BITS], n: usize) -> Vec<i8> {
 ///
 /// let g = PackedGroup::from_words(&[-11, 2, -57, 13]);
 /// assert_eq!(g.len(), 4);
+/// // Weight -11 = 0b1111_0101: bit 0 set, bit 1 clear.
+/// assert_eq!(g.column(0) & 1, 1);
+/// assert_eq!(g.column(1) & 1, 0);
 /// // Fig. 4: the group shares exactly one redundant sign column.
 /// assert_eq!(g.redundant_columns(), 1);
 /// assert_eq!(g.to_words(), vec![-11, 2, -57, 13]);
@@ -504,21 +361,18 @@ impl PackedGroup {
         self.low_bits_sum_with(Backend::active(), g)
     }
 
-    /// [`PackedGroup::low_bits_sum`] under an explicit backend (the wide
-    /// one batches the per-plane popcounts four planes at a time).
+    /// [`PackedGroup::low_bits_sum`] under an explicit backend: the
+    /// per-plane popcounts run four planes at a time, in the AVX2 build
+    /// under [`Backend::Wide`] on an AVX2 host, else in the portable one.
     fn low_bits_sum_with(&self, backend: Backend, g: usize) -> u32 {
         assert!(g <= WEIGHT_BITS);
-        match backend {
-            Backend::Scalar => (0..g).map(|b| (self.cols[b].count_ones()) << b).sum(),
-            Backend::Wide => {
-                #[cfg(target_arch = "x86_64")]
-                if crate::lanes::avx2() {
-                    // SAFETY: AVX2 support was just verified at runtime.
-                    return unsafe { low_bits_sum_avx2(&self.cols, g) };
-                }
-                low_bits_sum_batched::<U64x4>(&self.cols, g)
-            }
+        #[cfg(target_arch = "x86_64")]
+        if backend == Backend::Wide && crate::lanes::avx2() {
+            // SAFETY: AVX2 support was just verified at runtime.
+            return unsafe { low_bits_sum_avx2(&self.cols, g) };
         }
+        let _ = backend;
+        low_bits_sum_batched::<U64x4>(&self.cols, g)
     }
 
     /// Reconstructs the word at lane `i`.
@@ -536,24 +390,6 @@ impl PackedGroup {
     /// Reconstructs all words (fast inverse transpose).
     pub fn to_words(&self) -> Vec<i8> {
         unpack_planes(&self.cols, self.n)
-    }
-}
-
-impl From<&BitGroup> for PackedGroup {
-    fn from(g: &BitGroup) -> Self {
-        PackedGroup {
-            cols: g.columns,
-            n: g.n,
-        }
-    }
-}
-
-impl From<&PackedGroup> for BitGroup {
-    fn from(g: &PackedGroup) -> Self {
-        BitGroup {
-            columns: g.cols,
-            n: g.n,
-        }
     }
 }
 
@@ -697,6 +533,9 @@ mod tests {
     fn min_width_boundaries() {
         assert_eq!(min_twos_complement_width(0), 1);
         assert_eq!(min_twos_complement_width(-1), 1);
+        // -57 needs 7 bits: 1000111b.
+        assert_eq!(min_twos_complement_width(-57), 7);
+        assert_eq!(min_twos_complement_width(127), 8);
         assert_eq!(min_twos_complement_width(1), 2);
         assert_eq!(min_twos_complement_width(-2), 2);
         assert_eq!(min_twos_complement_width(63), 7);
@@ -731,7 +570,7 @@ mod tests {
     fn bitgroup_roundtrip_all_i8() {
         let words: Vec<i8> = (-64..64).collect();
         for chunk in words.chunks(32) {
-            let g = BitGroup::from_words(chunk);
+            let g = PackedGroup::from_words(chunk);
             assert_eq!(g.to_words(), chunk);
         }
     }
@@ -739,12 +578,11 @@ mod tests {
     #[test]
     fn bitgroup_columns_match_bits() {
         let words = [-11i8, 2, -57, 13];
-        let g = BitGroup::from_words(&words);
+        let g = PackedGroup::from_words(&words);
         for (i, &w) in words.iter().enumerate() {
             for b in 0..8 {
-                assert_eq!(g.bit(i, b), bit_of(w, b));
+                assert_eq!((g.column(b) >> i) & 1 == 1, bit_of(w, b));
             }
-            assert_eq!(g.row_popcount(i), (w as u8).count_ones() as usize);
             assert_eq!(g.word(i), w);
         }
     }
@@ -752,24 +590,21 @@ mod tests {
     #[test]
     fn column_classification() {
         // All-zero column: every weight has bit 4 clear.
-        let g = BitGroup::from_words(&[0, 1, 2, 3]);
+        let g = PackedGroup::from_words(&[0, 1, 2, 3]);
         assert!(g.column_all_zero(4));
-        assert!(g.column_bidirectional_sparse(4));
         // All-one column: all-negative weights share the sign bit.
-        let g = BitGroup::from_words(&[-1, -2, -3, -4]);
+        let g = PackedGroup::from_words(&[-1, -2, -3, -4]);
         assert!(g.column_all_one(7));
-        assert!(g.column_bidirectional_sparse(7));
         // Mixed column.
-        let g = BitGroup::from_words(&[1, 0, 1, 0]);
-        assert!(!g.column_bidirectional_sparse(0));
+        let g = PackedGroup::from_words(&[1, 0, 1, 0]);
+        assert!(!g.column_all_zero(0) && !g.column_all_one(0));
         assert_eq!(g.column_popcount(0), 2);
     }
 
     #[test]
     fn from_columns_validates_lanes() {
-        let g = BitGroup::from_words(&[3, -3]);
-        let cols = core::array::from_fn(|b| g.column(b));
-        let g2 = BitGroup::from_columns(2, cols);
+        let g = PackedGroup::from_words(&[3, -3]);
+        let g2 = PackedGroup::from_columns(2, *g.columns());
         assert_eq!(g, g2);
     }
 
@@ -778,7 +613,7 @@ mod tests {
     fn from_columns_rejects_stray_bits() {
         let mut cols = [0u64; WEIGHT_BITS];
         cols[0] = 0b100; // lane 2 does not exist in a group of 2
-        let _ = BitGroup::from_columns(2, cols);
+        let _ = PackedGroup::from_columns(2, cols);
     }
 
     #[test]
@@ -803,30 +638,13 @@ mod tests {
         }
     }
 
-    /// A transpose kernel over the first `nchunks` rows.
-    type Transpose = fn(&mut [u64; 8], usize);
-
-    /// Every transpose this host runs: the scalar oracle, the portable
-    /// lanes and, when detected, AVX2.
-    fn transposes() -> Vec<(&'static str, Transpose)> {
-        let mut v: Vec<(&'static str, Transpose)> = vec![
-            ("scalar", |rows, n| {
-                transpose_rows_with(Backend::Scalar, rows, n)
-            }),
-            ("u64x4", transpose_rows_batched::<U64x4>),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        if crate::lanes::avx2() {
-            // SAFETY: only listed when AVX2 is detected.
-            v.push(("avx2", |rows, n| unsafe { transpose_rows_avx2(rows, n) }));
-        }
-        v
-    }
+    /// Both builds: the portable [`U64x4`] one and, on an AVX2 host, AVX2.
+    const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Wide];
 
     #[test]
     fn batched_transpose_matches_scalar_on_every_backend() {
         let mut rng = crate::rng::SeededRng::new(17);
-        for (backend, transpose) in transposes() {
+        for backend in BACKENDS {
             for nchunks in 0..=8usize {
                 let mut probe = [0u64; 8];
                 for p in probe.iter_mut() {
@@ -840,27 +658,8 @@ mod tests {
                     *r = transpose8(*r);
                 }
                 let mut got = probe;
-                transpose(&mut got, nchunks);
-                assert_eq!(got, want, "{backend} nchunks={nchunks}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_group_matches_bitgroup() {
-        let mut rng = crate::rng::SeededRng::new(14);
-        for n in [1usize, 3, 8, 17, 32, 63, 64] {
-            let words: Vec<i8> = (0..n).map(|_| rng.gaussian_i8(0.0, 40.0)).collect();
-            let p = PackedGroup::from_words(&words);
-            let b = BitGroup::from_words(&words);
-            for col in 0..WEIGHT_BITS {
-                assert_eq!(p.column(col), b.column(col));
-            }
-            assert_eq!(p.to_words(), words);
-            assert_eq!(PackedGroup::from(&b), p);
-            assert_eq!(BitGroup::from(&p), b);
-            for (i, &w) in words.iter().enumerate() {
-                assert_eq!(p.word(i), w);
+                transpose_rows_with(backend, &mut got, nchunks);
+                assert_eq!(got, want, "{backend:?} nchunks={nchunks}");
             }
         }
     }
@@ -892,21 +691,9 @@ mod tests {
                 let mask = if g == 8 { 0xff } else { (1u32 << g) - 1 };
                 let expect: u32 = words.iter().map(|&w| (w as u8 as u32) & mask).sum();
                 assert_eq!(p.low_bits_sum(g), expect, "g={g}");
-                assert_eq!(
-                    p.low_bits_sum_with(Backend::Scalar, g),
-                    expect,
-                    "scalar g={g}"
-                );
-                assert_eq!(
-                    low_bits_sum_batched::<U64x4>(&p.cols, g),
-                    expect,
-                    "u64x4 g={g}"
-                );
-                #[cfg(target_arch = "x86_64")]
-                if crate::lanes::avx2() {
-                    // SAFETY: guarded by the AVX2 check.
-                    let got = unsafe { low_bits_sum_avx2(&p.cols, g) };
-                    assert_eq!(got, expect, "avx2 g={g}");
+                for backend in BACKENDS {
+                    let got = p.low_bits_sum_with(backend, g);
+                    assert_eq!(got, expect, "{backend:?} g={g}");
                 }
             }
         }

@@ -6,47 +6,51 @@
 //! shift-search candidates, four 8-weight pack chunks — which is exactly a
 //! 256-bit vector. This module provides that batching substrate:
 //!
-//! * [`Backend`] — which kernels run: the `scalar` oracle or the `wide`
-//!   batched kernels,
+//! * [`Backend`] — which build of each kernel runs: the portable one or
+//!   the widest one the host supports,
 //! * [`Lanes`] — a 4×`u64` vector trait the batched kernels are generic
 //!   over, with a portable [`U64x4`] implementation and (on x86_64) an
 //!   AVX2 [`Avx2`] implementation built on `std::arch` intrinsics.
 //!
 //! # Backend selection
 //!
-//! [`Backend::active`] is [`Backend::Wide`] unless `BBS_SIMD=scalar`
-//! forces the scalar oracle; any other value, or none, means wide. The
-//! wide kernels run the [`Avx2`] lanes when [`avx2`] detects the ISA and
-//! the portable [`U64x4`] lanes otherwise (on aarch64 those compile to
-//! NEON, a baseline target feature there).
+//! Each kernel has two builds: the AVX2 build (its source instantiated
+//! over [`Avx2`] or compiled under `#[target_feature(enable = "avx2")]`;
+//! quantization and absmax have hand-written AVX2 bodies) and the portable
+//! build (the same source over [`U64x4`], or the plain loop). A kernel
+//! runs the AVX2 build when it is handed [`Backend::Wide`] and [`avx2`]
+//! holds, and the portable build otherwise (on aarch64 the [`U64x4`]
+//! lanes compile to NEON, a baseline target feature there).
 //!
-//! `scalar` is kept as the differential-testing oracle and for bisecting
-//! miscompiles. Kernels that dispatch on the backend take it in private
-//! `*_with(backend, ..)` forms, and their tests run the scalar oracle, the
-//! portable instantiation and AVX2 (when detected) in one process instead
-//! of relying on the process-wide environment override.
+//! [`Backend::active`] is [`Backend::Wide`] unless `BBS_SIMD=scalar`
+//! forces the portable build; any other value, or none, means wide. The
+//! override lets an AVX2 host run the portable build end to end, e.g. to
+//! re-check the golden transcript or to bisect a miscompile. Kernels take
+//! the backend in private `*_with(backend, ..)` forms, and their tests run
+//! both builds in one process instead of relying on the environment.
 //!
 //! # Bit-exactness
 //!
-//! Every batched kernel is required to be *bit-for-bit identical* to its
-//! scalar oracle — the repro pipeline's golden outputs must not depend on
-//! the host CPU. The wide kernels therefore only batch exact integer/mask
-//! arithmetic; all floating-point kernels either stay scalar or use
-//! provably-exact vector equivalents (IEEE divide, truncate, compares).
+//! Both builds of every kernel are required to be *bit-for-bit identical*
+//! to each other and to the reference code in the kernels' tests — the
+//! repro pipeline's golden outputs must not depend on the host CPU. The wide kernels
+//! therefore only batch exact integer/mask arithmetic; all floating-point
+//! kernels either stay scalar or use provably-exact vector equivalents
+//! (IEEE divide, truncate, compares).
 
 use std::sync::OnceLock;
 
 /// Number of `u64` words in one [`Lanes`] vector.
 pub const WORDS: usize = 4;
 
-/// Which kernels run.
+/// Which build of each kernel runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The one-mask-at-a-time kernels: the differential oracle, selected
-    /// only by `BBS_SIMD=scalar` or by a test.
+    /// The portable build on every host: each kernel's source without
+    /// `#[target_feature]` (the [`U64x4`] lanes for the bit-plane kernels).
+    /// Selected only by `BBS_SIMD=scalar` or by a test.
     Scalar,
-    /// The batched kernels: the [`Avx2`] lanes when [`avx2`] holds, else
-    /// the portable [`U64x4`] lanes.
+    /// The AVX2 build when [`avx2`] holds, else the same portable build.
     Wide,
 }
 
@@ -96,7 +100,7 @@ pub fn avx2() -> bool {
 ///
 /// Implementations must behave exactly like four independent `u64`s —
 /// kernels generic over `Lanes` are verified bit-for-bit against the
-/// scalar oracles, so any deviation is a test failure, not a tolerance.
+/// per-weight oracles, so any deviation is a test failure, not a tolerance.
 pub trait Lanes: Copy {
     /// The all-zero vector.
     fn zero() -> Self;

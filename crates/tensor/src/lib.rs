@@ -3,7 +3,7 @@
 //! This crate provides everything the bit-level sparsity work sits on top of:
 //!
 //! * [`Shape`] / [`Tensor`] — a small dense row-major tensor,
-//! * [`rng`] — seeded random samplers (Gaussian, Laplace, Student-t) used to
+//! * [`rng`] — seeded random samplers (Gaussian, Student-t) used to
 //!   synthesize DNN weights with realistic statistics,
 //! * [`quant`] — symmetric post-training quantization (per-tensor and
 //!   per-channel) to INT8 and below,
@@ -13,16 +13,16 @@
 //!   the value/bit/BBS sparsity statistics behind Fig. 3,
 //! * [`lanes`] — the wide-lane substrate the packed kernels batch their
 //!   mask arithmetic over (AVX2 when detected, else portable 4×`u64`
-//!   lanes; `BBS_SIMD=scalar` forces the scalar oracle).
+//!   lanes; `BBS_SIMD=scalar` forces the portable build).
 //!
 //! # Example
 //!
 //! ```
-//! use bbs_tensor::{bits::BitGroup, rng::SeededRng};
+//! use bbs_tensor::{bits::PackedGroup, rng::SeededRng};
 //!
 //! let mut rng = SeededRng::new(7);
 //! let weights: Vec<i8> = (0..32).map(|_| rng.gaussian_i8(0.0, 20.0)).collect();
-//! let group = BitGroup::from_words(&weights);
+//! let group = PackedGroup::from_words(&weights);
 //! // Every bit column of a group is at least 50% sparse bi-directionally.
 //! for b in 0..8 {
 //!     let ones = group.column_popcount(b);

@@ -3,8 +3,8 @@
 //! The paper quantifies how well a compressed weight tensor preserves the
 //! original INT8 distribution using mean-square error (Figs. 4/5), KL
 //! divergence over value histograms (Figs. 1 and 6) and downstream accuracy.
-//! This module provides those kernels plus SQNR and cosine similarity used by
-//! the layer-output fidelity experiments.
+//! This module provides those kernels plus the SQNR used by the
+//! layer-output fidelity experiments.
 
 /// Mean square error between two equal-length `f32` slices.
 ///
@@ -67,20 +67,6 @@ pub fn sqnr_db(signal: &[f32], reconstructed: &[f32]) -> f64 {
     }
 }
 
-/// Cosine similarity between two vectors; 1.0 for identical directions.
-///
-/// # Panics
-///
-/// Panics if lengths differ or either vector is all-zero.
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let dot: f64 = a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum();
-    let na: f64 = a.iter().map(|&x| (x as f64).powi(2)).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|&x| (x as f64).powi(2)).sum::<f64>().sqrt();
-    assert!(na > 0.0 && nb > 0.0, "cosine of zero vector");
-    dot / (na * nb)
-}
-
 /// Exact 256-bin histogram of `i8` samples, optionally Laplace-smoothed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramI8 {
@@ -124,14 +110,6 @@ impl HistogramI8 {
     /// Count for a particular value.
     pub fn count(&self, value: i8) -> u64 {
         self.counts[(value as i16 + 128) as usize]
-    }
-
-    /// Number of distinct values (quantization levels) that occur.
-    ///
-    /// The paper uses this to argue BBS preserves all quantization levels
-    /// while zero-column pruning collapses many (Fig. 1).
-    pub fn support_size(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
     }
 
     /// Smoothed probability of a bin (Laplace smoothing with `eps`).
@@ -291,13 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_bounds() {
-        assert!((cosine_similarity(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
-        assert!((cosine_similarity(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-12);
-        assert!((cosine_similarity(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn kl_of_identical_distributions_is_zero() {
         let samples: Vec<i8> = (-100..100).collect();
         let h = HistogramI8::from_samples(&samples);
@@ -332,7 +303,6 @@ mod tests {
     #[test]
     fn support_size_counts_levels() {
         let h = HistogramI8::from_samples(&[1, 1, 2, 3]);
-        assert_eq!(h.support_size(), 3);
         assert_eq!(h.total(), 4);
         assert_eq!(h.count(1), 2);
     }

@@ -119,13 +119,6 @@ impl SeededRng {
         v.clamp(i8::MIN as f64, i8::MAX as f64) as i8
     }
 
-    /// Laplace sample (double exponential) with location `mu`, scale `b`.
-    pub fn laplace(&mut self, mu: f64, b: f64) -> f64 {
-        // Inverse CDF sampling.
-        let u = self.uniform() - 0.5;
-        mu - b * u.signum() * (1.0 - 2.0 * u.abs()).ln()
-    }
-
     /// Student-t sample with `df` degrees of freedom (heavy tails for
     /// outlier channels).
     ///
@@ -267,17 +260,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((mean - 1.5).abs() < 0.02, "mean {mean}");
         assert!((var - 4.0).abs() < 0.08, "var {var}");
-    }
-
-    #[test]
-    fn laplace_is_symmetric_heavyish() {
-        let mut rng = SeededRng::new(3);
-        let xs: Vec<f64> = (0..100_000).map(|_| rng.laplace(0.0, 1.0)).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        // Laplace(0,1) variance = 2.
-        let var = xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64;
-        assert!((var - 2.0).abs() < 0.1, "var {var}");
     }
 
     #[test]
