@@ -1,40 +1,10 @@
 //! Regenerates the paper's fig13 (see `bbs_bench::experiments::fig13`).
 //!
-//! Flags:
-//! * `--json` — machine-readable output instead of the table;
-//! * `--via-serve` — compute the sweep through an in-process `bbs-serve`
-//!   instance's `/sweep` route (byte-identical output);
-//! * `--via-serve-addr HOST:PORT` — same, against a running server.
+//! Flags (see `bbs_bench::serve_path::figure_main`): `--json` for
+//! machine-readable output, `--via-serve` or `--via-serve-addr HOST:PORT`
+//! to compute the grid through a `bbs-serve` `/sweep` route.
 use bbs_bench::experiments::fig13;
-use bbs_bench::serve_path;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let json = std::env::args().any(|a| a == "--json");
-    let outcome = match serve_path::serve_mode_from_args() {
-        Ok(None) => {
-            if json {
-                println!("{}", fig13::to_json().pretty(2));
-            } else {
-                fig13::run();
-            }
-            Ok(())
-        }
-        Ok(Some(mode)) => mode.with_addr(|addr| {
-            if json {
-                println!("{}", fig13::to_json_via_serve(addr)?.pretty(2));
-                Ok(())
-            } else {
-                fig13::run_via_serve(addr)
-            }
-        }),
-        Err(e) => Err(e),
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig13_energy: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    bbs_bench::serve_path::figure_main("fig13_energy", fig13::table, fig13::print, fig13::to_json)
 }

@@ -6,8 +6,11 @@
 //! `--json` emits the machine-readable core results (the fig12 speedup and
 //! fig13 energy sweeps, which every downstream comparison is built on)
 //! instead of the full stdout-table run.
+use bbs_bench::experiments::{fig12, fig13};
+
 fn main() {
     if std::env::args().any(|a| a == "--json") {
+        const IN_PROCESS: &str = "registry ids run in process";
         let doc = bbs_json::Json::obj(vec![
             ("schema", bbs_json::Json::str("bbs-repro/v1")),
             ("seed", bbs_json::Json::from_u64(bbs_bench::SEED)),
@@ -15,8 +18,14 @@ fn main() {
                 "bbs_cap",
                 bbs_json::Json::from_usize(bbs_bench::weight_cap()),
             ),
-            ("fig12", bbs_bench::experiments::fig12::to_json()),
-            ("fig13", bbs_bench::experiments::fig13::to_json()),
+            (
+                "fig12",
+                fig12::to_json(&fig12::table(None).expect(IN_PROCESS)),
+            ),
+            (
+                "fig13",
+                fig13::to_json(&fig13::table(None).expect(IN_PROCESS)),
+            ),
         ]);
         println!("{}", doc.pretty(2));
         return;

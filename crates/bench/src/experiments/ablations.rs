@@ -69,7 +69,7 @@ pub fn group_size() {
 
 /// Ablation B: sensitive-channel fraction β sweep (accuracy/footprint
 /// trade).
-pub fn beta_sweep() {
+fn beta_sweep() {
     let model = zoo::vit_small();
     let cap = weight_cap() / 2;
     let synth = synthesize_model(&model, SEED, cap);
@@ -119,7 +119,7 @@ pub fn beta_sweep() {
 
 /// Ablation C: array synchronization granularity — what the per-column
 /// buffering is worth for each imbalance-prone design.
-pub fn sync_granularity() {
+fn sync_granularity() {
     let mut rng = SeededRng::new(SEED);
     // A synthetic imbalanced profile: Pragmatic-like group latencies.
     let channels = 64;
@@ -166,7 +166,7 @@ pub fn sync_granularity() {
 /// Ablation D: strategy crossover — MSE of averaging vs shifting per
 /// pruned-column count (the mechanism behind Fig. 6 and Algorithm 2's
 /// strategy switch).
-pub fn strategy_crossover() {
+fn strategy_crossover() {
     let mut rng = SeededRng::new(SEED + 9);
     let groups: Vec<Vec<i8>> = (0..400)
         .map(|_| (0..32).map(|_| rng.gaussian_i8(0.0, 35.0)).collect())

@@ -8,7 +8,7 @@ use bbs_tensor::bits::SparsityStats;
 use rayon::prelude::*;
 
 /// Measures the four Fig. 3 sparsity statistics for one model.
-pub fn model_sparsity(model: &bbs_models::ModelSpec) -> SparsityStats {
+fn model_sparsity(model: &bbs_models::ModelSpec) -> SparsityStats {
     let mut pooled: Vec<i8> = Vec::new();
     for (i, spec) in model.layers.iter().enumerate() {
         let synth = synthesize_weights_sampled(

@@ -28,7 +28,7 @@ fn model_kl(model: &SynthModel, kernel: impl Fn(&[i8]) -> Vec<i32>) -> f64 {
 }
 
 /// The three techniques at one pruning level.
-pub fn technique_kls(model: &SynthModel, columns: usize) -> [f64; 3] {
+fn technique_kls(model: &SynthModel, columns: usize) -> [f64; 3] {
     [
         model_kl(model, |g| sign_magnitude_zero_column(g, columns).decode()),
         model_kl(model, |g| rounded_averaging(g, columns).decode()),

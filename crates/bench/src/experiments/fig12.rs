@@ -1,126 +1,54 @@
 //! Figure 12: end-to-end speedup over Stripes for all accelerators on the
 //! seven benchmarks.
 //!
-//! Two ways to produce the same table: the in-process parallel sweep
-//! ([`sweep`]) and the `--via-serve` path ([`sweep_via_serve`]), which
-//! POSTs the grid to a `bbs-serve` `/sweep` route. Both feed the same
-//! rendering, and the serve wire is bit-exact, so the outputs are
-//! byte-identical (diffed in CI).
+//! The table is one grid, the benchmarks × every registry accelerator,
+//! run by [`crate::grid_results`] in process or, with `--via-serve`,
+//! through a `bbs-serve` `/sweep` route. Cycle counts ride the wire as
+//! exact integers, so both paths render byte-identical output (diffed in
+//! CI).
 
-use crate::serve_path;
-use crate::{f, print_table, weight_cap, workload_store, SEED};
+use crate::{display_names, f, paper_grid, print_table};
 use bbs_json::Json;
-use bbs_models::zoo;
-use bbs_sim::accel::{
-    ant::Ant, bitlet::Bitlet, bitvert::BitVert, bitwave::BitWave, pragmatic::Pragmatic,
-    sparten::SparTen, stripes::Stripes, Accelerator,
-};
-use bbs_sim::config::ArrayConfig;
-use bbs_sim::engine::simulate_with;
+use bbs_serve::registry::ACCELERATOR_IDS;
 use bbs_tensor::metrics::geomean;
-use rayon::prelude::*;
+use std::net::SocketAddr;
 
-/// The Fig. 12 accelerator lineup (Stripes is the normalization baseline).
-pub fn lineup() -> Vec<Box<dyn Accelerator>> {
-    vec![
-        Box::new(SparTen::new()),
-        Box::new(Ant::new()),
-        Box::new(Pragmatic::new()),
-        Box::new(Bitlet::new()),
-        Box::new(BitWave::new()),
-        Box::new(BitVert::conservative()),
-        Box::new(BitVert::moderate()),
-    ]
-}
+/// Speedups over Stripes per benchmark: one value per accelerator of
+/// `ACCELERATOR_IDS[1..]` (the registry lists Stripes, the normalization
+/// baseline, first).
+pub type Speedups = Vec<(&'static str, Vec<f64>)>;
 
-/// Speedups over Stripes for every model, in lineup order — one flat
-/// parallel sweep over `(model, accelerator)` pairs.
-///
-/// The shared [`workload_store`] means each model is lowered once for the
-/// whole sweep (not once per accelerator), and the order-preserving
-/// parallel collect keeps rows/columns deterministic and bit-identical to
-/// the sequential sweep.
-pub fn sweep(models: &[bbs_models::ModelSpec], cfg: &ArrayConfig) -> Vec<Vec<f64>> {
-    let cap = weight_cap();
-    let store = workload_store();
-    let stripes = Stripes::new();
-    let accels = lineup();
-    // Column 0 is the Stripes baseline, columns 1.. are the lineup.
-    let cols = accels.len() + 1;
-    let jobs: Vec<(usize, usize)> = (0..models.len())
-        .flat_map(|m| (0..cols).map(move |a| (m, a)))
-        .collect();
-    let cycles: Vec<u64> = jobs
-        .par_iter()
-        .map(|&(m, a)| {
-            let accel: &dyn Accelerator = if a == 0 {
-                &stripes
-            } else {
-                accels[a - 1].as_ref()
-            };
-            simulate_with(store, accel, &models[m], cfg, SEED, cap).total_cycles()
+/// Fig. 12's table, computed in process (`via` = `None`) or by the server
+/// at `via`.
+pub fn table(via: Option<SocketAddr>) -> Result<Speedups, String> {
+    Ok(paper_grid(&ACCELERATOR_IDS, via)?
+        .into_iter()
+        .map(|(model, row)| {
+            let stripes = row[0].total_cycles() as f64;
+            let speedups = row[1..]
+                .iter()
+                .map(|r| stripes / r.total_cycles() as f64)
+                .collect();
+            (model, speedups)
         })
-        .collect();
-    cycles
-        .chunks(cols)
-        .map(|row| row[1..].iter().map(|&c| row[0] as f64 / c as f64).collect())
-        .collect()
+        .collect())
 }
 
-/// The same speedup table as [`sweep`], computed by POSTing the grid to
-/// a `bbs-serve` `/sweep` route. Cycle counts travel the wire as exact
-/// integers, so the resulting table is bit-identical to the in-process
-/// sweep's.
-pub fn sweep_via_serve(
-    models: &[bbs_models::ModelSpec],
-    cfg: &ArrayConfig,
-    addr: std::net::SocketAddr,
-) -> Result<Vec<Vec<f64>>, String> {
-    // Column 0 is the Stripes baseline, columns 1.. are the lineup — the
-    // exact (model, accelerator) job order of the in-process sweep.
-    let mut names = vec![Stripes::new().name()];
-    names.extend(lineup().iter().map(|a| a.name()));
-    let ids = serve_path::canonical_ids(&names);
-    let cols = ids.len();
-    let spec =
-        bbs_sim::sweep::SweepSpec::grid(models.to_vec(), ids, cfg.clone(), SEED, weight_cap());
-    let results = serve_path::sweep_results(&spec, addr)?;
-    let cycles: Vec<u64> = results.iter().map(|r| r.total_cycles()).collect();
-    Ok(cycles
-        .chunks(cols)
-        .map(|row| row[1..].iter().map(|&c| row[0] as f64 / c as f64).collect())
-        .collect())
+/// The geomean of each accelerator's speedups over the benchmarks.
+fn geomeans(table: &Speedups) -> Vec<f64> {
+    (0..ACCELERATOR_IDS.len() - 1)
+        .map(|col| geomean(&table.iter().map(|(_, row)| row[col]).collect::<Vec<_>>()))
+        .collect()
 }
 
 /// Fig. 12 as machine-readable JSON (the `--json` output mode): raw
 /// speedups per model plus the geomean row, keyed by accelerator name.
-pub fn to_json() -> Json {
-    let cfg = ArrayConfig::paper_16x32();
-    let models = zoo::paper_benchmarks();
-    let table = sweep(&models, &cfg);
-    table_to_json(&models, &table)
-}
-
-/// [`to_json`] with the table computed through a `bbs-serve` instance.
-pub fn to_json_via_serve(addr: std::net::SocketAddr) -> Result<Json, String> {
-    let cfg = ArrayConfig::paper_16x32();
-    let models = zoo::paper_benchmarks();
-    let table = sweep_via_serve(&models, &cfg, addr)?;
-    Ok(table_to_json(&models, &table))
-}
-
-fn table_to_json(models: &[bbs_models::ModelSpec], table: &[Vec<f64>]) -> Json {
-    let names: Vec<String> = lineup().iter().map(|a| a.name()).collect();
-    let mut per_accel: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
-    let rows: Vec<Json> = models
+pub fn to_json(table: &Speedups) -> Json {
+    let rows = table
         .iter()
-        .zip(table)
         .map(|(model, speedups)| {
-            for (col, &s) in speedups.iter().enumerate() {
-                per_accel[col].push(s);
-            }
             Json::obj(vec![
-                ("model", Json::str(model.name)),
+                ("model", Json::str(model)),
                 (
                     "speedup",
                     Json::Arr(speedups.iter().copied().map(Json::Num).collect()),
@@ -133,51 +61,36 @@ fn table_to_json(models: &[bbs_models::ModelSpec], table: &[Vec<f64>]) -> Json {
         ("baseline", Json::str("Stripes")),
         (
             "accelerators",
-            Json::Arr(names.iter().map(|n| Json::str(n)).collect()),
+            Json::Arr(
+                display_names(&ACCELERATOR_IDS[1..])
+                    .iter()
+                    .map(|n| Json::str(n))
+                    .collect(),
+            ),
         ),
         ("rows", Json::Arr(rows)),
         (
             "geomean",
-            Json::Arr(per_accel.iter().map(|v| Json::Num(geomean(v))).collect()),
+            Json::Arr(geomeans(table).into_iter().map(Json::Num).collect()),
         ),
     ])
 }
 
-/// Regenerates Fig. 12.
-pub fn run() {
-    let cfg = ArrayConfig::paper_16x32();
-    let models = zoo::paper_benchmarks();
-    let table = sweep(&models, &cfg);
-    print_run(&models, &table);
-}
-
-/// [`run`] with the table computed through a `bbs-serve` instance —
-/// byte-identical output (same rendering, bit-exact wire).
-pub fn run_via_serve(addr: std::net::SocketAddr) -> Result<(), String> {
-    let cfg = ArrayConfig::paper_16x32();
-    let models = zoo::paper_benchmarks();
-    let table = sweep_via_serve(&models, &cfg, addr)?;
-    print_run(&models, &table);
-    Ok(())
-}
-
-fn print_run(models: &[bbs_models::ModelSpec], table: &[Vec<f64>]) {
-    let names: Vec<String> = lineup().iter().map(|a| a.name()).collect();
+/// Prints Fig. 12 as a text table.
+pub fn print(table: &Speedups) {
     let mut header = vec!["model".to_string()];
-    header.extend(names);
+    header.extend(display_names(&ACCELERATOR_IDS[1..]));
 
-    let mut per_accel: Vec<Vec<f64>> = vec![Vec::new(); lineup().len()];
-    let mut rows = Vec::new();
-    for (model, speedups) in models.iter().zip(table) {
-        let mut row = vec![model.name.to_string()];
-        for (col, &s) in speedups.iter().enumerate() {
-            per_accel[col].push(s);
-            row.push(f(s, 2));
-        }
-        rows.push(row);
-    }
+    let mut rows: Vec<Vec<String>> = table
+        .iter()
+        .map(|(model, speedups)| {
+            let mut row = vec![model.to_string()];
+            row.extend(speedups.iter().map(|&s| f(s, 2)));
+            row
+        })
+        .collect();
     let mut geo = vec!["geomean".to_string()];
-    geo.extend(per_accel.iter().map(|v| f(geomean(v), 2)));
+    geo.extend(geomeans(table).into_iter().map(|g| f(g, 2)));
     rows.push(geo);
     let mut paper = vec!["paper geomean".to_string()];
     paper.extend(
@@ -192,4 +105,9 @@ fn print_run(models: &[bbs_models::ModelSpec], table: &[Vec<f64>]) {
         &header,
         &rows,
     );
+}
+
+/// Regenerates Fig. 12.
+pub fn run() {
+    print(&table(None).expect("registry ids run in process"));
 }

@@ -1,109 +1,51 @@
 //! Figure 13: energy consumption breakdown (off-chip memory vs on-chip
 //! compute) normalized to SparTen.
 //!
-//! Like fig12, the table can be computed in-process ([`run`]/[`to_json`])
-//! or through a `bbs-serve` `/sweep` route (`*_via_serve`); energies ride
-//! the wire in bit-exact shortest-round-trip form, so both paths render
+//! Like fig12, the table is one grid run by [`crate::grid_results`] in
+//! process or through a `bbs-serve` `/sweep` route; energies ride the wire
+//! in bit-exact shortest-round-trip form, so both paths render
 //! byte-identical output.
 
-use crate::serve_path;
-use crate::{f, print_table, weight_cap, workload_store, SEED};
+use crate::{display_names, f, paper_grid, print_table};
 use bbs_hw::energy::EnergyBreakdown;
 use bbs_hw::json::energy_breakdown_to_json;
 use bbs_json::Json;
-use bbs_models::zoo;
-use bbs_sim::accel::{
-    ant::Ant, bitlet::Bitlet, bitvert::BitVert, bitwave::BitWave, pragmatic::Pragmatic,
-    sparten::SparTen, stripes::Stripes, Accelerator,
-};
-use bbs_sim::config::ArrayConfig;
-use bbs_sim::engine::simulate_with;
 use bbs_sim::SimResult;
 use bbs_tensor::metrics::geomean;
-use rayon::prelude::*;
+use std::net::SocketAddr;
 
-/// The Fig. 13 lineup (SparTen first — it is the normalization baseline).
-fn lineup() -> Vec<Box<dyn Accelerator>> {
-    vec![
-        Box::new(SparTen::new()),
-        Box::new(Ant::new()),
-        Box::new(Stripes::new()),
-        Box::new(Pragmatic::new()),
-        Box::new(Bitlet::new()),
-        Box::new(BitWave::new()),
-        Box::new(BitVert::conservative()),
-        Box::new(BitVert::moderate()),
-    ]
-}
+/// The Fig. 13 lineup as registry ids (SparTen first — it is the
+/// normalization baseline).
+const LINEUP: [&str; 8] = [
+    "sparten",
+    "ant",
+    "stripes",
+    "pragmatic",
+    "bitlet",
+    "bitwave",
+    "bitvert-conservative",
+    "bitvert-moderate",
+];
 
-/// Per-model, per-lineup-accelerator energy breakdowns: one flat parallel
-/// sweep over `(model, accelerator)` pairs through the shared
-/// [`workload_store`] (each model lowers once for all eight columns), with
-/// deterministic row/column order.
-fn energy_sweep(models: &[bbs_models::ModelSpec], cfg: &ArrayConfig) -> Vec<Vec<EnergyBreakdown>> {
-    let cap = weight_cap();
-    let store = workload_store();
-    let accels = lineup();
-    let cols = accels.len();
-    let jobs: Vec<(usize, usize)> = (0..models.len())
-        .flat_map(|m| (0..cols).map(move |a| (m, a)))
-        .collect();
-    let cells: Vec<EnergyBreakdown> = jobs
-        .par_iter()
-        .map(|&(m, a)| {
-            simulate_with(store, accels[a].as_ref(), &models[m], cfg, SEED, cap).energy_breakdown()
-        })
-        .collect();
-    cells
-        .chunks(cols)
-        .map(<[EnergyBreakdown]>::to_vec)
-        .collect()
-}
+/// Energy breakdowns per benchmark, one per accelerator of the lineup.
+pub type Energies = Vec<(&'static str, Vec<EnergyBreakdown>)>;
 
-/// The same per-cell energy breakdowns as [`energy_sweep`], served by a
-/// `bbs-serve` `/sweep` route (bit-identical — energies round-trip the
-/// wire exactly).
-fn energy_sweep_via_serve(
-    models: &[bbs_models::ModelSpec],
-    cfg: &ArrayConfig,
-    addr: std::net::SocketAddr,
-) -> Result<Vec<Vec<EnergyBreakdown>>, String> {
-    let names: Vec<String> = lineup().iter().map(|a| a.name()).collect();
-    let ids = serve_path::canonical_ids(&names);
-    let cols = ids.len();
-    let spec =
-        bbs_sim::sweep::SweepSpec::grid(models.to_vec(), ids, cfg.clone(), SEED, weight_cap());
-    let results = serve_path::sweep_results(&spec, addr)?;
-    let cells: Vec<EnergyBreakdown> = results.iter().map(SimResult::energy_breakdown).collect();
-    Ok(cells
-        .chunks(cols)
-        .map(<[EnergyBreakdown]>::to_vec)
+/// Fig. 13's table, computed in process (`via` = `None`) or by the server
+/// at `via`.
+pub fn table(via: Option<SocketAddr>) -> Result<Energies, String> {
+    Ok(paper_grid(&LINEUP, via)?
+        .into_iter()
+        .map(|(model, row)| (model, row.iter().map(SimResult::energy_breakdown).collect()))
         .collect())
 }
 
 /// Fig. 13 as machine-readable JSON (the `--json` output mode): absolute
 /// per-accelerator energy breakdowns (via the shared serialization layer)
 /// plus the SparTen-normalized totals the figure plots.
-pub fn to_json() -> Json {
-    let cfg = ArrayConfig::paper_16x32();
-    let models = zoo::paper_benchmarks();
-    let table = energy_sweep(&models, &cfg);
-    table_to_json(&models, &table)
-}
-
-/// [`to_json`] with the table computed through a `bbs-serve` instance.
-pub fn to_json_via_serve(addr: std::net::SocketAddr) -> Result<Json, String> {
-    let cfg = ArrayConfig::paper_16x32();
-    let models = zoo::paper_benchmarks();
-    let table = energy_sweep_via_serve(&models, &cfg, addr)?;
-    Ok(table_to_json(&models, &table))
-}
-
-fn table_to_json(models: &[bbs_models::ModelSpec], table: &[Vec<EnergyBreakdown>]) -> Json {
-    let names: Vec<String> = lineup().iter().map(|a| a.name()).collect();
-    let rows: Vec<Json> = models
+pub fn to_json(table: &Energies) -> Json {
+    let names = display_names(&LINEUP);
+    let rows: Vec<Json> = table
         .iter()
-        .zip(table)
         .map(|(model, breakdowns)| {
             // SparTen is lineup column 0 — the normalization base.
             let base = breakdowns[0].total_pj();
@@ -119,7 +61,7 @@ fn table_to_json(models: &[bbs_models::ModelSpec], table: &[Vec<EnergyBreakdown>
                 })
                 .collect();
             Json::obj(vec![
-                ("model", Json::str(model.name)),
+                ("model", Json::str(model)),
                 ("breakdown", Json::Arr(cells)),
             ])
         })
@@ -135,33 +77,16 @@ fn table_to_json(models: &[bbs_models::ModelSpec], table: &[Vec<EnergyBreakdown>
     ])
 }
 
-/// Regenerates Fig. 13.
-pub fn run() {
-    let cfg = ArrayConfig::paper_16x32();
-    let models = zoo::paper_benchmarks();
-    let table = energy_sweep(&models, &cfg);
-    print_run(&models, &table);
-}
-
-/// [`run`] with the table computed through a `bbs-serve` instance —
-/// byte-identical output.
-pub fn run_via_serve(addr: std::net::SocketAddr) -> Result<(), String> {
-    let cfg = ArrayConfig::paper_16x32();
-    let models = zoo::paper_benchmarks();
-    let table = energy_sweep_via_serve(&models, &cfg, addr)?;
-    print_run(&models, &table);
-    Ok(())
-}
-
-fn print_run(models: &[bbs_models::ModelSpec], table: &[Vec<EnergyBreakdown>]) {
+/// Prints Fig. 13 as a text table.
+pub fn print(table: &Energies) {
     let mut header = vec!["model".to_string()];
-    header.extend(lineup().iter().map(|a| a.name()));
+    header.extend(display_names(&LINEUP));
 
-    let mut norm_totals: Vec<Vec<f64>> = vec![Vec::new(); lineup().len()];
+    let mut norm_totals: Vec<Vec<f64>> = vec![Vec::new(); LINEUP.len()];
     let mut rows = Vec::new();
-    for (model, breakdowns) in models.iter().zip(table) {
+    for (model, breakdowns) in table {
         let base = breakdowns[0].total_pj();
-        let mut row = vec![model.name.to_string()];
+        let mut row = vec![model.to_string()];
         for (col, b) in breakdowns.iter().enumerate() {
             let total = b.total_pj() / base;
             norm_totals[col].push(total);
@@ -192,4 +117,9 @@ fn print_run(models: &[bbs_models::ModelSpec], table: &[Vec<EnergyBreakdown>]) {
         &header,
         &rows,
     );
+}
+
+/// Regenerates Fig. 13.
+pub fn run() {
+    print(&table(None).expect("registry ids run in process"));
 }

@@ -16,7 +16,7 @@ pub const COLUMN_SWEEP: [usize; 5] = [2, 4, 8, 16, 32];
 /// Speedups over Stripes at one column count. Lowering is independent of
 /// the array geometry, so the whole 5-point column sweep reuses one stored
 /// lowering per model.
-pub fn speedups_at(model: &bbs_models::ModelSpec, cols: usize) -> Vec<f64> {
+fn speedups_at(model: &bbs_models::ModelSpec, cols: usize) -> Vec<f64> {
     let cfg = ArrayConfig::paper_16x32().with_pe_cols(cols);
     let cap = weight_cap();
     let store = workload_store();

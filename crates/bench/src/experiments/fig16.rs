@@ -123,7 +123,7 @@ fn point_jobs() -> Vec<PointJob> {
 }
 
 /// Computes the Fig. 16 point cloud, one flat parallel job per point.
-pub fn pareto_points() -> Vec<ParetoPoint> {
+fn pareto_points() -> Vec<ParetoPoint> {
     let model = zoo::resnet50();
     let cfg = ArrayConfig::paper_16x32();
     let cap = weight_cap();
@@ -155,7 +155,7 @@ pub fn pareto_points() -> Vec<ParetoPoint> {
 }
 
 /// Checks whether a point is on the Pareto frontier of the cloud.
-pub fn on_frontier(points: &[ParetoPoint], p: &ParetoPoint) -> bool {
+fn on_frontier(points: &[ParetoPoint], p: &ParetoPoint) -> bool {
     !points.iter().any(|q| {
         (q.norm_edp < p.norm_edp && q.acc_loss_pct <= p.acc_loss_pct)
             || (q.norm_edp <= p.norm_edp && q.acc_loss_pct < p.acc_loss_pct)

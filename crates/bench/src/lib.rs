@@ -18,10 +18,14 @@ pub mod experiments;
 pub mod serve_path;
 
 use bbs_models::accuracy::{synthesize_model, CompressionMethod, ModelFidelity, SynthModel};
-use bbs_models::ModelSpec;
+use bbs_models::{zoo, ModelSpec};
+use bbs_serve::registry::accelerator_by_name;
+use bbs_sim::engine::simulate_with;
 use bbs_sim::store::WorkloadStore;
+use bbs_sim::{ArrayConfig, SimResult, SweepSpec};
 use rayon::prelude::*;
 use std::fmt::Display;
+use std::net::SocketAddr;
 use std::sync::OnceLock;
 
 /// The global experiment seed.
@@ -76,6 +80,77 @@ pub fn fidelity_grid(
     models
         .iter()
         .map(|_| fits.by_ref().take(methods.len()).collect())
+        .collect()
+}
+
+/// Every cell of `spec`, in expansion order. With `via` = `None` the
+/// cells run in process, one parallel job each, through [`workload_store`];
+/// with `Some(addr)` they run on the `bbs-serve` instance at `addr`
+/// through its `/sweep` route. Results ride the wire bit-exactly, so both
+/// return equal results.
+pub fn grid_results(spec: &SweepSpec, via: Option<SocketAddr>) -> Result<Vec<SimResult>, String> {
+    if let Some(addr) = via {
+        return serve_path::sweep_results(spec, addr);
+    }
+    let accels = spec
+        .accelerators
+        .iter()
+        .map(|id| accelerator_by_name(id).ok_or_else(|| format!("unknown accelerator '{id}'")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let store = workload_store();
+    Ok(spec
+        .cells()
+        .par_iter()
+        .map(|c| {
+            simulate_with(
+                store,
+                accels[c.accelerator].as_ref(),
+                &spec.models[c.model],
+                &spec.configs[c.config],
+                spec.seeds[c.seed],
+                spec.caps[c.cap],
+            )
+        })
+        .collect())
+}
+
+/// The accelerators `ids` (registry ids) on the seven paper benchmarks, at
+/// the paper's 16×32 array, [`SEED`] and [`weight_cap`], run by
+/// [`grid_results`]: one `(model name, results in ids order)` row per
+/// benchmark.
+pub(crate) fn paper_grid(
+    ids: &[&str],
+    via: Option<SocketAddr>,
+) -> Result<Vec<(&'static str, Vec<SimResult>)>, String> {
+    let models = zoo::paper_benchmarks();
+    let names: Vec<&'static str> = models.iter().map(|m| m.name).collect();
+    let ids = ids.iter().map(|id| id.to_string()).collect();
+    let spec = SweepSpec::grid(models, ids, ArrayConfig::paper_16x32(), SEED, weight_cap());
+    let mut results = grid_results(&spec, via)?.into_iter();
+    Ok(names
+        .into_iter()
+        .map(|name| {
+            (
+                name,
+                results.by_ref().take(spec.accelerators.len()).collect(),
+            )
+        })
+        .collect())
+}
+
+/// The figures' display names of registry ids (`bitvert-moderate` is
+/// `BitVert (mod)`).
+///
+/// # Panics
+///
+/// Panics on an id the registry does not know.
+pub(crate) fn display_names(ids: &[&str]) -> Vec<String> {
+    ids.iter()
+        .map(|id| {
+            accelerator_by_name(id)
+                .unwrap_or_else(|| panic!("'{id}' is not a registry id"))
+                .name()
+        })
         .collect()
 }
 

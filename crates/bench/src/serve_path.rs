@@ -4,8 +4,8 @@
 //! The wire carries [`bbs_sim::SimResult`]s through the workspace
 //! serialization layer, whose f64/u64 round trips are bit-exact — so a
 //! figure computed from served results is **byte-identical** to the
-//! in-process sweep (asserted in CI by diffing `fig12_speedup` output
-//! against `fig12_speedup --via-serve`).
+//! in-process grid (asserted in CI by diffing `fig12_speedup` output
+//! against `fig12_speedup --via-serve`, and in `tests/grid.rs`).
 
 use bbs_json::Json;
 use bbs_serve::client::Client;
@@ -14,11 +14,13 @@ use bbs_sim::json::{sim_result_from_json, sweep_spec_to_json};
 use bbs_sim::sweep::SweepSpec;
 use bbs_sim::SimResult;
 use std::net::SocketAddr;
+use std::process::ExitCode;
 
-/// POSTs the spec to `/sweep` and reassembles the streamed cells into
-/// expansion order. Any cell error (or a missing/duplicate cell) fails
-/// the whole figure — a partially-served table would silently lie.
-pub fn sweep_results(spec: &SweepSpec, addr: SocketAddr) -> Result<Vec<SimResult>, String> {
+/// [`crate::grid_results`] at a server: POSTs the spec to `/sweep` and
+/// reassembles the streamed cells into expansion order. Any cell error
+/// (or a missing/duplicate cell) fails the whole figure — a
+/// partially-served table would silently lie.
+pub(crate) fn sweep_results(spec: &SweepSpec, addr: SocketAddr) -> Result<Vec<SimResult>, String> {
     let expected = spec.cell_count().ok_or("sweep grid is empty")?;
     let cells = spec.cells();
     let body = sweep_spec_to_json(spec).to_string();
@@ -88,19 +90,6 @@ pub fn sweep_results(spec: &SweepSpec, addr: SocketAddr) -> Result<Vec<SimResult
         .collect()
 }
 
-/// Canonical registry ids for a lineup of accelerators, panicking on a
-/// display name the registry does not know (a bench-code bug, not input).
-pub fn canonical_ids(names: &[String]) -> Vec<String> {
-    names
-        .iter()
-        .map(|n| {
-            bbs_serve::registry::canonical_id(n)
-                .unwrap_or_else(|| panic!("accelerator '{n}' not in the serve registry"))
-                .to_string()
-        })
-        .collect()
-}
-
 /// An ephemeral in-process server for self-hosted `--via-serve` runs.
 /// `max_cap` is raised to the current `BBS_CAP` so the server never
 /// clamps the figure's weight cap (which would silently change results).
@@ -113,11 +102,34 @@ pub fn self_hosted_server() -> Result<ServerHandle, String> {
     start(config).map_err(|e| format!("failed to start in-process server: {e}"))
 }
 
-/// Parses a figure binary's serve-mode flags: `--via-serve` self-hosts,
-/// `--via-serve-addr HOST:PORT` targets a running server. Returns
-/// `Ok(None)` when neither flag is present (in-process mode).
-pub fn serve_mode_from_args() -> Result<Option<ServeMode>, String> {
+/// The `main` of a figure binary. It computes `table` in process, or
+/// through a `bbs-serve` `/sweep` route with `--via-serve` (an ephemeral
+/// in-process server) or `--via-serve-addr HOST:PORT` (a running one).
+/// It prints the table as text, or as JSON with `--json`; either path
+/// prints the same bytes.
+pub fn figure_main<T>(
+    bin: &str,
+    table: fn(Option<SocketAddr>) -> Result<T, String>,
+    print: fn(&T),
+    to_json: fn(&T) -> Json,
+) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match table_from_args(&args, table) {
+        Ok(t) if args.iter().any(|a| a == "--json") => println!("{}", to_json(&t).pretty(2)),
+        Ok(t) => print(&t),
+        Err(e) => {
+            eprintln!("{bin}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// `table` computed where the serve flags in `args` say.
+fn table_from_args<T>(
+    args: &[String],
+    table: fn(Option<SocketAddr>) -> Result<T, String>,
+) -> Result<T, String> {
     if let Some(pos) = args.iter().position(|a| a == "--via-serve-addr") {
         let addr = args
             .get(pos + 1)
@@ -125,37 +137,13 @@ pub fn serve_mode_from_args() -> Result<Option<ServeMode>, String> {
         let addr: SocketAddr = addr
             .parse()
             .map_err(|e| format!("bad --via-serve-addr '{addr}': {e}"))?;
-        return Ok(Some(ServeMode::Remote(addr)));
+        return table(Some(addr));
     }
-    if args.iter().any(|a| a == "--via-serve") {
-        return Ok(Some(ServeMode::SelfHost));
+    if !args.iter().any(|a| a == "--via-serve") {
+        return table(None);
     }
-    Ok(None)
-}
-
-/// How a figure binary reaches a server.
-pub enum ServeMode {
-    /// Spin up an in-process server for this run.
-    SelfHost,
-    /// Use an already-running server.
-    Remote(SocketAddr),
-}
-
-impl ServeMode {
-    /// Runs `f` against the mode's server address, stopping the
-    /// self-hosted server afterwards.
-    pub fn with_addr<T>(
-        self,
-        f: impl FnOnce(SocketAddr) -> Result<T, String>,
-    ) -> Result<T, String> {
-        match self {
-            ServeMode::Remote(addr) => f(addr),
-            ServeMode::SelfHost => {
-                let server = self_hosted_server()?;
-                let out = f(server.addr());
-                server.stop();
-                out
-            }
-        }
-    }
+    let server = self_hosted_server()?;
+    let out = table(Some(server.addr()));
+    server.stop();
+    out
 }

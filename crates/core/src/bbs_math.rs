@@ -15,7 +15,7 @@ use bbs_tensor::bits::{PackedGroup, WEIGHT_BITS};
 
 /// Which side of the BBS identity a column uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BbsSide {
+enum BbsSide {
     /// Eq. 2 — sum activations at one-bits (the column had ≤ 50% ones).
     Direct,
     /// Eq. 3 — subtract activations at zero-bits from `ΣA` (column inverted).

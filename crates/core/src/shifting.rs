@@ -602,59 +602,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn packed_search_matches_scalar_oracle() {
-        let mut rng = SeededRng::new(67);
-        for case in 0..150 {
-            let n = rng.uniform_usize(1, 65);
-            let group: Vec<i8> = if case % 2 == 0 {
-                (0..n).map(|_| rng.any_i8()).collect()
-            } else {
-                (0..n).map(|_| rng.gaussian_i8(0.0, 35.0)).collect()
-            };
-            for target in 0..WEIGHT_BITS {
-                assert_eq!(
-                    zero_point_shifting(&group, target),
-                    zero_point_shifting_scalar(&group, target),
-                    "group {group:?} target {target}"
-                );
-            }
-        }
-    }
-
     proptest! {
         #[test]
         fn packed_shifting_equals_scalar_oracle(
             w in vec(any::<i8>(), 1..=64),
             target in 0usize..=7,
         ) {
-            prop_assert_eq!(
-                zero_point_shifting(&w, target),
-                zero_point_shifting_scalar(&w, target)
-            );
-        }
-    }
-
-    /// Every `i8` as a single-lane group, and each paired with a sweep of
-    /// companions (multi-lane carry/borrow ripples and group-level
-    /// redundant counting), across the legal targets.
-    #[test]
-    fn packed_shifting_equals_scalar_oracle_across_all_i8() {
-        for w in i8::MIN..=i8::MAX {
-            for target in 0usize..8 {
-                assert_eq!(
-                    zero_point_shifting(&[w], target),
-                    zero_point_shifting_scalar(&[w], target),
-                    "shifting w={w} target={target}"
-                );
-            }
-            let o = (w as i16).wrapping_mul(37).wrapping_add(11) as i8;
-            let group = [w, o, w.wrapping_add(o), o.wrapping_sub(w)];
-            for target in [0usize, 2, 4, 7] {
-                assert_eq!(
-                    zero_point_shifting(&group, target),
-                    zero_point_shifting_scalar(&group, target),
-                    "shifting group={group:?} target={target}"
+            let oracle = zero_point_shifting_scalar(&w, target);
+            let packed = PackedGroup::from_words(&w);
+            for backend in BACKENDS {
+                prop_assert_eq!(
+                    encode(&packed, target, search_with(backend, &packed, target)),
+                    oracle,
+                    "backend {backend:?}"
                 );
             }
         }
@@ -665,7 +625,7 @@ mod tests {
         // Both builds of the search must agree with the per-weight oracle
         // bit-for-bit, including ragged group sizes.
         let mut rng = SeededRng::new(91);
-        for case in 0..120 {
+        for case in 0..150 {
             let n = rng.uniform_usize(1, 65);
             let group: Vec<i8> = if case % 2 == 0 {
                 (0..n).map(|_| rng.any_i8()).collect()
@@ -686,23 +646,39 @@ mod tests {
         }
     }
 
+    /// Asserts both builds of the search encode `group` as the oracle does
+    /// at every target.
+    fn assert_all_backends_match_oracle(group: &[i8]) {
+        let packed = PackedGroup::from_words(group);
+        for target in 0..WEIGHT_BITS {
+            let oracle = zero_point_shifting_scalar(group, target);
+            for backend in BACKENDS {
+                assert_eq!(
+                    encode(&packed, target, search_with(backend, &packed, target)),
+                    oracle,
+                    "backend {backend:?} group {group:?} target {target}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn exhaustive_i8_single_weight_all_backends() {
         // Every i8 value as a 1-weight group, every target, both builds —
         // exercises the clip/overflow corners exhaustively.
         for w in i8::MIN..=i8::MAX {
-            let group = [w];
-            let packed = PackedGroup::from_words(&group);
-            for target in 0..WEIGHT_BITS {
-                let oracle = zero_point_shifting_scalar(&group, target);
-                for backend in BACKENDS {
-                    assert_eq!(
-                        encode(&packed, target, search_with(backend, &packed, target)),
-                        oracle,
-                        "backend {backend:?} weight {w} target {target}"
-                    );
-                }
-            }
+            assert_all_backends_match_oracle(&[w]);
+        }
+    }
+
+    /// Every `i8` paired with a sweep of companions (multi-lane
+    /// carry/borrow ripples and group-level redundant counting), every
+    /// target, both builds.
+    #[test]
+    fn packed_shifting_equals_scalar_oracle_across_all_i8() {
+        for w in i8::MIN..=i8::MAX {
+            let o = (w as i16).wrapping_mul(37).wrapping_add(11) as i8;
+            assert_all_backends_match_oracle(&[w, o, w.wrapping_add(o), o.wrapping_sub(w)]);
         }
     }
 

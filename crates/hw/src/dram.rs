@@ -28,7 +28,7 @@ impl Dram {
     }
 
     /// Bytes deliverable per accelerator cycle at `freq_mhz`.
-    pub fn bytes_per_cycle(&self, freq_mhz: f64) -> f64 {
+    fn bytes_per_cycle(&self, freq_mhz: f64) -> f64 {
         self.bandwidth_bytes_per_s / (freq_mhz * 1e6)
     }
 

@@ -55,7 +55,7 @@ pub struct EnergyModel {
 impl EnergyModel {
     /// Compute energy of running the array for `cycles` with the given
     /// average PE utilization, in pJ.
-    pub fn compute_energy_pj(&self, cycles: u64, utilization: f64) -> f64 {
+    fn compute_energy_pj(&self, cycles: u64, utilization: f64) -> f64 {
         let pe_power_mw = self.pe.power_mw(&self.tech);
         // mW at freq MHz -> pJ/cycle = mW / MHz * 1e3... 1 mW = 1e9 pJ/s;
         // cycles/s = MHz * 1e6 -> pJ/cycle = power_mw * 1e9 / (freq*1e6)

@@ -33,17 +33,17 @@ impl PeModel {
     }
 
     /// GE count of the multiplier section.
-    pub fn multiplier_ge(&self) -> f64 {
+    fn multiplier_ge(&self) -> f64 {
         Self::ge_of(&self.multiplier_blocks)
     }
 
     /// GE count of the non-multiplier section.
-    pub fn other_ge(&self) -> f64 {
+    fn other_ge(&self) -> f64 {
         Self::ge_of(&self.other_blocks)
     }
 
     /// Total GE count.
-    pub fn total_ge(&self) -> f64 {
+    fn total_ge(&self) -> f64 {
         self.multiplier_ge() + self.other_ge()
     }
 

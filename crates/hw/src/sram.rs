@@ -36,7 +36,7 @@ impl Sram {
     }
 
     /// Capacity in KiB.
-    pub fn kib(&self) -> f64 {
+    fn kib(&self) -> f64 {
         self.bytes as f64 / 1024.0
     }
 

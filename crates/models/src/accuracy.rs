@@ -9,7 +9,7 @@
 //! 2. **Fidelity on the paper's model shapes**
 //!    ([`evaluate_model_fidelity`]): weight KL/MSE plus layer-output SQNR
 //!    on synthetic activations, mapped to an *estimated* accuracy loss by a
-//!    documented monotone model ([`estimate_accuracy_loss_pct`]).
+//!    documented monotone model (`estimate_accuracy_loss_pct`).
 //!
 //! BBS compresses an already-quantized model without retraining, so both
 //! split into a value built once and a cheap evaluation per method:
@@ -316,7 +316,7 @@ pub struct ModelFidelity {
 /// unchanged for every method and model; the 60% cap keeps a collapsed
 /// model's estimate finite. The honest, unmodelled accuracy numbers come
 /// from [`measure_real_accuracy`].
-pub fn estimate_accuracy_loss_pct(kl_divergence: f64, output_sqnr_db: f64) -> f64 {
+fn estimate_accuracy_loss_pct(kl_divergence: f64, output_sqnr_db: f64) -> f64 {
     const ALPHA: f64 = 0.007;
     const BETA: f64 = 0.14;
     let eps = 10f64.powf(-output_sqnr_db / 20.0);

@@ -77,31 +77,6 @@ pub fn linear_f32(w: &Tensor<f32>, x: &[f32], bias: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Integer linear layer on INT8 codes, dequantized with per-channel weight
-/// scales and a single activation scale — the arithmetic every simulated
-/// accelerator performs.
-///
-/// # Panics
-///
-/// Panics if shapes disagree.
-pub fn linear_i8(w_codes: &Tensor<i8>, w_scales: &[f32], x_codes: &[i8], x_scale: f32) -> Vec<f32> {
-    assert_eq!(w_codes.shape().rank(), 2);
-    let (out_f, in_f) = (w_codes.shape().dim(0), w_codes.shape().dim(1));
-    assert_eq!(x_codes.len(), in_f);
-    assert_eq!(w_scales.len(), out_f);
-    (0..out_f)
-        .map(|o| {
-            let acc: i64 = w_codes
-                .row(o)
-                .iter()
-                .zip(x_codes)
-                .map(|(&wv, &xv)| wv as i64 * xv as i64)
-                .sum();
-            acc as f32 * w_scales[o] * x_scale
-        })
-        .collect()
-}
-
 /// Unfolds an image `[channels, h, w]` (flat, row-major) into im2col
 /// columns for a `k×k` convolution with the given stride and zero padding:
 /// output shape `[out_h*out_w, channels*k*k]`.
@@ -110,7 +85,7 @@ pub fn linear_i8(w_codes: &Tensor<i8>, w_scales: &[f32], x_codes: &[i8], x_scale
 ///
 /// Panics if the image length disagrees with the dimensions or the kernel
 /// does not fit.
-pub fn im2col(
+fn im2col(
     image: &[f32],
     channels: usize,
     h: usize,
@@ -197,14 +172,6 @@ pub fn relu(x: &mut [f32]) {
     }
 }
 
-/// GeLU (tanh approximation) in place.
-pub fn gelu(x: &mut [f32]) {
-    for v in x.iter_mut() {
-        let c = 0.797_884_6_f32;
-        *v = 0.5 * *v * (1.0 + (c * (*v + 0.044715 * v.powi(3))).tanh());
-    }
-}
-
 /// Numerically stable softmax.
 ///
 /// # Panics
@@ -232,6 +199,39 @@ pub fn cross_entropy(logits: &[f32], label: usize) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Integer linear layer on INT8 codes, dequantized with per-channel weight
+    /// scales and a single activation scale — the arithmetic every simulated
+    /// accelerator performs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes disagree.
+    fn linear_i8(w_codes: &Tensor<i8>, w_scales: &[f32], x_codes: &[i8], x_scale: f32) -> Vec<f32> {
+        assert_eq!(w_codes.shape().rank(), 2);
+        let (out_f, in_f) = (w_codes.shape().dim(0), w_codes.shape().dim(1));
+        assert_eq!(x_codes.len(), in_f);
+        assert_eq!(w_scales.len(), out_f);
+        (0..out_f)
+            .map(|o| {
+                let acc: i64 = w_codes
+                    .row(o)
+                    .iter()
+                    .zip(x_codes)
+                    .map(|(&wv, &xv)| wv as i64 * xv as i64)
+                    .sum();
+                acc as f32 * w_scales[o] * x_scale
+            })
+            .collect()
+    }
+
+    /// GeLU (tanh approximation) in place.
+    fn gelu(x: &mut [f32]) {
+        for v in x.iter_mut() {
+            let c = 0.797_884_6_f32;
+            *v = 0.5 * *v * (1.0 + (c * (*v + 0.044715 * v.powi(3))).tanh());
+        }
+    }
 
     fn t(rows: usize, cols: usize, data: Vec<f32>) -> Tensor<f32> {
         Tensor::from_vec(Shape::matrix(rows, cols), data).unwrap()

@@ -24,12 +24,12 @@ pub const MAX_DIM: usize = 1 << 32;
 pub const MAX_LAYER_MACS: u128 = 1 << 50;
 
 /// Encodes a [`ModelFamily`] as its display tag (`cnn`, `vit`, ...).
-pub fn family_to_json(f: ModelFamily) -> Json {
+fn family_to_json(f: ModelFamily) -> Json {
     Json::str(&f.to_string())
 }
 
 /// Decodes a [`ModelFamily`] from its display tag.
-pub fn family_from_json(v: &Json) -> Result<ModelFamily, String> {
+fn family_from_json(v: &Json) -> Result<ModelFamily, String> {
     match v.as_str() {
         Some("cnn") => Ok(ModelFamily::Cnn),
         Some("vit") => Ok(ModelFamily::VisionTransformer),
@@ -41,7 +41,7 @@ pub fn family_from_json(v: &Json) -> Result<ModelFamily, String> {
 }
 
 /// Encodes a [`LayerSpec`].
-pub fn layer_spec_to_json(l: &LayerSpec) -> Json {
+fn layer_spec_to_json(l: &LayerSpec) -> Json {
     Json::obj(vec![
         ("name", Json::str(&l.name)),
         ("channels", Json::from_usize(l.channels)),
@@ -53,7 +53,7 @@ pub fn layer_spec_to_json(l: &LayerSpec) -> Json {
 
 /// Decodes a [`LayerSpec`], validating every dimension is in
 /// `1..=`[`MAX_DIM`] (the simulator assumes non-degenerate layers).
-pub fn layer_spec_from_json(v: &Json) -> Result<LayerSpec, String> {
+fn layer_spec_from_json(v: &Json) -> Result<LayerSpec, String> {
     let spec = LayerSpec {
         name: field_str(v, "name")?.to_string(),
         channels: field_usize(v, "channels")?,

@@ -29,7 +29,7 @@ pub struct Corpus {
 /// # Panics
 ///
 /// Panics if `vocab < 4` or `len == 0`.
-pub fn markov_corpus(vocab: usize, len: usize, seed: u64) -> Corpus {
+fn markov_corpus(vocab: usize, len: usize, seed: u64) -> Corpus {
     assert!(vocab >= 4);
     assert!(len > 0);
     let mut rng = SeededRng::new(seed ^ 0xc0de_0123);
@@ -69,7 +69,7 @@ pub fn markov_corpus(vocab: usize, len: usize, seed: u64) -> Corpus {
 /// # Panics
 ///
 /// Panics if the corpus has fewer than 3 tokens.
-pub fn next_token_dataset(corpus: &Corpus) -> Dataset {
+fn next_token_dataset(corpus: &Corpus) -> Dataset {
     assert!(corpus.tokens.len() >= 3);
     let v = corpus.vocab;
     let mut x = Vec::new();

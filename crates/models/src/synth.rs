@@ -33,13 +33,6 @@ pub struct SynthLayer {
     pub sample_factor: f64,
 }
 
-impl SynthLayer {
-    /// Sampled elements per channel actually materialized.
-    pub fn sampled_elems(&self) -> usize {
-        self.weights.elems_per_channel()
-    }
-}
-
 /// Synthesizes full-size per-channel-quantized weights for a layer.
 pub fn synthesize_weights(spec: &LayerSpec, family: ModelFamily, seed: u64) -> SynthLayer {
     synthesize_weights_sampled(spec, family, seed, usize::MAX)
@@ -179,7 +172,7 @@ mod tests {
     fn sampling_caps_size_and_tracks_factor() {
         let big = LayerSpec::linear("big", 4096, 256, 1);
         let l = synthesize_weights_sampled(&big, ModelFamily::Llm, 11, 64 * 256);
-        assert_eq!(l.sampled_elems(), 64);
+        assert_eq!(l.weights.elems_per_channel(), 64);
         assert!((l.sample_factor - 64.0).abs() < 1e-12);
         assert_eq!(l.weights.data.len(), 64 * 256);
     }

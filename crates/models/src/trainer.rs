@@ -153,7 +153,7 @@ impl Mlp {
     }
 
     /// Most likely class for one example.
-    pub fn predict(&self, x: &[f32]) -> usize {
+    fn predict(&self, x: &[f32]) -> usize {
         let (_, logits) = self.forward(x);
         logits
             .iter()

@@ -337,7 +337,6 @@ impl RetryPolicy {
 /// so the next borrower starts from a known-good keep-alive socket.
 pub struct ClientPool {
     addr: SocketAddr,
-    timeout: Duration,
     idle: Mutex<Vec<Client>>,
     max_idle: usize,
     dials: AtomicU64,
@@ -348,14 +347,8 @@ impl ClientPool {
     /// A pool dialing `addr`, keeping at most `max_idle` idle connections
     /// around, each with the default [`CLIENT_TIMEOUT`].
     pub fn new(addr: SocketAddr, max_idle: usize) -> ClientPool {
-        ClientPool::with_timeout(addr, max_idle, CLIENT_TIMEOUT)
-    }
-
-    /// A pool with an explicit per-connection read/write timeout.
-    pub fn with_timeout(addr: SocketAddr, max_idle: usize, timeout: Duration) -> ClientPool {
         ClientPool {
             addr,
-            timeout,
             idle: Mutex::new(Vec::new()),
             max_idle: max_idle.max(1),
             dials: AtomicU64::new(0),
@@ -375,7 +368,7 @@ impl ClientPool {
             return Ok(client);
         }
         self.dials.fetch_add(1, Ordering::Relaxed);
-        Client::connect_with_timeout(self.addr, self.timeout)
+        Client::connect(self.addr)
     }
 
     /// Returns a connection after a successful exchange. Past `max_idle`

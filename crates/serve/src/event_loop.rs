@@ -374,7 +374,7 @@ impl Poller {
     }
 
     /// Changes the interest set of a registered fd.
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.ctl(sys::epoll::EPOLL_CTL_MOD, fd, token, interest),
@@ -394,7 +394,7 @@ impl Poller {
     }
 
     /// Stops watching a registered fd.
-    pub fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+    fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.ctl(

@@ -62,6 +62,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// Result-cache shard count.
+const CACHE_SHARDS: usize = 16;
+
+/// Upper bound on cached results (random replacement beyond it, so a
+/// long-running server's memory is bounded). The workload store has its
+/// own bounds on lowered models, which one `(model, seed, cap)` entry
+/// serves across every accelerator and config.
+const CACHE_ENTRIES: usize = 4096;
+
 /// Sizing knobs for the service.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -69,21 +78,8 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded job-queue depth (backpressure beyond this).
     pub queue_depth: usize,
-    /// Cache shard count (rounded up to a power of two).
-    pub cache_shards: usize,
-    /// Upper bound on cached results (random replacement beyond it, so a
-    /// long-running server's memory is bounded).
-    pub cache_entries: usize,
     /// Upper bound on a request's `max_weights_per_layer`.
     pub max_cap: usize,
-    /// Upper bound on cached *lowered models* in the shared
-    /// [`WorkloadStore`] (FIFO eviction beyond it). Distinct from
-    /// `cache_entries`, which bounds serialized *results*: a workload
-    /// entry is reused across every accelerator/config permutation of one
-    /// `(model, seed, cap)` triple.
-    pub workload_entries: usize,
-    /// Approximate byte bound on the workload store.
-    pub workload_bytes: usize,
     /// Root of the durable disk tier (`results/` + `workloads/` under it).
     /// `None` (the default) means no filesystem access whatsoever.
     pub cache_dir: Option<PathBuf>,
@@ -101,11 +97,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: cores.clamp(1, 8),
             queue_depth: 64,
-            cache_shards: 16,
-            cache_entries: 4096,
             max_cap: 64 * 1024,
-            workload_entries: bbs_sim::store::DEFAULT_MAX_ENTRIES,
-            workload_bytes: bbs_sim::store::DEFAULT_MAX_BYTES,
             cache_dir: None,
             disk_bytes: 1 << 30,
             faults: Arc::new(FaultPlan::from_env()),
@@ -397,7 +389,7 @@ pub fn start_with(config: ServiceConfig, telemetry: Arc<Telemetry>) -> Arc<SimSe
         );
     }
 
-    let workloads = WorkloadStore::new(config.workload_entries, config.workload_bytes);
+    let workloads = WorkloadStore::default();
     if let Some(wd) = &workload_disk {
         workloads.set_tier(Arc::new(DiskWorkloadTier {
             disk: Arc::clone(wd),
@@ -405,7 +397,7 @@ pub fn start_with(config: ServiceConfig, telemetry: Arc<Telemetry>) -> Arc<SimSe
     }
 
     let service = Arc::new(SimService {
-        cache: ShardedCache::new(config.cache_shards, config.cache_entries),
+        cache: ShardedCache::new(CACHE_SHARDS, CACHE_ENTRIES),
         workloads,
         inflight: Mutex::new(HashMap::new()),
         queue: Bounded::new(config.queue_depth),
@@ -537,7 +529,7 @@ impl SimService {
     }
 
     /// Best-effort durability barrier over both disk tiers (drain path).
-    pub fn flush_disk(&self) {
+    fn flush_disk(&self) {
         if let Some(d) = &self.disk {
             d.flush();
         }
@@ -848,8 +840,6 @@ mod tests {
         start(ServiceConfig {
             workers: 2,
             queue_depth: 8,
-            cache_shards: 4,
-            cache_entries: 1024,
             max_cap: 65536,
             ..ServiceConfig::default()
         })
@@ -956,8 +946,6 @@ mod tests {
         let svc = start(ServiceConfig {
             workers: 1,
             queue_depth: 1,
-            cache_shards: 1,
-            cache_entries: 1024,
             max_cap: 65536,
             ..ServiceConfig::default()
         });

@@ -1,12 +1,11 @@
 //! Batch sweep orchestration: `POST /sweep` decoding and the scheduler
 //! that fans grid cells across the worker pool.
 //!
-//! A sweep body is the compact grid schema of
-//! [`bbs_sim::json::sweep_spec_from_json`] — lists of models (zoo names
-//! or full spec objects), accelerators, array configs, seeds and caps —
-//! expanded server-side in the deterministic row-major order of
-//! [`bbs_sim::sweep::SweepSpec`] (model outermost, cap innermost), one
-//! job key per cell.
+//! A sweep body is a compact grid — lists of models (zoo names or full
+//! spec objects), accelerators, array configs, seeds and caps, the schema
+//! [`bbs_sim::json::sweep_spec_to_json`] writes — expanded server-side in
+//! the one row-major order of [`bbs_sim::sweep::SweepCell::at`] (model
+//! outermost, cap innermost), one job key per cell.
 //!
 //! Decoding here is deliberately *lenient per axis entry*: an unknown
 //! model or accelerator mid-grid does not fail the request — the cells
@@ -36,7 +35,7 @@ use bbs_json::{field_arr, Json};
 use bbs_models::json::model_spec_from_json;
 use bbs_models::{zoo, ModelSpec};
 use bbs_sim::json::array_config_from_json;
-use bbs_sim::ArrayConfig;
+use bbs_sim::{ArrayConfig, SweepCell};
 use std::time::Instant;
 
 /// Most cells one sweep may expand to (work-size protection: a sweep is
@@ -202,28 +201,23 @@ impl SweepPlan {
         self.dims().iter().product()
     }
 
-    /// Expands flat index `i` into its cell — the same row-major order as
-    /// [`bbs_sim::sweep::SweepSpec::cells`] (model outermost, cap
-    /// innermost), pinned against it by unit test.
+    /// Expands flat index `i` into its cell, by [`SweepCell::at`] — the
+    /// same row-major order as [`bbs_sim::sweep::SweepSpec::cells`].
     ///
     /// # Panics
     ///
     /// Panics if `i >= cell_count()`.
     pub fn cell(&self, i: usize) -> PlannedCell {
         assert!(i < self.cell_count(), "cell index out of range");
-        let [_, na, nc, ns, nw] = self.dims();
-        let (rest, w) = (i / nw, i % nw);
-        let (rest, s) = (rest / ns, rest % ns);
-        let (rest, c) = (rest / nc, rest % nc);
-        let (m, a) = (rest / na, rest % na);
-
-        let (model_name, model) = &self.models[m];
-        let (accel_name, accel) = &self.accelerators[a];
-        let seed = self.seeds[s];
-        let cap = self.caps[w];
+        let cell = SweepCell::at(i, self.dims());
+        let (model_name, model) = &self.models[cell.model];
+        let (accel_name, accel) = &self.accelerators[cell.accelerator];
+        let config = &self.configs[cell.config];
+        let seed = self.seeds[cell.seed];
+        let cap = self.caps[cell.cap];
         let request = model.as_ref().map_err(String::clone).and_then(|model| {
             let accelerator = *accel.as_ref().map_err(String::clone)?;
-            let config = self.configs[c].as_ref().map_err(String::clone)?.clone();
+            let config = config.as_ref().map_err(String::clone)?.clone();
             Ok(SimRequest {
                 model: model.clone(),
                 accelerator,
@@ -237,7 +231,7 @@ impl SweepPlan {
                 index: i,
                 model: model_name.clone(),
                 accelerator: accel_name.clone(),
-                config: c,
+                config: cell.config,
                 seed,
                 cap,
             },
@@ -428,37 +422,47 @@ fn non_empty<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbs_sim::json::{sim_request_key, sweep_spec_to_json};
     use bbs_sim::sweep::SweepSpec;
 
     fn parse_plan(body: &str) -> Result<SweepPlan, String> {
         SweepPlan::from_json(&Json::parse(body).unwrap(), 65536)
     }
 
+    /// The spec's own encoding, decoded by the server, expands to the
+    /// spec's cells in the spec's order.
     #[test]
     fn expansion_order_matches_sim_sweep_spec() {
-        let plan = parse_plan(
-            "{\"models\":[\"ViT-Small\",\"ResNet-34\"],\
-             \"accelerators\":[\"stripes\",\"bitwave\",\"ant\"],\
-             \"seeds\":[7,8],\"max_weights_per_layer\":[128,256]}",
-        )
-        .unwrap();
         let spec = SweepSpec {
             models: vec![zoo::vit_small(), zoo::resnet34()],
             accelerators: vec!["stripes".into(), "bitwave".into(), "ant".into()],
-            configs: vec![ArrayConfig::paper_16x32()],
+            configs: vec![
+                ArrayConfig::paper_16x32(),
+                ArrayConfig::paper_16x32().with_pe_cols(8),
+            ],
             seeds: vec![7, 8],
             caps: vec![128, 256],
         };
+        let plan = SweepPlan::from_json(&sweep_spec_to_json(&spec), 65536).unwrap();
         assert_eq!(plan.cell_count(), spec.cell_count().unwrap());
         for cell in spec.cells() {
             let planned = plan.cell(cell.index);
+            assert_eq!(planned.meta.config, cell.config);
             let request = planned.request.unwrap();
             assert_eq!(request.model, spec.models[cell.model]);
             assert_eq!(request.accelerator, spec.accelerators[cell.accelerator]);
+            assert_eq!(request.config, spec.configs[cell.config]);
             assert_eq!(request.seed, spec.seeds[cell.seed]);
             assert_eq!(request.max_weights_per_layer, spec.caps[cell.cap]);
             // And the job key is the shared content address.
-            assert_eq!(request.key(), spec.cell_key(&cell));
+            let key = sim_request_key(
+                &spec.models[cell.model],
+                &spec.accelerators[cell.accelerator],
+                &spec.configs[cell.config],
+                spec.seeds[cell.seed],
+                spec.caps[cell.cap],
+            );
+            assert_eq!(request.key(), key);
         }
     }
 

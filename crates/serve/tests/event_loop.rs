@@ -25,8 +25,6 @@ fn server_with(configure: impl FnOnce(&mut ServeConfig)) -> ServerHandle {
         service: ServiceConfig {
             workers: 2,
             queue_depth: 16,
-            cache_shards: 4,
-            cache_entries: 1024,
             max_cap: 65536,
             ..ServiceConfig::default()
         },

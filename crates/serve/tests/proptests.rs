@@ -304,8 +304,6 @@ proptest! {
         let service = start(ServiceConfig {
             workers: 2,
             queue_depth: 4,
-            cache_shards: 2,
-            cache_entries: 1024,
             max_cap: 65536,
             ..ServiceConfig::default()
         });

@@ -128,12 +128,12 @@ impl LatencyProfile {
     }
 
     /// The latency row of channel `c`.
-    pub fn latency_row(&self, c: usize) -> &[u32] {
+    fn latency_row(&self, c: usize) -> &[u32] {
         &self.latencies[c * self.groups..(c + 1) * self.groups]
     }
 
     /// The useful-lane-cycle row of channel `c`.
-    pub fn useful_row(&self, c: usize) -> &[u64] {
+    fn useful_row(&self, c: usize) -> &[u64] {
         &self.useful[c * self.groups..(c + 1) * self.groups]
     }
 }

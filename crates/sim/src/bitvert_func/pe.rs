@@ -31,7 +31,7 @@ pub const SUB_GROUP: usize = 8;
 ///
 /// Panics if `activations.len() != 16` or the lane range exceeds the
 /// group.
-pub fn pe_pass(group: &CompressedGroup, lane_lo: usize, activations: &[i32]) -> i64 {
+fn pe_pass(group: &CompressedGroup, lane_lo: usize, activations: &[i32]) -> i64 {
     assert_eq!(activations.len(), PE_GROUP);
     assert!(lane_lo + PE_GROUP <= group.len(), "lane range out of group");
 

@@ -29,7 +29,7 @@ pub const ENCODERS: usize = 4;
 pub const WINDOW: usize = 5;
 
 /// Runs the Fig. 8 scheduler on one 8-bit sub-group column.
-pub fn schedule_subgroup(column_bits: u8) -> SubGroupSelect {
+fn schedule_subgroup(column_bits: u8) -> SubGroupSelect {
     let inverted = column_bits.count_ones() > 4;
     let mut bits = if inverted { !column_bits } else { column_bits };
 

@@ -18,8 +18,8 @@ use bbs_hw::json::{
     sram_from_json, sram_to_json, technology_from_json, technology_to_json,
 };
 use bbs_json::{field, field_arr, field_f64, field_str, field_u64, field_usize, fnv1a_64, Json};
-use bbs_models::json::{model_spec_from_json, model_spec_to_json};
-use bbs_models::{zoo, ModelSpec};
+use bbs_models::json::model_spec_to_json;
+use bbs_models::ModelSpec;
 
 /// Encodes an [`ArrayConfig`].
 pub fn array_config_to_json(c: &ArrayConfig) -> Json {
@@ -62,7 +62,7 @@ pub fn array_config_from_json(v: &Json) -> Result<ArrayConfig, String> {
 }
 
 /// Encodes a [`LayerPerf`].
-pub fn layer_perf_to_json(p: &LayerPerf) -> Json {
+fn layer_perf_to_json(p: &LayerPerf) -> Json {
     Json::obj(vec![
         ("compute_cycles", Json::from_u64(p.compute_cycles)),
         ("useful_fraction", Json::Num(p.useful_fraction)),
@@ -76,7 +76,7 @@ pub fn layer_perf_to_json(p: &LayerPerf) -> Json {
 }
 
 /// Decodes a [`LayerPerf`].
-pub fn layer_perf_from_json(v: &Json) -> Result<LayerPerf, String> {
+fn layer_perf_from_json(v: &Json) -> Result<LayerPerf, String> {
     Ok(LayerPerf {
         compute_cycles: field_u64(v, "compute_cycles")?,
         useful_fraction: field_f64(v, "useful_fraction")?,
@@ -90,7 +90,7 @@ pub fn layer_perf_from_json(v: &Json) -> Result<LayerPerf, String> {
 }
 
 /// Encodes a [`LayerSim`].
-pub fn layer_sim_to_json(l: &LayerSim) -> Json {
+fn layer_sim_to_json(l: &LayerSim) -> Json {
     Json::obj(vec![
         ("name", Json::str(&l.name)),
         ("compute_cycles", Json::from_u64(l.compute_cycles)),
@@ -102,7 +102,7 @@ pub fn layer_sim_to_json(l: &LayerSim) -> Json {
 }
 
 /// Decodes a [`LayerSim`].
-pub fn layer_sim_from_json(v: &Json) -> Result<LayerSim, String> {
+fn layer_sim_from_json(v: &Json) -> Result<LayerSim, String> {
     Ok(LayerSim {
         name: field_str(v, "name")?.to_string(),
         compute_cycles: field_u64(v, "compute_cycles")?,
@@ -193,78 +193,12 @@ pub fn sweep_spec_to_json(s: &SweepSpec) -> Json {
     ])
 }
 
-/// Decodes a [`SweepSpec`]. Model entries may be zoo names or full
-/// model-spec objects; `configs`, `seeds` and `max_weights_per_layer`
-/// are optional (defaulting to the paper 16×32 array, seed 7 and cap
-/// 4096). This is the *strict* decoder — any invalid axis entry fails
-/// the whole spec. `bbs-serve` decodes the same schema leniently so an
-/// unknown model mid-grid degrades to per-cell error records instead.
-pub fn sweep_spec_from_json(v: &Json) -> Result<SweepSpec, String> {
-    let models = field_arr(v, "models")?
-        .iter()
-        .map(|entry| match entry {
-            Json::Str(name) => zoo::by_name(name).ok_or_else(|| format!("unknown model '{name}'")),
-            spec @ Json::Obj(_) => model_spec_from_json(spec),
-            _ => Err("model entries must be names or model-spec objects".to_string()),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let accelerators = field_arr(v, "accelerators")?
-        .iter()
-        .map(|a| {
-            a.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "accelerator entries must be strings".to_string())
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let configs = match v.get("configs") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(array_config_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err("'configs' must be an array".to_string()),
-        None => vec![ArrayConfig::paper_16x32()],
-    };
-    let seeds = match v.get("seeds") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|s| {
-                s.as_u64()
-                    .ok_or_else(|| "seeds must be non-negative integers".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err("'seeds' must be an array".to_string()),
-        None => vec![7],
-    };
-    let caps = match v.get("max_weights_per_layer") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|c| {
-                c.as_usize()
-                    .filter(|&c| c > 0)
-                    .ok_or_else(|| "max_weights_per_layer must be positive integers".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err("'max_weights_per_layer' must be an array".to_string()),
-        None => vec![4096],
-    };
-    let spec = SweepSpec {
-        models,
-        accelerators,
-        configs,
-        seeds,
-        caps,
-    };
-    if spec.cell_count().is_none() {
-        return Err("sweep grid is empty (every axis needs at least one entry)".to_string());
-    }
-    Ok(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::accel::bitvert::BitVert;
     use crate::engine::simulate;
+    use bbs_models::zoo;
 
     #[test]
     fn sim_result_roundtrips_bit_identical() {
@@ -304,62 +238,6 @@ mod tests {
             pairs[0].1 = Json::from_u64(0);
         }
         assert!(array_config_from_json(&v).is_err());
-    }
-
-    #[test]
-    fn sweep_spec_roundtrips_and_accepts_names() {
-        let spec = SweepSpec::grid(
-            vec![zoo::vit_small(), zoo::resnet34()],
-            vec!["stripes".to_string(), "bitwave".to_string()],
-            ArrayConfig::paper_16x32().with_pe_cols(8),
-            11,
-            512,
-        );
-        let text = sweep_spec_to_json(&spec).to_string();
-        let back = sweep_spec_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, spec);
-
-        // Name entries resolve to the same grid as full spec objects, so
-        // both forms produce identical cell keys.
-        let by_name = sweep_spec_from_json(
-            &Json::parse(
-                "{\"models\":[\"ViT-Small\",\"ResNet-34\"],\
-                 \"accelerators\":[\"stripes\",\"bitwave\"]}",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(by_name.models, spec.models);
-        assert_eq!(by_name.configs, vec![ArrayConfig::paper_16x32()]);
-        assert_eq!(
-            (by_name.seeds.as_slice(), by_name.caps.as_slice()),
-            (&[7u64][..], &[4096usize][..],)
-        );
-    }
-
-    #[test]
-    fn bad_sweep_specs_rejected() {
-        for (body, needle) in [
-            ("{}", "models"),
-            ("{\"models\":[\"ViT-Small\"]}", "accelerators"),
-            (
-                "{\"models\":[\"NoSuch\"],\"accelerators\":[\"ant\"]}",
-                "unknown model",
-            ),
-            ("{\"models\":[],\"accelerators\":[\"ant\"]}", "empty"),
-            (
-                "{\"models\":[\"VGG-16\"],\"accelerators\":[\"ant\"],\"seeds\":[-1]}",
-                "seeds",
-            ),
-            (
-                "{\"models\":[\"VGG-16\"],\"accelerators\":[\"ant\"],\
-                 \"max_weights_per_layer\":[0]}",
-                "max_weights_per_layer",
-            ),
-        ] {
-            let err = sweep_spec_from_json(&Json::parse(body).unwrap()).unwrap_err();
-            assert!(err.contains(needle), "{body} -> {err}");
-        }
     }
 
     #[test]

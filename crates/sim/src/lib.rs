@@ -30,11 +30,13 @@
 //! `bbs-serve` worker pool both read through one store.
 //!
 //! Whole grids (models × accelerators × configs × seeds × caps) are
-//! described by [`sweep::SweepSpec`], which expands deterministically into
-//! [`sweep::SweepCell`]s with stable content-addressed job keys. Run the
-//! cells with [`engine::simulate_with`] over one shared store — or POST
-//! the spec's JSON ([`json::sweep_spec_to_json`]) to a `bbs-serve`
-//! instance's `/sweep` route, which does exactly that behind its result
+//! described by [`sweep::SweepSpec`], which expands into
+//! [`sweep::SweepCell`]s in the one row-major order of
+//! [`sweep::SweepCell::at`]. Run the cells with [`engine::simulate_with`]
+//! over one shared store — or POST the spec's JSON
+//! ([`json::sweep_spec_to_json`]) to a `bbs-serve` instance's `/sweep`
+//! route, which expands it in the same order, keys each cell like a
+//! single request ([`json::sim_request_key`]), runs it behind its result
 //! cache and streams the cells back as NDJSON.
 //!
 //! # Example

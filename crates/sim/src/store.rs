@@ -36,9 +36,9 @@ use std::time::Instant;
 /// Default entry bound: comfortably holds every zoo model at several
 /// seeds/caps while keeping a misbehaving client from pinning thousands of
 /// lowered models.
-pub const DEFAULT_MAX_ENTRIES: usize = 64;
+const DEFAULT_MAX_ENTRIES: usize = 64;
 /// Default approximate byte bound across all cached workloads (256 MiB).
-pub const DEFAULT_MAX_BYTES: usize = 256 << 20;
+const DEFAULT_MAX_BYTES: usize = 256 << 20;
 
 /// `(model fingerprint, seed, max_weights_per_layer)`.
 type Key = (u64, u64, usize);
@@ -58,7 +58,7 @@ pub trait WorkloadTier: Send + Sync {
 
 /// Folds a store key into the single stable u64 the durable tier is
 /// addressed by.
-pub fn tier_key(fingerprint: u64, seed: u64, max_weights_per_layer: usize) -> u64 {
+fn tier_key(fingerprint: u64, seed: u64, max_weights_per_layer: usize) -> u64 {
     let mut buf = [0u8; 24];
     buf[..8].copy_from_slice(&fingerprint.to_le_bytes());
     buf[8..16].copy_from_slice(&seed.to_le_bytes());
@@ -104,7 +104,7 @@ impl Default for WorkloadStore {
 /// Stable content address of a model's full layer table (FNV-1a over the
 /// canonical model-spec JSON — the same canonicalization the `bbs-serve`
 /// result cache keys on).
-pub fn model_fingerprint(model: &ModelSpec) -> u64 {
+fn model_fingerprint(model: &ModelSpec) -> u64 {
     fnv1a_64(model_spec_to_json(model).canonical().as_bytes())
 }
 

@@ -5,18 +5,17 @@
 //! (BitWave column sweeps, precision-scalable dataflow grids) have the
 //! same shape. [`SweepSpec`] is the shared description of such a grid:
 //! five axes whose cross product expands — in one deterministic,
-//! row-major order — into [`SweepCell`]s, each with a stable
-//! content-addressed job key ([`SweepSpec::cell_key`], the same
-//! [`crate::json::sim_request_key`] that keys the `bbs-serve` result
-//! cache, so a sweep cell and a single `/simulate` request for the same
-//! point coalesce onto one computation).
+//! row-major order, [`SweepCell::at`] — into [`SweepCell`]s. The
+//! `bbs-serve` `/sweep` route expands its decoded grids with the same
+//! function and keys each cell with [`crate::json::sim_request_key`], so a
+//! sweep cell and a single `/simulate` request for the same point
+//! coalesce onto one computation.
 //!
 //! Cells of one `(model, seed, cap)` triple share a lowering: run sweeps
 //! through [`crate::engine::simulate_with`] and a
 //! [`crate::store::WorkloadStore`], never bare `simulate` in a loop.
 
 use crate::config::ArrayConfig;
-use crate::json::sim_request_key;
 use bbs_models::ModelSpec;
 
 /// A grid of simulation points: the cross product of five axes.
@@ -31,8 +30,7 @@ pub struct SweepSpec {
     /// Models to sweep (full layer tables, not just names).
     pub models: Vec<ModelSpec>,
     /// Accelerator names. Use the canonical `bbs-serve` registry ids
-    /// (`stripes`, `bitvert-moderate`, ...) so cell keys agree with the
-    /// service's single-request keys.
+    /// (`stripes`, `bitvert-moderate`, ...).
     pub accelerators: Vec<String>,
     /// Array geometries / memory systems.
     pub configs: Vec<ArrayConfig>,
@@ -81,15 +79,7 @@ impl SweepSpec {
     /// Total cells in the grid, or `None` if any axis is empty or the
     /// product overflows.
     pub fn cell_count(&self) -> Option<usize> {
-        [
-            self.models.len(),
-            self.accelerators.len(),
-            self.configs.len(),
-            self.seeds.len(),
-            self.caps.len(),
-        ]
-        .iter()
-        .try_fold(
+        self.dims().iter().try_fold(
             1usize,
             |acc, &n| {
                 if n == 0 {
@@ -101,50 +91,50 @@ impl SweepSpec {
         )
     }
 
+    /// The axis lengths, outermost first: models, accelerators, configs,
+    /// seeds, caps.
+    fn dims(&self) -> [usize; 5] {
+        [
+            self.models.len(),
+            self.accelerators.len(),
+            self.configs.len(),
+            self.seeds.len(),
+            self.caps.len(),
+        ]
+    }
+
     /// Expands the grid in its deterministic row-major order (model
     /// outermost, cap innermost). Empty if any axis is empty.
     pub fn cells(&self) -> Vec<SweepCell> {
-        let mut out = Vec::with_capacity(self.cell_count().unwrap_or(0));
-        let mut index = 0;
-        for m in 0..self.models.len() {
-            for a in 0..self.accelerators.len() {
-                for c in 0..self.configs.len() {
-                    for s in 0..self.seeds.len() {
-                        for w in 0..self.caps.len() {
-                            out.push(SweepCell {
-                                index,
-                                model: m,
-                                accelerator: a,
-                                config: c,
-                                seed: s,
-                                cap: w,
-                            });
-                            index += 1;
-                        }
-                    }
-                }
-            }
-        }
-        out
+        let dims = self.dims();
+        (0..self.cell_count().unwrap_or(0))
+            .map(|i| SweepCell::at(i, dims))
+            .collect()
     }
+}
 
-    /// The cell's content-addressed job key — exactly
-    /// [`sim_request_key`] over the cell's resolved coordinates, so it is
-    /// a pure function of simulation content (model layer tables, not
-    /// spelling or field order) and identical to the key `bbs-serve`
-    /// computes for the equivalent single `/simulate` request.
+impl SweepCell {
+    /// The cell at flat position `index` of a grid with axis lengths
+    /// `dims` (models, accelerators, configs, seeds, caps): the one
+    /// row-major expansion, model outermost and cap innermost.
     ///
     /// # Panics
     ///
-    /// Panics if the cell's indices are out of range for this spec.
-    pub fn cell_key(&self, cell: &SweepCell) -> u64 {
-        sim_request_key(
-            &self.models[cell.model],
-            &self.accelerators[cell.accelerator],
-            &self.configs[cell.config],
-            self.seeds[cell.seed],
-            self.caps[cell.cap],
-        )
+    /// Panics if an axis is empty.
+    pub fn at(index: usize, dims: [usize; 5]) -> SweepCell {
+        let [_, na, nc, ns, nw] = dims;
+        let (rest, cap) = (index / nw, index % nw);
+        let (rest, seed) = (rest / ns, rest % ns);
+        let (rest, config) = (rest / nc, rest % nc);
+        let (model, accelerator) = (rest / na, rest % na);
+        SweepCell {
+            index,
+            model,
+            accelerator,
+            config,
+            seed,
+            cap,
+        }
     }
 }
 
@@ -152,7 +142,6 @@ impl SweepSpec {
 mod tests {
     use super::*;
     use bbs_models::zoo;
-    use std::collections::HashSet;
 
     fn spec() -> SweepSpec {
         SweepSpec {
@@ -191,34 +180,5 @@ mod tests {
         s.seeds.clear();
         assert_eq!(s.cell_count(), None);
         assert!(s.cells().is_empty());
-    }
-
-    #[test]
-    fn cell_keys_are_distinct_and_reproducible() {
-        let s = spec();
-        let keys: Vec<u64> = s.cells().iter().map(|c| s.cell_key(c)).collect();
-        assert_eq!(
-            keys.iter().collect::<HashSet<_>>().len(),
-            keys.len(),
-            "distinct cells must have distinct job keys"
-        );
-        let again: Vec<u64> = s.cells().iter().map(|c| s.cell_key(c)).collect();
-        assert_eq!(keys, again);
-    }
-
-    #[test]
-    fn cell_key_matches_single_request_key() {
-        let s = spec();
-        let cell = s.cells()[5];
-        assert_eq!(
-            s.cell_key(&cell),
-            sim_request_key(
-                &s.models[cell.model],
-                &s.accelerators[cell.accelerator],
-                &s.configs[cell.config],
-                s.seeds[cell.seed],
-                s.caps[cell.cap],
-            )
-        );
     }
 }

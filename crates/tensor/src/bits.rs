@@ -279,20 +279,6 @@ impl PackedGroup {
         }
     }
 
-    /// Rebuilds a packed group from raw column masks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not in `1..=MAX_GROUP` or a mask has bits beyond `n`.
-    pub fn from_columns(n: usize, cols: [u64; WEIGHT_BITS]) -> Self {
-        assert!((1..=MAX_GROUP).contains(&n));
-        let valid = lane_mask_of(n);
-        for (b, &c) in cols.iter().enumerate() {
-            assert!(c & !valid == 0, "column {b} has bits beyond group size");
-        }
-        PackedGroup { cols, n }
-    }
-
     /// Number of lanes in the group.
     pub fn len(&self) -> usize {
         self.n
@@ -330,11 +316,6 @@ impl PackedGroup {
     /// Whether column `b` is entirely zero.
     pub fn column_all_zero(&self, b: usize) -> bool {
         self.cols[b] == 0
-    }
-
-    /// Whether column `b` is entirely one.
-    pub fn column_all_one(&self, b: usize) -> bool {
-        self.cols[b] == self.lane_mask()
     }
 
     /// Exact shared redundant sign-extension column count (0..=7) as mask
@@ -517,6 +498,20 @@ impl SparsityStats {
 mod tests {
     use super::*;
 
+    /// Rebuilds a packed group from raw column masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not in `1..=MAX_GROUP` or a mask has bits beyond `n`.
+    fn from_columns(n: usize, cols: [u64; WEIGHT_BITS]) -> PackedGroup {
+        assert!((1..=MAX_GROUP).contains(&n));
+        let valid = lane_mask_of(n);
+        for (b, &c) in cols.iter().enumerate() {
+            assert!(c & !valid == 0, "column {b} has bits beyond group size");
+        }
+        PackedGroup { cols, n }
+    }
+
     #[test]
     fn fig4_example_bits() {
         // The weights of the paper's Fig. 4: -11, 2(0), -57, 13.
@@ -594,17 +589,17 @@ mod tests {
         assert!(g.column_all_zero(4));
         // All-one column: all-negative weights share the sign bit.
         let g = PackedGroup::from_words(&[-1, -2, -3, -4]);
-        assert!(g.column_all_one(7));
+        assert_eq!(g.column(7), g.lane_mask());
         // Mixed column.
         let g = PackedGroup::from_words(&[1, 0, 1, 0]);
-        assert!(!g.column_all_zero(0) && !g.column_all_one(0));
+        assert!(!g.column_all_zero(0) && g.column(0) != g.lane_mask());
         assert_eq!(g.column_popcount(0), 2);
     }
 
     #[test]
     fn from_columns_validates_lanes() {
         let g = PackedGroup::from_words(&[3, -3]);
-        let g2 = PackedGroup::from_columns(2, *g.columns());
+        let g2 = from_columns(2, *g.columns());
         assert_eq!(g, g2);
     }
 
@@ -613,7 +608,7 @@ mod tests {
     fn from_columns_rejects_stray_bits() {
         let mut cols = [0u64; WEIGHT_BITS];
         cols[0] = 0b100; // lane 2 does not exist in a group of 2
-        let _ = PackedGroup::from_columns(2, cols);
+        let _ = from_columns(2, cols);
     }
 
     #[test]
