@@ -9,9 +9,10 @@
 
 use bbs_json::Json;
 use bbs_serve::client::Client;
+use bbs_serve::registry::canonical_id;
 use bbs_serve::server::{start, ServeConfig, ServerHandle};
 use bbs_sim::json::{sim_result_from_json, sweep_spec_to_json};
-use bbs_sim::sweep::SweepSpec;
+use bbs_sim::sweep::{SweepCell, SweepSpec};
 use bbs_sim::SimResult;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -55,22 +56,7 @@ pub(crate) fn sweep_results(spec: &SweepSpec, addr: SocketAddr) -> Result<Vec<Si
         if slot.is_some() {
             return Err(format!("cell {idx} streamed twice"));
         }
-        // The server echoes each cell's effective parameters; a remote
-        // server with a lower `--max-cap` clamps the weight cap, which
-        // would silently change the table — fail loudly instead.
-        let requested_cap = spec.caps[cells[idx].cap];
-        let served_cap = v.get("max_weights_per_layer").and_then(Json::as_usize);
-        if served_cap != Some(requested_cap) {
-            return Err(format!(
-                "cell {idx}: server simulated cap {} instead of the requested {requested_cap} \
-                 (its --max-cap is lower than BBS_CAP); results would not match the \
-                 in-process sweep",
-                served_cap.map_or("?".to_string(), |c| c.to_string()),
-            ));
-        }
-        if v.get("seed").and_then(Json::as_u64) != Some(spec.seeds[cells[idx].seed]) {
-            return Err(format!("cell {idx}: seed mismatch: {line}"));
-        }
+        check_echo(spec, &cells[idx], &v)?;
         let result = v
             .get("result")
             .ok_or_else(|| format!("cell {idx} without result"))
@@ -88,6 +74,48 @@ pub(crate) fn sweep_results(spec: &SweepSpec, addr: SocketAddr) -> Result<Vec<Si
         .enumerate()
         .map(|(i, r)| r.ok_or_else(|| format!("cell {i} missing from stream")))
         .collect()
+}
+
+/// Checks that a record filed under `cell` echoes that cell's model,
+/// accelerator, config, seed and weight cap. A server that mislabelled a
+/// cell would otherwise put a wrong result into the table silently.
+fn check_echo(spec: &SweepSpec, cell: &SweepCell, record: &Json) -> Result<(), String> {
+    let idx = cell.index;
+    // A remote server with a lower `--max-cap` clamps the weight cap.
+    let requested_cap = spec.caps[cell.cap];
+    let served_cap = record.get("max_weights_per_layer").and_then(Json::as_usize);
+    if served_cap != Some(requested_cap) {
+        return Err(format!(
+            "cell {idx}: server simulated cap {} instead of the requested {requested_cap} \
+             (its --max-cap is lower than BBS_CAP); results would not match the \
+             in-process sweep",
+            served_cap.map_or("?".to_string(), |c| c.to_string()),
+        ));
+    }
+    let str_of = |axis| record.get(axis).and_then(Json::as_str);
+    let accelerator = spec.accelerators[cell.accelerator].as_str();
+    let axes = [
+        (
+            "model",
+            str_of("model") == Some(spec.models[cell.model].name),
+        ),
+        (
+            "accelerator",
+            str_of("accelerator") == Some(canonical_id(accelerator).unwrap_or(accelerator)),
+        ),
+        (
+            "config",
+            record.get("config").and_then(Json::as_usize) == Some(cell.config),
+        ),
+        (
+            "seed",
+            record.get("seed").and_then(Json::as_u64) == Some(spec.seeds[cell.seed]),
+        ),
+    ];
+    match axes.iter().find(|(_, matches)| !matches) {
+        Some((axis, _)) => Err(format!("cell {idx}: {axis} mismatch: {record}")),
+        None => Ok(()),
+    }
 }
 
 /// An ephemeral in-process server for self-hosted `--via-serve` runs.
@@ -146,4 +174,73 @@ fn table_from_args<T>(
     let out = table(Some(server.addr()));
     server.stop();
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bbs_models::zoo;
+    use bbs_serve::service::Served;
+    use bbs_serve::sweep::{result_record, CellMeta};
+    use bbs_sim::config::ArrayConfig;
+
+    /// [`check_echo`] on a record for cell 3 of a 2×2 grid, built by the
+    /// server's own formatter from that cell's echo with `edit` applied.
+    fn echo_check(edit: impl FnOnce(&mut CellMeta)) -> Result<(), String> {
+        let spec = SweepSpec::grid(
+            vec![zoo::vgg16(), zoo::resnet34()],
+            vec!["stripes".to_string(), "bitvert-mod".to_string()],
+            ArrayConfig::paper_16x32(),
+            7,
+            256,
+        );
+        let cell = spec.cells()[3];
+        let mut meta = CellMeta {
+            index: 3,
+            model: "ResNet-34".to_string(),
+            accelerator: "bitvert-moderate".to_string(),
+            config: 0,
+            seed: 7,
+            cap: 256,
+        };
+        edit(&mut meta);
+        let record = result_record(&meta, 1, Served::Fresh, "{}");
+        check_echo(&spec, &cell, &Json::parse(&record).expect("record parses"))
+    }
+
+    fn assert_rejected(axis: &str, edit: impl FnOnce(&mut CellMeta)) {
+        let err = echo_check(edit).expect_err("a wrong echo must fail");
+        assert!(err.starts_with("cell 3:"), "{err}");
+        assert!(err.contains(axis), "{err}");
+    }
+
+    #[test]
+    fn the_cells_own_echo_passes() {
+        echo_check(|_| {}).expect("matching echo");
+    }
+
+    #[test]
+    fn wrong_model_echo_is_rejected() {
+        assert_rejected("model", |m| m.model = "VGG-16".to_string());
+    }
+
+    #[test]
+    fn wrong_accelerator_echo_is_rejected() {
+        assert_rejected("accelerator", |m| m.accelerator = "stripes".to_string());
+    }
+
+    #[test]
+    fn wrong_config_echo_is_rejected() {
+        assert_rejected("config", |m| m.config = 1);
+    }
+
+    #[test]
+    fn wrong_seed_echo_is_rejected() {
+        assert_rejected("seed", |m| m.seed = 8);
+    }
+
+    #[test]
+    fn clamped_cap_echo_is_rejected() {
+        assert_rejected("cap", |m| m.cap = 128);
+    }
 }

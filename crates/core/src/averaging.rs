@@ -80,7 +80,7 @@ pub fn rounded_averaging_packed(packed: &PackedGroup, target_sparse: usize) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::redundant::{group_redundant_columns_scalar, MAX_ENCODED_REDUNDANT};
+    use crate::redundant::{group_redundant_columns, MAX_ENCODED_REDUNDANT};
     use bbs_tensor::metrics::mse_i8;
     use bbs_tensor::rng::SeededRng;
     use proptest::collection::vec;
@@ -104,7 +104,7 @@ mod tests {
     /// replacement followed by a full repack.
     fn rounded_averaging_scalar(group: &[i8], target_sparse: usize) -> CompressedGroup {
         assert!(target_sparse <= MAX_SPARSE_COLUMNS);
-        let r = group_redundant_columns_scalar(group).min(MAX_ENCODED_REDUNDANT);
+        let r = group_redundant_columns(group).min(MAX_ENCODED_REDUNDANT);
         let g = target_sparse.saturating_sub(r).min(CONSTANT_BITS);
         let c = optimal_low_bits_constant(group, g);
 

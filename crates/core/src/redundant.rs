@@ -12,32 +12,14 @@ use bbs_tensor::bits::{redundant_sign_bits, PackedGroup, WEIGHT_BITS};
 pub const MAX_ENCODED_REDUNDANT: usize = 3;
 
 /// Exact number of redundant sign-extension columns shared by the whole
-/// group (0..=7): the minimum over each weight's redundant sign bits.
-///
-/// Packs the group and counts via [`PackedGroup::redundant_columns`] — a
-/// handful of mask comparisons instead of a per-weight width loop. Groups
-/// beyond the 64-lane packed representation take the scalar path, keeping
-/// this function's historical unbounded-length contract.
+/// group (0..=7): the minimum over each weight's redundant sign bits, for
+/// a group of any length, and the oracle of the packed
+/// [`PackedGroup::redundant_columns`].
 ///
 /// # Panics
 ///
 /// Panics if `group` is empty.
 pub fn group_redundant_columns(group: &[i8]) -> usize {
-    assert!(!group.is_empty());
-    if group.len() > bbs_tensor::bits::MAX_GROUP {
-        return group_redundant_columns_scalar(group);
-    }
-    PackedGroup::from_words(group).redundant_columns()
-}
-
-/// Per-weight minimum of [`redundant_sign_bits`]: the path
-/// [`group_redundant_columns`] takes for groups beyond 64 lanes, and the
-/// oracle its packed path is tested against.
-///
-/// # Panics
-///
-/// Panics if `group` is empty.
-pub fn group_redundant_columns_scalar(group: &[i8]) -> usize {
     assert!(!group.is_empty());
     group
         .iter()
@@ -122,20 +104,20 @@ mod tests {
         // Exhaustive over single-weight groups (the full i8 space)...
         for w in i8::MIN..=i8::MAX {
             assert_eq!(
+                PackedGroup::from_words(&[w]).redundant_columns(),
                 group_redundant_columns(&[w]),
-                group_redundant_columns_scalar(&[w]),
                 "w={w}"
             );
         }
-        // ...and random groups of every size, including beyond the 64-lane
-        // packed representation (scalar fallback keeps the old contract).
+        // ...random groups of every packable size, and longer groups
+        // counted in 64-weight chunks.
         let mut rng = SeededRng::new(19);
         for n in (1..=64usize).chain([65, 100, 256]) {
             let g: Vec<i8> = (0..n).map(|_| rng.gaussian_i8(0.0, 35.0)).collect();
-            assert_eq!(
-                group_redundant_columns(&g),
-                group_redundant_columns_scalar(&g)
-            );
+            let packed = g
+                .chunks(64)
+                .map(|c| PackedGroup::from_words(c).redundant_columns());
+            assert_eq!(packed.min(), Some(group_redundant_columns(&g)));
         }
     }
 }

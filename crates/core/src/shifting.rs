@@ -16,11 +16,19 @@
 //!
 //! Only *zero* sparse columns are generated (the constant field already
 //! holds the shift), matching Algorithm 1 line 8.
+//!
+//! The search runs on byte lanes: the group's weights sit as `i8` lanes,
+//! one [`ByteLanes`] register per 32 weights, and each candidate costs a
+//! dozen exact integer vector ops. The squared error is an exact integer,
+//! which preserves the per-weight oracle's selection bit-for-bit: the
+//! oracle's f64 MSE is `sse / n` with `sse` and `n` exactly representable,
+//! and `x ↦ x/n` is strictly monotone and injective for these magnitudes,
+//! so integer comparisons (and ties) coincide with the oracle's.
 
 use crate::encoding::{BbsMetadata, CompressedGroup, ConstantKind};
 use crate::redundant::MAX_ENCODED_REDUNDANT;
-use bbs_tensor::bits::{PackedGroup, WEIGHT_BITS};
-use bbs_tensor::lanes::{Backend, Lanes, U64x4};
+use bbs_tensor::bits::{PackedGroup, MAX_GROUP, WEIGHT_BITS};
+use bbs_tensor::lanes::{Backend, ByteLanes, I8x32, BYTES};
 
 /// Inclusive search range of the signed 6-bit shift constant.
 pub const SHIFT_MIN: i32 = -32;
@@ -30,312 +38,219 @@ pub const SHIFT_MAX: i32 = 31;
 /// Algorithm 1: finds the optimal shift constant and returns the compressed
 /// group.
 ///
-/// Runs entirely on the packed bit-plane representation — see
-/// [`zero_point_shifting_packed`]. Bit-identical to the per-weight
-/// Algorithm 1 oracle in this module's tests.
+/// The search of [`zero_point_shifting_packed`], on the words as given.
+/// Bit-identical to the per-weight Algorithm 1 oracle in this module's
+/// tests.
 ///
 /// # Panics
 ///
 /// Panics if `group` is empty, exceeds 64 weights, or
 /// `target_sparse >= 8`.
 pub fn zero_point_shifting(group: &[i8], target_sparse: usize) -> CompressedGroup {
-    zero_point_shifting_packed(&PackedGroup::from_words(group), target_sparse)
-}
-
-// ---------------------------------------------------------------------------
-// Bit-sliced (packed) search.
-//
-// The exhaustive 64-constant search is lane-parallel: all ≤64 weights of the
-// group live as bit planes (`u64` masks, one per significance), and every
-// per-weight step of Algorithm 1 becomes a handful of full-adder mask ops,
-// run for four candidate constants at once (one per `Lanes` word):
-//
-// * `W + c`        — a bit-sliced full adder with per-word constant planes,
-// * clip           — two overflow masks and a mux,
-// * redundant cols — mask equality against the MSB plane,
-// * round to 2^g   — bit-sliced add of the rounding bias, clear `g` planes,
-//                    one overflow mux,
-// * SSE            — plane-pair popcounts of the error magnitudes.
-//
-// The squared error is accumulated as an exact integer. That preserves the
-// per-weight oracle's selection bit-for-bit: the oracle's per-candidate f64
-// MSE is `sse / n` with `sse` and `n` exactly representable, and `x ↦ x/n`
-// is strictly monotone and injective for these magnitudes, so integer SSE
-// comparisons (and ties) coincide with the oracle's f64 comparisons.
-// ---------------------------------------------------------------------------
-
-/// Sign-extends 8 i8 planes to 9 planes.
-#[inline]
-fn widen9(cols: &[u64; 8]) -> [u64; 9] {
-    let mut u = [0u64; 9];
-    u[..8].copy_from_slice(cols);
-    u[8] = cols[7];
-    u
+    assert!(
+        (1..=MAX_GROUP).contains(&group.len()),
+        "group size must be in 1..={MAX_GROUP}, got {}",
+        group.len()
+    );
+    let mut lanes = [0i8; MAX_GROUP];
+    lanes[..group.len()].copy_from_slice(group);
+    compress(&lanes, group.len(), target_sparse)
 }
 
 /// Running winner of the constant search, with the oracle's tie rules:
 /// lowest SSE, then more redundant columns (more free compression), then
 /// the smaller shift magnitude.
 struct BestShift {
-    sse: u64,
+    sse: u32,
     r: usize,
     c: i32,
-    s: [u64; WEIGHT_BITS],
 }
 
 impl BestShift {
-    fn new() -> Self {
-        BestShift {
-            sse: u64::MAX,
-            r: 0,
-            c: 0,
-            s: [0u64; WEIGHT_BITS],
-        }
-    }
-
     #[inline]
-    fn consider(&mut self, sse: u64, r: usize, c: i32, s: &[u64; WEIGHT_BITS]) {
+    fn consider(&mut self, sse: u32, r: usize, c: i32) {
         let better = sse < self.sse
             || (sse == self.sse && r > self.r)
             || (sse == self.sse && r == self.r && c.abs() < self.c.abs());
         if better {
-            self.sse = sse;
-            self.r = r;
-            self.c = c;
-            self.s = *s;
+            *self = BestShift { sse, r, c };
         }
     }
 }
 
-/// Per-word exact integer sum of squared errors `Σ (u_i - s_i)²` over the
-/// valid lanes, where `u` is the unclipped shifted sum (9 planes) and `s`
-/// the rounded result (8 planes).
-///
-/// The error fits 9-plane two's complement: `|u - s| ≤ |u - clip(u)| +
-/// |clip(u) - s| ≤ 32 + (step - 1) ≤ 159`.
+/// The winning shift and the bit planes of its shifted, rounded weights.
+type Found = (BestShift, [u64; WEIGHT_BITS]);
+
+/// Redundant columns of the group shifted by `c` (capped at the 2-bit
+/// field), from its extremes alone: the group keeps `r` columns exactly
+/// when `wmin + c` and `wmax + c` both fit `8 - r` bits, and a clipped
+/// weight fits none of the narrowed ranges, as its unclipped value.
+#[inline]
+fn redundant_after_shift(wmin: i32, wmax: i32, c: i32) -> usize {
+    (1..=MAX_ENCODED_REDUNDANT)
+        .filter(|&r| {
+            let half = 1 << (WEIGHT_BITS - 1 - r);
+            wmin + c >= -half && wmax + c < half
+        })
+        .count()
+}
+
+/// The byte-lane constants of rounding to a multiple of `2^g` after `r`
+/// redundant columns: `s = min(sat(t + bias) & keep, hi)`, where the bias
+/// is `2^(g-1)`, less one in negative lanes, and 0 when `g = 0`.
+#[derive(Clone, Copy)]
+struct Rounding<B> {
+    half: B,
+    neg: B,
+    keep: B,
+    hi: B,
+}
+
+impl<B: ByteLanes> Rounding<B> {
+    /// The constants for `r` redundant columns at `target_sparse`.
+    #[inline(always)]
+    fn new(target_sparse: usize, r: usize) -> Self {
+        let g = target_sparse.saturating_sub(r);
+        let half = if g == 0 { 0 } else { 1 << (g - 1) };
+        Rounding {
+            half: B::splat(half),
+            neg: B::splat(-((g > 0) as i8)),
+            keep: B::splat((-1i32 << g) as i8),
+            hi: B::splat(((1i32 << (WEIGHT_BITS - 1 - r)) - (1i32 << g)) as i8),
+        }
+    }
+
+    /// `t` rounded half away from zero onto the grid: the saturating add
+    /// lands exactly on the top rail `hi` when `r = 0`, and `min` clamps a
+    /// round-up to `2^(7-r)` when `r > 0`.
+    #[inline(always)]
+    fn round(&self, t: B) -> B {
+        let bias = self.half.add(t.negative().and(self.neg));
+        t.adds(bias).and(self.keep).min(self.hi)
+    }
+}
+
+/// Candidate `c` in one register: the rounded `s` and `|w + c - s|` with
+/// lanes outside the group zeroed. A clipped lane (only when `r = 0`, at
+/// a rail) rounds toward `w + c` and never past it, so the error is the
+/// sum of the clip's and the rounding's magnitudes, at most 159.
 #[inline(always)]
-fn sse_planes_batched<L: Lanes>(u: &[L; 9], s: &[L; 8], lanes_v: L) -> [u64; 4] {
-    // e = u - s as 9-plane two's complement.
-    let mut e = [L::zero(); 9];
-    let mut carry = lanes_v;
-    for (b, plane) in e.iter_mut().enumerate() {
-        let a = u[b];
-        let nb = lanes_v.andnot(s[b.min(7)]);
-        *plane = a.xor(nb).xor(carry);
-        carry = a.and(nb).or(carry.and(a.xor(nb)));
-    }
-    // Conditional negate to magnitudes: small errors clear the high planes,
-    // which lets most plane-pair products below vanish.
-    let neg = e[8];
-    let mut m = [L::zero(); 9];
-    let mut carry = neg;
-    for (b, plane) in m.iter_mut().enumerate() {
-        let x = e[b].xor(neg);
-        *plane = x.xor(carry);
-        carry = carry.and(x);
-    }
-    debug_assert!(m[8].is_zero(), "error magnitude exceeds 8 bits");
-    sse_of_magnitudes_batched(&m[..8])
+fn shift_lanes<B: ByteLanes>(w: B, valid: B, c: i32, rounding: &Rounding<B>) -> (B, B) {
+    let cv = B::splat(c as i8);
+    let t = w.adds(cv);
+    let s = rounding.round(t);
+    let err = w.add(cv).sub(t).abs().add(t.sub(s).abs()).and(valid);
+    (s, err)
 }
 
-/// Per-word `Σ_i m_i²` over lanes from non-negative magnitude planes:
-/// `Σ_{b≤b'} 2^(b+b'+[b≠b']) · |m_b ∧ m_b'|`. Skipping an all-zero vector
-/// plane drops only zero terms.
+/// `MAX_GROUP` all-ones bytes, then `MAX_GROUP` zeros.
+static IN_GROUP: [[i8; MAX_GROUP]; 2] = [[-1; MAX_GROUP], [0; MAX_GROUP]];
+
+/// Register `k` (lanes `32k..32k+32`) of a group's lanes.
 #[inline(always)]
-fn sse_of_magnitudes_batched<L: Lanes>(m: &[L]) -> [u64; 4] {
-    let mut sse = [0u64; 4];
-    for (b, &pb) in m.iter().enumerate() {
-        if pb.is_zero() {
-            continue;
-        }
-        let c = pb.popcounts();
-        for (j, out) in sse.iter_mut().enumerate() {
-            *out += (c[j] as u64) << (2 * b);
-        }
-        for (b2, &pb2) in m.iter().enumerate().skip(b + 1) {
-            if pb2.is_zero() {
-                continue;
-            }
-            let c = pb.and(pb2).popcounts();
-            for (j, out) in sse.iter_mut().enumerate() {
-                *out += (c[j] as u64) << (b + b2 + 1);
-            }
-        }
-    }
-    sse
+fn register<B: ByteLanes>(lanes: &[i8; MAX_GROUP], k: usize) -> B {
+    B::load(lanes[k * BYTES..][..BYTES].try_into().expect("32 lanes"))
 }
 
-/// Candidate-batched search: 16 rounds of 4 consecutive constants, each
-/// round evaluated across one [`Lanes`] vector (word `j` = candidate
-/// `c0 + j`). The shift add, clip, rounding and SSE all run 4 candidates
-/// wide; the only per-word scalar work is assembling the tiny
-/// constant-dependent masks (rounding bias, low-plane clear, overflow
-/// rail) from the already-stored redundant counts. Candidates are still
-/// considered in ascending order, preserving the oracle's tie-breaking
-/// bit-for-bit.
+/// The byte-lane search: scores all 64 constants (squared errors reduced
+/// eight candidates at a time), picks the winner in ascending `c` with
+/// [`BestShift`]'s rules, and rebuilds only the winner's planes. Groups of
+/// up to 32 weights take one register, larger ones two. Lanes at or
+/// beyond `len` (which counts the padding of `from_words_padded`) never
+/// reach a score or a plane.
 ///
 /// `#[inline(always)]` so the AVX2 monomorphization inlines into its
 /// `#[target_feature(enable = "avx2")]` wrapper — otherwise the
-/// feature-gated intrinsics cannot inline and every mask op becomes an
+/// feature-gated intrinsics cannot inline and every lane op becomes an
 /// out-of-line call.
 #[inline(always)]
-fn search_batched<L: Lanes>(packed: &PackedGroup, target_sparse: usize) -> BestShift {
-    let lanes = packed.lane_mask();
-    let lanes_v = L::splat(lanes);
-    let w9 = widen9(packed.columns());
+fn search<B: ByteLanes>(lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> Found {
+    let regs = n.div_ceil(BYTES);
+    // All ones in lanes below `n`: a window into a fixed table, loaded
+    // rather than computed, so the compiler keeps it out of the loop.
+    let in_group: &[i8; MAX_GROUP] = IN_GROUP.as_flattened()[MAX_GROUP - n..][..MAX_GROUP]
+        .try_into()
+        .expect("64 lanes");
+    let w: [B; 2] = [register(lanes, 0), register(lanes, 1)];
+    let valid: [B; 2] = [register(in_group, 0), register(in_group, 1)];
+    let wmin = i32::from(*lanes[..n].iter().min().expect("non-empty group"));
+    let wmax = i32::from(*lanes[..n].iter().max().expect("non-empty group"));
+    // One entry per encodable `r`, spelled out: a closure would not
+    // inherit the AVX2 feature, so the lane ops in it could not inline.
+    let rounding: [Rounding<B>; MAX_ENCODED_REDUNDANT + 1] = [
+        Rounding::new(target, 0),
+        Rounding::new(target, 1),
+        Rounding::new(target, 2),
+        Rounding::new(target, 3),
+    ];
 
-    let mut best = BestShift::new();
-    let mut c0 = SHIFT_MIN;
-    while c0 <= SHIFT_MAX {
-        // u_j = W + (c0 + j): full adder with per-word constant planes.
-        let mut u = [L::zero(); 9];
-        let mut carry = L::zero();
-        for (b, plane) in u.iter_mut().enumerate() {
-            let mut kw = [0u64; 4];
-            for (j, w) in kw.iter_mut().enumerate() {
-                if ((c0 + j as i32) >> b) & 1 != 0 {
-                    *w = lanes;
-                }
+    let mut best = BestShift {
+        sse: u32::MAX,
+        r: 0,
+        c: 0,
+    };
+    let mut err = [[B::splat(0); 8]; 2];
+    for c0 in (0..8).map(|block| SHIFT_MIN + 8 * block) {
+        let red: [usize; 8] =
+            core::array::from_fn(|j| redundant_after_shift(wmin, wmax, c0 + j as i32));
+        for j in 0..8 {
+            for k in 0..regs {
+                err[k][j] = shift_lanes(w[k], valid[k], c0 + j as i32, &rounding[red[j]]).1;
             }
-            let a = L::splat(w9[b]);
-            let kb = L::load(&kw);
-            *plane = a.xor(kb).xor(carry);
-            carry = a.and(kb).or(carry.and(a.xor(kb)));
         }
-
-        // Clip to the INT8 rails, all four candidates at once.
-        let clip_hi = u[7].andnot(u[8]).and(lanes_v);
-        let clip_lo = u[8].andnot(u[7]).and(lanes_v);
-        let clipped = clip_hi.or(clip_lo);
-        let mut t = [L::zero(); 8];
-        for (b, out) in t.iter_mut().enumerate() {
-            let rail = if b < 7 { clip_hi } else { clip_lo };
-            *out = u[b].andnot(clipped).or(rail);
-        }
-
-        // Redundant count (hence rounding step) per candidate.
-        let ts: [[u64; 4]; 8] = core::array::from_fn(|b| t[b].store());
-        let mut r4 = [0usize; 4];
-        let mut g4 = [0usize; 4];
-        for j in 0..4 {
-            let msb = ts[7][j];
-            let mut r = 0usize;
-            while r < MAX_ENCODED_REDUNDANT && ts[6 - r][j] == msb {
-                r += 1;
+        let mut sse = B::square_sums(&err[0]);
+        if regs == 2 {
+            for (sum, hi) in sse.iter_mut().zip(B::square_sums(&err[1])) {
+                *sum += hi;
             }
-            r4[j] = r;
-            g4[j] = target_sparse.saturating_sub(r);
         }
-
-        // Round to the nearest multiple of 2^g_j, ties away from zero:
-        // add the combined bias `2^(g_j-1) - [t < 0]` (zero for g_j = 0 —
-        // no rounding), then clear the g_j low planes. The bias is a
-        // per-word 9-plane constant assembled from the negative-lane mask:
-        // negative lanes add `2^(g-1) - 1` (bits 0..=g-2), non-negative
-        // lanes add `2^(g-1)` (bit g-1).
-        let negw = &ts[7];
-        let mut a = [L::zero(); 9];
-        a[..8].copy_from_slice(&t);
-        a[8] = t[7];
-        let mut carry = L::zero();
-        for (b, plane) in a.iter_mut().enumerate() {
-            let mut kw = [0u64; 4];
-            for (j, w) in kw.iter_mut().enumerate() {
-                let g = g4[j];
-                if g == 0 {
-                    continue;
-                }
-                if b + 1 < g {
-                    *w = negw[j];
-                } else if b + 1 == g {
-                    *w = !negw[j] & lanes;
-                }
-            }
-            let kb = L::load(&kw);
-            let x = *plane;
-            *plane = x.xor(kb).xor(carry);
-            carry = x.and(kb).or(carry.and(x.xor(kb)));
+        for j in 0..8 {
+            best.consider(sse[j], red[j], c0 + j as i32);
         }
-        let max_g = g4.iter().copied().max().unwrap_or(0);
-        for (b, plane) in a.iter_mut().enumerate().take(max_g) {
-            let mut zw = [0u64; 4];
-            for (j, w) in zw.iter_mut().enumerate() {
-                if b < g4[j] {
-                    *w = u64::MAX;
-                }
-            }
-            *plane = plane.andnot(L::load(&zw));
-        }
-
-        // Overflow mux: the only out-of-range rounding result is exactly
-        // 2^(7-r_j) — positive with bit 7-r_j set. Rail those lanes down
-        // to hi = 2^(7-r_j) - 2^g_j.
-        let sa: [[u64; 4]; 9] = core::array::from_fn(|b| a[b].store());
-        let mut ovw = [0u64; 4];
-        for (j, w) in ovw.iter_mut().enumerate() {
-            *w = sa[7 - r4[j]][j] & !sa[8][j] & lanes;
-        }
-        let ov = L::load(&ovw);
-        let mut s = [L::zero(); 8];
-        for (b, out) in s.iter_mut().enumerate() {
-            let mut hw = [0u64; 4];
-            for (j, w) in hw.iter_mut().enumerate() {
-                if g4[j] > 0 {
-                    let hi_val = (1i32 << (7 - r4[j])) - (1i32 << g4[j]);
-                    if (hi_val >> b) & 1 != 0 {
-                        *w = ovw[j];
-                    }
-                }
-            }
-            *out = a[b].andnot(ov).or(L::load(&hw));
-        }
-
-        let sse4 = sse_planes_batched(&u, &s, lanes_v);
-        let ss: [[u64; 4]; 8] = core::array::from_fn(|b| s[b].store());
-        for j in 0..4 {
-            let sj: [u64; 8] = core::array::from_fn(|b| ss[b][j]);
-            best.consider(sse4[j], r4[j], c0 + j as i32, &sj);
-        }
-        c0 += 4;
     }
-    best
+    let mut planes = [0u64; WEIGHT_BITS];
+    for k in 0..regs {
+        let (s, _) = shift_lanes(w[k], valid[k], best.c, &rounding[best.r]);
+        for (plane, bits) in planes.iter_mut().zip(s.and(valid[k]).bit_planes()) {
+            *plane |= u64::from(bits) << (BYTES * k);
+        }
+    }
+    (best, planes)
 }
 
-/// AVX2 monomorphization of [`search_batched`].
+/// AVX2 monomorphization of [`search`].
 ///
 /// # Safety
 ///
 /// The caller must have verified `is_x86_feature_detected!("avx2")`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn search_avx2(packed: &PackedGroup, target_sparse: usize) -> BestShift {
-    search_batched::<bbs_tensor::lanes::Avx2>(packed, target_sparse)
+unsafe fn search_avx2(lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> Found {
+    search::<bbs_tensor::lanes::Avx2>(lanes, n, target)
 }
 
 /// The shift search under an explicit [`Backend`]: the AVX2 build under
-/// [`Backend::Wide`] on an AVX2 host, else the portable [`U64x4`] build.
-fn search_with(backend: Backend, packed: &PackedGroup, target_sparse: usize) -> BestShift {
+/// [`Backend::Wide`] on an AVX2 host, else the portable [`I8x32`] build.
+fn search_with(backend: Backend, lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> Found {
     #[cfg(target_arch = "x86_64")]
     if backend == Backend::Wide && bbs_tensor::lanes::avx2() {
         // SAFETY: AVX2 support was just verified.
-        return unsafe { search_avx2(packed, target_sparse) };
+        return unsafe { search_avx2(lanes, n, target) };
     }
     let _ = backend;
-    search_batched::<U64x4>(packed, target_sparse)
+    search::<I8x32>(lanes, n, target)
 }
 
-/// The group the winning shift `best` encodes.
-fn encode(packed: &PackedGroup, target_sparse: usize, best: BestShift) -> CompressedGroup {
-    let g = target_sparse.saturating_sub(best.r);
+/// The group of `n` weights the winning shift encodes.
+fn encode(n: usize, target: usize, (best, planes): Found) -> CompressedGroup {
+    let g = target.saturating_sub(best.r);
     debug_assert!(
-        best.s.iter().take(g).all(|&c| c == 0),
+        planes.iter().take(g).all(|&c| c == 0),
         "generated low columns must be all-zero"
     );
-    let kept: Vec<u64> = best.s[g..WEIGHT_BITS - best.r].to_vec();
-
     CompressedGroup::from_parts(
-        packed.len(),
-        kept,
+        n,
+        planes[g..WEIGHT_BITS - best.r].to_vec(),
         BbsMetadata {
             num_redundant: best.r as u8,
             constant: best.c as i8,
@@ -345,18 +260,22 @@ fn encode(packed: &PackedGroup, target_sparse: usize, best: BestShift) -> Compre
 }
 
 /// The packed-representation shifting kernel: evaluates all 64 shift
-/// constants with bit-sliced lane-parallel arithmetic on the process-wide
-/// [`Backend::active`] backend. Bit-identical to the per-weight oracle in
-/// this module's tests (same winning constant under the same tie-breaking,
-/// same stored columns) on every backend.
+/// constants on byte lanes under the process-wide [`Backend::active`]
+/// backend. Bit-identical to the per-weight oracle in this module's tests
+/// (same winning constant under the same tie-breaking, same stored
+/// columns) on every backend.
 ///
 /// # Panics
 ///
 /// Panics if `target_sparse >= 8`.
 pub fn zero_point_shifting_packed(packed: &PackedGroup, target_sparse: usize) -> CompressedGroup {
-    assert!(target_sparse < WEIGHT_BITS);
-    let best = search_with(Backend::active(), packed, target_sparse);
-    encode(packed, target_sparse, best)
+    compress(&packed.lanes(), packed.len(), target_sparse)
+}
+
+/// Search and encode the first `n` of `lanes` on the active backend.
+fn compress(lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> CompressedGroup {
+    assert!(target < WEIGHT_BITS);
+    encode(n, target, search_with(Backend::active(), lanes, n, target))
 }
 
 #[cfg(test)]
@@ -486,9 +405,15 @@ mod tests {
         )
     }
 
-    /// Both builds of the search: the portable [`U64x4`] one and, on an
+    /// Both builds of the search: the portable [`I8x32`] one and, on an
     /// AVX2 host, AVX2.
     const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Wide];
+
+    /// `packed` compressed by the search under `backend`.
+    fn shift_on(backend: Backend, packed: &PackedGroup, target: usize) -> CompressedGroup {
+        let best = search_with(backend, &packed.lanes(), packed.len(), target);
+        encode(packed.len(), target, best)
+    }
 
     #[test]
     fn paper_fig5_constant_minus_14_behaviour() {
@@ -612,7 +537,7 @@ mod tests {
             let packed = PackedGroup::from_words(&w);
             for backend in BACKENDS {
                 prop_assert_eq!(
-                    encode(&packed, target, search_with(backend, &packed, target)),
+                    shift_on(backend, &packed, target),
                     oracle,
                     "backend {backend:?}"
                 );
@@ -623,7 +548,8 @@ mod tests {
     #[test]
     fn every_backend_matches_scalar_oracle() {
         // Both builds of the search must agree with the per-weight oracle
-        // bit-for-bit, including ragged group sizes.
+        // bit-for-bit, including ragged group sizes and the zero padding
+        // of a trailing partial group, which counts as group weights.
         let mut rng = SeededRng::new(91);
         for case in 0..150 {
             let n = rng.uniform_usize(1, 65);
@@ -632,15 +558,26 @@ mod tests {
             } else {
                 (0..n).map(|_| rng.gaussian_i8(0.0, 35.0)).collect()
             };
-            let packed = PackedGroup::from_words(&group);
-            for target in 0..WEIGHT_BITS {
-                let oracle = zero_point_shifting_scalar(&group, target);
-                for backend in BACKENDS {
-                    assert_eq!(
-                        encode(&packed, target, search_with(backend, &packed, target)),
-                        oracle,
-                        "backend {backend:?} group {group:?} target {target}"
-                    );
+            let padded_len = n.next_multiple_of(32);
+            let mut padded = group.clone();
+            padded.resize(padded_len, 0);
+            let cases = [
+                (PackedGroup::from_words(&group), group),
+                (
+                    PackedGroup::from_words_padded(&padded[..n], padded_len),
+                    padded,
+                ),
+            ];
+            for (packed, words) in &cases {
+                for target in 0..WEIGHT_BITS {
+                    let oracle = zero_point_shifting_scalar(words, target);
+                    for backend in BACKENDS {
+                        assert_eq!(
+                            shift_on(backend, packed, target),
+                            oracle,
+                            "backend {backend:?} group {words:?} target {target}"
+                        );
+                    }
                 }
             }
         }
@@ -654,7 +591,7 @@ mod tests {
             let oracle = zero_point_shifting_scalar(group, target);
             for backend in BACKENDS {
                 assert_eq!(
-                    encode(&packed, target, search_with(backend, &packed, target)),
+                    shift_on(backend, &packed, target),
                     oracle,
                     "backend {backend:?} group {group:?} target {target}"
                 );

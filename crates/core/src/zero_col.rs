@@ -8,8 +8,12 @@
 //! value. Only all-zero columns can be skipped — the limitation BBS lifts
 //! (Fig. 1b vs 1c): forced groups collapse onto coarse magnitude grids and
 //! lose quantization levels.
+//!
+//! The kernel is one branch-free per-weight pass for groups of any
+//! length; the 128-candidate nearest-magnitude scan it replaces is the
+//! oracle in this module's tests.
 
-use bbs_tensor::bits::{sign_magnitude, unpack_planes, PackedGroup};
+use bbs_tensor::bits::sign_magnitude;
 use bbs_tensor::metrics;
 
 /// Number of bit columns in the sign-magnitude byte (sign + 7 magnitude).
@@ -74,34 +78,15 @@ impl ZeroColumnGroup {
     }
 }
 
-/// Nearest magnitude in `0..=127` whose bits avoid every column in `mask`.
-fn nearest_representable_magnitude(m: u8, mask: u8) -> u8 {
-    let mut best = 0u8;
-    let mut best_dist = i32::MAX;
-    for cand in 0u8..=127 {
-        if cand & mask != 0 {
-            continue;
-        }
-        let dist = (m as i32 - cand as i32).abs();
-        if dist < best_dist {
-            best_dist = dist;
-            best = cand;
-        }
-    }
-    best
-}
-
 /// Compresses a group by zero-column pruning with `target_sparse` zero
 /// columns (inherent zero columns counted first, then low-significance
 /// magnitude columns are forced).
 ///
-/// Runs on the packed bit-plane representation: inherent zero columns are
-/// mask tests, and the nearest representable magnitude is computed for all
-/// lanes at once with prefix-OR / carry-ripple mask arithmetic instead of
-/// the scalar oracle's 128-candidate scan per weight. Bit-identical to
-/// [`sign_magnitude_zero_column_scalar`], which also serves groups larger
-/// than the 64-lane packed representation (preserving the historical
-/// unbounded-length contract of this function).
+/// One per-weight pass for every group length: the OR of the
+/// sign-magnitude bytes gives the inherent zero columns, and each
+/// magnitude maps to its nearest representable one without a
+/// data-dependent branch. Bit-identical to the 128-candidate scan oracle
+/// in this module's tests.
 ///
 /// # Panics
 ///
@@ -112,22 +97,10 @@ pub fn sign_magnitude_zero_column(group: &[i8], target_sparse: usize) -> ZeroCol
         target_sparse < SM_COLUMNS,
         "at least one column must remain"
     );
-    if group.len() > bbs_tensor::bits::MAX_GROUP {
-        return sign_magnitude_zero_column_scalar(group, target_sparse);
-    }
-
-    let sm: Vec<u8> = group.iter().map(|&w| sign_magnitude(w)).collect();
-    let packed = PackedGroup::from_bytes(&sm);
-    let lanes = packed.lane_mask();
 
     // Inherent all-zero columns (sign column included: an all-positive group
     // skips it for free).
-    let mut zero_mask = 0u8;
-    for b in 0..SM_COLUMNS {
-        if packed.column_all_zero(b) {
-            zero_mask |= 1 << b;
-        }
-    }
+    let zero_mask = !group.iter().fold(0u8, |acc, &w| acc | sign_magnitude(w));
 
     // Force additional low-significance magnitude columns until the target
     // is reached (never the sign column — flipping signs is catastrophic).
@@ -140,152 +113,41 @@ pub fn sign_magnitude_zero_column(group: &[i8], target_sparse: usize) -> ZeroCol
         b += 1;
     }
 
-    // Magnitude planes (the sign plane stays aside) and the broadcast
-    // forced-column masks.
-    let sign = packed.column(7);
-    let mut m = [0u64; 8];
-    m[..7].copy_from_slice(&packed.columns()[..7]);
-    let fmask: [u64; 8] = core::array::from_fn(|b| if (forced >> b) & 1 == 1 { lanes } else { 0 });
-
-    // floor: the largest representable magnitude ≤ m, per lane. Bits above
-    // each lane's highest conflicting (set ∧ forced) bit are kept, the rest
-    // becomes the all-non-forced-ones fill below it. `seen[b]` marks lanes
-    // with a conflict at significance ≥ b (suffix OR of conflict planes).
-    let mut seen = [0u64; 9];
-    for b in (0..8).rev() {
-        seen[b] = seen[b + 1] | (m[b] & fmask[b]);
-    }
-    let mut floor = [0u64; 8];
-    for b in 0..8 {
-        let fill = if (forced >> b) & 1 == 1 {
-            0
-        } else {
-            seen[b + 1]
-        };
-        floor[b] = (m[b] & !seen[b]) | fill;
-    }
-
-    // upper: the next representable magnitude after floor —
-    // ((floor | forced) + 1) & !forced, with the carry out of bit 6
-    // marking lanes whose upper would exceed 127 (no upper candidate).
-    let mut upper = [0u64; 8];
-    let mut carry = lanes;
-    for b in 0..8 {
-        let a = floor[b] | fmask[b];
-        upper[b] = a ^ carry;
-        carry &= a;
-    }
-    let ov = upper[7]; // magnitudes are 7-bit, so bit 7 is the +1 overflow
-    for b in 0..8 {
-        upper[b] &= !fmask[b];
-    }
-    upper[7] = 0;
-
-    // Distances: dl = m - floor, du = upper - m (both fit 7 bits on the
-    // lanes that matter), and their difference decides the mux. Ties go to
-    // floor — the scalar oracle scans candidates in ascending order with
-    // strict improvement, so the smaller candidate wins.
-    let dl = sub_planes(&m, &floor, lanes);
-    let du = sub_planes(&upper, &m, lanes);
-    let d = sub_planes(&dl, &du, lanes);
-    let nz = d.iter().fold(0u64, |acc, &p| acc | p);
-    let choose_upper = nz & !d[7] & !ov & lanes;
-
-    // Mux the winner, then apply the sign: v = sign ? -mag : mag.
-    let mut v: [u64; 8] =
-        core::array::from_fn(|b| (floor[b] & !choose_upper) | (upper[b] & choose_upper));
-    for plane in v.iter_mut() {
-        *plane ^= sign;
-    }
-    let mut carry = sign;
-    for plane in v.iter_mut() {
-        if carry == 0 {
-            break;
-        }
-        let x = *plane;
-        *plane = x ^ carry;
-        carry &= x;
-    }
-
-    ZeroColumnGroup {
-        n: group.len(),
-        zero_mask: zero_mask | forced,
-        values: unpack_planes(&v, group.len()),
-    }
-}
-
-/// Lane-parallel `a - b` in 8-plane two's complement (borrow via
-/// `a + !b + 1`).
-#[inline]
-fn sub_planes(a: &[u64; 8], b: &[u64; 8], lanes: u64) -> [u64; 8] {
-    let mut out = [0u64; 8];
-    let mut carry = lanes;
-    for (p, o) in out.iter_mut().enumerate() {
-        let x = a[p];
-        let y = !b[p] & lanes;
-        *o = x ^ y ^ carry;
-        carry = (x & y) | (carry & (x ^ y));
-    }
-    out
-}
-
-/// Scalar reference oracle for [`sign_magnitude_zero_column`]: the
-/// per-weight 128-candidate nearest-magnitude scan. Kept for the
-/// packed-vs-scalar equivalence tests.
-///
-/// # Panics
-///
-/// Panics if `group` is empty or `target_sparse >= 8`.
-pub fn sign_magnitude_zero_column_scalar(group: &[i8], target_sparse: usize) -> ZeroColumnGroup {
-    assert!(!group.is_empty());
-    assert!(
-        target_sparse < SM_COLUMNS,
-        "at least one column must remain"
-    );
-
-    let sm: Vec<u8> = group.iter().map(|&w| sign_magnitude(w)).collect();
-
-    // Inherent all-zero columns (sign column included: an all-positive group
-    // skips it for free).
-    let mut zero_mask = 0u8;
-    for b in 0..SM_COLUMNS {
-        if sm.iter().all(|&v| (v >> b) & 1 == 0) {
-            zero_mask |= 1 << b;
-        }
-    }
-
-    // Force additional low-significance magnitude columns until the target
-    // is reached (never the sign column — flipping signs is catastrophic).
-    let mut forced = 0u8;
-    let mut b = 0usize;
-    while (zero_mask | forced).count_ones() < target_sparse as u32 && b < SM_COLUMNS - 1 {
-        if (zero_mask >> b) & 1 == 0 {
-            forced |= 1 << b;
-        }
-        b += 1;
-    }
-
-    // Round magnitudes onto the representable grid.
-    let values: Vec<i8> = group
+    let values = group
         .iter()
         .map(|&w| {
-            let enc = sign_magnitude(w);
-            let mag = nearest_representable_magnitude(enc & 0x7f, forced);
-            if enc & 0x80 != 0 {
-                -(mag as i16) as i8
+            let mag = nearest_allowed_magnitude(sign_magnitude(w) & 0x7f, forced) as i8;
+            if w < 0 {
+                -mag
             } else {
-                mag as i8
+                mag
             }
         })
         .collect();
-
-    // Forced columns are now genuinely zero; recompute the final mask (the
-    // rounding may also have zeroed further columns by accident — keep the
-    // deterministic target mask only).
     ZeroColumnGroup {
         n: group.len(),
         zero_mask: zero_mask | forced,
         values,
+    }
+}
+
+/// The magnitude in `0..=127` nearest `m` whose bits avoid every column in
+/// `forced`, ties to the smaller one. The floor keeps `m`'s bits above its
+/// highest forced one-bit and fills the non-forced bits below it; the
+/// ceiling is the next representable magnitude after the floor, when it
+/// stays within 7 bits.
+#[inline]
+fn nearest_allowed_magnitude(m: u8, forced: u8) -> u8 {
+    let mut at_or_below_conflict = m & forced;
+    at_or_below_conflict |= at_or_below_conflict >> 1;
+    at_or_below_conflict |= at_or_below_conflict >> 2;
+    at_or_below_conflict |= at_or_below_conflict >> 4;
+    let floor = (m & !at_or_below_conflict) | (!forced & (at_or_below_conflict >> 1));
+    let ceil = ((floor | forced) + 1) & !forced;
+    if (ceil <= 0x7f) & (ceil - m < m - floor) {
+        ceil
+    } else {
+        floor
     }
 }
 
@@ -294,6 +156,93 @@ mod tests {
     use super::*;
     use crate::shifting::zero_point_shifting;
     use bbs_tensor::rng::SeededRng;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Nearest magnitude in `0..=127` whose bits avoid every column in `mask`.
+    fn nearest_representable_magnitude(m: u8, mask: u8) -> u8 {
+        let mut best = 0u8;
+        let mut best_dist = i32::MAX;
+        for cand in 0u8..=127 {
+            if cand & mask != 0 {
+                continue;
+            }
+            let dist = (m as i32 - cand as i32).abs();
+            if dist < best_dist {
+                best_dist = dist;
+                best = cand;
+            }
+        }
+        best
+    }
+
+    /// The per-weight oracle for [`sign_magnitude_zero_column`]: column
+    /// tests over the sign-magnitude bytes and the 128-candidate
+    /// nearest-magnitude scan.
+    fn sign_magnitude_zero_column_scalar(group: &[i8], target_sparse: usize) -> ZeroColumnGroup {
+        assert!(!group.is_empty());
+        assert!(
+            target_sparse < SM_COLUMNS,
+            "at least one column must remain"
+        );
+
+        let sm: Vec<u8> = group.iter().map(|&w| sign_magnitude(w)).collect();
+
+        // Inherent all-zero columns (sign column included: an all-positive
+        // group skips it for free).
+        let mut zero_mask = 0u8;
+        for b in 0..SM_COLUMNS {
+            if sm.iter().all(|&v| (v >> b) & 1 == 0) {
+                zero_mask |= 1 << b;
+            }
+        }
+
+        // Force additional low-significance magnitude columns until the
+        // target is reached (never the sign column).
+        let mut forced = 0u8;
+        let mut b = 0usize;
+        while (zero_mask | forced).count_ones() < target_sparse as u32 && b < SM_COLUMNS - 1 {
+            if (zero_mask >> b) & 1 == 0 {
+                forced |= 1 << b;
+            }
+            b += 1;
+        }
+
+        // Round magnitudes onto the representable grid.
+        let values: Vec<i8> = group
+            .iter()
+            .map(|&w| {
+                let enc = sign_magnitude(w);
+                let mag = nearest_representable_magnitude(enc & 0x7f, forced);
+                if enc & 0x80 != 0 {
+                    -(mag as i16) as i8
+                } else {
+                    mag as i8
+                }
+            })
+            .collect();
+
+        // Keep the deterministic target mask (rounding may zero further
+        // columns by accident).
+        ZeroColumnGroup {
+            n: group.len(),
+            zero_mask: zero_mask | forced,
+            values,
+        }
+    }
+
+    #[test]
+    fn nearest_magnitude_matches_the_scan_for_every_mask() {
+        for mask in 0u8..=127 {
+            for m in 0u8..=127 {
+                assert_eq!(
+                    nearest_allowed_magnitude(m, mask),
+                    nearest_representable_magnitude(m, mask),
+                    "m={m} mask={mask:07b}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn inherent_zero_columns_are_free() {
@@ -332,8 +281,8 @@ mod tests {
 
     #[test]
     fn packed_rounding_matches_scalar_oracle() {
-        // Exhaustive over the full i8 space as single-lane groups, every
-        // target: the packed floor/upper mask arithmetic must reproduce the
+        // Exhaustive over the full i8 space as single-weight groups, every
+        // target: the floor/ceiling arithmetic must reproduce the
         // 128-candidate scan exactly.
         for w in i8::MIN..=i8::MAX {
             for target in 0..SM_COLUMNS {
@@ -356,13 +305,38 @@ mod tests {
                 );
             }
         }
-        // Groups beyond the 64-lane packed representation take the scalar
-        // fallback — the historical unbounded-length contract holds.
+        // Groups of any length, beyond 64 weights too.
         let big: Vec<i8> = (0..130).map(|_| rng.any_i8()).collect();
         assert_eq!(
             sign_magnitude_zero_column(&big, 3),
             sign_magnitude_zero_column_scalar(&big, 3)
         );
+        // Every `i8` paired with a sweep of companions (group-level zero
+        // columns and forcing).
+        for w in i8::MIN..=i8::MAX {
+            let o = (w as i16).wrapping_mul(37).wrapping_add(11) as i8;
+            let group = [w, o, w.wrapping_add(o), o.wrapping_sub(w)];
+            for target in [0usize, 2, 4, 7] {
+                assert_eq!(
+                    sign_magnitude_zero_column(&group, target),
+                    sign_magnitude_zero_column_scalar(&group, target),
+                    "group={group:?} target={target}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn zero_column_equals_scalar_oracle(
+            w in vec(any::<i8>(), 1..=64),
+            target in 0usize..=7,
+        ) {
+            prop_assert_eq!(
+                sign_magnitude_zero_column(&w, target),
+                sign_magnitude_zero_column_scalar(&w, target)
+            );
+        }
     }
 
     #[test]

@@ -11,12 +11,10 @@ use bbs_core::bbs_math::{
 };
 use bbs_core::encoding::{BbsMetadata, CompressedGroup, ConstantKind};
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
-use bbs_core::redundant::{
-    group_redundant_columns, group_redundant_columns_scalar, removal_is_lossless,
-};
+use bbs_core::redundant::{group_redundant_columns, removal_is_lossless};
 use bbs_core::reorder::ChannelOrder;
 use bbs_core::shifting::zero_point_shifting;
-use bbs_core::zero_col::{sign_magnitude_zero_column, sign_magnitude_zero_column_scalar};
+use bbs_core::zero_col::sign_magnitude_zero_column;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -145,21 +143,6 @@ proptest! {
         prop_assert!(z.zero_columns() >= target.min(7));
     }
 
-    // Packed-vs-scalar equivalence of zero-column pruning: the bit-plane
-    // kernel must be bit-identical to the per-weight path it falls back to
-    // for groups beyond 64 lanes. The averaging and shifting oracles live
-    // in their modules' unit tests.
-    #[test]
-    fn packed_zero_column_equals_scalar_oracle(
-        w in group_strategy(),
-        target in 0usize..=7,
-    ) {
-        prop_assert_eq!(
-            sign_magnitude_zero_column(&w, target),
-            sign_magnitude_zero_column_scalar(&w, target)
-        );
-    }
-
     #[test]
     fn reorder_unshuffle_inverse(mask in vec(any::<bool>(), 1..=128)) {
         let ord = ChannelOrder::from_sensitivity(&mask);
@@ -172,39 +155,6 @@ proptest! {
         }
         for pos in ord.sensitive_count()..mask.len() {
             prop_assert!(!mask[ord.original_index(pos)]);
-        }
-    }
-}
-
-/// Exhaustive packed-vs-scalar equivalence of redundant counting and
-/// zero-column pruning over the *entire* `i8` space: every weight value as
-/// a single-lane group, and every value paired with a sweep of companions
-/// (which exercises multi-lane carry/borrow ripples and group-level
-/// redundant counting), across every legal pruning target.
-#[test]
-fn packed_kernels_equal_scalar_oracles_across_all_i8() {
-    for w in i8::MIN..=i8::MAX {
-        assert_eq!(
-            group_redundant_columns(&[w]),
-            group_redundant_columns_scalar(&[w]),
-            "redundant w={w}"
-        );
-        for target in 0usize..8 {
-            assert_eq!(
-                sign_magnitude_zero_column(&[w], target),
-                sign_magnitude_zero_column_scalar(&[w], target),
-                "zero-column w={w} target={target}"
-            );
-        }
-        // Pair each value with a deterministic sweep of companions.
-        let o = (w as i16).wrapping_mul(37).wrapping_add(11) as i8;
-        let group = [w, o, w.wrapping_add(o), o.wrapping_sub(w)];
-        for target in [0usize, 2, 4, 7] {
-            assert_eq!(
-                sign_magnitude_zero_column(&group, target),
-                sign_magnitude_zero_column_scalar(&group, target),
-                "zero-column group={group:?} target={target}"
-            );
         }
     }
 }

@@ -61,7 +61,7 @@ impl BitVert {
 /// BBS effectual terms of one PE pass over the kept columns: per column
 /// and per sub-group of 8 lanes, `min(ones, 8 - ones)` (the scheduler's
 /// inversion guarantee).
-fn pass_useful(columns: &[u64], lane_lo: usize) -> u64 {
+pub(crate) fn pass_useful(columns: &[u64], lane_lo: usize) -> u64 {
     let mut useful = 0u64;
     for &mask in columns {
         for sg in 0..(PE_GROUP / SUB_GROUP) {

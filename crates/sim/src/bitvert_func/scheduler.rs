@@ -79,6 +79,13 @@ pub fn subgroup_partial_sum(column_bits: u8, activations: &[i32]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accel::bitvert::pass_useful;
+    use crate::bitvert_func::pe::{PE_GROUP, SUB_GROUP};
+    use bbs_core::encoding::{BbsMetadata, CompressedGroup, ConstantKind};
+    use bbs_core::prune::BinaryPruner;
+    use bbs_tensor::bits::{PackedGroup, WEIGHT_BITS};
+    use bbs_tensor::rng::SeededRng;
+    use proptest::prelude::*;
 
     fn reference_sum(column_bits: u8, a: &[i32]) -> i64 {
         (0..8)
@@ -145,6 +152,62 @@ mod tests {
                 .collect();
             claimed.sort_unstable();
             assert_eq!(claimed, ones, "pattern {b:08b}");
+        }
+    }
+
+    /// One PE pass of `group` at `lane_lo` as the functional PE steps it:
+    /// one cycle per kept column, and the valid encoder slots the
+    /// scheduler raises over both sub-groups of each column.
+    fn scheduled_pass(group: &CompressedGroup, lane_lo: usize) -> (u32, u64) {
+        let mut slots = 0u64;
+        for j in 0..group.kept_column_count() {
+            for sg in 0..PE_GROUP / SUB_GROUP {
+                let bits = (group.kept_column(j) >> (lane_lo + sg * SUB_GROUP)) as u8;
+                slots += schedule_subgroup(bits).val.iter().filter(|&&v| v).count() as u64;
+            }
+        }
+        (group.kept_column_count() as u32, slots)
+    }
+
+    proptest! {
+        /// The BitVert performance model against the functional PE: per
+        /// 16-lane pass, `BitVert::build_profile` pushes the kept-column
+        /// count (8 for a raw sensitive group) as cycles and
+        /// `pass_useful` as effectual terms.
+        #[test]
+        fn scheduler_matches_the_bitvert_profile(
+            len in prop_oneof![Just(32usize), Just(64usize)],
+            words in 1usize..=64,
+            gaussian in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let words: Vec<i8> = (0..words.min(len))
+                .map(|_| if gaussian { rng.gaussian_i8(0.0, 35.0) } else { rng.any_i8() })
+                .collect();
+            // Trailing partial groups are zero-padded, as build_profile does.
+            let packed = PackedGroup::from_words_padded(&words, len);
+            let raw = CompressedGroup::from_parts(
+                len,
+                packed.columns().to_vec(),
+                BbsMetadata { num_redundant: 0, constant: 0 },
+                ConstantKind::LowBitsAverage,
+            );
+            let mut groups = vec![(raw, WEIGHT_BITS as u32, packed.columns().to_vec())];
+            for pruner in [BinaryPruner::conservative(), BinaryPruner::moderate()] {
+                let enc = pruner.compress_group_packed(&packed);
+                let columns = enc.kept_columns().to_vec();
+                groups.push((enc, columns.len() as u32, columns));
+            }
+            for (group, cycles, columns) in &groups {
+                for lane_lo in (0..len).step_by(PE_GROUP) {
+                    prop_assert_eq!(
+                        scheduled_pass(group, lane_lo),
+                        (*cycles, pass_useful(columns, lane_lo)),
+                        "lanes {}.. of {:?}", lane_lo, group
+                    );
+                }
+            }
         }
     }
 }

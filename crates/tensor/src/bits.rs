@@ -60,6 +60,7 @@ pub fn redundant_sign_bits(w: i8) -> usize {
 /// `-128` is saturated to magnitude 127 because sign-magnitude cannot
 /// represent it — the same convention as the sign-magnitude accelerators the
 /// paper compares against (BitWave).
+#[inline]
 pub fn sign_magnitude(w: i8) -> u8 {
     let sign = if w < 0 { 0x80u8 } else { 0 };
     let mag = (w as i16).unsigned_abs().min(127) as u8;
@@ -133,19 +134,21 @@ fn transpose_rows_with(backend: Backend, rows: &mut [u64; 8], nchunks: usize) {
     transpose_rows_batched::<U64x4>(rows, nchunks)
 }
 
-/// The shared chunk/transpose/scatter packing loop, generic over the
-/// word-to-byte view (`i8` two's complement or raw `u8`). The closure is
-/// monomorphized and inlined, so both entry points compile to the same
-/// code as a hand-written loop.
-#[inline]
-fn pack_planes_with<T: Copy>(words: &[T], to_byte: impl Fn(T) -> u8) -> [u64; WEIGHT_BITS] {
-    debug_assert!(words.len() <= MAX_GROUP);
+/// Packs up to 64 words into their eight bit-plane masks: bit `i` of plane
+/// `b` is bit `b` of word `i`. Lanes beyond `words.len()` are zero.
+///
+/// # Panics
+///
+/// Panics if `words` has more than [`MAX_GROUP`] elements (a larger slice
+/// cannot be represented and would otherwise corrupt the lane masks).
+fn pack_planes(words: &[i8]) -> [u64; WEIGHT_BITS] {
+    assert!(words.len() <= MAX_GROUP, "at most {MAX_GROUP} lanes");
     let mut rows = [0u64; 8];
     let nchunks = words.len().div_ceil(8);
     for (ci, chunk) in words.chunks(8).enumerate() {
         let mut x = 0u64;
         for (i, &w) in chunk.iter().enumerate() {
-            x |= (to_byte(w) as u64) << (8 * i);
+            x |= (w as u8 as u64) << (8 * i);
         }
         rows[ci] = x;
     }
@@ -159,18 +162,6 @@ fn pack_planes_with<T: Copy>(words: &[T], to_byte: impl Fn(T) -> u8) -> [u64; WE
     cols
 }
 
-/// Packs up to 64 words into their eight bit-plane masks: bit `i` of plane
-/// `b` is bit `b` of word `i`. Lanes beyond `words.len()` are zero.
-///
-/// # Panics
-///
-/// Panics if `words` has more than [`MAX_GROUP`] elements (a larger slice
-/// cannot be represented and would otherwise corrupt the lane masks).
-fn pack_planes(words: &[i8]) -> [u64; WEIGHT_BITS] {
-    assert!(words.len() <= MAX_GROUP, "at most {MAX_GROUP} lanes");
-    pack_planes_with(words, |w| w as u8)
-}
-
 /// Reconstructs the first `n` words from their bit-plane masks (the
 /// inverse of [`PackedGroup::from_words`]).
 ///
@@ -179,6 +170,12 @@ fn pack_planes(words: &[i8]) -> [u64; WEIGHT_BITS] {
 /// Panics if `n > MAX_GROUP`.
 pub fn unpack_planes(cols: &[u64; WEIGHT_BITS], n: usize) -> Vec<i8> {
     assert!(n <= MAX_GROUP, "at most {MAX_GROUP} lanes");
+    unpack_lanes(cols, n)[..n].to_vec()
+}
+
+/// The words of the first `n` lanes as a [`MAX_GROUP`]-lane array, the
+/// rest of it zero.
+fn unpack_lanes(cols: &[u64; WEIGHT_BITS], n: usize) -> [i8; MAX_GROUP] {
     let nchunks = n.div_ceil(8);
     let mut rows = [0u64; 8];
     for (ci, row) in rows[..nchunks].iter_mut().enumerate() {
@@ -189,12 +186,9 @@ pub fn unpack_planes(cols: &[u64; WEIGHT_BITS], n: usize) -> Vec<i8> {
     // The transpose is an involution, so unpacking reuses the same batched
     // network as packing.
     transpose_rows_with(Backend::active(), &mut rows, nchunks);
-    let mut out = Vec::with_capacity(n);
-    for (ci, &x) in rows[..nchunks].iter().enumerate() {
-        let take = (n - ci * 8).min(8);
-        for i in 0..take {
-            out.push(((x >> (8 * i)) & 0xff) as u8 as i8);
-        }
+    let mut out = [0i8; MAX_GROUP];
+    for (chunk, x) in out.chunks_exact_mut(8).zip(rows) {
+        chunk.copy_from_slice(&x.to_le_bytes().map(|b| b as i8));
     }
     out
 }
@@ -262,23 +256,6 @@ impl PackedGroup {
         }
     }
 
-    /// Packs raw bytes (e.g. sign-magnitude encodings) into bit planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty or larger than [`MAX_GROUP`].
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        assert!(
-            !bytes.is_empty() && bytes.len() <= MAX_GROUP,
-            "group size must be in 1..={MAX_GROUP}, got {}",
-            bytes.len()
-        );
-        PackedGroup {
-            cols: pack_planes_with(bytes, |b| b),
-            n: bytes.len(),
-        }
-    }
-
     /// Number of lanes in the group.
     pub fn len(&self) -> usize {
         self.n
@@ -311,11 +288,6 @@ impl PackedGroup {
     /// Number of one-bits in column `b`.
     pub fn column_popcount(&self, b: usize) -> usize {
         self.cols[b].count_ones() as usize
-    }
-
-    /// Whether column `b` is entirely zero.
-    pub fn column_all_zero(&self, b: usize) -> bool {
-        self.cols[b] == 0
     }
 
     /// Exact shared redundant sign-extension column count (0..=7) as mask
@@ -356,21 +328,15 @@ impl PackedGroup {
         low_bits_sum_batched::<U64x4>(&self.cols, g)
     }
 
-    /// Reconstructs the word at lane `i`.
-    pub fn word(&self, i: usize) -> i8 {
-        debug_assert!(i < self.n);
-        let mut v = 0u8;
-        for b in 0..WEIGHT_BITS {
-            if (self.cols[b] >> i) & 1 == 1 {
-                v |= 1 << b;
-            }
-        }
-        v as i8
-    }
-
     /// Reconstructs all words (fast inverse transpose).
     pub fn to_words(&self) -> Vec<i8> {
         unpack_planes(&self.cols, self.n)
+    }
+
+    /// All lanes as one array without allocating: the words, then zeros
+    /// from lane `len()` on.
+    pub fn lanes(&self) -> [i8; MAX_GROUP] {
+        unpack_lanes(&self.cols, self.n)
     }
 }
 
@@ -578,7 +544,7 @@ mod tests {
             for b in 0..8 {
                 assert_eq!((g.column(b) >> i) & 1 == 1, bit_of(w, b));
             }
-            assert_eq!(g.word(i), w);
+            assert_eq!(g.lanes()[i], w);
         }
     }
 
@@ -586,13 +552,13 @@ mod tests {
     fn column_classification() {
         // All-zero column: every weight has bit 4 clear.
         let g = PackedGroup::from_words(&[0, 1, 2, 3]);
-        assert!(g.column_all_zero(4));
+        assert_eq!(g.column(4), 0);
         // All-one column: all-negative weights share the sign bit.
         let g = PackedGroup::from_words(&[-1, -2, -3, -4]);
         assert_eq!(g.column(7), g.lane_mask());
         // Mixed column.
         let g = PackedGroup::from_words(&[1, 0, 1, 0]);
-        assert!(!g.column_all_zero(0) && g.column(0) != g.lane_mask());
+        assert!(g.column(0) != 0 && g.column(0) != g.lane_mask());
         assert_eq!(g.column_popcount(0), 2);
     }
 
@@ -699,14 +665,8 @@ mod tests {
         let p = PackedGroup::from_words_padded(&[5, -3], 8);
         assert_eq!(p.len(), 8);
         assert_eq!(p.to_words(), vec![5, -3, 0, 0, 0, 0, 0, 0]);
-
-        let bytes = [0x80u8, 0x7f, 0x01, 0xff];
-        let p = PackedGroup::from_bytes(&bytes);
-        for (i, &v) in bytes.iter().enumerate() {
-            assert_eq!(p.word(i) as u8, v);
-        }
-        // Sign column of the sign-magnitude encodings.
-        assert_eq!(p.column(7), 0b1001);
+        assert_eq!(p.lanes()[..3], [5, -3, 0]);
+        assert!(p.lanes()[2..].iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   fidelity arguments (Figs. 1, 6, 11, 16, 17),
 //! * [`bits`] — bit-plane views of `i8` groups, sign-magnitude conversion and
 //!   the value/bit/BBS sparsity statistics behind Fig. 3,
-//! * [`lanes`] — the wide-lane substrate the packed kernels batch their
-//!   mask arithmetic over (AVX2 when detected, else portable 4×`u64`
-//!   lanes; `BBS_SIMD=scalar` forces the portable build).
+//! * [`lanes`] — the wide-lane substrate the kernels batch their mask and
+//!   byte arithmetic over (AVX2 when detected, else portable 4×`u64` and
+//!   32×`i8` lanes; `BBS_SIMD=scalar` forces the portable build).
 //!
 //! # Example
 //!
