@@ -11,7 +11,7 @@
 
 use crate::averaging::rounded_averaging_packed;
 use crate::encoding::CompressedGroup;
-use crate::shifting::zero_point_shifting_packed;
+use crate::shifting::zero_point_shifting_padded;
 use bbs_tensor::bits::PackedGroup;
 use bbs_tensor::metrics;
 use std::fmt;
@@ -137,25 +137,33 @@ impl BinaryPruner {
     ///
     /// Panics if `group` is empty or exceeds 64 weights.
     pub fn compress_group(&self, group: &[i8]) -> CompressedGroup {
-        self.compress_group_packed(&PackedGroup::from_words(group))
+        self.compress_padded(group, group.len())
     }
 
-    /// Compresses an already-packed group — the hot path the channel and
-    /// simulator loops use, packing each group exactly once.
-    pub fn compress_group_packed(&self, packed: &PackedGroup) -> CompressedGroup {
+    /// Compresses the group of `words` zero-padded to `len` weights — the
+    /// hot path of the channel and simulator loops, where a channel's
+    /// trailing group is partial. Rounded averaging packs the words into
+    /// bit planes once; zero-point shifting searches them as bytes and
+    /// packs nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is empty or longer than `len`, or `len` exceeds
+    /// 64.
+    pub fn compress_padded(&self, words: &[i8], len: usize) -> CompressedGroup {
         match self.strategy {
-            PruneStrategy::RoundedAveraging => {
-                rounded_averaging_packed(packed, self.sparse_columns)
-            }
+            PruneStrategy::RoundedAveraging => rounded_averaging_packed(
+                &PackedGroup::from_words_padded(words, len),
+                self.sparse_columns,
+            ),
             PruneStrategy::ZeroPointShifting => {
-                zero_point_shifting_packed(packed, self.sparse_columns)
+                zero_point_shifting_padded(words, len, self.sparse_columns)
             }
         }
     }
 
-    /// Compresses a channel, zero-padding the trailing partial group (the
-    /// padding happens inside the packed representation — no padded word
-    /// vector is materialized).
+    /// Compresses a channel, zero-padding the trailing partial group (no
+    /// padded word vector is materialized).
     ///
     /// # Panics
     ///
@@ -165,9 +173,7 @@ impl BinaryPruner {
         assert!((1..=64).contains(&group_size));
         let groups = weights
             .chunks(group_size)
-            .map(|chunk| {
-                self.compress_group_packed(&PackedGroup::from_words_padded(chunk, group_size))
-            })
+            .map(|chunk| self.compress_padded(chunk, group_size))
             .collect();
         CompressedChannel {
             groups,
@@ -206,6 +212,24 @@ mod tests {
             assert_eq!(*w as i32, *d);
         }
         assert_eq!(c.mse(&weights), 0.0);
+    }
+
+    #[test]
+    fn padded_groups_compress_as_their_zero_padded_words() {
+        let mut rng = SeededRng::new(74);
+        for n in [1usize, 7, 31, 33, 50] {
+            let words: Vec<i8> = (0..n).map(|_| rng.gaussian_i8(0.0, 30.0)).collect();
+            let len = n.next_multiple_of(32);
+            let mut padded = words.clone();
+            padded.resize(len, 0);
+            for pruner in [BinaryPruner::conservative(), BinaryPruner::moderate()] {
+                assert_eq!(
+                    pruner.compress_padded(&words, len),
+                    pruner.compress_group(&padded),
+                    "{n} words padded to {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::encoding::{BbsMetadata, CompressedGroup, ConstantKind};
 use crate::redundant::MAX_ENCODED_REDUNDANT;
-use bbs_tensor::bits::{PackedGroup, MAX_GROUP, WEIGHT_BITS};
+use bbs_tensor::bits::{MAX_GROUP, WEIGHT_BITS};
 use bbs_tensor::lanes::{Backend, ByteLanes, I8x32, BYTES};
 
 /// Inclusive search range of the signed 6-bit shift constant.
@@ -36,25 +36,52 @@ pub const SHIFT_MIN: i32 = -32;
 pub const SHIFT_MAX: i32 = 31;
 
 /// Algorithm 1: finds the optimal shift constant and returns the compressed
-/// group.
-///
-/// The search of [`zero_point_shifting_packed`], on the words as given.
-/// Bit-identical to the per-weight Algorithm 1 oracle in this module's
-/// tests.
+/// group. Evaluates all 64 shift constants on byte lanes under the
+/// process-wide [`Backend::active`] backend, bit-identical to the
+/// per-weight Algorithm 1 oracle in this module's tests (same winning
+/// constant under the same tie-breaking, same stored columns) on every
+/// backend.
 ///
 /// # Panics
 ///
 /// Panics if `group` is empty, exceeds 64 weights, or
 /// `target_sparse >= 8`.
 pub fn zero_point_shifting(group: &[i8], target_sparse: usize) -> CompressedGroup {
+    zero_point_shifting_padded(group, group.len(), target_sparse)
+}
+
+/// [`zero_point_shifting`] of `words` zero-padded to `len` weights (a
+/// channel's trailing partial group). The padding is part of the group:
+/// it is searched and stored like any weight of value 0.
+///
+/// # Panics
+///
+/// Panics if `words` is empty or longer than `len`, `len` exceeds 64, or
+/// `target_sparse >= 8`.
+pub(crate) fn zero_point_shifting_padded(
+    words: &[i8],
+    len: usize,
+    target_sparse: usize,
+) -> CompressedGroup {
     assert!(
-        (1..=MAX_GROUP).contains(&group.len()),
-        "group size must be in 1..={MAX_GROUP}, got {}",
-        group.len()
+        !words.is_empty() && words.len() <= len && len <= MAX_GROUP,
+        "group of {} words padded to {len}: sizes must be in 1..={MAX_GROUP}",
+        words.len()
     );
+    assert!(target_sparse < WEIGHT_BITS);
+    let lanes = lanes_of(words);
+    encode(
+        len,
+        target_sparse,
+        search_with(Backend::active(), &lanes, len, target_sparse),
+    )
+}
+
+/// `words` as [`MAX_GROUP`] byte lanes, zero from lane `words.len()` on.
+fn lanes_of(words: &[i8]) -> [i8; MAX_GROUP] {
     let mut lanes = [0i8; MAX_GROUP];
-    lanes[..group.len()].copy_from_slice(group);
-    compress(&lanes, group.len(), target_sparse)
+    lanes[..words.len()].copy_from_slice(words);
+    lanes
 }
 
 /// Running winner of the constant search, with the oracle's tie rules:
@@ -156,7 +183,7 @@ fn register<B: ByteLanes>(lanes: &[i8; MAX_GROUP], k: usize) -> B {
 /// eight candidates at a time), picks the winner in ascending `c` with
 /// [`BestShift`]'s rules, and rebuilds only the winner's planes. Groups of
 /// up to 32 weights take one register, larger ones two. Lanes at or
-/// beyond `len` (which counts the padding of `from_words_padded`) never
+/// beyond `len` (which counts a partial group's zero padding) never
 /// reach a score or a plane.
 ///
 /// `#[inline(always)]` so the AVX2 monomorphization inlines into its
@@ -259,30 +286,11 @@ fn encode(n: usize, target: usize, (best, planes): Found) -> CompressedGroup {
     )
 }
 
-/// The packed-representation shifting kernel: evaluates all 64 shift
-/// constants on byte lanes under the process-wide [`Backend::active`]
-/// backend. Bit-identical to the per-weight oracle in this module's tests
-/// (same winning constant under the same tie-breaking, same stored
-/// columns) on every backend.
-///
-/// # Panics
-///
-/// Panics if `target_sparse >= 8`.
-pub fn zero_point_shifting_packed(packed: &PackedGroup, target_sparse: usize) -> CompressedGroup {
-    compress(&packed.lanes(), packed.len(), target_sparse)
-}
-
-/// Search and encode the first `n` of `lanes` on the active backend.
-fn compress(lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> CompressedGroup {
-    assert!(target < WEIGHT_BITS);
-    encode(n, target, search_with(Backend::active(), lanes, n, target))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::averaging::rounded_averaging;
-    use bbs_tensor::bits::redundant_sign_bits;
+    use bbs_tensor::bits::{redundant_sign_bits, PackedGroup};
     use bbs_tensor::rng::SeededRng;
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -409,10 +417,14 @@ mod tests {
     /// AVX2 host, AVX2.
     const BACKENDS: [Backend; 2] = [Backend::Scalar, Backend::Wide];
 
-    /// `packed` compressed by the search under `backend`.
-    fn shift_on(backend: Backend, packed: &PackedGroup, target: usize) -> CompressedGroup {
-        let best = search_with(backend, &packed.lanes(), packed.len(), target);
-        encode(packed.len(), target, best)
+    /// `words` zero-padded to `len` and compressed by the search under
+    /// `backend`.
+    fn shift_on(backend: Backend, words: &[i8], len: usize, target: usize) -> CompressedGroup {
+        encode(
+            len,
+            target,
+            search_with(backend, &lanes_of(words), len, target),
+        )
     }
 
     #[test]
@@ -534,10 +546,9 @@ mod tests {
             target in 0usize..=7,
         ) {
             let oracle = zero_point_shifting_scalar(&w, target);
-            let packed = PackedGroup::from_words(&w);
             for backend in BACKENDS {
                 prop_assert_eq!(
-                    shift_on(backend, &packed, target),
+                    shift_on(backend, &w, w.len(), target),
                     oracle,
                     "backend {backend:?}"
                 );
@@ -561,19 +572,14 @@ mod tests {
             let padded_len = n.next_multiple_of(32);
             let mut padded = group.clone();
             padded.resize(padded_len, 0);
-            let cases = [
-                (PackedGroup::from_words(&group), group),
-                (
-                    PackedGroup::from_words_padded(&padded[..n], padded_len),
-                    padded,
-                ),
-            ];
-            for (packed, words) in &cases {
+            // The searched words and the group the oracle sees.
+            let cases = [(n, &group), (padded_len, &padded)];
+            for (len, words) in cases {
                 for target in 0..WEIGHT_BITS {
                     let oracle = zero_point_shifting_scalar(words, target);
                     for backend in BACKENDS {
                         assert_eq!(
-                            shift_on(backend, packed, target),
+                            shift_on(backend, &group, len, target),
                             oracle,
                             "backend {backend:?} group {words:?} target {target}"
                         );
@@ -586,12 +592,11 @@ mod tests {
     /// Asserts both builds of the search encode `group` as the oracle does
     /// at every target.
     fn assert_all_backends_match_oracle(group: &[i8]) {
-        let packed = PackedGroup::from_words(group);
         for target in 0..WEIGHT_BITS {
             let oracle = zero_point_shifting_scalar(group, target);
             for backend in BACKENDS {
                 assert_eq!(
-                    shift_on(backend, &packed, target),
+                    shift_on(backend, group, group.len(), target),
                     oracle,
                     "backend {backend:?} group {group:?} target {target}"
                 );

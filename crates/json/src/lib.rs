@@ -7,8 +7,13 @@
 //! implements exactly the surface the workspace needs:
 //!
 //! * [`Json`] — a value tree with insertion-ordered objects,
-//! * [`Json::parse`] — a recursive-descent parser with depth/size limits
-//!   (it reads network input in `bbs-serve`),
+//! * [`Json::parse`] — a recursive-descent parser with a depth limit (it
+//!   reads network input in `bbs-serve`); every string costs time linear
+//!   in its length,
+//! * [`Json::validate`] and [`Json::parse_prefix`] — the same parser
+//!   checking a document without building it, and parsing the value at
+//!   the start of a longer text (`bbs-serve` reads a shard's reply head
+//!   with the one and checks its result with the other),
 //! * `Display` — compact serialization whose float formatting is Rust's
 //!   shortest round-trip form, so `parse(v.to_string())` reproduces `v`
 //!   bit-for-bit for every finite `f64`,
@@ -18,7 +23,6 @@
 //! simulator's cycle/traffic counters stay well below (asserted by
 //! [`Json::from_u64`]).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Largest integer exactly representable in an `f64`.
@@ -123,22 +127,29 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (one top-level value, trailing whitespace
-    /// allowed). Nesting is limited to 128 levels and the input must be
-    /// valid UTF-8 — suitable for untrusted network input.
+    /// Parses a JSON document (one top-level value, surrounding whitespace
+    /// allowed). Nesting is limited to 128 levels, and time is linear in
+    /// the input's length — suitable for untrusted network input.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        Parser::new(input, true).document()
+    }
+
+    /// Checks that `input` is a document [`Json::parse`] accepts without
+    /// building it: the same parser with its value construction switched
+    /// off, so it fails exactly where `parse` fails, with the same error.
+    pub fn validate(input: &str) -> Result<(), ParseError> {
+        Parser::new(input, false).document().map(drop)
+    }
+
+    /// Parses the value at the start of `input` (leading whitespace
+    /// allowed) and returns it with the byte offset just past its last
+    /// byte. Whatever follows is left unread, so a caller can check the
+    /// rest of a longer text itself.
+    pub fn parse_prefix(input: &str) -> Result<(Json, usize), ParseError> {
+        let mut p = Parser::new(input, true);
         p.skip_ws();
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(v)
+        Ok((v, p.pos))
     }
 
     /// Serializes with the given indent (compact when 0 — same as
@@ -149,22 +160,42 @@ impl Json {
         out
     }
 
-    /// A canonical form for hashing: objects with keys sorted recursively,
-    /// serialized compactly. Two structurally equal values always produce
-    /// the same canonical string regardless of key insertion order.
+    /// A canonical form for hashing: objects with keys sorted recursively
+    /// (in byte order; of duplicate keys the last one wins), serialized
+    /// compactly. Two structurally equal values always produce the same
+    /// canonical string regardless of key insertion order.
     pub fn canonical(&self) -> String {
-        fn sort(v: &Json) -> Json {
-            match v {
-                Json::Obj(pairs) => {
-                    let sorted: BTreeMap<String, Json> =
-                        pairs.iter().map(|(k, v)| (k.clone(), sort(v))).collect();
-                    Json::Obj(sorted.into_iter().collect())
+        let mut out = String::new();
+        write_canonical(&mut out, self);
+        out
+    }
+}
+
+/// Writes `v` compactly with every object's keys sorted, straight from
+/// the tree: each object sorts references to its pairs (a stable sort, so
+/// the last of equal keys can be kept), nothing is cloned.
+fn write_canonical(out: &mut String, v: &Json) {
+    match v {
+        Json::Arr(items) => write_seq(out, items.len(), 0, 0, '[', ']', |out, i| {
+            write_canonical(out, &items[i])
+        }),
+        Json::Obj(pairs) => {
+            let mut sorted: Vec<&(String, Json)> = pairs.iter().collect();
+            sorted.sort_by(|a, b| a.0.cmp(&b.0));
+            sorted.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    *kept = *later;
                 }
-                Json::Arr(items) => Json::Arr(items.iter().map(sort).collect()),
-                other => other.clone(),
-            }
+                same
+            });
+            write_seq(out, sorted.len(), 0, 0, '{', '}', |out, i| {
+                write_string(out, &sorted[i].0);
+                out.push(':');
+                write_canonical(out, &sorted[i].1)
+            })
         }
-        sort(self).to_string()
+        scalar => write_value(out, scalar, 0, 0),
     }
 }
 
@@ -280,13 +311,37 @@ impl std::error::Error for ParseError {}
 
 const MAX_DEPTH: usize = 128;
 
+/// The one JSON grammar. With `build` off it checks the input without
+/// constructing anything: containers and strings are scanned but not
+/// collected, and every value comes back as [`Json::Null`].
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    build: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(input: &'a str, build: bool) -> Self {
+        Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+            build,
+        }
+    }
+
+    /// One top-level value with optional surrounding whitespace.
+    fn document(&mut self) -> Result<Json, ParseError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: &str) -> ParseError {
         ParseError {
             pos: self.pos,
@@ -330,7 +385,7 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(self.string()?.map_or(Json::Null, Json::Str)),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
@@ -351,7 +406,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            if self.build {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -382,7 +440,9 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            pairs.push((key, val));
+            if let Some(key) = key {
+                pairs.push((key, val));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -396,7 +456,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string literal: `Some(text)` when building, `None` when only
+    /// checking. Each run of plain bytes up to the next quote, backslash
+    /// or control byte is checked and copied in one piece. All three stop
+    /// bytes are ASCII, so every run ends on a char boundary, and the scan
+    /// is linear in the string's length.
+    fn string(&mut self) -> Result<Option<String>, ParseError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
@@ -404,57 +469,67 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(self.build.then_some(s));
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(code).ok_or_else(|| self.err("bad surrogate"))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("bad escape"))?
-                            };
-                            s.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
+                    let c = self.escape()?;
+                    if self.build {
+                        s.push(c);
                     }
-                    self.pos += 1;
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction: we parse from &str).
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("bad utf-8"))?;
+                    if self.build {
+                        s.push_str(run);
+                    }
+                    self.pos += len;
                 }
             }
         }
+    }
+
+    /// One backslash escape, backslash included, as the char it stands for.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                if !(0xd800..0xdc00).contains(&hi) {
+                    return char::from_u32(hi).ok_or_else(|| self.err("bad escape"));
+                }
+                // Surrogate pair: require \uXXXX low half.
+                if self.peek() != Some(b'\\') {
+                    return Err(self.err("lone high surrogate"));
+                }
+                self.pos += 1;
+                self.expect(b'u')?;
+                let lo = self.hex4()?;
+                if !(0xdc00..0xe000).contains(&lo) {
+                    return Err(self.err("invalid low surrogate"));
+                }
+                let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                return char::from_u32(code).ok_or_else(|| self.err("bad surrogate"));
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
@@ -626,6 +701,16 @@ mod tests {
     }
 
     #[test]
+    fn multibyte_text_between_escapes() {
+        // Runs of multibyte text end at an escape, and the next run starts
+        // right after it: no char may be split or skipped.
+        let v = Json::parse("\"é\\u00e9日\\n本\\ud83d\\ude00語\\\\€\\\"\"").unwrap();
+        assert_eq!(v.as_str().unwrap(), "éé日\n本\u{1f600}語\\€\"");
+        let text = Json::Str("ß\"日本\\\n語\u{1f600}x\t€\u{1f}".to_string());
+        assert_eq!(Json::parse(&text.to_string()).unwrap(), text);
+    }
+
+    #[test]
     fn unicode_escapes_and_surrogates() {
         assert_eq!(
             Json::parse("\"\\u00e9\"").unwrap().as_str().unwrap(),
@@ -676,6 +761,24 @@ mod tests {
         let b = Json::parse("{\"a\":{\"y\":2,\"z\":1},\"b\":1}").unwrap();
         assert_eq!(a.canonical(), b.canonical());
         assert_eq!(a.canonical(), "{\"a\":{\"y\":2,\"z\":1},\"b\":1}");
+    }
+
+    /// The canonical bytes every cache key hashes, written out: keys in
+    /// byte order (`"Z" < "a" < "é"`), the last of duplicate keys wins,
+    /// objects inside arrays are sorted too, `-0` keeps its sign and
+    /// escapes are re-emitted in the writer's form.
+    #[test]
+    fn canonical_bytes_are_pinned() {
+        let v = Json::parse(
+            "{\"b\":[{\"z\":1,\"a\":-0,\"z\":[3]},{\"y\":\"q\\\"\\\\\\n\\u0001\\/é\"}],\
+             \"é\":true,\"a\":1,\"Z\":null,\"a\":{\"k\":2.5,\"j\":[]}}",
+        )
+        .unwrap();
+        assert_eq!(
+            v.canonical(),
+            "{\"Z\":null,\"a\":{\"j\":[],\"k\":2.5},\
+             \"b\":[{\"a\":-0,\"z\":[3]},{\"y\":\"q\\\"\\\\\\n\\u0001/é\"}],\"é\":true}"
+        );
     }
 
     #[test]

@@ -624,20 +624,25 @@ pub fn sweep_with_resume(
     })
 }
 
-/// Picks a `/simulate` 200 body apart into `(key, served, result text)`.
-/// The result text is a verbatim slice of the response — never re-encoded
-/// — ending at the envelope's closing `}`. The body may carry trailing
-/// whitespace (a newline-appending proxy, a hand-edited fixture): the
-/// slice ends at the *actual* JSON end, not at `len - 1`.
+/// Picks a `/simulate` 200 body (`{"meta":{..},"result":R}`) apart into
+/// `(key, served, result text)` without building the result tree: the
+/// `meta` head is parsed ([`Json::parse_prefix`]), `,"result":` must
+/// follow it, and `R` is checked with [`Json::validate`], so a malformed
+/// reply is still `None`. The result text is a verbatim slice of the
+/// response — never re-encoded — ending before the envelope's closing
+/// `}`. The body may carry trailing whitespace (a newline-appending proxy,
+/// a hand-edited fixture): the slice ends at the *actual* JSON end, not
+/// at `len - 1`.
 pub(crate) fn parse_simulate_response(resp: &str) -> Option<(u64, Served, &str)> {
-    let v = Json::parse(resp).ok()?;
-    let head = v.get("meta")?;
+    let rest = resp.strip_prefix("{\"meta\":")?;
+    let (head, head_len) = Json::parse_prefix(rest).ok()?;
     let key = u64::from_str_radix(head.get("key")?.as_str()?, 16).ok()?;
     let served = Served::from_label(head.get("served")?.as_str()?);
-    let marker = ",\"result\":";
-    let pos = resp.find(marker)?;
-    let end = resp.trim_end().strip_suffix('}')?.len();
-    let result_text = resp.get(pos + marker.len()..end)?;
+    let result_text = rest[head_len..]
+        .strip_prefix(",\"result\":")?
+        .trim_end()
+        .strip_suffix('}')?;
+    Json::validate(result_text).ok()?;
     Some((key, served, result_text))
 }
 
@@ -887,6 +892,69 @@ mod tests {
             splice_simulate_record(&meta, &padded),
             Some(result_record(&meta, 0xff, Served::Fresh, "{\"x\":1}"))
         );
+    }
+
+    /// A reply in the server's shape, with a brace and a quote inside a
+    /// result string so that no byte count can stand in for the parse.
+    const REPLY: &str = "{\"meta\":{\"cached\":true,\"served\":\"cache\",\
+         \"key\":\"00000000000000ff\"},\"result\":{\"accelerator\":\"Stripes\",\
+         \"model\":\"ViT-Small\",\"layers\":[{\"name\":\"a\\\"}\",\"compute_cycles\":37440,\
+         \"perf\":{\"useful_fraction\":0.72041015625,\"inter_fraction\":0}},\
+         {\"name\":\"head\",\"compute_cycles\":-0,\"perf\":{}}]}}";
+
+    #[test]
+    fn malformed_simulate_replies_are_rejected() {
+        let result = &REPLY[REPLY.find("{\"accelerator").unwrap()..REPLY.len() - 1];
+        assert_eq!(
+            parse_simulate_response(REPLY),
+            Some((0xff, Served::Hit, result))
+        );
+        let meta = "{\"meta\":{\"served\":\"cache\",\"key\":\"ff\"}";
+        for bad in [
+            String::new(),
+            format!("{meta}}}"),
+            format!("{meta},\"result\":{{\"x\":}}}}"),
+            format!("{meta},\"result\":{{\"x\":1}}"),
+            format!("{meta},\"result\":{{\"x\":1}}}}}}"),
+            format!("{meta},\"result\":{{\"x\":1}},\"extra\":2}}"),
+            format!("{meta},\"result\":{{\"x\":\"\u{1}\"}}}}"),
+            "{\"meta\":{\"served\":\"cache\",\"key\":\"zz\"},\"result\":{}}".to_string(),
+            "{\"meta\":{\"key\":\"ff\"},\"result\":{}}".to_string(),
+            "{\"meta\":{\"served\":\"cache\",\"key\":\"ff\",\"result\":{}}".to_string(),
+            "{\"result\":{},\"meta\":{\"served\":\"cache\",\"key\":\"ff\"}}".to_string(),
+        ] {
+            assert_eq!(parse_simulate_response(&bad), None, "{bad}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Single-byte flips, cuts and insertions of a reply: whatever is
+        /// accepted is a well-formed document whose `meta` and `result`
+        /// the full parse agrees with, so no malformed result is spliced.
+        #[test]
+        fn hostile_replies_never_splice_a_malformed_result(
+            kind in 0usize..3,
+            at in proptest::arbitrary::any::<u64>(),
+            byte in proptest::arbitrary::any::<u8>(),
+        ) {
+            let mut bytes = REPLY.as_bytes().to_vec();
+            let i = (at % (bytes.len() as u64 + 1)) as usize;
+            match kind {
+                0 => bytes[i.min(REPLY.len() - 1)] ^= byte.max(1),
+                1 => bytes.truncate(i),
+                _ => bytes.insert(i, byte),
+            }
+            let reply = String::from_utf8_lossy(&bytes);
+            if let Some((key, served, text)) = parse_simulate_response(&reply) {
+                let doc = Json::parse(&reply).expect("an accepted reply is a document");
+                let meta = doc.get("meta").unwrap();
+                let key_text = meta.get("key").and_then(Json::as_str).unwrap();
+                proptest::prop_assert_eq!(u64::from_str_radix(key_text, 16), Ok(key));
+                let label = meta.get("served").and_then(Json::as_str).unwrap();
+                proptest::prop_assert_eq!(Served::from_label(label), served);
+                proptest::prop_assert_eq!(Json::parse(text).ok().as_ref(), doc.get("result"));
+            }
+        }
     }
 
     const RESUME_SWEEP_BODY: &str = "{\"models\":[\"ViT-Small\",\"ResNet-34\"],\

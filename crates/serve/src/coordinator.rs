@@ -64,7 +64,8 @@ const PROBE_TIMEOUT: Duration = Duration::from_millis(1000);
 
 /// One job on its way to a shard.
 struct Job {
-    /// The `/simulate` body (the request re-encoded once, at submit).
+    /// The `/simulate` body (the request re-encoded once, at submit; a
+    /// zoo model travels by name).
     body: String,
     /// The job's content address — also its routing key.
     key: u64,
@@ -181,12 +182,13 @@ impl Coordinator {
     /// from a forwarder thread when the downstream answer (or the final
     /// failure) arrives. The coordinator holds no result cache of its own
     /// — hits happen on the shard that owns the key — so this never
-    /// returns [`Submitted::Hit`] or [`Submitted::Busy`].
-    pub fn submit(&self, request: SimRequest, done: Completion) -> Submitted {
+    /// returns [`Submitted::Hit`] or [`Submitted::Busy`]. `key` must be
+    /// `request.key()`, as for the local service.
+    pub fn submit(&self, request: SimRequest, key: u64, done: Completion) -> Submitted {
+        debug_assert_eq!(key, request.key());
         if self.inner.stopping.load(Ordering::SeqCst) {
             return Submitted::ShuttingDown;
         }
-        let key = request.key();
         let body = request.to_json().to_string();
         match self.inner.route(key, 0) {
             Some(idx) => {
@@ -448,7 +450,7 @@ impl Inner {
     /// Runs one job against shard `idx` with the bounded per-shard retry
     /// schedule (503 `Retry-After` honored as the backoff floor, exactly
     /// like [`Client::request_with_retry`]).
-    fn try_shard(&self, idx: usize, job: &Job) -> Result<(Served, String), ShardError> {
+    fn try_shard(&self, idx: usize, job: &Job) -> Result<(Served, Arc<str>), ShardError> {
         let shard = &self.shards[idx];
         let pool = &self.pools[idx];
         let retry = RetryPolicy::default();
@@ -474,7 +476,7 @@ impl Inner {
                 Ok((200, resp)) => {
                     return match parse_simulate_response(&resp) {
                         Some((_key, served, text)) => {
-                            let text = text.to_string();
+                            let text = Arc::from(text);
                             pool.put(client);
                             Ok((served, text))
                         }
@@ -528,7 +530,7 @@ impl Inner {
                 let us = started.elapsed().as_micros() as u64;
                 shard.latency_us.record(us);
                 self.latency_us.record(us);
-                (job.done)(Ok((Arc::from(text.as_str()), served, Timing::default())));
+                (job.done)(Ok((text, served, Timing::default())));
             }
             Err(ShardError::Definitive(message)) => {
                 shard.errors.fetch_add(1, Ordering::Relaxed);

@@ -1103,7 +1103,7 @@ impl EventLoop {
             key,
             outcome,
         });
-        let outcome = match self.shared.submit_job(request, done) {
+        let outcome = match self.shared.submit_job(request, key, done) {
             Submitted::Hit(bytes) => {
                 self.shared.saturated.store(false, Ordering::SeqCst);
                 Ok((bytes, Served::Hit, Timing::default()))
@@ -1235,7 +1235,7 @@ impl EventLoop {
                             key,
                             outcome,
                         });
-                    match self.shared.submit_job(request, done) {
+                    match self.shared.submit_job(request, key, done) {
                         Submitted::Hit(bytes) => {
                             stream.finish_cell(&meta, Ok((key, &bytes, Served::Hit)))
                         }

@@ -75,11 +75,19 @@ impl SimRequest {
         })
     }
 
-    /// Re-encodes the request (canonical field order). The response echoes
-    /// this so clients can verify what was actually simulated.
+    /// Re-encodes the request (canonical field order) as a `/simulate`
+    /// body. A zoo model goes by its name; any other spec (a zoo name over
+    /// a changed layer table) is spelled out in full. Either form decodes
+    /// back to the same model, and the key hashes the decoded spec, so
+    /// [`SimRequest::key`] does not depend on which form was sent.
     pub fn to_json(&self) -> Json {
+        let model = if zoo::by_name(self.model.name).as_ref() == Some(&self.model) {
+            Json::str(self.model.name)
+        } else {
+            bbs_models::json::model_spec_to_json(&self.model)
+        };
         Json::obj(vec![
-            ("model", bbs_models::json::model_spec_to_json(&self.model)),
+            ("model", model),
             ("accelerator", Json::str(self.accelerator)),
             ("config", bbs_sim::json::array_config_to_json(&self.config)),
             ("seed", Json::from_u64(self.seed)),
@@ -105,6 +113,7 @@ impl SimRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbs_models::json::model_spec_to_json;
 
     #[test]
     fn minimal_request_gets_defaults() {
@@ -137,6 +146,43 @@ mod tests {
         let again = SimRequest::from_json(&r.to_json(), 65536).unwrap();
         assert_eq!(again, r);
         assert_eq!(again.key(), r.key());
+    }
+
+    #[test]
+    fn zoo_models_go_by_name_and_changed_specs_in_full() {
+        let zoo_request = SimRequest::from_json(
+            &Json::parse("{\"model\":\"ResNet-34\",\"accelerator\":\"bitvert-moderate\"}").unwrap(),
+            65536,
+        )
+        .unwrap();
+        let mut changed = zoo_request.clone();
+        changed.model.layers[1].channels += 1;
+        // An unmodified zoo spec sent in full is the zoo model: it goes
+        // on by name under the same key.
+        let spelled = SimRequest::from_json(
+            &Json::obj(vec![
+                ("model", model_spec_to_json(&zoo::resnet34())),
+                ("accelerator", Json::str("bitvert-moderate")),
+            ]),
+            65536,
+        )
+        .unwrap();
+        assert_eq!(spelled, zoo_request);
+
+        let by_name = zoo_request.to_json();
+        assert_eq!(by_name.get("model"), Some(&Json::str("ResNet-34")));
+        let in_full = changed.to_json();
+        assert_eq!(
+            in_full.get("model"),
+            Some(&model_spec_to_json(&changed.model))
+        );
+        assert_ne!(changed.key(), zoo_request.key());
+        for (request, wire) in [(&zoo_request, by_name), (&changed, in_full)] {
+            let back =
+                SimRequest::from_json(&Json::parse(&wire.to_string()).unwrap(), 65536).unwrap();
+            assert_eq!(&back, request);
+            assert_eq!(back.key(), request.key());
+        }
     }
 
     #[test]

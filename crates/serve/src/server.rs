@@ -152,15 +152,18 @@ pub(crate) struct Shared {
 impl Shared {
     /// The one seam the event loop submits jobs through: the coordinator
     /// when configured, the local service otherwise. Both honor the same
-    /// nonblocking [`service::Submitted`] contract.
+    /// nonblocking [`service::Submitted`] contract. `key` is the
+    /// request's [`SimRequest::key`], computed once where the request was
+    /// decoded.
     pub(crate) fn submit_job(
         &self,
         request: SimRequest,
+        key: u64,
         done: service::Completion,
     ) -> service::Submitted {
         match &self.coordinator {
-            Some(coordinator) => coordinator.submit(request, done),
-            None => self.service.submit(request, done),
+            Some(coordinator) => coordinator.submit(request, key, done),
+            None => self.service.submit(request, key, done),
         }
     }
 

@@ -578,8 +578,11 @@ impl SimService {
     /// rather than consumed: the loop parks it and resubmits when a slot
     /// frees. Racing coalescers that subscribed to the failed flight get
     /// `Busy` through their callbacks.
-    pub fn submit(&self, request: SimRequest, done: Completion) -> Submitted {
-        let key = request.key();
+    ///
+    /// `key` must be `request.key()`; the caller computed it once already
+    /// (to route, log or park the request), so it is not rebuilt here.
+    pub fn submit(&self, request: SimRequest, key: u64, done: Completion) -> Submitted {
+        debug_assert_eq!(key, request.key());
         if let Some(cached) = self.cache.get(key) {
             return Submitted::Hit(cached);
         }
@@ -825,7 +828,8 @@ mod tests {
         let done: Completion = Box::new(move |outcome| {
             let _ = tx.send(outcome);
         });
-        match svc.submit(request, done) {
+        let key = request.key();
+        match svc.submit(request, key, done) {
             Submitted::Hit(bytes) => Ok((bytes, Served::Hit)),
             Submitted::Pending => rx
                 .recv()
@@ -875,8 +879,10 @@ mod tests {
         let req = request("ViT-Small", "bitlet", 128);
         let (fresh, _) = run(&svc, req.clone()).unwrap();
         let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let key = req.key();
         let outcome = svc.submit(
             req,
+            key,
             Box::new(move |_| {
                 let _ = tx.send(());
             }),

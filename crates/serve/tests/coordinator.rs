@@ -7,6 +7,8 @@
 //! `/stats`, `/metrics` and `/readyz`.
 
 use bbs_json::Json;
+use bbs_models::json::model_spec_to_json;
+use bbs_models::zoo;
 use bbs_serve::client::Client;
 use bbs_serve::server::{start, ServeConfig, ServerHandle};
 use bbs_serve::service::ServiceConfig;
@@ -168,6 +170,57 @@ fn four_shard_sweep_is_byte_identical_to_single_server() {
     let (_, warm) = run_sweep(coordinator.addr(), &body);
     assert_eq!(stat(&warm, "cache_hits"), 9, "{warm}");
     assert_eq!(stat(&warm, "errors"), 0);
+
+    coordinator.stop();
+    single.stop();
+    for shard in shards {
+        shard.stop();
+    }
+}
+
+/// A zoo model travels to its shard by name, but a changed spec — a zoo
+/// name over a different layer table — must cross the coordinator in
+/// full: its `/simulate` and `/sweep` answers equal a single server's,
+/// result bytes and keys alike.
+#[test]
+fn changed_model_specs_cross_the_coordinator_in_full() {
+    let shards: Vec<ServerHandle> = (0..2).map(|_| shard_server()).collect();
+    let coordinator = coordinator_for(&shards.iter().collect::<Vec<_>>());
+    let single = shard_server();
+
+    let mut model = zoo::vit_small();
+    model.layers[2].channels /= 2;
+    let spec = model_spec_to_json(&model).to_string();
+    let body = format!(
+        "{{\"model\":{spec},\"accelerator\":\"bitwave\",\"seed\":7,\
+         \"max_weights_per_layer\":64}}"
+    );
+    let simulate = |addr: SocketAddr| {
+        let (status, resp) = Client::connect(addr).unwrap().simulate(&body).unwrap();
+        assert_eq!(status, 200, "{resp}");
+        resp
+    };
+    let sharded = simulate(coordinator.addr());
+    assert_eq!(sharded, simulate(single.addr()), "same bytes, same key");
+
+    // The same grid cell by zoo name is another key; the changed spec's
+    // cell is the one `/simulate` just ran, so it is a cache hit on both.
+    let grid = format!(
+        "{{\"models\":[{spec},\"ViT-Small\"],\"accelerators\":[\"bitwave\",\"stripes\"],\
+         \"seeds\":[7],\"max_weights_per_layer\":[64]}}"
+    );
+    let (records, summary) = run_sweep(coordinator.addr(), &grid);
+    let (reference, reference_summary) = run_sweep(single.addr(), &grid);
+    assert_eq!(records, reference);
+    assert_summaries_match(&summary, &reference_summary);
+    let key_of = |line: &str| Json::parse(line).unwrap().get("key").cloned().unwrap();
+    assert_ne!(key_of(&records[0]), key_of(&records[2]));
+    assert!(
+        records[0].contains("\"served\":\"cache\""),
+        "{}",
+        records[0]
+    );
+    assert_eq!(stat(&stats_of(coordinator.addr()), "sim_runs"), 0);
 
     coordinator.stop();
     single.stop();

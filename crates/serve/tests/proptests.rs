@@ -9,16 +9,22 @@
 //!   field order / whitespace and collision-free across distinct cells,
 //!   with an unknown model mid-grid poisoning exactly its own cells;
 //! * the resumable HTTP parser is invariant under arbitrary chunk splits
-//!   of a pipelined request stream.
+//!   of a pipelined request stream;
+//! * the `/simulate` and `/sweep` decoders return — a request or a reason
+//!   — on mutated bodies and never panic (`hostile_*`, which CI also runs
+//!   at 5,000 cases).
 
 use bbs_json::Json;
+use bbs_models::zoo;
 use bbs_serve::http::RequestParser;
 use bbs_serve::registry::{accelerator_by_name, ACCELERATOR_IDS};
 use bbs_serve::request::SimRequest;
 use bbs_serve::service::{start, Completion, Served, ServiceConfig, SimService, Submitted};
 use bbs_serve::sweep::SweepPlan;
-use bbs_sim::json::{array_config_to_json, sim_result_from_json, sim_result_to_json};
-use bbs_sim::ArrayConfig;
+use bbs_sim::json::{
+    array_config_to_json, sim_result_from_json, sim_result_to_json, sweep_spec_to_json,
+};
+use bbs_sim::{ArrayConfig, SweepSpec};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{mpsc, Arc};
@@ -278,7 +284,8 @@ fn run(service: &SimService, request: SimRequest) -> (Arc<str>, Served) {
     let done: Completion = Box::new(move |outcome| {
         let _ = tx.send(outcome);
     });
-    match service.submit(request, done) {
+    let key = request.key();
+    match service.submit(request, key, done) {
         Submitted::Hit(bytes) => (bytes, Served::Hit),
         Submitted::Pending => {
             let (bytes, served, _) = rx.recv().unwrap().unwrap();
@@ -328,5 +335,142 @@ proptest! {
             sim_result_to_json(&decoded).to_string(),
             sim_result_to_json(&direct).to_string()
         );
+    }
+}
+
+/// The bodies the decoders below are fed mutations of: a `/simulate`
+/// request carrying a changed model spec in full, and a `/sweep` body
+/// with full specs, two configs and three accelerators.
+fn hostile_bases() -> [String; 2] {
+    let mut model = zoo::resnet34();
+    model.layers[3].channels += 1;
+    let request = SimRequest {
+        model,
+        accelerator: "bitvert-moderate",
+        config: ArrayConfig::paper_16x32(),
+        seed: 7,
+        max_weights_per_layer: 4096,
+    };
+    let sweep = SweepSpec {
+        models: vec![zoo::vit_small(), zoo::bert_sst2()],
+        accelerators: vec!["stripes".into(), "bitwave".into(), "ant".into()],
+        configs: vec![
+            ArrayConfig::paper_16x32(),
+            ArrayConfig::paper_16x32().with_pe_cols(8),
+        ],
+        seeds: vec![7, 8],
+        caps: vec![256],
+    };
+    [
+        request.to_json().to_string(),
+        sweep_spec_to_json(&sweep).to_string(),
+    ]
+}
+
+/// `text` with one byte flipped (`kind` 0), cut off (1) or inserted (2)
+/// at `at`, modulo its length.
+fn mutate(text: &str, kind: usize, at: u64, byte: u8) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let last = bytes.len() - 1;
+    let i = (at % (bytes.len() as u64 + 1)) as usize;
+    match kind {
+        0 => bytes[i.min(last)] ^= byte.max(1),
+        1 => bytes.truncate(i),
+        _ => bytes.insert(i, byte),
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Replaces node `n` (pre-order, modulo the node count) of `v` with `with`.
+fn replace_node(v: &mut Json, n: usize, with: Json) {
+    fn count(v: &Json) -> usize {
+        1 + match v {
+            Json::Arr(items) => items.iter().map(count).sum(),
+            Json::Obj(pairs) => pairs.iter().map(|(_, v)| count(v)).sum(),
+            _ => 0,
+        }
+    }
+    fn walk(v: &mut Json, n: &mut usize, with: &mut Option<Json>) {
+        if *n == 0 {
+            if let Some(with) = with.take() {
+                *v = with;
+            }
+            return;
+        }
+        *n -= 1;
+        let children: Vec<&mut Json> = match v {
+            Json::Arr(items) => items.iter_mut().collect(),
+            Json::Obj(pairs) => pairs.iter_mut().map(|(_, v)| v).collect(),
+            _ => Vec::new(),
+        };
+        for child in children {
+            if with.is_none() {
+                return;
+            }
+            walk(child, n, with);
+        }
+    }
+    let mut n = n % count(v);
+    walk(v, &mut n, &mut Some(with));
+}
+
+/// A value a decoder must not trust: the wrong type, zero, negative,
+/// fractional, non-finite, beyond 2^53, or an empty container.
+fn edge_value(pick: u8) -> Json {
+    match pick % 14 {
+        0 => Json::Null,
+        1 => Json::Bool(true),
+        2 => Json::Num(0.0),
+        3 => Json::Num(-1.0),
+        4 => Json::Num(0.5),
+        5 => Json::Num(f64::INFINITY),
+        6 => Json::Num(f64::NAN),
+        7 => Json::Num(1e300),
+        8 => Json::Num((1u64 << 60) as f64),
+        9 => Json::str(""),
+        10 => Json::str("ViT-Small"),
+        11 => Json::Arr(Vec::new()),
+        12 => Json::Arr(vec![Json::Num(0.0)]),
+        _ => Json::Obj(Vec::new()),
+    }
+}
+
+proptest! {
+    /// Both request decoders, on byte-level mutations of real bodies and
+    /// on the same bodies with one value swapped for an edge case, at the
+    /// smallest, default and an unbounded cap: each returns a request (and
+    /// its key) or a reason, and none panics.
+    #[test]
+    fn hostile_bodies_decode_or_fail_cleanly(
+        which in 0usize..2,
+        kind in 0usize..4,
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        let base = &hostile_bases()[which];
+        let v = if kind < 3 {
+            match Json::parse(&mutate(base, kind, at, byte)) {
+                Ok(v) => v,
+                Err(_) => return,
+            }
+        } else {
+            let mut v = Json::parse(base).unwrap();
+            replace_node(&mut v, at as usize, edge_value(byte));
+            v
+        };
+        for cap in [1, 65536, usize::MAX] {
+            if let Ok(request) = SimRequest::from_json(&v, cap) {
+                let again = SimRequest::from_json(&request.to_json(), cap).unwrap();
+                prop_assert_eq!(again.key(), request.key());
+            }
+            if let Ok(plan) = SweepPlan::from_json(&v, cap) {
+                prop_assert!(plan.cell_count() <= bbs_serve::sweep::MAX_SWEEP_CELLS);
+                for i in [0, plan.cell_count().saturating_sub(1)] {
+                    if let Ok(request) = plan.cell(i).request {
+                        let _ = request.key();
+                    }
+                }
+            }
+        }
     }
 }

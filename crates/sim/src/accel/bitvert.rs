@@ -145,11 +145,11 @@ impl BitVert {
             let c = order.original_index(pos);
             let row = qt.channel(c);
             for chunk in row.chunks(group) {
-                // Packed once per group; the zero padding of trailing
-                // partial groups happens in the bit planes.
-                let packed = PackedGroup::from_words_padded(chunk, group);
+                // A trailing partial group is zero-padded to `group`.
                 if masks[0][c] {
-                    // Sensitive: raw 8-bit storage, all 8 columns processed.
+                    // Sensitive: raw 8-bit storage, all 8 columns processed,
+                    // so only these groups are packed here.
+                    let packed = PackedGroup::from_words_padded(chunk, group);
                     stored_bits_sampled += (group * WEIGHT_BITS) as u64;
                     for pass in 0..passes_per_group {
                         builder.push_group(
@@ -158,7 +158,7 @@ impl BitVert {
                         );
                     }
                 } else {
-                    let enc: CompressedGroup = self.prune.pruner.compress_group_packed(&packed);
+                    let enc: CompressedGroup = self.prune.pruner.compress_padded(chunk, group);
                     stored_bits_sampled += enc.stored_bits() as u64;
                     // The encoder's kept planes are borrowed in place — no
                     // per-group column copies on this path.

@@ -195,7 +195,7 @@ mod tests {
             );
             let mut groups = vec![(raw, WEIGHT_BITS as u32, packed.columns().to_vec())];
             for pruner in [BinaryPruner::conservative(), BinaryPruner::moderate()] {
-                let enc = pruner.compress_group_packed(&packed);
+                let enc = pruner.compress_padded(&words, len);
                 let columns = enc.kept_columns().to_vec();
                 groups.push((enc, columns.len() as u32, columns));
             }

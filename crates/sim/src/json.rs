@@ -212,6 +212,22 @@ mod tests {
         assert_eq!(sim_result_to_json(&back).to_string(), text);
     }
 
+    /// Literal keys: every other key test compares new code with new
+    /// code, so a change to `Json::canonical`'s bytes would move every
+    /// result-cache key (and every shard home) with all of them green.
+    #[test]
+    fn request_keys_are_pinned() {
+        let cfg = ArrayConfig::paper_16x32();
+        assert_eq!(
+            sim_request_key(&zoo::resnet34(), "bitvert-moderate", &cfg, 7, 4096),
+            0x7aa6_b788_9bea_32ac
+        );
+        assert_eq!(
+            sim_request_key(&zoo::vit_small(), "stripes", &cfg, 3, 256),
+            0x9aca_769d_357d_ae75
+        );
+    }
+
     #[test]
     fn array_config_roundtrips() {
         let cfg = ArrayConfig::paper_16x32().with_pe_cols(8);

@@ -326,6 +326,13 @@ mod tests {
     use super::*;
     use bbs_models::zoo;
 
+    /// A literal fingerprint: it addresses every disk-tier record
+    /// (through `tier_key`), so its bytes must not move.
+    #[test]
+    fn model_fingerprint_is_pinned() {
+        assert_eq!(model_fingerprint(&zoo::resnet34()), 0xaa8f_3c4a_a6fa_a67a);
+    }
+
     #[test]
     fn cached_lowering_is_bit_identical_and_shared() {
         let store = WorkloadStore::default();

@@ -170,12 +170,6 @@ fn pack_planes(words: &[i8]) -> [u64; WEIGHT_BITS] {
 /// Panics if `n > MAX_GROUP`.
 pub fn unpack_planes(cols: &[u64; WEIGHT_BITS], n: usize) -> Vec<i8> {
     assert!(n <= MAX_GROUP, "at most {MAX_GROUP} lanes");
-    unpack_lanes(cols, n)[..n].to_vec()
-}
-
-/// The words of the first `n` lanes as a [`MAX_GROUP`]-lane array, the
-/// rest of it zero.
-fn unpack_lanes(cols: &[u64; WEIGHT_BITS], n: usize) -> [i8; MAX_GROUP] {
     let nchunks = n.div_ceil(8);
     let mut rows = [0u64; 8];
     for (ci, row) in rows[..nchunks].iter_mut().enumerate() {
@@ -190,7 +184,7 @@ fn unpack_lanes(cols: &[u64; WEIGHT_BITS], n: usize) -> [i8; MAX_GROUP] {
     for (chunk, x) in out.chunks_exact_mut(8).zip(rows) {
         chunk.copy_from_slice(&x.to_le_bytes().map(|b| b as i8));
     }
-    out
+    out[..n].to_vec()
 }
 
 /// Bit-plane (bit-sliced) view of a group of up to 64 weights, the
@@ -331,12 +325,6 @@ impl PackedGroup {
     /// Reconstructs all words (fast inverse transpose).
     pub fn to_words(&self) -> Vec<i8> {
         unpack_planes(&self.cols, self.n)
-    }
-
-    /// All lanes as one array without allocating: the words, then zeros
-    /// from lane `len()` on.
-    pub fn lanes(&self) -> [i8; MAX_GROUP] {
-        unpack_lanes(&self.cols, self.n)
     }
 }
 
@@ -544,7 +532,7 @@ mod tests {
             for b in 0..8 {
                 assert_eq!((g.column(b) >> i) & 1 == 1, bit_of(w, b));
             }
-            assert_eq!(g.lanes()[i], w);
+            assert_eq!(g.to_words()[i], w);
         }
     }
 
@@ -665,8 +653,6 @@ mod tests {
         let p = PackedGroup::from_words_padded(&[5, -3], 8);
         assert_eq!(p.len(), 8);
         assert_eq!(p.to_words(), vec![5, -3, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(p.lanes()[..3], [5, -3, 0]);
-        assert!(p.lanes()[2..].iter().all(|&w| w == 0));
     }
 
     #[test]
