@@ -1,5 +1,5 @@
-//! Ablation studies beyond the paper's figures — the design-choice
-//! sensitivities DESIGN.md commits to:
+//! Ablation studies beyond the paper's figures — the sensitivity of the
+//! results to the design choices the paper fixes:
 //!
 //! * compression group size (the paper fixes 32),
 //! * sensitive-channel fraction β (the paper uses 10%/20%),

@@ -1,7 +1,7 @@
 //! Figure 11: accuracy impact of PTQ vs BitWave vs BBS under conservative
 //! and moderate compression.
 //!
-//! Two legs, per the substitution documented in DESIGN.md:
+//! Two legs, per the substitution documented in `bbs_models::accuracy`:
 //! 1. estimated accuracy loss from weight/output fidelity on the paper's
 //!    seven model shapes,
 //! 2. *real measured* accuracy on the trained-MLP substrate (averaged over

@@ -5,9 +5,9 @@
 //! `perfbench/`, which drives these experiments and the serve binaries.
 //!
 //! Every harness prints the same rows/series the paper reports, next to the
-//! paper's published values where they exist, so `EXPERIMENTS.md` can be
-//! regenerated by reading the output. All runs are seeded and
-//! deterministic.
+//! paper's published values where they exist. All runs are seeded and
+//! deterministic; `tests/golden/repro_cap256.txt` pins the whole `repro`
+//! transcript at `BBS_CAP=256`.
 //!
 //! Environment:
 //! * `BBS_CAP` — per-layer synthesized-weight cap (default 65536). Lower it

@@ -9,7 +9,8 @@
 //! * [`Json`] — a value tree with insertion-ordered objects,
 //! * [`Json::parse`] — a recursive-descent parser with a depth limit (it
 //!   reads network input in `bbs-serve`); every string costs time linear
-//!   in its length,
+//!   in its length, and numbers follow RFC 8259's grammar (`01`, `1.`,
+//!   `-.5` and `1.e5` are errors, though `f64::from_str` reads them),
 //! * [`Json::validate`] and [`Json::parse_prefix`] — the same parser
 //!   checking a document without building it, and parsing the value at
 //!   the start of a longer text (`bbs-serve` reads a shard's reply head
@@ -17,7 +18,10 @@
 //! * `Display` — compact serialization whose float formatting is Rust's
 //!   shortest round-trip form, so `parse(v.to_string())` reproduces `v`
 //!   bit-for-bit for every finite `f64`,
-//! * [`fnv1a_64`] — the stable hash used for content-addressed cache keys.
+//! * [`fnv1a_64`] and its incremental form [`Fnv1a64`] — the stable hash
+//!   used for content-addressed cache keys,
+//! * [`write_string`] — the one string escaper, for callers that write
+//!   canonical JSON text without building a tree.
 //!
 //! Numbers are stored as `f64`; integers are exact up to 2^53, which the
 //! simulator's cycle/traffic counters stay well below (asserted by
@@ -128,8 +132,9 @@ impl Json {
     }
 
     /// Parses a JSON document (one top-level value, surrounding whitespace
-    /// allowed). Nesting is limited to 128 levels, and time is linear in
-    /// the input's length — suitable for untrusted network input.
+    /// allowed). Nesting is limited to 128 levels, time is linear in the
+    /// input's length, and numbers must follow RFC 8259's grammar —
+    /// suitable for untrusted network input.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
         Parser::new(input, true).document()
     }
@@ -273,7 +278,12 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, escaped as every serializer in
+/// this crate escapes it: `"` and `\` backslashed, `\n`, `\r` and `\t`
+/// by name, other control characters as `\u00xx`, everything else
+/// verbatim. Callers that write JSON text by hand use this, so their
+/// bytes equal [`Json::canonical`]'s.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -547,18 +557,32 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// A number in RFC 8259's grammar: `-? (0 | [1-9][0-9]*)
+    /// (.[0-9]+)? ([eE][+-]?[0-9]+)?`. A leading zero stands alone (the
+    /// `1` of `01` is then a stray character), and a fraction or exponent
+    /// needs at least one digit. Every text that passes is an `f64`
+    /// literal Rust reads, so a check-only parse stops there, and a plain
+    /// integer of at most 15 digits (below 2^53, so exact) is read
+    /// without `f64::from_str`.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        let int_start = self.pos;
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.skip_digits();
+            }
+            _ => return Err(self.err("invalid number")),
         }
+        let int_end = self.pos;
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if !self.skip_digits() {
+                return Err(self.err("invalid number"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -566,14 +590,33 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if !self.skip_digits() {
+                return Err(self.err("invalid number"));
             }
+        }
+        if !self.build {
+            return Ok(Json::Null);
+        }
+        if self.pos == int_end && int_end - int_start <= 15 {
+            let magnitude = self.bytes[int_start..int_end]
+                .iter()
+                .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0'))
+                as f64;
+            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
+    }
+
+    /// Skips a run of digits; whether there was one.
+    fn skip_digits(&mut self) -> bool {
+        let from = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos > from
     }
 }
 
@@ -581,12 +624,44 @@ impl<'a> Parser<'a> {
 /// changes across runs, platforms or library versions, unlike
 /// `std::hash::DefaultHasher`. Used for content-addressed cache keys.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a_64`] fed in parts: writing several byte strings in turn gives
+/// the hash of their concatenation, so a key over a long shared text and
+/// a few short fields needs no buffer that joins them. The state is the
+/// whole of the hash so far: equal states continued over equal bytes end
+/// equal, which lets a caller remember where a long text's hash ends
+/// from a given start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The hash of nothing yet (the FNV offset basis).
+    pub const fn new() -> Fnv1a64 {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Hashes `bytes` after everything written so far.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte written.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64::new()
+    }
 }
 
 // ---- decode helpers -------------------------------------------------------
@@ -795,5 +870,51 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+        let mut parts = Fnv1a64::new();
+        for part in [&b"foo"[..], b"", b"b", b"ar"] {
+            parts.write(part);
+        }
+        assert_eq!(parts.finish(), 0x85944171f73967e8);
+    }
+
+    /// RFC 8259 numbers only: no leading zero before more digits, no
+    /// empty integer, fraction or exponent. `validate` refuses each at
+    /// the same byte with the same message.
+    #[test]
+    fn non_rfc_numbers_are_rejected() {
+        for (bad, pos) in [
+            ("01", 1),
+            ("1.", 2),
+            ("-.5", 1),
+            ("1.e5", 2),
+            ("-", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("-01", 2),
+            ("00", 1),
+            ("[1.]", 3),
+            ("{\"a\":01}", 6),
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(err.pos, pos, "{bad}: {err}");
+            assert_eq!(Json::validate(bad), Err(err), "{bad}");
+        }
+        for (good, value) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e-3", -0.0005),
+            ("1e5", 1e5),
+            ("1E+05", 1e5),
+            ("0e0", 0.0),
+            ("999999999999999", 999_999_999_999_999.0),
+            ("-9007199254740993", -9_007_199_254_740_992.0),
+            ("18446744073709551616", 18_446_744_073_709_551_616.0),
+        ] {
+            let v = Json::parse(good).unwrap().as_f64().unwrap();
+            assert_eq!(v.to_bits(), value.to_bits(), "{good}");
+            assert_eq!(Json::validate(good), Ok(()), "{good}");
+        }
     }
 }

@@ -8,6 +8,8 @@
 //! * on every such input `validate` agrees with `parse` (both `Ok`, or the
 //!   same error at the same byte offset), and `parse_prefix` stops exactly
 //!   where the value ends;
+//! * numbers outside RFC 8259's grammar (`01`, `1.`, `-.5`, `1.e5`, `-`,
+//!   `1e`, `1e+`) are errors wherever they stand in a real document;
 //! * `parse(v.to_string()) == v` for random trees, floats compared by
 //!   their bits, strings carrying multibyte text, escapes and control
 //!   characters;
@@ -29,6 +31,41 @@ const DOCUMENTS: [&str; 3] = [
 
 /// JSON's whitespace.
 const WS: [char; 4] = [' ', '\t', '\n', '\r'];
+
+/// Number spellings `f64::from_str` reads but RFC 8259 forbids: a leading
+/// zero before more digits, an empty integer, fraction or exponent.
+const NON_RFC_NUMBERS: [&str; 9] = [
+    "01", "1.", "-.5", "1.e5", "-", "1e", "1e+", "-00.5", "2.E-3",
+];
+
+/// The byte ranges of the number tokens in `doc`, outside strings.
+fn number_spans(doc: &str) -> Vec<(usize, usize)> {
+    let bytes = doc.as_bytes();
+    let (mut spans, mut in_string, mut i) = (Vec::new(), false, 0);
+    while i < bytes.len() {
+        let b = bytes[i];
+        if in_string {
+            match b {
+                b'\\' => i += 1,
+                b'"' => in_string = false,
+                _ => {}
+            }
+        } else if b == b'"' {
+            in_string = true;
+        } else if b == b'-' || b.is_ascii_digit() {
+            let start = i;
+            while i < bytes.len()
+                && matches!(bytes[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+            {
+                i += 1;
+            }
+            spans.push((start, i));
+            continue;
+        }
+        i += 1;
+    }
+    spans
+}
 
 /// Bytes that steer a parse somewhere: structure, escapes, number parts,
 /// control and non-UTF-8 bytes.
@@ -219,6 +256,24 @@ proptest! {
     }
 
     #[test]
+    fn non_rfc_numbers_are_errors_in_any_document(
+        doc in 0usize..3,
+        at in any::<u64>(),
+        form in 0usize..NON_RFC_NUMBERS.len(),
+    ) {
+        let spans = number_spans(DOCUMENTS[doc]);
+        let (start, end) = spans[(at % spans.len() as u64) as usize];
+        let text = format!(
+            "{}{}{}",
+            &DOCUMENTS[doc][..start],
+            NON_RFC_NUMBERS[form],
+            &DOCUMENTS[doc][end..]
+        );
+        prop_assert!(Json::parse(&text).is_err(), "{}", NON_RFC_NUMBERS[form]);
+        assert_consistent(&text);
+    }
+
+    #[test]
     fn random_trees_roundtrip_bit_exact(v in Tree { depth: 4 }) {
         let text = v.to_string();
         let back = Json::parse(&text).unwrap();
@@ -236,12 +291,21 @@ proptest! {
     }
 }
 
-/// The original documents themselves pass every check.
+/// The original documents themselves pass every check, and each holds
+/// numbers for the non-RFC forms to replace.
 #[test]
 fn fixtures_are_valid_documents() {
     for doc in DOCUMENTS {
         assert!(Json::parse(doc).is_ok());
         assert_consistent(doc);
+        assert!(number_spans(doc).len() > 10);
+        for (start, end) in number_spans(doc) {
+            assert!(
+                Json::parse(&doc[start..end]).is_ok(),
+                "{}",
+                &doc[start..end]
+            );
+        }
     }
 }
 

@@ -38,26 +38,45 @@ pub fn synthesize_weights(spec: &LayerSpec, family: ModelFamily, seed: u64) -> S
     synthesize_weights_sampled(spec, family, seed, usize::MAX)
 }
 
+/// The fan-in [`synthesize_weights_sampled`] keeps per channel at cap
+/// `max_weights`: the full fan-in if it fits, else a multiple of the
+/// compression group size (32) near `max_weights / channels`, never
+/// below one group.
+fn sampled_fan_in(spec: &LayerSpec, max_weights: usize) -> usize {
+    let epc = spec
+        .elems_per_channel
+        .min((max_weights / spec.channels.max(1)).max(1));
+    // When subsampling, keep the fan-in a multiple of the compression group
+    // size (32) so group padding does not distort storage statistics.
+    if epc < spec.elems_per_channel {
+        ((epc / 32).max(1) * 32).min(spec.elems_per_channel)
+    } else {
+        epc
+    }
+}
+
+/// How many weights [`synthesize_weights_sampled`] materializes for
+/// `spec` at cap `max_weights`: every channel times the sampled fan-in.
+/// Every channel keeps at least one group, so a layer with very many
+/// channels materializes far more than the cap; request decoders bound
+/// untrusted specs by this count before anything is allocated.
+pub fn materialized_weights(spec: &LayerSpec, max_weights: usize) -> u64 {
+    (spec.channels as u64).saturating_mul(sampled_fan_in(spec, max_weights) as u64)
+}
+
 /// Synthesizes weights, subsampling the fan-in dimension so the tensor
 /// holds roughly at most `max_weights` values (statistically equivalent
 /// for group-level compression: groups never span channels). The cap is
 /// best-effort: at least one 32-element group per channel is always
-/// materialized, so very wide layers may exceed it.
+/// materialized, so very wide layers may exceed it
+/// ([`materialized_weights`] gives the exact count).
 pub fn synthesize_weights_sampled(
     spec: &LayerSpec,
     family: ModelFamily,
     seed: u64,
     max_weights: usize,
 ) -> SynthLayer {
-    let mut epc = spec
-        .elems_per_channel
-        .min((max_weights / spec.channels.max(1)).max(1));
-    // When subsampling, keep the fan-in a multiple of the compression group
-    // size (32) so group padding does not distort storage statistics.
-    if epc < spec.elems_per_channel {
-        epc = (epc / 32).max(1) * 32;
-        epc = epc.min(spec.elems_per_channel);
-    }
+    let epc = sampled_fan_in(spec, max_weights);
     let mut rng = SeededRng::new(seed ^ 0x5152_cafe);
 
     let heavy_tail = !matches!(family, ModelFamily::Cnn);
@@ -175,6 +194,26 @@ mod tests {
         assert_eq!(l.weights.elems_per_channel(), 64);
         assert!((l.sample_factor - 64.0).abs() < 1e-12);
         assert_eq!(l.weights.data.len(), 64 * 256);
+    }
+
+    #[test]
+    fn materialized_count_is_the_synthesized_size() {
+        for (spec, cap) in [
+            (LayerSpec::linear("fits", 100, 8, 1), 4096),
+            (LayerSpec::linear("sampled", 4096, 256, 1), 64 * 256),
+            (LayerSpec::linear("floor", 40, 1000, 1), 64),
+            (LayerSpec::linear("narrow", 20, 1000, 1), 64),
+            (LayerSpec::conv2d("conv", 64, 128, 3, 1, 8), 5000),
+        ] {
+            let l = synthesize_weights_sampled(&spec, ModelFamily::Cnn, 3, cap);
+            assert_eq!(
+                materialized_weights(&spec, cap),
+                l.weights.data.len() as u64,
+                "{spec}"
+            );
+        }
+        let huge = LayerSpec::linear("huge", 32, 1 << 32, 1);
+        assert_eq!(materialized_weights(&huge, 4096), 1 << 37);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! the same reason.
 
 use crate::layer::{LayerSpec, ModelFamily, ModelSpec};
+use bbs_json::Fnv1a64;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// VGG-16 on ImageNet (224×224).
 pub fn vgg16() -> ModelSpec {
@@ -305,41 +307,153 @@ pub fn paper_benchmarks() -> Vec<ModelSpec> {
     ]
 }
 
-/// A zoo registry entry: display name and constructor.
-type ZooEntry = (&'static str, fn() -> ModelSpec);
+/// How many starting states each zoo model remembers its text hash's end
+/// state for. A request key enters the text in the state its
+/// accelerator, config and cap leave, so a grid over a few of each fits.
+const REMEMBERED_STARTS: usize = 64;
 
-/// Name → constructor table: the seven paper benchmarks plus Llama-3-8B.
-/// Single source of truth for [`all`]/[`by_name`]/[`names`], so name
-/// lookups don't have to materialize every layer table.
-const ZOO: [ZooEntry; 8] = [
-    ("VGG-16", vgg16),
-    ("ResNet-34", resnet34),
-    ("ResNet-50", resnet50),
-    ("ViT-Small", vit_small),
-    ("ViT-Base", vit_base),
-    ("Bert-MRPC", bert_mrpc),
-    ("Bert-SST2", bert_sst2),
-    ("Llama-3-8B", llama3_8b),
+/// A zoo model as the process shares it: the spec behind one `Arc`, its
+/// canonical text (see [`crate::json::hash_spec_text`]), written when the
+/// model is first built, and where hashing that text ends from each of
+/// the last [`REMEMBERED_STARTS`] states it started from.
+struct Shared {
+    spec: Arc<ModelSpec>,
+    text: Box<str>,
+    ends: Mutex<Vec<(Fnv1a64, Fnv1a64)>>,
+}
+
+impl Shared {
+    /// Continues `hash` over the text. FNV-1a's state is all it carries,
+    /// so the end state is a function of the start state alone, and a
+    /// remembered one is exactly what hashing the text again would give.
+    fn hash_text(&self, hash: &mut Fnv1a64) {
+        let start = *hash;
+        let remembered = self
+            .ends
+            .lock()
+            .unwrap()
+            .iter()
+            .find(|(s, _)| *s == start)
+            .map(|&(_, end)| end);
+        if let Some(end) = remembered {
+            *hash = end;
+            return;
+        }
+        hash.write(self.text.as_bytes());
+        let mut ends = self.ends.lock().unwrap();
+        if ends.len() == REMEMBERED_STARTS {
+            ends.remove(0);
+        }
+        ends.push((start, *hash));
+    }
+}
+
+/// A zoo registry entry: display name, constructor, and the shared model
+/// once something has asked for it.
+struct ZooEntry {
+    name: &'static str,
+    build: fn() -> ModelSpec,
+    shared: OnceLock<Shared>,
+}
+
+impl ZooEntry {
+    const fn new(name: &'static str, build: fn() -> ModelSpec) -> ZooEntry {
+        ZooEntry {
+            name,
+            build,
+            shared: OnceLock::new(),
+        }
+    }
+
+    fn shared(&self) -> &Shared {
+        self.shared.get_or_init(|| {
+            let spec = (self.build)();
+            let text = crate::json::write_spec_text(&spec).into_boxed_str();
+            Shared {
+                spec: Arc::new(spec),
+                text,
+                ends: Mutex::new(Vec::new()),
+            }
+        })
+    }
+}
+
+/// The seven paper benchmarks plus Llama-3-8B, each built at most once
+/// per process. Single source of truth for [`all`]/[`by_name`]/[`names`];
+/// a name lookup builds only the model it finds.
+static ZOO: [ZooEntry; 8] = [
+    ZooEntry::new("VGG-16", vgg16),
+    ZooEntry::new("ResNet-34", resnet34),
+    ZooEntry::new("ResNet-50", resnet50),
+    ZooEntry::new("ViT-Small", vit_small),
+    ZooEntry::new("ViT-Base", vit_base),
+    ZooEntry::new("Bert-MRPC", bert_mrpc),
+    ZooEntry::new("Bert-SST2", bert_sst2),
+    ZooEntry::new("Llama-3-8B", llama3_8b),
 ];
 
-/// Every zoo model: the seven paper benchmarks plus Llama-3-8B.
-pub fn all() -> Vec<ModelSpec> {
-    ZOO.iter().map(|(_, build)| build()).collect()
+/// Every zoo model: the seven paper benchmarks plus Llama-3-8B, as the
+/// shared `Arc`s [`by_name`] hands out.
+pub fn all() -> Vec<Arc<ModelSpec>> {
+    ZOO.iter().map(|e| Arc::clone(&e.shared().spec)).collect()
 }
 
 /// The zoo model with the given name (the paper's figure labels,
 /// case-insensitive), or `None`. This is the lookup `bbs-serve` uses to
-/// decode requests that reference models by name; only the matching
-/// model is constructed.
-pub fn by_name(name: &str) -> Option<ModelSpec> {
+/// decode requests that reference models by name. Every call returns the
+/// same `Arc`, built on the first: no layer table is rebuilt or cloned,
+/// the model's canonical text is written once per process, and keys and
+/// fingerprints taken of it hash that text once per starting state. The
+/// shared spec cannot change — `Arc::make_mut` on a clone copies it — so
+/// code that holds this `Arc` may treat pointer equality as "is the zoo
+/// model".
+pub fn by_name(name: &str) -> Option<Arc<ModelSpec>> {
     ZOO.iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, build)| build())
+        .find(|e| e.name.eq_ignore_ascii_case(name))
+        .map(|e| Arc::clone(&e.shared().spec))
+}
+
+/// `spec` as a shared model: the zoo's own `Arc` when `spec` equals the
+/// zoo model of its name, so a zoo spec spelled out in full is that zoo
+/// model from here on (one key text, forwarded by name); a new `Arc`
+/// otherwise.
+pub fn share(spec: ModelSpec) -> Arc<ModelSpec> {
+    match by_name(spec.name) {
+        Some(zoo) if *zoo == spec => zoo,
+        _ => Arc::new(spec),
+    }
+}
+
+/// Whether `model` is a shared zoo model: the very allocation [`by_name`]
+/// hands out, compared by address. A copy — even an equal one — is not.
+pub fn is_shared(model: &ModelSpec) -> bool {
+    shared(model).is_some()
+}
+
+/// The shared entry whose `Arc` `model` points into. Nothing can change
+/// that allocation, so the text written when it was built is still its
+/// text.
+fn shared(model: &ModelSpec) -> Option<&'static Shared> {
+    ZOO.iter()
+        .filter_map(|e| e.shared.get())
+        .find(|s| std::ptr::eq(Arc::as_ptr(&s.spec), model))
+}
+
+/// Continues `hash` over `model`'s canonical text if `model` is a shared
+/// zoo model, and says whether it was.
+pub(crate) fn hash_shared_text(model: &ModelSpec, hash: &mut Fnv1a64) -> bool {
+    match shared(model) {
+        Some(shared) => {
+            shared.hash_text(hash);
+            true
+        }
+        None => false,
+    }
 }
 
 /// All zoo model names, in [`all`] order (no layer tables built).
 pub fn names() -> Vec<&'static str> {
-    ZOO.iter().map(|(n, _)| *n).collect()
+    ZOO.iter().map(|e| e.name).collect()
 }
 
 #[cfg(test)]
@@ -431,6 +545,72 @@ mod tests {
             assert_eq!(m.name, name);
         }
         assert!(by_name("AlexNet").is_none());
+    }
+
+    /// One build per process: every lookup shares the first `Arc`, in the
+    /// constructors' layer tables, and `all` hands out the same ones.
+    #[test]
+    fn zoo_models_are_built_once_and_shared() {
+        for (built, name) in all().iter().zip(names()) {
+            let a = by_name(name).unwrap();
+            let b = by_name(&name.to_uppercase()).unwrap();
+            assert!(Arc::ptr_eq(&a, &b), "{name}");
+            assert!(Arc::ptr_eq(&a, built), "{name}");
+        }
+        assert_eq!(*by_name("ResNet-34").unwrap(), resnet34());
+    }
+
+    #[test]
+    fn share_returns_the_zoo_arc_only_for_the_zoo_model() {
+        let zoo = by_name("ViT-Small").unwrap();
+        assert!(Arc::ptr_eq(&share(vit_small()), &zoo));
+        let mut changed = vit_small();
+        changed.layers[0].positions += 1;
+        let changed = share(changed);
+        assert!(!Arc::ptr_eq(&changed, &zoo));
+        assert_ne!(*changed, *zoo);
+    }
+
+    /// The shared text is found only through the shared allocation: an
+    /// equal copy, or the copy `Arc::make_mut` makes of a shared `Arc`
+    /// before editing it, is another model as far as the zoo knows.
+    #[test]
+    fn shared_text_follows_the_allocation_not_the_value() {
+        let zoo = by_name("Bert-SST2").unwrap();
+        assert!(is_shared(&zoo));
+        assert!(!is_shared(&bert_sst2()));
+        let mut edited = Arc::clone(&zoo);
+        Arc::make_mut(&mut edited).layers.truncate(3);
+        assert!(!Arc::ptr_eq(&edited, &zoo));
+        assert!(!is_shared(&edited));
+        assert_eq!(zoo.layers.len(), bert_sst2().layers.len());
+    }
+
+    /// A remembered end state is the one hashing the text gives, from
+    /// more starting states than are remembered, and again after the
+    /// oldest were forgotten.
+    #[test]
+    fn remembered_text_hashes_equal_hashing_the_text() {
+        let zoo = by_name("ViT-Base").unwrap();
+        let text = crate::json::write_spec_text(&zoo);
+        let starts: Vec<Fnv1a64> = (0..REMEMBERED_STARTS as u8 + 8)
+            .map(|i| {
+                let mut h = Fnv1a64::new();
+                h.write(&[i]);
+                h
+            })
+            .collect();
+        for _ in 0..2 {
+            for &start in starts.iter().chain(starts.iter().rev()) {
+                let (mut remembered, mut direct) = (start, start);
+                assert!(hash_shared_text(&zoo, &mut remembered));
+                direct.write(text.as_bytes());
+                assert_eq!(remembered, direct);
+            }
+        }
+        let mut h = Fnv1a64::new();
+        assert!(!hash_shared_text(&vit_base(), &mut h));
+        assert_eq!(h, Fnv1a64::new());
     }
 
     #[test]

@@ -529,6 +529,10 @@ struct TraceCtx {
     id: u64,
     /// Time `next_request` spent producing this request (µs).
     parse_us: u64,
+    /// Time spent routing on the loop thread: decoding the body and
+    /// taking its key (or building an inline answer), plus, for a sweep,
+    /// the key of each cell it submits.
+    route: Duration,
     /// Total time spent parked on a full queue (µs).
     park_us: u64,
     /// When dispatch began (end-to-end anchor).
@@ -540,6 +544,7 @@ impl TraceCtx {
         TraceCtx {
             id: next_trace_id(),
             parse_us,
+            route: Duration::ZERO,
             park_us: 0,
             dispatched: Instant::now(),
         }
@@ -668,16 +673,26 @@ fn finish_trace(
 ) -> String {
     let hex = trace_hex(ctx.id);
     let total_us = ctx.total_us();
+    let route_us = ctx.route.as_micros() as u64;
     telemetry.record_request(
         &hex,
         route,
         served,
         ctx.parse_us,
+        route_us,
         ctx.park_us,
         timing,
         total_us,
     );
-    Telemetry::trace_header(&hex, served, ctx.parse_us, ctx.park_us, timing, total_us)
+    Telemetry::trace_header(
+        &hex,
+        served,
+        ctx.parse_us,
+        route_us,
+        ctx.park_us,
+        timing,
+        total_us,
+    )
 }
 
 /// A job's completion: sends `done(outcome)` back to the loop and wakes it.
@@ -1024,9 +1039,10 @@ impl EventLoop {
     fn dispatch(&mut self, token: u64, request: Request, parse_us: u64) {
         let stopping = self.shared.stopping.load(Ordering::SeqCst);
         let close = request.wants_close() || stopping;
-        let ctx = TraceCtx::new(parse_us);
+        let mut ctx = TraceCtx::new(parse_us);
         let route = route_label(&request.path);
         let outcome = route_request(&request, &self.shared);
+        ctx.route = ctx.dispatched.elapsed();
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1226,7 +1242,11 @@ impl EventLoop {
             let record = match cell.request {
                 Err(message) => stream.finish_cell(&meta, Err(&message)),
                 Ok(request) => {
+                    let keyed = Instant::now();
                     let key = request.key();
+                    if let Some(ctx) = conn.trace.as_mut() {
+                        ctx.route += keyed.elapsed();
+                    }
                     let cell_meta = meta.clone();
                     let done =
                         completion(&self.done_tx, &self.waker, move |outcome| Done::SweepCell {

@@ -29,13 +29,14 @@
 //! — cell latencies are unknown up front, so there is no Content-Length.
 
 use crate::registry;
-use crate::request::{SimRequest, DEFAULT_CAP};
+use crate::request::{check_weight_budget, SimRequest, DEFAULT_CAP};
 use crate::service::Served;
 use bbs_json::{field_arr, Json};
 use bbs_models::json::model_spec_from_json;
 use bbs_models::{zoo, ModelSpec};
 use bbs_sim::json::array_config_from_json;
 use bbs_sim::{ArrayConfig, SweepCell};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Most cells one sweep may expand to (work-size protection: a sweep is
@@ -47,7 +48,8 @@ pub const MAX_SWEEP_CELLS: usize = 4096;
 #[derive(Debug)]
 pub struct SweepPlan {
     /// `(display name, resolved spec or decode error)` per model entry.
-    models: Vec<(String, Result<ModelSpec, String>)>,
+    /// Cells share the entry's `Arc`; a zoo model is the zoo's own.
+    models: Vec<(String, Result<Arc<ModelSpec>, String>)>,
     /// `(echoed id, canonical id or decode error)` per accelerator entry.
     accelerators: Vec<(String, Result<&'static str, String>)>,
     /// Array configs (echoed by index), each resolved or in error.
@@ -89,9 +91,11 @@ pub struct CellMeta {
 impl SweepPlan {
     /// Decodes a `/sweep` body. `max_cap` is the server's bound on
     /// `max_weights_per_layer` (each cap entry is clamped, mirroring
-    /// single-request decoding).
+    /// single-request decoding). A custom spec over the weight budget
+    /// ([`crate::request::MAX_SPEC_WEIGHTS`]) at a cap poisons the cells
+    /// at that cap, as an unknown entry does.
     pub fn from_json(v: &Json, max_cap: usize) -> Result<SweepPlan, String> {
-        let models: Vec<(String, Result<ModelSpec, String>)> = non_empty(v, "models")?
+        let models: Vec<(String, Result<Arc<ModelSpec>, String>)> = non_empty(v, "models")?
             .iter()
             .map(|entry| match entry {
                 Json::Str(name) => (
@@ -105,7 +109,7 @@ impl SweepPlan {
                         .and_then(Json::as_str)
                         .unwrap_or("(model)")
                         .to_string();
-                    (display, model_spec_from_json(spec))
+                    (display, model_spec_from_json(spec).map(zoo::share))
                 }
                 _ => (
                     "(invalid)".to_string(),
@@ -218,8 +222,9 @@ impl SweepPlan {
         let request = model.as_ref().map_err(String::clone).and_then(|model| {
             let accelerator = *accel.as_ref().map_err(String::clone)?;
             let config = config.as_ref().map_err(String::clone)?.clone();
+            check_weight_budget(model, cap)?;
             Ok(SimRequest {
-                model: model.clone(),
+                model: Arc::clone(model),
                 accelerator,
                 config,
                 seed,
@@ -449,7 +454,7 @@ mod tests {
             let planned = plan.cell(cell.index);
             assert_eq!(planned.meta.config, cell.config);
             let request = planned.request.unwrap();
-            assert_eq!(request.model, spec.models[cell.model]);
+            assert_eq!(*request.model, spec.models[cell.model]);
             assert_eq!(request.accelerator, spec.accelerators[cell.accelerator]);
             assert_eq!(request.config, spec.configs[cell.config]);
             assert_eq!(request.seed, spec.seeds[cell.seed]);
@@ -481,6 +486,44 @@ mod tests {
         assert!(err.contains("unknown accelerator"), "{err}");
         let err = plan.cell(2).request.unwrap_err();
         assert!(err.contains("unknown model"), "{err}");
+    }
+
+    /// Cells share their model entry's `Arc` — the zoo's own for a zoo
+    /// model — so expanding a grid clones no layer table.
+    #[test]
+    fn cells_share_the_model_entry() {
+        let plan = parse_plan(
+            "{\"models\":[\"ViT-Small\"],\"accelerators\":[\"stripes\",\"ant\"],\
+             \"seeds\":[1,2]}",
+        )
+        .unwrap();
+        let zoo_model = zoo::by_name("ViT-Small").unwrap();
+        for i in 0..plan.cell_count() {
+            assert!(Arc::ptr_eq(
+                &plan.cell(i).request.unwrap().model,
+                &zoo_model
+            ));
+        }
+    }
+
+    /// A custom spec over the weight budget poisons only the cells at the
+    /// caps where it is over; the zoo entry beside it runs at every cap.
+    #[test]
+    fn oversized_specs_poison_their_cells() {
+        // 2^21 channels of 64: one 32-weight group per channel (2^26, the
+        // budget) at caps up to 2^22, the whole layer (2^27) at 2^27.
+        let wide = "{\"name\":\"VGG-16\",\"family\":\"cnn\",\"layers\":[{\"name\":\"wide\",\
+                    \"channels\":2097152,\"elems_per_channel\":64,\"positions\":1,\
+                    \"unique_input_elems\":1}]}";
+        let body = format!(
+            "{{\"models\":[{wide},\"ViT-Small\"],\"accelerators\":[\"stripes\"],\
+             \"max_weights_per_layer\":[64,65536,134217728]}}"
+        );
+        let plan = SweepPlan::from_json(&Json::parse(&body).unwrap(), usize::MAX).unwrap();
+        let ok: Vec<bool> = (0..6).map(|i| plan.cell(i).request.is_ok()).collect();
+        assert_eq!(ok, [true, true, false, true, true, true]);
+        let err = plan.cell(2).request.unwrap_err();
+        assert!(err.contains("materialize 134217728 weights"), "{err}");
     }
 
     #[test]

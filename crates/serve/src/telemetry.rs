@@ -12,10 +12,13 @@
 //! A request's end-to-end latency decomposes as:
 //!
 //! ```text
-//! parse → [park] → queue → [lower] → sim → ser → write/flush
+//! parse → route → [park] → queue → [lower] → sim → ser → write/flush
 //! ```
 //!
-//! `parse` is HTTP parsing on the loop thread; `park` only occurs when the
+//! `parse` is HTTP parsing on the loop thread; `route` is routing the
+//! parsed request there: decoding a `/simulate` or `/sweep` body and
+//! taking its cache key (a sweep adds the key of every cell it submits),
+//! or building an inline answer such as `/stats`; `park` only occurs when the
 //! job queue was full and the connection waited for a slot; `queue` is
 //! time between enqueue and a worker popping the job; `lower` only occurs
 //! on a workload-store miss; `sim` and `ser` are the engine run and JSON
@@ -38,6 +41,9 @@ pub struct Telemetry {
     started: Instant,
     /// HTTP request parsing on the loop thread (µs).
     pub parse_us: Histogram,
+    /// Routing on the loop thread: body decode and cache key, or an
+    /// inline answer (µs).
+    pub route_us: Histogram,
     /// Enqueue → worker pop (µs).
     pub queue_us: Histogram,
     /// Queue-full parking time, parked requests only (µs).
@@ -90,6 +96,7 @@ impl Telemetry {
             slow_us: slow_ms.saturating_mul(1000),
             started: Instant::now(),
             parse_us: Histogram::new(),
+            route_us: Histogram::new(),
             queue_us: Histogram::new(),
             park_us: Histogram::new(),
             lower_us: Histogram::new(),
@@ -120,11 +127,13 @@ impl Telemetry {
         route: &'static str,
         served: &'static str,
         parse_us: u64,
+        route_us: u64,
         park_us: u64,
         timing: Timing,
         total_us: u64,
     ) {
         self.total_us.record(total_us);
+        self.route_us.record(route_us);
         if park_us > 0 {
             self.park_us.record(park_us);
         }
@@ -142,6 +151,7 @@ impl Telemetry {
                     ("route", Value::Str(route)),
                     ("served", Value::Str(served)),
                     ("parse_us", Value::U64(parse_us)),
+                    ("route_us", Value::U64(route_us)),
                     ("park_us", Value::U64(park_us)),
                     ("queue_us", Value::U64(timing.queue_us)),
                     ("lower_us", Value::U64(timing.lower_us)),
@@ -159,24 +169,30 @@ impl Telemetry {
         trace_hex: &str,
         served: &'static str,
         parse_us: u64,
+        route_us: u64,
         park_us: u64,
         timing: Timing,
         total_us: u64,
     ) -> String {
         format!(
-            "id={trace_hex};served={served};parse_us={parse_us};queue_us={};lower_us={};\
-             sim_us={};ser_us={};park_us={park_us};total_us={total_us}",
+            "id={trace_hex};served={served};parse_us={parse_us};route_us={route_us};\
+             queue_us={};lower_us={};sim_us={};ser_us={};park_us={park_us};total_us={total_us}",
             timing.queue_us, timing.lower_us, timing.sim_us, timing.ser_us
         )
     }
 
     /// Every stage histogram with its metric name and help text.
-    fn stages(&self) -> [(&'static str, &'static str, &Histogram); 12] {
+    fn stages(&self) -> [(&'static str, &'static str, &Histogram); 13] {
         [
             (
                 "parse",
                 "HTTP request parsing on the loop thread.",
                 &self.parse_us,
+            ),
+            (
+                "route",
+                "Routing on the loop thread: body decode and cache key.",
+                &self.route_us,
             ),
             (
                 "queue",
@@ -310,10 +326,10 @@ mod tests {
             sim_us: 1000,
             ser_us: 50,
         };
-        let h = Telemetry::trace_header("00000000deadbeef", "simulated", 5, 0, t, 1100);
+        let h = Telemetry::trace_header("00000000deadbeef", "simulated", 5, 7, 0, t, 1100);
         assert_eq!(
             h,
-            "id=00000000deadbeef;served=simulated;parse_us=5;queue_us=10;\
+            "id=00000000deadbeef;served=simulated;parse_us=5;route_us=7;queue_us=10;\
              lower_us=0;sim_us=1000;ser_us=50;park_us=0;total_us=1100"
         );
         // Round-trip the k=v pairs.
@@ -333,6 +349,7 @@ mod tests {
             "/simulate",
             "simulated",
             1,
+            2,
             0,
             Timing::default(),
             500,
@@ -343,6 +360,7 @@ mod tests {
             "/simulate",
             "simulated",
             1,
+            2,
             0,
             Timing::default(),
             2000,
@@ -358,6 +376,7 @@ mod tests {
     fn prometheus_includes_every_stage() {
         let tel = Telemetry::default();
         tel.parse_us.record(3);
+        tel.route_us.record(12);
         tel.sim_us.record(900);
         let mut p = PromText::new();
         tel.append_prometheus(&mut p);
@@ -367,6 +386,7 @@ mod tests {
             "bbs_slow_requests_total",
             "bbs_log_events_total{level=\"error\"}",
             "bbs_stage_parse_seconds_bucket",
+            "bbs_stage_route_seconds_count 1",
             "bbs_stage_sim_seconds_count 1",
             "bbs_stage_total_seconds",
             "bbs_loop_ready_events",

@@ -229,6 +229,48 @@ fn changed_model_specs_cross_the_coordinator_in_full() {
     }
 }
 
+/// One custom layer of 2^32 channels: ~200 bytes that lowering would turn
+/// into 2^37 weights. A single server and a 2-shard coordinator both
+/// answer 400 at decode, and no shard ever sees the body; a `/sweep`
+/// carrying it gets an error record for that cell and still runs the
+/// other.
+#[test]
+fn oversized_custom_spec_is_refused_directly_and_through_a_coordinator() {
+    let shards: Vec<ServerHandle> = (0..2).map(|_| shard_server()).collect();
+    let coordinator = coordinator_for(&shards.iter().collect::<Vec<_>>());
+    let single = shard_server();
+
+    let wide = "{\"name\":\"VGG-16\",\"family\":\"cnn\",\"layers\":[{\"name\":\"wide\",\
+                \"channels\":4294967296,\"elems_per_channel\":32,\"positions\":1,\
+                \"unique_input_elems\":1}]}";
+    let body = format!("{{\"model\":{wide},\"accelerator\":\"stripes\"}}");
+    assert!(body.len() < 200, "{}", body.len());
+    for addr in [single.addr(), coordinator.addr()] {
+        let (status, resp) = Client::connect(addr).unwrap().simulate(&body).unwrap();
+        assert_eq!(status, 400, "{resp}");
+        assert!(resp.contains("materialize 137438953472 weights"), "{resp}");
+    }
+    for shard in &shards {
+        assert_eq!(stat(&stats_of(shard.addr()), "requests"), 0);
+    }
+
+    let grid = format!(
+        "{{\"models\":[{wide},\"ViT-Small\"],\"accelerators\":[\"stripes\"],\
+         \"max_weights_per_layer\":[64]}}"
+    );
+    let (records, summary) = run_sweep(coordinator.addr(), &grid);
+    assert!(records[0].contains("materialize"), "{}", records[0]);
+    assert!(records[1].contains("\"result\""), "{}", records[1]);
+    assert_eq!(summary.get("errors").and_then(Json::as_u64), Some(1));
+    assert_eq!(run_sweep(single.addr(), &grid).0, records);
+
+    coordinator.stop();
+    single.stop();
+    for shard in shards {
+        shard.stop();
+    }
+}
+
 /// `/simulate` routing has cache affinity: repeats of the same request hit
 /// the shard that owns its key, and the coordinator's stats block accounts
 /// for every routed job.

@@ -11,11 +11,14 @@
 //! * the resumable HTTP parser is invariant under arbitrary chunk splits
 //!   of a pipelined request stream;
 //! * the `/simulate` and `/sweep` decoders return — a request or a reason
-//!   — on mutated bodies and never panic (`hostile_*`, which CI also runs
-//!   at 5,000 cases).
+//!   — on mutated bodies and never panic, and the streamed request key and
+//!   workload fingerprint equal FNV-1a of the canonical tree they replaced,
+//!   for every zoo model and for custom specs whose layer names need
+//!   escaping (`hostile_*`, which CI also runs at 5,000 cases).
 
-use bbs_json::Json;
-use bbs_models::zoo;
+use bbs_json::{fnv1a_64, Json};
+use bbs_models::json::model_spec_to_json;
+use bbs_models::{zoo, LayerSpec, ModelSpec};
 use bbs_serve::http::RequestParser;
 use bbs_serve::registry::{accelerator_by_name, ACCELERATOR_IDS};
 use bbs_serve::request::SimRequest;
@@ -345,7 +348,7 @@ fn hostile_bases() -> [String; 2] {
     let mut model = zoo::resnet34();
     model.layers[3].channels += 1;
     let request = SimRequest {
-        model,
+        model: Arc::new(model),
         accelerator: "bitvert-moderate",
         config: ArrayConfig::paper_16x32(),
         seed: 7,
@@ -472,5 +475,107 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Characters for custom layer names: plain ASCII, everything the JSON
+/// writer escapes, other control characters, and two- to four-byte UTF-8.
+const NAME_CHARS: [char; 16] = [
+    'a',
+    'Z',
+    '0',
+    '.',
+    '"',
+    '\\',
+    '/',
+    '\n',
+    '\t',
+    '\r',
+    '\u{0}',
+    '\u{1f}',
+    '\u{7f}',
+    'é',
+    '日',
+    '\u{1f600}',
+];
+
+/// A layer name of up to six [`NAME_CHARS`], picked by the bits of `bits`.
+fn layer_name(bits: u64) -> String {
+    (0..bits % 7)
+        .map(|i| NAME_CHARS[((bits >> (4 + 4 * i)) & 15) as usize])
+        .collect()
+}
+
+/// The request key as it was first built: the whole request object as a
+/// tree, canonicalized, hashed.
+fn tree_key(request: &SimRequest) -> u64 {
+    let canonical = Json::obj(vec![
+        ("model", model_spec_to_json(&request.model)),
+        ("accelerator", Json::str(request.accelerator)),
+        ("config", array_config_to_json(&request.config)),
+        ("seed", Json::from_u64(request.seed)),
+        (
+            "max_weights_per_layer",
+            Json::from_usize(request.max_weights_per_layer),
+        ),
+    ])
+    .canonical();
+    fnv1a_64(canonical.as_bytes())
+}
+
+proptest! {
+    /// The key and the workload fingerprint stream the spec's canonical
+    /// text — cached for the shared zoo models, written per call for any
+    /// other — and equal FNV-1a of the tree construction they replaced,
+    /// for every zoo model by name and for custom layer tables under zoo
+    /// names, at random accelerators, configs, seeds and caps. The
+    /// request goes through its wire form first, as a server sees it.
+    #[test]
+    fn hostile_spec_keys_match_the_tree_oracle(
+        model_idx in 0usize..16,
+        names in proptest::collection::vec(any::<u64>(), 1..6),
+        dims in proptest::collection::vec(1usize..4096, 18),
+        picks in any::<u64>(),
+        seed in 0u64..=(1u64 << 53),
+        cap in 1usize..=200_000,
+    ) {
+        let zoo_model = &zoo::all()[model_idx % 8];
+        let model = if model_idx < 8 {
+            Json::str(zoo_model.name)
+        } else {
+            let layers = names
+                .iter()
+                .enumerate()
+                .map(|(i, &bits)| LayerSpec {
+                    name: layer_name(bits),
+                    channels: dims[3 * i],
+                    elems_per_channel: dims[3 * i + 1],
+                    positions: dims[3 * i + 2],
+                    unique_input_elems: dims[3 * i] * 7919,
+                })
+                .collect();
+            model_spec_to_json(&ModelSpec {
+                name: zoo_model.name,
+                family: zoo_model.family,
+                layers,
+            })
+        };
+        let mut config = ArrayConfig::paper_16x32().with_pe_cols(PE_COLS[(picks & 3) as usize]);
+        config.tech.freq_mhz = 1.0 + (picks >> 11) as f64 / (1u64 << 40) as f64;
+        let body = Json::obj(vec![
+            ("model", model),
+            ("accelerator", Json::str(ACCELERATOR_IDS[(picks >> 2 & 7) as usize])),
+            ("config", array_config_to_json(&config)),
+            ("seed", Json::from_u64(seed)),
+            ("max_weights_per_layer", Json::from_usize(cap)),
+        ])
+        .to_string();
+        let request = SimRequest::from_json(&Json::parse(&body).unwrap(), 65536).unwrap();
+        prop_assert_eq!(Arc::ptr_eq(&request.model, zoo_model), model_idx < 8);
+        prop_assert_eq!(request.key(), tree_key(&request));
+        prop_assert_eq!(
+            bbs_sim::store::model_fingerprint(&request.model),
+            fnv1a_64(model_spec_to_json(&request.model).canonical().as_bytes())
+        );
     }
 }

@@ -17,8 +17,8 @@ use bbs_hw::json::{
     dram_from_json, dram_to_json, energy_breakdown_from_json, energy_breakdown_to_json,
     sram_from_json, sram_to_json, technology_from_json, technology_to_json,
 };
-use bbs_json::{field, field_arr, field_f64, field_str, field_u64, field_usize, fnv1a_64, Json};
-use bbs_models::json::model_spec_to_json;
+use bbs_json::{field, field_arr, field_f64, field_str, field_u64, field_usize, Fnv1a64, Json};
+use bbs_models::json::{hash_spec_text, model_spec_to_json};
 use bbs_models::ModelSpec;
 
 /// Encodes an [`ArrayConfig`].
@@ -138,11 +138,23 @@ pub fn sim_result_from_json(v: &Json) -> Result<SimResult, String> {
 }
 
 /// The content address of one simulation request: a stable 64-bit FNV-1a
-/// hash over the canonical (key-sorted, compact) JSON of the *full* model
-/// spec, accelerator name, array configuration and BBS sampling parameters.
+/// hash over the canonical (key-sorted, compact) JSON of the request
+/// object `{model, accelerator, config, seed, max_weights_per_layer}` —
+/// the *full* model spec, accelerator name, array configuration and BBS
+/// sampling parameters.
 ///
 /// Two requests hash equal iff every quantity the simulation depends on is
 /// equal, so a cache hit may be served without re-running the engine.
+///
+/// The sorted keys put the model between the short fields, so the hash
+/// streams over three parts without joining them: the canonical object of
+/// `accelerator`, `config` and `max_weights_per_layer` less its closing
+/// brace, then `,"model":` and the spec's canonical text
+/// ([`hash_spec_text`]: kept once per process for a shared zoo model,
+/// whose hash from a remembered start costs a lookup), then
+/// `,"seed":N}`. These are the bytes the whole object's `canonical()`
+/// writes — a test pins the two equal — so no key moves, and a zoo
+/// model's layer table is never rebuilt to take one.
 pub fn sim_request_key(
     model: &ModelSpec,
     accelerator: &str,
@@ -150,18 +162,21 @@ pub fn sim_request_key(
     seed: u64,
     max_weights_per_layer: usize,
 ) -> u64 {
-    let canon = Json::obj(vec![
-        ("model", model_spec_to_json(model)),
+    let head = Json::obj(vec![
         ("accelerator", Json::str(accelerator)),
         ("config", array_config_to_json(cfg)),
-        ("seed", Json::from_u64(seed)),
         (
             "max_weights_per_layer",
             Json::from_usize(max_weights_per_layer),
         ),
     ])
     .canonical();
-    fnv1a_64(canon.as_bytes())
+    let mut hash = Fnv1a64::new();
+    hash.write(&head.as_bytes()[..head.len() - 1]);
+    hash.write(b",\"model\":");
+    hash_spec_text(model, &mut hash);
+    hash.write(format!(",\"seed\":{}}}", Json::from_u64(seed)).as_bytes());
+    hash.finish()
 }
 
 /// Encodes a [`SweepSpec`] as the `/sweep` wire grid: models carry their
@@ -226,6 +241,54 @@ mod tests {
             sim_request_key(&zoo::vit_small(), "stripes", &cfg, 3, 256),
             0x9aca_769d_357d_ae75
         );
+    }
+
+    /// The request object's canonical form, built as a tree: the
+    /// construction the streamed key replaced, kept as its oracle.
+    fn tree_key(
+        model: &ModelSpec,
+        accelerator: &str,
+        cfg: &ArrayConfig,
+        seed: u64,
+        max_weights_per_layer: usize,
+    ) -> u64 {
+        let canon = Json::obj(vec![
+            ("model", model_spec_to_json(model)),
+            ("accelerator", Json::str(accelerator)),
+            ("config", array_config_to_json(cfg)),
+            ("seed", Json::from_u64(seed)),
+            (
+                "max_weights_per_layer",
+                Json::from_usize(max_weights_per_layer),
+            ),
+        ])
+        .canonical();
+        bbs_json::fnv1a_64(canon.as_bytes())
+    }
+
+    #[test]
+    fn streamed_key_equals_the_tree_key() {
+        let narrow = ArrayConfig::paper_16x32().with_pe_cols(8);
+        let mut odd = zoo::vgg16();
+        odd.layers[2].name = "\"\\\u{1}é".to_string();
+        for model in zoo::all().iter().map(|m| &**m).chain([&odd]) {
+            for (accel, cfg, seed, cap) in [
+                ("stripes", &narrow, 0, 1),
+                (
+                    "BitVert \"mod\"",
+                    &ArrayConfig::paper_16x32(),
+                    1 << 53,
+                    65536,
+                ),
+            ] {
+                assert_eq!(
+                    sim_request_key(model, accel, cfg, seed, cap),
+                    tree_key(model, accel, cfg, seed, cap),
+                    "{}",
+                    model.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 
 use crate::trace::{NoopRecorder, Recorder, Stage};
 use crate::workload::{lower_model, LayerWorkload};
-use bbs_json::fnv1a_64;
-use bbs_models::json::model_spec_to_json;
+use bbs_json::{fnv1a_64, Fnv1a64};
+use bbs_models::json::hash_spec_text;
 use bbs_models::ModelSpec;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,11 +101,16 @@ impl Default for WorkloadStore {
     }
 }
 
-/// Stable content address of a model's full layer table (FNV-1a over the
-/// canonical model-spec JSON — the same canonicalization the `bbs-serve`
-/// result cache keys on).
-fn model_fingerprint(model: &ModelSpec) -> u64 {
-    fnv1a_64(model_spec_to_json(model).canonical().as_bytes())
+/// Stable content address of a model's full layer table: FNV-1a over the
+/// model's canonical spec text ([`hash_spec_text`]), the same text the
+/// `bbs-serve` result key hashes. A shared zoo model's text was written
+/// once, when the zoo built it; any other spec is written afresh. It
+/// addresses every lowering in the store and, through its durable tier,
+/// on disk, so its bytes never move.
+pub fn model_fingerprint(model: &ModelSpec) -> u64 {
+    let mut hash = Fnv1a64::new();
+    hash_spec_text(model, &mut hash);
+    hash.finish()
 }
 
 /// Approximate heap footprint of one lowered layer: weights, activations,

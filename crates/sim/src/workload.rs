@@ -209,6 +209,33 @@ mod tests {
         assert_eq!(a[3].weights, b[3].weights);
     }
 
+    /// `materialized_weights` is what lowering allocates, for every zoo
+    /// model at the smallest, default and largest server caps. Each model
+    /// is lowered over its distinct layer shapes (Llama-3-8B repeats one
+    /// block 32 times), which is the same synthesis per shape.
+    #[test]
+    fn materialized_weights_match_lowering_for_every_zoo_model() {
+        use bbs_models::synth::materialized_weights;
+        for model in zoo::all() {
+            let mut shapes = (*model).clone();
+            let mut seen = std::collections::HashSet::new();
+            shapes
+                .layers
+                .retain(|l| seen.insert((l.channels, l.elems_per_channel)));
+            for cap in [1, 4096, 65536] {
+                for (layer, lowered) in shapes.layers.iter().zip(lower_model(&shapes, 3, cap)) {
+                    assert_eq!(
+                        materialized_weights(layer, cap),
+                        lowered.weights.data.len() as u64,
+                        "{} {} at cap {cap}",
+                        model.name,
+                        layer.name
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn macs_are_preserved_under_sampling() {
         let m = zoo::resnet34();
