@@ -19,9 +19,7 @@
 //!   shortest round-trip form, so `parse(v.to_string())` reproduces `v`
 //!   bit-for-bit for every finite `f64`,
 //! * [`fnv1a_64`] and its incremental form [`Fnv1a64`] — the stable hash
-//!   used for content-addressed cache keys,
-//! * [`write_string`] — the one string escaper, for callers that write
-//!   canonical JSON text without building a tree.
+//!   used for content-addressed cache keys.
 //!
 //! Numbers are stored as `f64`; integers are exact up to 2^53, which the
 //! simulator's cycle/traffic counters stay well below (asserted by
@@ -278,12 +276,7 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-/// Appends `s` as a JSON string literal, escaped as every serializer in
-/// this crate escapes it: `"` and `\` backslashed, `\n`, `\r` and `\t`
-/// by name, other control characters as `\u00xx`, everything else
-/// verbatim. Callers that write JSON text by hand use this, so their
-/// bytes equal [`Json::canonical`]'s.
-pub fn write_string(out: &mut String, s: &str) {
+fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -561,16 +554,12 @@ impl<'a> Parser<'a> {
     /// (.[0-9]+)? ([eE][+-]?[0-9]+)?`. A leading zero stands alone (the
     /// `1` of `01` is then a stray character), and a fraction or exponent
     /// needs at least one digit. Every text that passes is an `f64`
-    /// literal Rust reads, so a check-only parse stops there, and a plain
-    /// integer of at most 15 digits (below 2^53, so exact) is read
-    /// without `f64::from_str`.
+    /// literal Rust reads, so a check-only parse stops there.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let int_start = self.pos;
         match self.peek() {
             Some(b'0') => self.pos += 1,
             Some(b'1'..=b'9') => {
@@ -578,7 +567,6 @@ impl<'a> Parser<'a> {
             }
             _ => return Err(self.err("invalid number")),
         }
-        let int_end = self.pos;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             if !self.skip_digits() {
@@ -596,13 +584,6 @@ impl<'a> Parser<'a> {
         }
         if !self.build {
             return Ok(Json::Null);
-        }
-        if self.pos == int_end && int_end - int_start <= 15 {
-            let magnitude = self.bytes[int_start..int_end]
-                .iter()
-                .fold(0u64, |v, &d| v * 10 + u64::from(d - b'0'))
-                as f64;
-            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>()
@@ -631,11 +612,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 
 /// [`fnv1a_64`] fed in parts: writing several byte strings in turn gives
 /// the hash of their concatenation, so a key over a long shared text and
-/// a few short fields needs no buffer that joins them. The state is the
-/// whole of the hash so far: equal states continued over equal bytes end
-/// equal, which lets a caller remember where a long text's hash ends
-/// from a given start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// a few short fields needs no buffer that joins them.
+#[derive(Debug, Clone)]
 pub struct Fnv1a64(u64);
 
 impl Fnv1a64 {

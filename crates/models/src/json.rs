@@ -10,14 +10,12 @@
 //! registry; unknown model names are rejected.
 //!
 //! Keys hash a spec's *canonical text* ([`hash_spec_text`]): the bytes
-//! `model_spec_to_json(m).canonical()` writes, produced straight from the
-//! spec without building a tree, and kept for the life of the process
-//! for each shared zoo model.
+//! `model_spec_to_json(m).canonical()` writes, kept for the life of the
+//! process for each shared zoo model.
 
 use crate::layer::{LayerSpec, ModelFamily, ModelSpec};
 use crate::zoo;
-use bbs_json::{field, field_arr, field_str, field_usize, write_string, Fnv1a64, Json};
-use std::fmt::Write;
+use bbs_json::{field, field_arr, field_str, field_usize, Fnv1a64, Json};
 
 /// Upper bound on decoded layer counts (a zoo model has < 300).
 pub const MAX_LAYERS: usize = 4096;
@@ -101,45 +99,15 @@ pub fn model_spec_to_json(m: &ModelSpec) -> Json {
 /// text every request key and workload fingerprint hashes.
 ///
 /// A shared zoo model ([`zoo::by_name`]'s `Arc`) hashes the text written
-/// when it was built, and remembers where that hash ends from each of the
-/// last few states it started from, so a warm key hashes no spec text at
-/// all. Any other spec — a custom layer table, or a copy of a zoo model —
-/// is written and hashed afresh on each call, so an edited spec can never
-/// hash text from before its edit.
+/// when it was built, so a warm key builds no tree. Any other spec — a
+/// custom layer table, or a copy of a zoo model — is written and hashed
+/// afresh on each call, so an edited spec can never hash text from
+/// before its edit.
 pub fn hash_spec_text(m: &ModelSpec, hash: &mut Fnv1a64) {
-    if !zoo::hash_shared_text(m, hash) {
-        hash.write(write_spec_text(m).as_bytes());
+    match zoo::shared_text(m) {
+        Some(text) => hash.write(text.as_bytes()),
+        None => hash.write(model_spec_to_json(m).canonical().as_bytes()),
     }
-}
-
-/// Writes `m`'s canonical text field by field, in sorted key order:
-/// `family`, `layers` (each `channels`, `elems_per_channel`, `name`,
-/// `positions`, `unique_input_elems`), `name`.
-pub(crate) fn write_spec_text(m: &ModelSpec) -> String {
-    let mut out = String::with_capacity(64 + m.layers.len() * 112);
-    out.push_str("{\"family\":");
-    write_string(&mut out, &m.family.to_string());
-    out.push_str(",\"layers\":[");
-    for (i, l) in m.layers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"channels\":{},\"elems_per_channel\":{},\"name\":",
-            l.channels, l.elems_per_channel
-        );
-        write_string(&mut out, &l.name);
-        let _ = write!(
-            out,
-            ",\"positions\":{},\"unique_input_elems\":{}}}",
-            l.positions, l.unique_input_elems
-        );
-    }
-    out.push_str("],\"name\":");
-    write_string(&mut out, m.name);
-    out.push('}');
-    out
 }
 
 /// Decodes a [`ModelSpec`]. The name must be a zoo model (it resolves to
@@ -189,40 +157,6 @@ mod tests {
             let back = model_spec_from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, *m, "{}", m.name);
         }
-    }
-
-    /// The text keys hash is the tree's canonical form, for the shared
-    /// zoo models (kept, and hashed from remembered starts), their copies
-    /// and edits (written afresh), and layer names the writer must escape.
-    #[test]
-    fn spec_text_hashes_the_canonical_tree() {
-        let oracle = |m: &ModelSpec| model_spec_to_json(m).canonical();
-        let hashed = |m: &ModelSpec| {
-            let mut h = Fnv1a64::new();
-            h.write(b"{\"model\":");
-            hash_spec_text(m, &mut h);
-            h.finish()
-        };
-        let expected = |text: String| bbs_json::fnv1a_64(format!("{{\"model\":{text}").as_bytes());
-        for shared in zoo::all() {
-            assert_eq!(write_spec_text(&shared), oracle(&shared));
-            for _ in 0..2 {
-                assert_eq!(
-                    hashed(&shared),
-                    expected(oracle(&shared)),
-                    "{}",
-                    shared.name
-                );
-            }
-            let copy = (*shared).clone();
-            assert_eq!(hashed(&copy), expected(oracle(&shared)));
-        }
-        let mut odd = zoo::resnet34();
-        odd.layers[0].name = "q\"\\\n\t\r\u{1}\u{1f}\u{7f}/é日\u{1f600}".to_string();
-        odd.layers[1].channels = 1 << 40;
-        odd.layers.truncate(5);
-        assert_eq!(write_spec_text(&odd), oracle(&odd));
-        assert_eq!(hashed(&odd), expected(oracle(&odd)));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! paper's weight-sparsity evaluation. Embedding lookups are excluded for
 //! the same reason.
 
+use crate::json::model_spec_to_json;
 use crate::layer::{LayerSpec, ModelFamily, ModelSpec};
-use bbs_json::Fnv1a64;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// VGG-16 on ImageNet (224×224).
 pub fn vgg16() -> ModelSpec {
@@ -307,45 +307,12 @@ pub fn paper_benchmarks() -> Vec<ModelSpec> {
     ]
 }
 
-/// How many starting states each zoo model remembers its text hash's end
-/// state for. A request key enters the text in the state its
-/// accelerator, config and cap leave, so a grid over a few of each fits.
-const REMEMBERED_STARTS: usize = 64;
-
-/// A zoo model as the process shares it: the spec behind one `Arc`, its
-/// canonical text (see [`crate::json::hash_spec_text`]), written when the
-/// model is first built, and where hashing that text ends from each of
-/// the last [`REMEMBERED_STARTS`] states it started from.
+/// A zoo model as the process shares it: the spec behind one `Arc` and
+/// its canonical text (see [`crate::json::hash_spec_text`]), written when
+/// the model is first built.
 struct Shared {
     spec: Arc<ModelSpec>,
     text: Box<str>,
-    ends: Mutex<Vec<(Fnv1a64, Fnv1a64)>>,
-}
-
-impl Shared {
-    /// Continues `hash` over the text. FNV-1a's state is all it carries,
-    /// so the end state is a function of the start state alone, and a
-    /// remembered one is exactly what hashing the text again would give.
-    fn hash_text(&self, hash: &mut Fnv1a64) {
-        let start = *hash;
-        let remembered = self
-            .ends
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|(s, _)| *s == start)
-            .map(|&(_, end)| end);
-        if let Some(end) = remembered {
-            *hash = end;
-            return;
-        }
-        hash.write(self.text.as_bytes());
-        let mut ends = self.ends.lock().unwrap();
-        if ends.len() == REMEMBERED_STARTS {
-            ends.remove(0);
-        }
-        ends.push((start, *hash));
-    }
 }
 
 /// A zoo registry entry: display name, constructor, and the shared model
@@ -368,11 +335,10 @@ impl ZooEntry {
     fn shared(&self) -> &Shared {
         self.shared.get_or_init(|| {
             let spec = (self.build)();
-            let text = crate::json::write_spec_text(&spec).into_boxed_str();
+            let text = model_spec_to_json(&spec).canonical().into_boxed_str();
             Shared {
                 spec: Arc::new(spec),
                 text,
-                ends: Mutex::new(Vec::new()),
             }
         })
     }
@@ -402,11 +368,10 @@ pub fn all() -> Vec<Arc<ModelSpec>> {
 /// case-insensitive), or `None`. This is the lookup `bbs-serve` uses to
 /// decode requests that reference models by name. Every call returns the
 /// same `Arc`, built on the first: no layer table is rebuilt or cloned,
-/// the model's canonical text is written once per process, and keys and
-/// fingerprints taken of it hash that text once per starting state. The
-/// shared spec cannot change — `Arc::make_mut` on a clone copies it — so
-/// code that holds this `Arc` may treat pointer equality as "is the zoo
-/// model".
+/// and the model's canonical text, which every key and fingerprint taken
+/// of it hashes, is written once per process. The shared spec cannot
+/// change — `Arc::make_mut` on a clone copies it — so code that holds
+/// this `Arc` may treat pointer equality as "is the zoo model".
 pub fn by_name(name: &str) -> Option<Arc<ModelSpec>> {
     ZOO.iter()
         .find(|e| e.name.eq_ignore_ascii_case(name))
@@ -439,16 +404,10 @@ fn shared(model: &ModelSpec) -> Option<&'static Shared> {
         .find(|s| std::ptr::eq(Arc::as_ptr(&s.spec), model))
 }
 
-/// Continues `hash` over `model`'s canonical text if `model` is a shared
-/// zoo model, and says whether it was.
-pub(crate) fn hash_shared_text(model: &ModelSpec, hash: &mut Fnv1a64) -> bool {
-    match shared(model) {
-        Some(shared) => {
-            shared.hash_text(hash);
-            true
-        }
-        None => false,
-    }
+/// `model`'s canonical text if `model` is a shared zoo model: the text
+/// written when the zoo built it.
+pub(crate) fn shared_text(model: &ModelSpec) -> Option<&'static str> {
+    shared(model).map(|s| &*s.text)
 }
 
 /// All zoo model names, in [`all`] order (no layer tables built).
@@ -584,33 +543,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&edited, &zoo));
         assert!(!is_shared(&edited));
         assert_eq!(zoo.layers.len(), bert_sst2().layers.len());
-    }
-
-    /// A remembered end state is the one hashing the text gives, from
-    /// more starting states than are remembered, and again after the
-    /// oldest were forgotten.
-    #[test]
-    fn remembered_text_hashes_equal_hashing_the_text() {
-        let zoo = by_name("ViT-Base").unwrap();
-        let text = crate::json::write_spec_text(&zoo);
-        let starts: Vec<Fnv1a64> = (0..REMEMBERED_STARTS as u8 + 8)
-            .map(|i| {
-                let mut h = Fnv1a64::new();
-                h.write(&[i]);
-                h
-            })
-            .collect();
-        for _ in 0..2 {
-            for &start in starts.iter().chain(starts.iter().rev()) {
-                let (mut remembered, mut direct) = (start, start);
-                assert!(hash_shared_text(&zoo, &mut remembered));
-                direct.write(text.as_bytes());
-                assert_eq!(remembered, direct);
-            }
-        }
-        let mut h = Fnv1a64::new();
-        assert!(!hash_shared_text(&vit_base(), &mut h));
-        assert_eq!(h, Fnv1a64::new());
     }
 
     #[test]

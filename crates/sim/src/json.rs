@@ -150,9 +150,8 @@ pub fn sim_result_from_json(v: &Json) -> Result<SimResult, String> {
 /// streams over three parts without joining them: the canonical object of
 /// `accelerator`, `config` and `max_weights_per_layer` less its closing
 /// brace, then `,"model":` and the spec's canonical text
-/// ([`hash_spec_text`]: kept once per process for a shared zoo model,
-/// whose hash from a remembered start costs a lookup), then
-/// `,"seed":N}`. These are the bytes the whole object's `canonical()`
+/// ([`hash_spec_text`]: written once per process for a shared zoo
+/// model), then `,"seed":N}`. These are the bytes the whole object's `canonical()`
 /// writes — a test pins the two equal — so no key moves, and a zoo
 /// model's layer table is never rebuilt to take one.
 pub fn sim_request_key(
