@@ -889,6 +889,40 @@ mod tests {
         assert!(f.effective_bits < 6.0, "bits {}", f.effective_bits);
     }
 
+    /// The fidelity path's synthesized bytes at the golden's cap, pinned
+    /// for the seven paper benchmarks: FNV-1a over each layer's codes,
+    /// scale bits and sample-factor bits, layers seeded `seed + i`. The
+    /// golden prints rounded figures of these; the digests see every bit.
+    #[test]
+    fn synthesized_bytes_are_pinned_at_the_golden_cap() {
+        let digests: Vec<(&str, u64)> = zoo::paper_benchmarks()
+            .iter()
+            .map(|m| {
+                let mut h = bbs_json::Fnv1a64::new();
+                for l in synthesize_model(m, 7, 256).layers() {
+                    let codes: Vec<u8> =
+                        l.weights.data.as_slice().iter().map(|&w| w as u8).collect();
+                    h.write(&codes);
+                    for s in &l.weights.scales {
+                        h.write(&s.to_bits().to_le_bytes());
+                    }
+                    h.write(&l.sample_factor.to_bits().to_le_bytes());
+                }
+                (m.name, h.finish())
+            })
+            .collect();
+        let pinned: [(&str, u64); 7] = [
+            ("VGG-16", 0xea44_769c_287b_e9b0),
+            ("ResNet-34", 0x9e91_7088_43d5_8b7d),
+            ("ResNet-50", 0x811a_785c_373d_65ed),
+            ("ViT-Small", 0x2bf3_b831_4247_c3a6),
+            ("ViT-Base", 0xa40d_5100_e69b_4d46),
+            ("Bert-MRPC", 0xd30c_a304_341f_d4d5),
+            ("Bert-SST2", 0xd30c_a304_341f_d4d5),
+        ];
+        assert_eq!(digests, pinned);
+    }
+
     #[test]
     fn real_accuracy_int8_is_lossless_and_bbs_mild() {
         let acc = measure_real_accuracy(&CompressionMethod::bbs_conservative(), 11);

@@ -91,18 +91,11 @@ pub fn synthesize_weights_sampled(
             base
         };
         if heavy_tail {
-            for _ in 0..epc {
-                let v = if rng.uniform() < 0.02 {
-                    // Sparse heavy tail inside normal channels too.
-                    rng.student_t(4) * sigma
-                } else {
-                    rng.gaussian(0.0, sigma)
-                };
-                data.push(v as f32);
-            }
+            // Sparse heavy tail inside normal channels too: one weight in
+            // 50 is a Student-t draw.
+            rng.extend_heavy_tailed_f32(&mut data, epc, 0.02, 4, sigma);
         } else {
-            // CNN channels are pure Gaussians: bulk-fill the row (identical
-            // sample sequence, hot-loop dispatch hoisted).
+            // CNN channels are pure Gaussians.
             rng.extend_gaussian_f32(&mut data, epc, 0.0, sigma);
         }
     }

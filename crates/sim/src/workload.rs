@@ -209,19 +209,25 @@ mod tests {
         assert_eq!(a[3].weights, b[3].weights);
     }
 
-    /// `materialized_weights` is what lowering allocates, for every zoo
-    /// model at the smallest, default and largest server caps. Each model
-    /// is lowered over its distinct layer shapes (Llama-3-8B repeats one
+    /// `model` cut to its distinct layer shapes (Llama-3-8B repeats one
     /// block 32 times), which is the same synthesis per shape.
+    fn distinct_shapes(model: &ModelSpec) -> ModelSpec {
+        let mut shapes = model.clone();
+        let mut seen = std::collections::HashSet::new();
+        shapes
+            .layers
+            .retain(|l| seen.insert((l.channels, l.elems_per_channel)));
+        shapes
+    }
+
+    /// `materialized_weights` is what lowering allocates, for every zoo
+    /// model at the smallest, default and largest server caps, over each
+    /// model's distinct layer shapes.
     #[test]
     fn materialized_weights_match_lowering_for_every_zoo_model() {
         use bbs_models::synth::materialized_weights;
         for model in zoo::all() {
-            let mut shapes = (*model).clone();
-            let mut seen = std::collections::HashSet::new();
-            shapes
-                .layers
-                .retain(|l| seen.insert((l.channels, l.elems_per_channel)));
+            let shapes = distinct_shapes(&model);
             for cap in [1, 4096, 65536] {
                 for (layer, lowered) in shapes.layers.iter().zip(lower_model(&shapes, 3, cap)) {
                     assert_eq!(
@@ -234,6 +240,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// FNV-1a over everything a lowering hands the simulator: each layer's
+    /// weight codes, scale bits, sample-factor bits and activations.
+    fn lowering_digest(layers: &[LayerWorkload]) -> u64 {
+        let mut h = bbs_json::Fnv1a64::new();
+        for l in layers {
+            let codes: Vec<u8> = l.weights.data.as_slice().iter().map(|&w| w as u8).collect();
+            h.write(&codes);
+            for s in &l.weights.scales {
+                h.write(&s.to_bits().to_le_bytes());
+            }
+            h.write(&l.sample_factor.to_bits().to_le_bytes());
+            let acts: Vec<u8> = l.activations.iter().map(|&a| a as u8).collect();
+            h.write(&acts);
+        }
+        h.finish()
+    }
+
+    /// The lowered bytes at serve's default cap, pinned for every zoo
+    /// model over its distinct layer shapes. The golden transcript prints
+    /// only rounded figures at a smaller cap; these digests see every
+    /// synthesized bit, so weight synthesis may change how it computes a
+    /// sample but never the sample.
+    #[test]
+    fn lowered_bytes_are_pinned_at_the_serve_cap() {
+        let digests: Vec<(&str, u64)> = zoo::all()
+            .iter()
+            .map(|m| {
+                (
+                    m.name,
+                    lowering_digest(&lower_model(&distinct_shapes(m), 7, 4096)),
+                )
+            })
+            .collect();
+        let pinned: [(&str, u64); 8] = [
+            ("VGG-16", 0x7e88_39d2_670e_c256),
+            ("ResNet-34", 0x5baf_b15c_7438_1df8),
+            ("ResNet-50", 0xb1fa_e2c9_4ff8_1bc6),
+            ("ViT-Small", 0xf7da_1c35_87d6_01d8),
+            ("ViT-Base", 0xd7ad_674c_ca07_6ace),
+            ("Bert-MRPC", 0xd042_850b_3181_2740),
+            ("Bert-SST2", 0xd042_850b_3181_2740),
+            ("Llama-3-8B", 0x3748_6dc1_d3d6_3e5d),
+        ];
+        assert_eq!(digests, pinned);
     }
 
     #[test]

@@ -35,10 +35,20 @@
 //!
 //! Both builds of every kernel are required to be *bit-for-bit identical*
 //! to each other and to the reference code in the kernels' tests — the
-//! repro pipeline's golden outputs must not depend on the host CPU. The wide kernels
-//! therefore only batch exact integer/mask arithmetic; all floating-point
-//! kernels either stay scalar or use provably-exact vector equivalents
-//! (IEEE divide, truncate, compares).
+//! repro pipeline's golden outputs must not depend on the host CPU. The
+//! wide kernels therefore batch only three kinds of arithmetic:
+//!
+//! * exact integer/mask arithmetic;
+//! * provably exact vector float equivalents (IEEE divide, truncate,
+//!   compares), or float kernels that stay scalar;
+//! * certified approximations with an exact fallback: the Box-Muller
+//!   kernel behind [`crate::rng::SeededRng`]'s `f32` fills evaluates `ln`,
+//!   `sin` and `cos` approximately, keeps an output only when every value
+//!   within a stated error bound of it casts to the same `f32`, and
+//!   recomputes any other output through libm. Its two builds may differ
+//!   in the last bits of an `f64`; no output that leaves the kernel does.
+//!   Its tests check the bound itself, apart from the kernel, since the
+//!   cast hides most kernel errors from a random-sample comparison.
 
 use std::sync::OnceLock;
 
