@@ -2,23 +2,21 @@
 //! and sign-magnitude) and BBS (bit-vector size 8) across INT8 DNNs.
 
 use crate::{f, print_table, weight_cap, SEED};
-use bbs_models::synth::synthesize_weights_sampled;
+use bbs_models::accuracy::synthesize_model;
 use bbs_models::zoo;
 use bbs_tensor::bits::SparsityStats;
 use rayon::prelude::*;
 
-/// Measures the four Fig. 3 sparsity statistics for one model.
+/// Measures the four Fig. 3 sparsity statistics for one model, pooled
+/// over the layers the fidelity experiments synthesize.
 fn model_sparsity(model: &bbs_models::ModelSpec) -> SparsityStats {
-    let mut pooled: Vec<i8> = Vec::new();
-    for (i, spec) in model.layers.iter().enumerate() {
-        let synth = synthesize_weights_sampled(
-            spec,
-            model.family,
-            SEED.wrapping_add(i as u64),
-            weight_cap(),
-        );
-        pooled.extend_from_slice(synth.weights.data.as_slice());
-    }
+    let synth = synthesize_model(model, SEED, weight_cap());
+    let pooled: Vec<i8> = synth
+        .layers()
+        .iter()
+        .flat_map(|layer| layer.weights.data.as_slice())
+        .copied()
+        .collect();
     SparsityStats::measure(&pooled)
 }
 

@@ -1,8 +1,7 @@
 //! Reference inference kernels.
 //!
-//! Plain f32 GEMM/linear/activation functions used by the trainer and the
-//! fidelity experiments, plus an INT8 path that mirrors what the
-//! accelerators compute (per-channel weight scales × activation scale).
+//! Plain f32 linear, activation and loss functions for the trainer, plus
+//! the GEMM that tests check [`linear_f32`] against.
 
 use bbs_tensor::{Shape, Tensor};
 
@@ -75,92 +74,6 @@ pub fn linear_f32(w: &Tensor<f32>, x: &[f32], bias: &[f32]) -> Vec<f32> {
         *y += b;
     }
     out
-}
-
-/// Unfolds an image `[channels, h, w]` (flat, row-major) into im2col
-/// columns for a `k×k` convolution with the given stride and zero padding:
-/// output shape `[out_h*out_w, channels*k*k]`.
-///
-/// # Panics
-///
-/// Panics if the image length disagrees with the dimensions or the kernel
-/// does not fit.
-fn im2col(
-    image: &[f32],
-    channels: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> Tensor<f32> {
-    assert_eq!(image.len(), channels * h * w, "image volume mismatch");
-    assert!(k >= 1 && stride >= 1);
-    let out_h = (h + 2 * pad)
-        .checked_sub(k)
-        .expect("kernel larger than padded input")
-        / stride
-        + 1;
-    let out_w = (w + 2 * pad - k) / stride + 1;
-    let cols = channels * k * k;
-    let mut data = vec![0.0f32; out_h * out_w * cols];
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            let row = oy * out_w + ox;
-            for c in 0..channels {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        let v = if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                            image[c * h * w + iy as usize * w + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        data[row * cols + c * k * k + ky * k + kx] = v;
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(Shape::matrix(out_h * out_w, cols), data).expect("shape matches")
-}
-
-/// 2-D convolution via im2col + GEMM: weights `[out_c, in_c*k*k]`, image
-/// `[in_c, h, w]` flat; returns `[out_c, out_h*out_w]` flat outputs.
-///
-/// # Panics
-///
-/// Panics if shapes disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d(
-    weights: &Tensor<f32>,
-    image: &[f32],
-    in_c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> Tensor<f32> {
-    assert_eq!(
-        weights.shape().dim(1),
-        in_c * k * k,
-        "weight fan-in mismatch"
-    );
-    let cols = im2col(image, in_c, h, w, k, stride, pad);
-    // GEMM: [out_c, ckk] x [ckk, positions].
-    let out_c = weights.shape().dim(0);
-    let positions = cols.shape().dim(0);
-    let mut out = vec![0.0f32; out_c * positions];
-    for o in 0..out_c {
-        let wrow = weights.row(o);
-        for p in 0..positions {
-            let crow = cols.row(p);
-            out[o * positions + p] = wrow.iter().zip(crow).map(|(&a, &b)| a * b).sum();
-        }
-    }
-    Tensor::from_vec(Shape::matrix(out_c, positions), out).expect("shape matches")
 }
 
 /// ReLU in place.
@@ -309,49 +222,6 @@ mod tests {
             .sum();
         let expect = dot as f32 * 0.001;
         assert!((y[0] - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn im2col_identity_kernel() {
-        // 1x1 kernel, stride 1, no padding: im2col is a transpose-ish view.
-        let img = [1.0f32, 2.0, 3.0, 4.0];
-        let cols = im2col(&img, 1, 2, 2, 1, 1, 0);
-        assert_eq!(cols.shape().dims(), &[4, 1]);
-        assert_eq!(cols.as_slice(), &img);
-    }
-
-    #[test]
-    fn conv2d_matches_hand_computation() {
-        // 2x2 mean-ish kernel over a 3x3 image, stride 1, no padding.
-        let img = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let w = t(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let out = conv2d(&w, &img, 1, 3, 3, 2, 1, 0);
-        assert_eq!(out.shape().dims(), &[1, 4]);
-        assert_eq!(out.as_slice(), &[12.0, 16.0, 24.0, 28.0]);
-    }
-
-    #[test]
-    fn conv2d_padding_preserves_size() {
-        // 3x3 kernel, stride 1, pad 1 keeps the spatial size ("same").
-        let img = vec![1.0f32; 2 * 4 * 4];
-        let w = t(3, 2 * 9, vec![0.1; 3 * 18]);
-        let out = conv2d(&w, &img, 2, 4, 4, 3, 1, 1);
-        assert_eq!(out.shape().dims(), &[3, 16]);
-        // Interior positions see all 18 taps: 18 * 0.1 = 1.8.
-        assert!((out[[0, 5]] - 1.8).abs() < 1e-5);
-        // Corner positions see only 8 of 18 taps.
-        assert!((out[[0, 0]] - 0.8).abs() < 1e-5);
-    }
-
-    #[test]
-    fn strided_conv_downsamples() {
-        let img = vec![1.0f32; 4 * 4];
-        let w = t(1, 4, vec![0.25; 4]);
-        let out = conv2d(&w, &img, 1, 4, 4, 2, 2, 0);
-        assert_eq!(out.shape().dims(), &[1, 4]);
-        for &v in out.as_slice() {
-            assert!((v - 1.0).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -89,6 +89,13 @@ impl Client {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The most recent response's `Retry-After`, in whole seconds.
+    pub(crate) fn retry_after(&self) -> Option<Duration> {
+        self.response_header("retry-after")
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .map(Duration::from_secs)
+    }
+
     /// Sends one request and reads the response; returns
     /// `(status, body)`. The connection stays open for the next call.
     pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
@@ -163,23 +170,14 @@ impl Client {
         let attempts = policy.attempts.max(1);
         let mut last: io::Result<(u16, String)> =
             Err(io::Error::other("retry policy allowed zero attempts"));
-        let mut server_floor: Option<Duration> = None;
+        let mut retry_after: Option<Duration> = None;
         for attempt in 0..attempts {
-            if attempt > 0 {
-                let mut wait = policy.backoff(attempt - 1);
-                if let Some(floor) = server_floor.take() {
-                    wait = wait.max(floor.min(policy.max));
-                }
-                std::thread::sleep(wait);
-            }
+            policy.pause(attempt, retry_after.take());
             last = match Client::connect(addr) {
                 Ok(mut client) => {
                     let result = client.request(method, path, body);
                     if matches!(result, Ok((503, _))) {
-                        server_floor = client
-                            .response_header("retry-after")
-                            .and_then(|v| v.trim().parse::<u64>().ok())
-                            .map(Duration::from_secs);
+                        retry_after = client.retry_after();
                     }
                     result
                 }
@@ -326,6 +324,18 @@ impl RetryPolicy {
         let span_ns = half.as_nanos().max(1) as u64;
         let jitter_ns = splitmix64(self.seed ^ u64::from(attempt)) % span_ns;
         half + Duration::from_nanos(jitter_ns)
+    }
+
+    /// Sleeps before attempt number `attempt` (0-based; the first attempt
+    /// does not wait): [`backoff`](RetryPolicy::backoff)`(attempt - 1)`,
+    /// but no less than the server's `retry_after`, itself clamped to
+    /// [`max`](RetryPolicy::max).
+    pub(crate) fn pause(&self, attempt: u32, retry_after: Option<Duration>) {
+        if attempt == 0 {
+            return;
+        }
+        let backoff = self.backoff(attempt - 1);
+        std::thread::sleep(retry_after.map_or(backoff, |floor| backoff.max(floor.min(self.max))));
     }
 }
 

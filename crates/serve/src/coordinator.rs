@@ -448,23 +448,17 @@ impl Inner {
     }
 
     /// Runs one job against shard `idx` with the bounded per-shard retry
-    /// schedule (503 `Retry-After` honored as the backoff floor, exactly
-    /// like [`Client::request_with_retry`]).
+    /// schedule of [`RetryPolicy::pause`] (503 `Retry-After` honored as
+    /// the backoff floor), the one [`Client::request_with_retry`] uses.
     fn try_shard(&self, idx: usize, job: &Job) -> Result<(Served, Arc<str>), ShardError> {
         let shard = &self.shards[idx];
         let pool = &self.pools[idx];
         let retry = RetryPolicy::default();
         let attempts = retry.attempts.max(1);
-        let mut server_floor: Option<Duration> = None;
+        let mut retry_after: Option<Duration> = None;
         let mut last = String::from("no attempt made");
         for attempt in 0..attempts {
-            if attempt > 0 {
-                let mut wait = retry.backoff(attempt - 1);
-                if let Some(floor) = server_floor.take() {
-                    wait = wait.max(floor.min(retry.max));
-                }
-                std::thread::sleep(wait);
-            }
+            retry.pause(attempt, retry_after.take());
             let mut client = match pool.get() {
                 Ok(c) => c,
                 Err(e) => {
@@ -489,10 +483,7 @@ impl Inner {
                 Ok((503, resp)) => {
                     // Backpressure: retry this shard after its own
                     // Retry-After hint, keeping the key's cache affinity.
-                    server_floor = client
-                        .response_header("retry-after")
-                        .and_then(|v| v.trim().parse::<u64>().ok())
-                        .map(Duration::from_secs);
+                    retry_after = client.retry_after();
                     pool.put(client);
                     last = format!("shard {} saturated: {resp}", shard.label);
                 }

@@ -1,14 +1,15 @@
 //! The std-only readiness event loop behind `bbs-serve`: one thread
 //! multiplexes every connection over `epoll` (Linux) or `poll(2)` (any
-//! unix), so a thousand idle keep-alive connections cost a few kilobytes
-//! of state each instead of a thread each.
+//! other unix), so a thousand idle keep-alive connections cost a few
+//! kilobytes of state each instead of a thread each.
 //!
 //! ## Shape
 //!
-//! * [`Poller`] — the readiness backend. On Linux it is a raw-FFI epoll
+//! * [`Poller`] — the readiness backend, fixed per platform at compile
+//!   time and named by [`BACKEND`]. On Linux it is a raw-FFI epoll
 //!   instance (std already links libc, so `extern "C"` declarations are
-//!   enough — no external crate); everywhere else, or on request, a
-//!   `poll(2)` fallback over the registered fd set.
+//!   enough — no external crate); on every other unix it replays the
+//!   registered fd set through `poll(2)`.
 //! * [`Waker`] — a loopback TCP socketpair. Simulation workers finish jobs
 //!   on an `mpsc` completion channel and poke the waker so the loop wakes
 //!   from `wait` without polling the channel on a timer.
@@ -31,7 +32,9 @@
 
 use crate::http::{write_response, write_stream_head, Request, RequestParser, MAX_BODY};
 use crate::request::SimRequest;
-use crate::server::{error_body, route_request, simulate_ok_body, RouteOutcome, Shared};
+use crate::server::{
+    error_body, route_request, simulate_ok_body, RouteOutcome, ServeConfig, Shared,
+};
 use crate::service::{Completion, ExecuteError, Outcome, Served, Submitted, Timing};
 use crate::sweep::{CellMeta, SweepStream};
 use crate::telemetry::Telemetry;
@@ -45,64 +48,19 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Raw syscall surface. std links libc on every unix target, so plain
-/// `extern "C"` declarations resolve without any external crate.
-mod sys {
-    #[repr(C)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
+/// The readiness backend this build runs on, fixed per platform at
+/// compile time: `epoll` on Linux, `poll(2)` on every other unix. The
+/// startup log and the `bbs serve` banner name it.
+pub const BACKEND: &str = if cfg!(target_os = "linux") {
+    "epoll"
+} else {
+    "poll"
+};
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
-    #[cfg(target_os = "linux")]
-    pub type NfdsT = u64;
-    #[cfg(not(target_os = "linux"))]
-    pub type NfdsT = u32;
-
-    extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
-    }
-
-    #[cfg(target_os = "linux")]
-    pub mod epoll {
-        pub const EPOLLIN: u32 = 0x001;
-        pub const EPOLLOUT: u32 = 0x004;
-        pub const EPOLLERR: u32 = 0x008;
-        pub const EPOLLHUP: u32 = 0x010;
-        pub const EPOLL_CTL_ADD: i32 = 1;
-        pub const EPOLL_CTL_DEL: i32 = 2;
-        pub const EPOLL_CTL_MOD: i32 = 3;
-        pub const EPOLL_CLOEXEC: i32 = 0x80000;
-
-        /// glibc packs `struct epoll_event` on x86-64 (the kernel ABI).
-        /// Fields must be read by value, never by reference.
-        #[repr(C)]
-        #[cfg_attr(target_arch = "x86_64", repr(packed))]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
-
-        extern "C" {
-            pub fn epoll_create1(flags: i32) -> i32;
-            pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-            pub fn epoll_wait(
-                epfd: i32,
-                events: *mut EpollEvent,
-                maxevents: i32,
-                timeout: i32,
-            ) -> i32;
-            pub fn close(fd: i32) -> i32;
-        }
-    }
-}
+#[cfg(target_os = "linux")]
+pub use epoll::Poller;
+#[cfg(not(target_os = "linux"))]
+pub use poll::Poller;
 
 /// Which readiness a registration asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,301 +96,305 @@ pub struct Readiness {
     pub hangup: bool,
 }
 
-/// Readiness-backend selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerKind {
-    /// `epoll` on Linux, `poll(2)` elsewhere.
-    #[default]
-    Auto,
-    /// Require epoll (fails off Linux).
-    Epoll,
-    /// Force the portable `poll(2)` backend.
-    Poll,
-}
-
-impl PollerKind {
-    /// Parses a `--poller` flag value.
-    pub fn from_flag(value: &str) -> Option<PollerKind> {
-        match value {
-            "auto" => Some(PollerKind::Auto),
-            "epoll" => Some(PollerKind::Epoll),
-            "poll" => Some(PollerKind::Poll),
-            _ => None,
+impl Readiness {
+    /// Folds an error/hangup `edge` into both directions.
+    fn new(readable: bool, writable: bool, edge: bool) -> Readiness {
+        Readiness {
+            readable: readable || edge,
+            writable: writable || edge,
+            hangup: edge,
         }
     }
 }
 
+/// A wait timeout in the milliseconds both wait calls take (`-1` blocks
+/// indefinitely).
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    timeout.map_or(-1, |d| d.as_millis().min(i32::MAX as u128) as i32)
+}
+
+/// Calls a wait syscall until it returns anything but EINTR; a count
+/// comes back as `Ok`.
+fn retry_interrupted(mut wait: impl FnMut() -> i32) -> io::Result<usize> {
+    loop {
+        let n = wait();
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+}
+
+/// The Linux backend: a raw-FFI epoll instance. std links libc on every
+/// unix target, so plain `extern "C"` declarations resolve without any
+/// external crate.
 #[cfg(target_os = "linux")]
-struct EpollBackend {
-    epfd: i32,
-    buf: Vec<sys::epoll::EpollEvent>,
-}
+mod epoll {
+    use super::{io, retry_interrupted, timeout_ms, Duration, Interest, RawFd, Readiness};
 
-#[cfg(target_os = "linux")]
-impl EpollBackend {
-    fn new() -> io::Result<EpollBackend> {
-        let epfd = unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(EpollBackend {
-            epfd,
-            buf: vec![sys::epoll::EpollEvent { events: 0, data: 0 }; 256],
-        })
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
+    const EPOLLERR: u32 = 0x008;
+    const EPOLLHUP: u32 = 0x010;
+    const EPOLL_CTL_ADD: i32 = 1;
+    const EPOLL_CTL_DEL: i32 = 2;
+    const EPOLL_CTL_MOD: i32 = 3;
+    const EPOLL_CLOEXEC: i32 = 0x80000;
+
+    /// glibc packs `struct epoll_event` on x86-64 (the kernel ABI).
+    /// Fields must be read by value, never by reference.
+    #[repr(C)]
+    #[cfg_attr(target_arch = "x86_64", repr(packed))]
+    #[derive(Clone, Copy)]
+    struct EpollEvent {
+        events: u32,
+        data: u64,
     }
 
-    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        use sys::epoll::*;
-        let mut events = 0u32;
-        if interest.read {
-            events |= EPOLLIN;
-        }
-        if interest.write {
-            events |= EPOLLOUT;
-        }
-        let mut ev = EpollEvent {
-            events,
-            data: token,
-        };
-        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+    extern "C" {
+        fn epoll_create1(flags: i32) -> i32;
+        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+        fn close(fd: i32) -> i32;
     }
 
-    fn wait(
-        &mut self,
-        out: &mut Vec<(u64, Readiness)>,
-        timeout: Option<Duration>,
-    ) -> io::Result<()> {
-        use sys::epoll::*;
-        let timeout_ms = timeout.map_or(-1i32, |d| d.as_millis().min(i32::MAX as u128) as i32);
-        let n = loop {
-            let n = unsafe {
+    /// The readiness multiplexer: register fds under u64 tokens, wait for
+    /// events.
+    pub struct Poller {
+        epfd: i32,
+        buf: Vec<EpollEvent>,
+    }
+
+    impl Poller {
+        /// Opens an epoll instance.
+        pub fn new() -> io::Result<Poller> {
+            // SAFETY: a plain syscall on a flags word; no memory is passed.
+            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            if epfd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Poller {
+                epfd,
+                buf: vec![EpollEvent { events: 0, data: 0 }; 256],
+            })
+        }
+
+        /// Starts watching `fd` under `token`.
+        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+        }
+
+        /// Changes the interest set of a registered fd.
+        pub(super) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+        }
+
+        /// Stops watching a registered fd.
+        pub(super) fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+            let none = Interest {
+                read: false,
+                write: false,
+            };
+            self.ctl(EPOLL_CTL_DEL, fd, token, none)
+        }
+
+        /// Blocks until at least one registered fd is ready (or `timeout`
+        /// elapses; `None` blocks indefinitely), appending `(token,
+        /// readiness)` pairs. EINTR is retried internally.
+        pub fn wait(
+            &mut self,
+            out: &mut Vec<(u64, Readiness)>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
+            let timeout = timeout_ms(timeout);
+            // SAFETY: `buf` is exclusively borrowed for the call and holds
+            // `buf.len()` events, the most the kernel is told to write.
+            let n = retry_interrupted(|| unsafe {
                 epoll_wait(
                     self.epfd,
                     self.buf.as_mut_ptr(),
                     self.buf.len() as i32,
-                    timeout_ms,
+                    timeout,
                 )
-            };
-            if n >= 0 {
-                break n as usize;
+            })?;
+            // Copy each (possibly packed) struct out before touching fields.
+            for ev in self.buf[..n].iter().copied() {
+                let bits = ev.events;
+                out.push((
+                    ev.data,
+                    Readiness::new(
+                        bits & EPOLLIN != 0,
+                        bits & EPOLLOUT != 0,
+                        bits & (EPOLLERR | EPOLLHUP) != 0,
+                    ),
+                ));
             }
-            let e = io::Error::last_os_error();
-            if e.kind() != io::ErrorKind::Interrupted {
-                return Err(e);
-            }
-        };
-        for i in 0..n {
-            // Copy the (possibly packed) struct out before touching fields.
-            let ev = self.buf[i];
-            let bits = ev.events;
-            let edge = bits & (EPOLLERR | EPOLLHUP) != 0;
-            out.push((
-                ev.data,
-                Readiness {
-                    readable: bits & EPOLLIN != 0 || edge,
-                    writable: bits & EPOLLOUT != 0 || edge,
-                    hangup: edge,
-                },
-            ));
+            Ok(())
         }
-        Ok(())
-    }
-}
 
-#[cfg(target_os = "linux")]
-impl Drop for EpollBackend {
-    fn drop(&mut self) {
-        unsafe {
-            sys::epoll::close(self.epfd);
+        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            let mut events = 0u32;
+            if interest.read {
+                events |= EPOLLIN;
+            }
+            if interest.write {
+                events |= EPOLLOUT;
+            }
+            let mut ev = EpollEvent {
+                events,
+                data: token,
+            };
+            // SAFETY: `ev` is a live local that the kernel only reads
+            // during the call.
+            if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(())
+        }
+    }
+
+    impl Drop for Poller {
+        fn drop(&mut self) {
+            // SAFETY: `epfd` came from `epoll_create1`; this poller owns it
+            // and closes it exactly once, here.
+            unsafe {
+                close(self.epfd);
+            }
         }
     }
 }
 
 /// The portable backend: the registration table replayed through
-/// `poll(2)` every wait. O(n) per wait, which is fine for the fd counts
-/// the fallback exists for.
-struct PollBackend {
-    entries: Vec<(u64, RawFd, Interest)>,
-}
+/// `poll(2)` every wait, O(n) in the registered fds (at most
+/// `max_connections` plus the listener and the waker). Linux builds
+/// compile it for its tests.
+#[cfg(any(test, not(target_os = "linux")))]
+mod poll {
+    use super::{io, retry_interrupted, timeout_ms, Duration, Interest, RawFd, Readiness};
 
-impl PollBackend {
-    fn wait(
-        &mut self,
-        out: &mut Vec<(u64, Readiness)>,
-        timeout: Option<Duration>,
-    ) -> io::Result<()> {
-        let timeout_ms = timeout.map_or(-1i32, |d| d.as_millis().min(i32::MAX as u128) as i32);
-        let mut fds: Vec<sys::PollFd> = self
-            .entries
-            .iter()
-            .map(|&(_, fd, interest)| sys::PollFd {
-                fd,
-                events: if interest.read { sys::POLLIN } else { 0 }
-                    | if interest.write { sys::POLLOUT } else { 0 },
-                revents: 0,
-            })
-            .collect();
-        let n = loop {
-            let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as sys::NfdsT, timeout_ms) };
-            if n >= 0 {
-                break n;
-            }
-            let e = io::Error::last_os_error();
-            if e.kind() != io::ErrorKind::Interrupted {
-                return Err(e);
-            }
-        };
-        if n == 0 {
-            return Ok(());
-        }
-        for (slot, &(token, _, _)) in fds.iter().zip(&self.entries) {
-            let bits = slot.revents;
-            if bits == 0 {
-                continue;
-            }
-            let edge = bits & (sys::POLLERR | sys::POLLHUP) != 0;
-            out.push((
-                token,
-                Readiness {
-                    readable: bits & sys::POLLIN != 0 || edge,
-                    writable: bits & sys::POLLOUT != 0 || edge,
-                    hangup: edge,
-                },
-            ));
-        }
-        Ok(())
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
     }
-}
 
-enum Backend {
+    const POLLIN: i16 = 0x001;
+    const POLLOUT: i16 = 0x004;
+    const POLLERR: i16 = 0x008;
+    const POLLHUP: i16 = 0x010;
+
     #[cfg(target_os = "linux")]
-    Epoll(EpollBackend),
-    Poll(PollBackend),
-}
+    type NfdsT = u64;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = u32;
 
-/// The readiness multiplexer: register fds under u64 tokens, wait for
-/// events.
-pub struct Poller {
-    backend: Backend,
-}
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+    }
 
-impl Poller {
-    /// Opens a poller of the requested kind. [`PollerKind::Auto`] prefers
-    /// epoll on Linux and falls back to `poll(2)` if that fails.
-    pub fn new(kind: PollerKind) -> io::Result<Poller> {
-        let backend = match kind {
-            #[cfg(target_os = "linux")]
-            PollerKind::Epoll => Backend::Epoll(EpollBackend::new()?),
-            #[cfg(not(target_os = "linux"))]
-            PollerKind::Epoll => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "epoll is only available on Linux",
-                ))
-            }
-            PollerKind::Poll => Backend::Poll(PollBackend {
+    /// The readiness multiplexer: register fds under u64 tokens, wait for
+    /// events.
+    pub struct Poller {
+        entries: Vec<(u64, RawFd, Interest)>,
+    }
+
+    impl Poller {
+        /// An empty registration table.
+        pub fn new() -> io::Result<Poller> {
+            Ok(Poller {
                 entries: Vec::new(),
-            }),
-            #[cfg(target_os = "linux")]
-            PollerKind::Auto => match EpollBackend::new() {
-                Ok(b) => Backend::Epoll(b),
-                Err(_) => Backend::Poll(PollBackend {
-                    entries: Vec::new(),
-                }),
-            },
-            #[cfg(not(target_os = "linux"))]
-            PollerKind::Auto => Backend::Poll(PollBackend {
-                entries: Vec::new(),
-            }),
-        };
-        Ok(Poller { backend })
-    }
-
-    /// The active backend's name (surfaced in logs and the bench schema).
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => "epoll",
-            Backend::Poll(_) => "poll",
+            })
         }
-    }
 
-    /// Starts watching `fd` under `token`.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(b) => b.ctl(sys::epoll::EPOLL_CTL_ADD, fd, token, interest),
-            Backend::Poll(b) => {
-                b.entries.push((token, fd, interest));
-                Ok(())
-            }
+        /// Starts watching `fd` under `token`.
+        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            self.entries.push((token, fd, interest));
+            Ok(())
         }
-    }
 
-    /// Changes the interest set of a registered fd.
-    fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(b) => b.ctl(sys::epoll::EPOLL_CTL_MOD, fd, token, interest),
-            Backend::Poll(b) => {
-                for entry in &mut b.entries {
-                    if entry.0 == token {
-                        entry.2 = interest;
-                        return Ok(());
-                    }
+        /// Changes the interest set of a registered fd.
+        pub(super) fn modify(
+            &mut self,
+            _fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
+            match self.entries.iter_mut().find(|entry| entry.0 == token) {
+                Some(entry) => {
+                    entry.2 = interest;
+                    Ok(())
                 }
-                Err(io::Error::new(
+                None => Err(io::Error::new(
                     io::ErrorKind::NotFound,
                     "token not registered",
-                ))
+                )),
             }
         }
-    }
 
-    /// Stops watching a registered fd.
-    fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(b) => b.ctl(
-                sys::epoll::EPOLL_CTL_DEL,
-                fd,
-                token,
-                Interest {
-                    read: false,
-                    write: false,
-                },
-            ),
-            Backend::Poll(b) => {
-                b.entries.retain(|&(t, _, _)| t != token);
-                Ok(())
-            }
+        /// Stops watching a registered fd.
+        pub(super) fn deregister(&mut self, _fd: RawFd, token: u64) -> io::Result<()> {
+            self.entries.retain(|&(t, _, _)| t != token);
+            Ok(())
         }
-    }
 
-    /// Blocks until at least one registered fd is ready (or `timeout`
-    /// elapses; `None` blocks indefinitely), appending `(token,
-    /// readiness)` pairs. EINTR is retried internally.
-    pub fn wait(
-        &mut self,
-        out: &mut Vec<(u64, Readiness)>,
-        timeout: Option<Duration>,
-    ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(b) => b.wait(out, timeout),
-            Backend::Poll(b) => b.wait(out, timeout),
+        /// Blocks until at least one registered fd is ready (or `timeout`
+        /// elapses; `None` blocks indefinitely), appending `(token,
+        /// readiness)` pairs. EINTR is retried internally.
+        pub fn wait(
+            &mut self,
+            out: &mut Vec<(u64, Readiness)>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
+            let timeout = timeout_ms(timeout);
+            let mut fds: Vec<PollFd> = self
+                .entries
+                .iter()
+                .map(|&(_, fd, interest)| PollFd {
+                    fd,
+                    events: if interest.read { POLLIN } else { 0 }
+                        | if interest.write { POLLOUT } else { 0 },
+                    revents: 0,
+                })
+                .collect();
+            // SAFETY: `fds` is exclusively borrowed for the call and holds
+            // `fds.len()` entries, the count the kernel reads and writes.
+            let n = retry_interrupted(|| unsafe {
+                poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout)
+            })?;
+            if n == 0 {
+                return Ok(());
+            }
+            for (slot, &(token, _, _)) in fds.iter().zip(&self.entries) {
+                let bits = slot.revents;
+                if bits != 0 {
+                    out.push((
+                        token,
+                        Readiness::new(
+                            bits & POLLIN != 0,
+                            bits & POLLOUT != 0,
+                            bits & (POLLERR | POLLHUP) != 0,
+                        ),
+                    ));
+                }
+            }
+            Ok(())
         }
     }
 }
 
 /// Wakes the event loop from another thread: one byte down a loopback TCP
 /// socketpair the loop keeps registered for readability. std-only (no
-/// eventfd/pipe FFI needed), and it works identically under both poller
-/// backends.
+/// eventfd/pipe FFI needed), and it works identically under either
+/// backend.
 #[derive(Clone)]
 pub struct Waker {
     tx: Arc<TcpStream>,
@@ -466,29 +428,6 @@ pub fn waker_pair() -> io::Result<(Waker, TcpStream)> {
     tx.set_nodelay(true)?;
     rx.set_nonblocking(true)?;
     Ok((Waker { tx: Arc::new(tx) }, rx))
-}
-
-/// Sizing and deadline knobs handed from [`crate::server::ServeConfig`].
-#[derive(Debug, Clone)]
-pub struct LoopOptions {
-    /// Most simultaneously open connections; beyond this, accepts are
-    /// answered 503 + `Retry-After` and closed.
-    pub max_connections: usize,
-    /// Reap deadline for idle keep-alive connections, unfinished request
-    /// heads (slowloris) and stalled writers.
-    pub idle_timeout: Duration,
-    /// How long a queue-full connection stays parked before degrading to
-    /// 503 + `Retry-After`. Zero parks nothing (immediate 503).
-    pub park_timeout: Duration,
-    /// Out-buffer high-water mark: stop parsing new requests (and pause
-    /// sweep cell submission) once this many response bytes are buffered,
-    /// resuming as writes drain.
-    pub high_water: usize,
-    /// Readiness backend selection.
-    pub poller: PollerKind,
-    /// How long `stop()` lets in-flight exchanges finish before dropping
-    /// their connections.
-    pub drain_timeout: Duration,
 }
 
 const TOKEN_LISTENER: u64 = 0;
@@ -719,7 +658,9 @@ pub(crate) struct EventLoop {
     done_tx: mpsc::Sender<Done>,
     done_rx: mpsc::Receiver<Done>,
     shared: Arc<Shared>,
-    opts: LoopOptions,
+    /// The loop reads the connection cap, the idle, park and drain
+    /// deadlines and the out-buffer high-water mark.
+    config: ServeConfig,
     conns: HashMap<u64, Conn>,
     /// FIFO of parked tokens (stale entries skipped lazily).
     parked: VecDeque<u64>,
@@ -730,12 +671,12 @@ impl EventLoop {
     pub(crate) fn new(
         listener: TcpListener,
         shared: Arc<Shared>,
-        opts: LoopOptions,
+        config: ServeConfig,
         waker: Waker,
         waker_rx: TcpStream,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
-        let mut poller = Poller::new(opts.poller)?;
+        let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.register(waker_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
         let (done_tx, done_rx) = mpsc::channel();
@@ -747,16 +688,11 @@ impl EventLoop {
             done_tx,
             done_rx,
             shared,
-            opts,
+            config,
             conns: HashMap::new(),
             parked: VecDeque::new(),
             next_token: FIRST_CONN_TOKEN,
         })
-    }
-
-    /// The active poller backend ("epoll" / "poll").
-    pub(crate) fn backend_name(&self) -> &'static str {
-        self.poller.backend_name()
     }
 
     /// Runs until [`Shared::stopping`] is set *and* every connection has
@@ -820,7 +756,7 @@ impl EventLoop {
             }
 
             if self.shared.stopping.load(Ordering::SeqCst) {
-                let deadline = *stop_deadline.get_or_insert(now + self.opts.drain_timeout);
+                let deadline = *stop_deadline.get_or_insert(now + self.config.drain_timeout);
                 self.wind_down();
                 if self.conns.is_empty() || now >= deadline {
                     break;
@@ -871,7 +807,7 @@ impl EventLoop {
                 continue;
             }
             let stopping = self.shared.stopping.load(Ordering::SeqCst);
-            if stopping || self.conns.len() >= self.opts.max_connections {
+            if stopping || self.conns.len() >= self.config.max_connections {
                 // Best-effort refusal: the socket buffer almost always
                 // takes a short 503 even nonblocking.
                 let message = if stopping {
@@ -964,7 +900,7 @@ impl EventLoop {
     /// stimulus. Iterative, not recursive: each outer round requires a
     /// dispatched request, which consumes parser bytes, so it terminates.
     fn advance(&mut self, token: u64) {
-        let high_water = self.opts.high_water;
+        let high_water = self.config.high_water;
         loop {
             let mut progressed = false;
             loop {
@@ -1131,7 +1067,7 @@ impl EventLoop {
                 }
                 return true;
             }
-            Submitted::Busy(_) if parked_since.is_none() && self.opts.park_timeout.is_zero() => {
+            Submitted::Busy(_) if parked_since.is_none() && self.config.park_timeout.is_zero() => {
                 // Fail-fast saturation is readiness-visible immediately;
                 // with parking it only counts once a request waits out the
                 // full park deadline.
@@ -1224,7 +1160,7 @@ impl EventLoop {
     /// get their records inline.
     fn pump_sweep(&mut self, token: u64) {
         let budget = self.shared.sweep_budget();
-        let high_water = self.opts.high_water;
+        let high_water = self.config.high_water;
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -1393,13 +1329,13 @@ impl EventLoop {
     }
 
     fn scan_deadlines(&mut self, now: Instant) {
-        let idle = self.opts.idle_timeout;
+        let idle = self.config.idle_timeout;
         let mut to_drop: Vec<u64> = Vec::new();
         let mut to_expire: Vec<u64> = Vec::new();
         for (&token, conn) in &self.conns {
             match &conn.state {
                 ConnState::Parked { since, .. }
-                    if now.duration_since(*since) >= self.opts.park_timeout =>
+                    if now.duration_since(*since) >= self.config.park_timeout =>
                 {
                     to_expire.push(token);
                 }
@@ -1548,7 +1484,7 @@ impl EventLoop {
         let want = Interest {
             read: !conn.read_closed
                 && matches!(conn.state, ConnState::Ready)
-                && conn.out_pending() < self.opts.high_water,
+                && conn.out_pending() < self.config.high_water,
             write: conn.out_pending() > 0,
         };
         if want != conn.interest {
@@ -1591,71 +1527,64 @@ mod tests {
         (a, b)
     }
 
-    fn poller_roundtrip(kind: PollerKind) {
-        let mut poller = Poller::new(kind).unwrap();
-        let (a, b) = tcp_pair();
-        b.set_nonblocking(true).unwrap();
-        poller.register(b.as_raw_fd(), 42, Interest::READ).unwrap();
+    /// Registers, waits, modifies and deregisters on one backend's poller.
+    macro_rules! poller_roundtrip {
+        ($poller:ty) => {{
+            let mut poller = <$poller>::new().unwrap();
+            let (a, b) = tcp_pair();
+            b.set_nonblocking(true).unwrap();
+            poller.register(b.as_raw_fd(), 42, Interest::READ).unwrap();
 
-        // Nothing ready yet: a zero-timeout wait returns empty.
-        let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
-        assert!(events.is_empty(), "{events:?}");
+            // Nothing ready yet: a zero-timeout wait returns empty.
+            let mut events = Vec::new();
+            poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+            assert!(events.is_empty(), "{events:?}");
 
-        // One byte makes token 42 readable.
-        (&a).write_all(&[9]).unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|&(t, r)| t == 42 && r.readable));
+            // One byte makes token 42 readable.
+            (&a).write_all(&[9]).unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert!(events.iter().any(|&(t, r)| t == 42 && r.readable));
 
-        // Write interest on an idle socket reports writable immediately.
-        events.clear();
-        poller
-            .modify(
-                b.as_raw_fd(),
-                42,
-                Interest {
-                    read: false,
-                    write: true,
-                },
-            )
-            .unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|&(t, r)| t == 42 && r.writable));
+            // Write interest on an idle socket reports writable immediately.
+            events.clear();
+            poller
+                .modify(
+                    b.as_raw_fd(),
+                    42,
+                    Interest {
+                        read: false,
+                        write: true,
+                    },
+                )
+                .unwrap();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert!(events.iter().any(|&(t, r)| t == 42 && r.writable));
 
-        poller.deregister(b.as_raw_fd(), 42).unwrap();
-        events.clear();
-        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
-        assert!(events.is_empty(), "deregistered fd still reported");
+            poller.deregister(b.as_raw_fd(), 42).unwrap();
+            events.clear();
+            poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+            assert!(events.is_empty(), "deregistered fd still reported");
+        }};
     }
 
     #[test]
     fn poll_backend_roundtrip() {
-        poller_roundtrip(PollerKind::Poll);
+        poller_roundtrip!(poll::Poller);
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_backend_roundtrip() {
-        poller_roundtrip(PollerKind::Epoll);
-    }
-
-    #[test]
-    fn auto_picks_a_working_backend() {
-        let poller = Poller::new(PollerKind::Auto).unwrap();
-        if cfg!(target_os = "linux") {
-            assert_eq!(poller.backend_name(), "epoll");
-        } else {
-            assert_eq!(poller.backend_name(), "poll");
-        }
+        poller_roundtrip!(epoll::Poller);
     }
 
     #[test]
     fn waker_wakes_a_blocked_wait() {
-        let mut poller = Poller::new(PollerKind::Auto).unwrap();
+        let mut poller = Poller::new().unwrap();
         let (waker, rx) = waker_pair().unwrap();
         poller
             .register(rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)
@@ -1682,13 +1611,5 @@ mod tests {
         events.clear();
         poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
         assert!(events.is_empty());
-    }
-
-    #[test]
-    fn poller_kind_flag_parsing() {
-        assert_eq!(PollerKind::from_flag("auto"), Some(PollerKind::Auto));
-        assert_eq!(PollerKind::from_flag("epoll"), Some(PollerKind::Epoll));
-        assert_eq!(PollerKind::from_flag("poll"), Some(PollerKind::Poll));
-        assert_eq!(PollerKind::from_flag("kqueue"), None);
     }
 }

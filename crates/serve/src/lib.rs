@@ -9,7 +9,7 @@
 //! ```text
 //!   nonblocking TCP listener (hand-rolled HTTP/1.1 + JSON)
 //!                 │ readiness event loop — one thread, all connections
-//!                 │ (epoll on Linux, poll(2) fallback; see [`event_loop`])
+//!                 │ (epoll on Linux, poll(2) elsewhere; see [`event_loop`])
 //!                 ▼
 //!   content-addressed lookup ──hit──▶ cached result (Arc<str> clone)
 //!                 │ miss

@@ -16,9 +16,9 @@
 //! | `/accelerators`    | GET    | canonical accelerator ids                 |
 //!
 //! One `bbs-serve-loop` thread multiplexes every connection (epoll on
-//! Linux, `poll(2)` elsewhere); all simulation happens on the service's
-//! worker pool, so the whole server runs on `workers + 1` threads no
-//! matter how many clients connect. The bounded job queue is the single
+//! Linux, `poll(2)` elsewhere, fixed at compile time); all simulation
+//! happens on the service's worker pool, so the whole server runs on
+//! `workers + 1` threads no matter how many clients connect. The bounded job queue is the single
 //! backpressure point — and since the front end went nonblocking, a full
 //! queue *parks* the connection (held open, retried as slots free) for up
 //! to [`ServeConfig::park_timeout`] before degrading to `503` +
@@ -27,7 +27,7 @@
 //! per grid cell in completion order (see [`crate::sweep`]).
 
 use crate::coordinator::Coordinator;
-use crate::event_loop::{waker_pair, EventLoop, LoopOptions, PollerKind, Waker};
+use crate::event_loop::{waker_pair, EventLoop, Waker, BACKEND};
 use crate::http::Request;
 use crate::registry::ACCELERATOR_IDS;
 use crate::request::SimRequest;
@@ -87,8 +87,6 @@ pub struct ServeConfig {
     /// Out-buffer high-water mark per connection (see [`HIGH_WATER`]).
     /// Mostly a sizing/test knob; the default suits production.
     pub high_water: usize,
-    /// Readiness backend (`Auto` = epoll on Linux, `poll(2)` elsewhere).
-    pub poller: PollerKind,
     /// Log level filter (`--log-level`).
     pub log_level: Level,
     /// Stderr log rendering (`--log-format`).
@@ -118,7 +116,6 @@ impl Default for ServeConfig {
             idle_timeout: IDLE_TIMEOUT,
             park_timeout: PARK_TIMEOUT,
             high_water: HIGH_WATER,
-            poller: PollerKind::Auto,
             log_level: Level::Info,
             log_format: Format::Json,
             log_quiet: false,
@@ -184,7 +181,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     waker: Waker,
     event_loop: JoinHandle<()>,
-    backend: &'static str,
 }
 
 /// Binds, spawns the worker pool and the event-loop thread, and returns.
@@ -201,7 +197,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         Some(Coordinator::start(&config.shards, Arc::clone(&telemetry)))
     };
     let shared = Arc::new(Shared {
-        service: service::start_with(config.service, Arc::clone(&telemetry)),
+        service: service::start_with(config.service.clone(), Arc::clone(&telemetry)),
         telemetry,
         requests: AtomicU64::new(0),
         sweeps: AtomicU64::new(0),
@@ -215,16 +211,13 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     });
 
     let (waker, waker_rx) = waker_pair()?;
-    let opts = LoopOptions {
-        max_connections: config.max_connections,
-        idle_timeout: config.idle_timeout,
-        park_timeout: config.park_timeout,
-        high_water: config.high_water,
-        poller: config.poller,
-        drain_timeout: config.drain_timeout,
-    };
-    let event_loop = EventLoop::new(listener, Arc::clone(&shared), opts, waker.clone(), waker_rx)?;
-    let backend = event_loop.backend_name();
+    let event_loop = EventLoop::new(
+        listener,
+        Arc::clone(&shared),
+        config,
+        waker.clone(),
+        waker_rx,
+    )?;
     let event_loop = std::thread::Builder::new()
         .name("bbs-serve-loop".to_string())
         .spawn(move || event_loop.run())
@@ -233,7 +226,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         "server started",
         &[
             ("addr", Value::Str(&addr.to_string())),
-            ("backend", Value::Str(backend)),
+            ("backend", Value::Str(BACKEND)),
             (
                 "simd_backend",
                 Value::Str(bbs_tensor::lanes::Backend::active().label()),
@@ -250,7 +243,6 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         shared,
         waker,
         event_loop,
-        backend,
     })
 }
 
@@ -258,11 +250,6 @@ impl ServerHandle {
     /// The bound address (with the resolved ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The readiness backend the loop runs on (`"epoll"` / `"poll"`).
-    pub fn backend(&self) -> &'static str {
-        self.backend
     }
 
     /// The server's shared telemetry (histograms, logger, slow-request

@@ -46,14 +46,12 @@ use crate::queue::{Bounded, PushError};
 use crate::registry::accelerator_by_name;
 use crate::request::SimRequest;
 use crate::telemetry::Telemetry;
-use bbs_sim::engine::simulate_with_recorder;
+use bbs_sim::engine::simulate_lowered;
 use bbs_sim::json::sim_result_to_json;
 use bbs_sim::store::{WorkloadStore, WorkloadTier};
-use bbs_sim::trace::{Recorder, Stage};
 use bbs_sim::workload::LayerWorkload;
 use bbs_store::{DiskStats, DiskStore};
 use bbs_telemetry::FaultPlan;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -711,28 +709,31 @@ impl SimService {
         if let Some(delay) = self.faults.sim_delay() {
             std::thread::sleep(delay);
         }
-        // Captures lower/sim wall time from the engine's recorder hooks;
-        // `Cell` suffices because each worker records into its own capture.
-        let capture = StageCapture::default();
         // Serialization is inside the guard too: its exact-integer
         // assertions are unreachable for validated requests, but a panic
         // here must fail the request, not kill the worker.
-        let (text, ser_us) = catch_unwind(AssertUnwindSafe(|| {
+        let (text, lowered, sim_us, ser_us) = catch_unwind(AssertUnwindSafe(|| {
             if self.faults.panic_on(key) {
                 panic!("injected fault: worker panic on cell {key:016x}");
             }
-            let sim = simulate_with_recorder(
-                &self.workloads,
-                accel.as_ref(),
+            // `lowered` is `Some` only when this worker did the lowering.
+            let (workloads, lowered) = self.workloads.get_or_lower(
                 &request.model,
-                &request.config,
                 request.seed,
                 request.max_weights_per_layer,
-                &capture,
             );
+            let sim_started = Instant::now();
+            let sim = simulate_lowered(
+                accel.as_ref(),
+                request.model.name,
+                &workloads,
+                &request.config,
+            );
+            let sim_us = sim_started.elapsed().as_micros() as u64;
             let ser_started = Instant::now();
             let text = sim_result_to_json(&sim).to_string();
-            (text, ser_started.elapsed().as_micros() as u64)
+            let ser_us = ser_started.elapsed().as_micros() as u64;
+            (text, lowered, sim_us, ser_us)
         }))
         .map_err(|panic| {
             // Every unwind that lands here is a worker panic survived: the
@@ -748,14 +749,14 @@ impl SimService {
         self.sim_runs.fetch_add(1, Ordering::Relaxed);
         let timing = Timing {
             queue_us: 0, // filled by the worker loop
-            lower_us: capture.lower_us.get(),
-            sim_us: capture.sim_us.get(),
+            lower_us: lowered.map_or(0, |d| d.as_micros() as u64),
+            sim_us,
             ser_us,
         };
-        if timing.lower_us > 0 {
+        if lowered.is_some() {
             self.telemetry.lower_us.record(timing.lower_us);
         }
-        self.telemetry.sim_us.record(timing.sim_us);
+        self.telemetry.sim_us.record(sim_us);
         self.telemetry.ser_us.record(ser_us);
         Ok((text, timing))
     }
@@ -782,22 +783,6 @@ impl Drop for JobGuard<'_> {
             "worker died while simulating cell {:016x}",
             self.key
         ))));
-    }
-}
-
-/// Captures the engine's per-stage timings for one simulation run.
-#[derive(Default)]
-struct StageCapture {
-    lower_us: Cell<u64>,
-    sim_us: Cell<u64>,
-}
-
-impl Recorder for StageCapture {
-    fn record(&self, stage: Stage, micros: u64) {
-        match stage {
-            Stage::Lower => self.lower_us.set(micros),
-            Stage::Simulate => self.sim_us.set(micros),
-        }
     }
 }
 

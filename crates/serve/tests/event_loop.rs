@@ -6,7 +6,6 @@
 use bbs_json::Json;
 use bbs_models::zoo;
 use bbs_serve::client::Client;
-use bbs_serve::event_loop::PollerKind;
 use bbs_serve::registry::accelerator_by_name;
 use bbs_serve::server::{start, ServeConfig, ServerHandle};
 use bbs_serve::service::ServiceConfig;
@@ -434,28 +433,6 @@ fn sweep_paused_at_the_high_water_mark_always_resumes() {
     let summary = summary.get("summary").expect("trailing summary record");
     assert_eq!(summary.get("cells").and_then(Json::as_u64), Some(4));
     assert_eq!(summary.get("ok").and_then(Json::as_u64), Some(4));
-    server.stop();
-}
-
-#[test]
-fn poll_backend_serves_identically() {
-    let server = server_with(|c| c.poller = PollerKind::Poll);
-    assert_eq!(server.backend(), "poll");
-    let mut client = Client::connect(server.addr()).unwrap();
-    let (status, first) = client.simulate(SIM_BODY).unwrap();
-    assert_eq!(status, 200);
-    let (status, again) = client.simulate(SIM_BODY).unwrap();
-    assert_eq!(status, 200);
-    let first = Json::parse(&first).unwrap();
-    let again = Json::parse(&again).unwrap();
-    assert_eq!(first.get("result"), again.get("result"));
-    assert_eq!(
-        again
-            .get("meta")
-            .and_then(|m| m.get("cached"))
-            .and_then(Json::as_bool),
-        Some(true)
-    );
     server.stop();
 }
 

@@ -4,13 +4,11 @@
 use crate::accel::{Accelerator, LayerPerf};
 use crate::config::ArrayConfig;
 use crate::store::WorkloadStore;
-use crate::trace::{Recorder, Stage};
 use crate::workload::{lower_model, LayerWorkload};
 use bbs_hw::energy::{EnergyBreakdown, EnergyModel};
 use bbs_models::layer::ModelSpec;
 use rayon::prelude::*;
 use std::fmt;
-use std::time::Instant;
 
 /// Simulation output for one layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,9 +149,11 @@ fn simulate_layer(accel: &dyn Accelerator, wl: &LayerWorkload, cfg: &ArrayConfig
     }
 }
 
-/// Simulates pre-lowered workloads (the shared tail of [`simulate`] and
-/// [`simulate_with`]).
-fn simulate_lowered(
+/// Simulates already-lowered workloads of the model named `model_name`:
+/// the step [`simulate`] and [`simulate_with`] run after lowering. A
+/// caller that holds the workloads (from [`WorkloadStore::get_or_lower`])
+/// can time lowering and simulation apart, as `bbs-serve`'s workers do.
+pub fn simulate_lowered(
     accel: &dyn Accelerator,
     model_name: &str,
     workloads: &[LayerWorkload],
@@ -203,30 +203,8 @@ pub fn simulate_with(
     seed: u64,
     max_weights_per_layer: usize,
 ) -> SimResult {
-    let workloads = store.get_or_lower(model, seed, max_weights_per_layer);
+    let (workloads, _) = store.get_or_lower(model, seed, max_weights_per_layer);
     simulate_lowered(accel, model.name, &workloads, cfg)
-}
-
-/// [`simulate_with`], reporting per-stage wall time to `rec`.
-///
-/// `rec` sees [`Stage::Lower`] only when the
-/// store misses (a cache hit does no lowering) and
-/// [`Stage::Simulate`] on every call. The
-/// returned result is bit-identical to [`simulate_with`].
-pub fn simulate_with_recorder(
-    store: &WorkloadStore,
-    accel: &dyn Accelerator,
-    model: &ModelSpec,
-    cfg: &ArrayConfig,
-    seed: u64,
-    max_weights_per_layer: usize,
-    rec: &dyn Recorder,
-) -> SimResult {
-    let workloads = store.get_or_lower_recorded(model, seed, max_weights_per_layer, rec);
-    let started = Instant::now();
-    let result = simulate_lowered(accel, model.name, &workloads, cfg);
-    rec.record(Stage::Simulate, started.elapsed().as_micros() as u64);
-    result
 }
 
 #[cfg(test)]

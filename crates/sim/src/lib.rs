@@ -29,6 +29,14 @@
 //! fresh lowering (property-tested). The `bbs-bench` figure sweeps and the
 //! `bbs-serve` worker pool both read through one store.
 //!
+//! [`store::WorkloadStore::get_or_lower`] also returns how long lowering
+//! took, on the one call that lowered (a hit, a coalesced wait or a
+//! durable-tier load returns `None`). [`engine::simulate_lowered`] runs
+//! the simulation step on workloads already in hand, so a caller can time
+//! the two stages apart without this crate depending on a telemetry
+//! crate: `bbs-serve`'s workers report them as the `lower` and `sim`
+//! stages.
+//!
 //! Whole grids (models × accelerators × configs × seeds × caps) are
 //! described by [`sweep::SweepSpec`], which expands into
 //! [`sweep::SweepCell`]s in the one row-major order of
@@ -67,11 +75,9 @@ pub mod json;
 pub mod persist;
 pub mod store;
 pub mod sweep;
-pub mod trace;
 pub mod workload;
 
 pub use config::ArrayConfig;
-pub use engine::{simulate, simulate_with, simulate_with_recorder, LayerSim, SimResult};
+pub use engine::{simulate, simulate_lowered, simulate_with, LayerSim, SimResult};
 pub use store::WorkloadStore;
 pub use sweep::{SweepCell, SweepSpec};
-pub use trace::{NoopRecorder, Recorder, Stage};

@@ -22,7 +22,6 @@
 //!   (property-tested); hit/miss/entry counters feed `bbs-serve`'s
 //!   `GET /stats`.
 
-use crate::trace::{NoopRecorder, Recorder, Stage};
 use crate::workload::{lower_model, LayerWorkload};
 use bbs_json::{fnv1a_64, Fnv1a64};
 use bbs_models::json::hash_spec_text;
@@ -31,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default entry bound: comfortably holds every zoo model at several
 /// seeds/caps while keeping a misbehaving client from pinning thousands of
@@ -188,27 +187,16 @@ impl WorkloadStore {
     }
 
     /// Returns the lowered workloads for `(model, seed, cap)`, lowering at
-    /// most once per key across all threads. The result is bit-identical
-    /// to [`lower_model`]`(model, seed, cap)`.
+    /// most once per key across all threads, and the wall time of that
+    /// lowering on the one call that did it. A hit, a coalesced wait and a
+    /// durable-tier load lower nothing and return `None`. The workloads
+    /// are bit-identical to [`lower_model`]`(model, seed, cap)`.
     pub fn get_or_lower(
         &self,
         model: &ModelSpec,
         seed: u64,
         max_weights_per_layer: usize,
-    ) -> Arc<[LayerWorkload]> {
-        self.get_or_lower_recorded(model, seed, max_weights_per_layer, &NoopRecorder)
-    }
-
-    /// [`get_or_lower`](WorkloadStore::get_or_lower), reporting the wall
-    /// time of the actual lowering (store misses only — hits and coalesced
-    /// waits do no lowering work and report nothing) to `rec`.
-    pub fn get_or_lower_recorded(
-        &self,
-        model: &ModelSpec,
-        seed: u64,
-        max_weights_per_layer: usize,
-        rec: &dyn Recorder,
-    ) -> Arc<[LayerWorkload]> {
+    ) -> (Arc<[LayerWorkload]>, Option<Duration>) {
         let key = (model_fingerprint(model), seed, max_weights_per_layer);
         {
             let mut inner = self.inner.lock().unwrap();
@@ -216,7 +204,7 @@ impl WorkloadStore {
                 match inner.slots.get(&key) {
                     Some(Slot::Ready(w)) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Arc::clone(w);
+                        return (Arc::clone(w), None);
                     }
                     // Coalesce: someone is lowering this key right now.
                     Some(Slot::Building) => inner = self.built.wait(inner).unwrap(),
@@ -244,7 +232,7 @@ impl WorkloadStore {
                 let workloads: Arc<[LayerWorkload]> = loaded.into();
                 guard.armed = false;
                 self.insert_ready(key, &workloads);
-                return workloads;
+                return (workloads, None);
             }
         }
 
@@ -252,7 +240,7 @@ impl WorkloadStore {
         let lower_started = Instant::now();
         let workloads: Arc<[LayerWorkload]> =
             lower_model(model, seed, max_weights_per_layer).into();
-        rec.record(Stage::Lower, lower_started.elapsed().as_micros() as u64);
+        let lowered = lower_started.elapsed();
         guard.armed = false;
 
         self.insert_ready(key, &workloads);
@@ -260,7 +248,7 @@ impl WorkloadStore {
         if let Some(tier) = &tier {
             tier.save(tier_key(key.0, key.1, key.2), &workloads);
         }
-        workloads
+        (workloads, Some(lowered))
     }
 
     /// Publishes a ready lowering under `key` and wakes coalesced waiters.
@@ -343,10 +331,12 @@ mod tests {
         let store = WorkloadStore::default();
         let model = zoo::vit_small();
         let fresh = lower_model(&model, 7, 512);
-        let a = store.get_or_lower(&model, 7, 512);
-        let b = store.get_or_lower(&model, 7, 512);
+        let (a, lowered) = store.get_or_lower(&model, 7, 512);
+        let (b, hit) = store.get_or_lower(&model, 7, 512);
         assert_eq!(&a[..], &fresh[..]);
         assert!(Arc::ptr_eq(&a, &b), "second lookup shares the allocation");
+        assert!(lowered.is_some(), "the lowering call reports its time");
+        assert_eq!(hit, None, "a hit lowers nothing");
         assert_eq!((store.hits(), store.misses()), (1, 1));
         assert_eq!(store.entries(), 1);
         assert!(store.bytes() > 0);
@@ -373,8 +363,8 @@ mod tests {
         truncated.layers.truncate(4);
         assert_ne!(model_fingerprint(&full), model_fingerprint(&truncated));
         let store = WorkloadStore::default();
-        let a = store.get_or_lower(&full, 7, 128);
-        let b = store.get_or_lower(&truncated, 7, 128);
+        let (a, _) = store.get_or_lower(&full, 7, 128);
+        let (b, _) = store.get_or_lower(&truncated, 7, 128);
         assert_eq!(store.misses(), 2, "no aliasing through the name");
         assert_ne!(a.len(), b.len());
     }
@@ -421,9 +411,11 @@ mod tests {
             })
             .collect();
         let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for r in &results[1..] {
-            assert!(Arc::ptr_eq(r, &results[0]), "one lowering, shared by all");
+        for (r, _) in &results[1..] {
+            assert!(Arc::ptr_eq(r, &results[0].0), "one lowering, shared by all");
         }
+        let lowered = results.iter().filter(|(_, l)| l.is_some()).count();
+        assert_eq!(lowered, 1, "only the lowering thread reports a time");
         assert_eq!(store.misses(), 1);
         assert_eq!(store.hits(), 3);
     }
@@ -455,17 +447,18 @@ mod tests {
 
         let first = WorkloadStore::default();
         first.set_tier(Arc::clone(&tier) as Arc<dyn WorkloadTier>);
-        let fresh = first.get_or_lower(&model, 7, 128);
+        let (fresh, _) = first.get_or_lower(&model, 7, 128);
         assert_eq!((first.misses(), first.tier_hits()), (1, 0));
 
         // A second store — a restarted server — loads instead of lowering.
         let second = WorkloadStore::default();
         second.set_tier(tier as Arc<dyn WorkloadTier>);
-        let loaded = second.get_or_lower(&model, 7, 128);
+        let (loaded, lowered) = second.get_or_lower(&model, 7, 128);
         assert_eq!((second.misses(), second.tier_hits()), (0, 1));
+        assert_eq!(lowered, None, "a tier load lowers nothing");
         assert_eq!(&loaded[..], &fresh[..], "tier load is bit-identical");
         // And the loaded entry is now memory-cached.
-        let again = second.get_or_lower(&model, 7, 128);
+        let (again, _) = second.get_or_lower(&model, 7, 128);
         assert!(Arc::ptr_eq(&again, &loaded));
         assert_eq!(second.hits(), 1);
     }

@@ -151,9 +151,9 @@ proptest! {
         };
         let store = WorkloadStore::default();
         let fresh = lower_model(&model, seed, cap);
-        let cached = store.get_or_lower(&model, seed, cap);
+        let (cached, _) = store.get_or_lower(&model, seed, cap);
         prop_assert_eq!(&cached[..], &fresh[..]);
-        let again = store.get_or_lower(&model, seed, cap);
+        let (again, _) = store.get_or_lower(&model, seed, cap);
         prop_assert!(std::sync::Arc::ptr_eq(&cached, &again));
         prop_assert_eq!((store.misses(), store.hits()), (1, 1));
     }

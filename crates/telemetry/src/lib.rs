@@ -23,8 +23,9 @@
 //!   cell keys, injected latency and connection resets, driven by a
 //!   `BBS_FAULTS=` spec so chaos tests exercise real failure paths.
 //!
-//! The simulation core stays dependency-free: `bbs-sim` defines its own
-//! tiny `Recorder` trait and `bbs-serve` bridges it to these histograms.
+//! The simulation core stays dependency-free: `bbs-sim` hands back how
+//! long a lowering took, `bbs-serve`'s workers time the simulation step
+//! themselves, and both land in these histograms.
 //!
 //! ```
 //! use bbs_telemetry::hist::Histogram;

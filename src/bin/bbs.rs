@@ -3,8 +3,7 @@
 //! ```sh
 //! bbs serve [--addr 127.0.0.1:8080] [--workers N] [--queue-depth N]
 //!           [--max-cap N] [--max-connections N] [--idle-timeout-ms N]
-//!           [--park-timeout-ms N] [--poller auto|epoll|poll]
-//!                                         # run the simulation service
+//!           [--park-timeout-ms N]         # run the simulation service
 //! bbs sweep (--addr HOST:PORT | --self-host)
 //!           --models A,B --accelerators X,Y
 //!           [--seeds 7,8] [--caps 4096] [--pe-cols 16,32]
@@ -14,7 +13,6 @@
 //! ```
 
 use bbs::serve::client::{sweep_with_resume, Client, RetryPolicy};
-use bbs::serve::event_loop::PollerKind;
 use bbs::serve::server::{start, ServeConfig};
 use bbs::serve::service::ServiceConfig;
 use bbs::sim::json::array_config_to_json;
@@ -28,9 +26,9 @@ use std::sync::Arc;
 const USAGE: &str = "usage:
   bbs serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--max-cap N]
             [--max-connections N] [--idle-timeout-ms N] [--park-timeout-ms N]
-            [--poller auto|epoll|poll] [--log-level LVL] [--log-format FMT]
-            [--slow-ms N] [--cache-dir PATH] [--disk-bytes N]
-            [--drain-timeout-ms N] [--faults SPEC] [--shard-of A1,A2,..]
+            [--log-level LVL] [--log-format FMT] [--slow-ms N]
+            [--cache-dir PATH] [--disk-bytes N] [--drain-timeout-ms N]
+            [--faults SPEC] [--shard-of A1,A2,..]
   bbs sweep (--addr HOST:PORT | --self-host) --models A,B --accelerators X,Y
             [--seeds S,..] [--caps C,..] [--pe-cols P,..] [--resume]
   bbs models
@@ -44,7 +42,6 @@ serve options:
   --max-connections N  open-connection cap (default 1024)
   --idle-timeout-ms N  idle keep-alive / slow-client reap deadline (default 120000)
   --park-timeout-ms N  queue-full parking deadline; 0 = immediate 503 (default 10000)
-  --poller KIND        readiness backend: auto (default), epoll, poll
   --log-level LVL      stderr log threshold: error, warn, info (default), debug
   --log-format FMT     stderr log format: json (default) or text
   --slow-ms N          log requests slower than N ms at warn level (default 500)
@@ -128,13 +125,6 @@ fn serve(args: &[String]) -> ExitCode {
             ("--park-timeout-ms", Ok(n)) => {
                 config.park_timeout = std::time::Duration::from_millis(n as u64)
             }
-            ("--poller", _) => match PollerKind::from_flag(value) {
-                Some(kind) => config.poller = kind,
-                None => {
-                    eprintln!("bbs serve: --poller must be auto, epoll or poll\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
             ("--log-level", _) => match bbs::telemetry::Level::from_flag(value) {
                 Some(level) => config.log_level = level,
                 None => {
@@ -201,7 +191,7 @@ fn serve(args: &[String]) -> ExitCode {
         server.addr(),
         config.service.workers,
         config.service.queue_depth,
-        server.backend(),
+        bbs::serve::event_loop::BACKEND,
         bbs_tensor::lanes::Backend::active().label()
     );
     println!(
