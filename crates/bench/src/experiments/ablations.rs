@@ -16,7 +16,7 @@ use bbs_models::synth::synthesize_weights_sampled;
 use bbs_models::zoo;
 use bbs_sim::accel::bitvert::BitVert;
 use bbs_sim::accel::stripes::Stripes;
-use bbs_sim::accel::{wave_schedule_with, LatencyProfile, SyncGranularity};
+use bbs_sim::accel::{wave_schedule, wave_schedule_lockstep, LatencyProfile};
 use bbs_sim::config::ArrayConfig;
 use bbs_sim::engine::simulate_with;
 use bbs_tensor::metrics::mse_i8;
@@ -137,15 +137,15 @@ fn sync_granularity() {
                 .collect()
         })
         .collect();
-    let useful = latencies
+    let useful: Vec<Vec<u64>> = latencies
         .iter()
         .map(|ch| ch.iter().map(|&l| l as u64 * 4).collect())
         .collect();
-    let profile = LatencyProfile::from_nested(latencies, useful);
+    let profile = LatencyProfile::from_nested(&latencies, &useful);
     let mut rows = Vec::new();
     for &cols in &[4usize, 16, 32] {
-        let tile = wave_schedule_with(&profile, cols, 8, SyncGranularity::PerTile);
-        let group = wave_schedule_with(&profile, cols, 8, SyncGranularity::PerGroup);
+        let tile = wave_schedule(&profile, cols, 8);
+        let group = wave_schedule_lockstep(&latencies, &useful, cols, 8);
         rows.push(vec![
             cols.to_string(),
             tile.cycles.to_string(),

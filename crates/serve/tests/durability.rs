@@ -13,7 +13,9 @@
 //!   record, every other cell completes, the pool replenishes;
 //! * stream resume — `sweep_with_resume` recovers the failed cell;
 //! * readiness — `/readyz` flips to 503 under saturation while
-//!   `/healthz` stays 200.
+//!   `/healthz` stays 200;
+//! * injected connection resets — the accept path drops the stream, the
+//!   client sees a transport error and the server still stops cleanly.
 
 use bbs_json::Json;
 use bbs_serve::client::{sweep_with_resume, Client, RetryPolicy};
@@ -426,4 +428,26 @@ fn readyz_reports_saturation_and_healthz_stays_up() {
     let (status, body) = client.get("/readyz").unwrap();
     assert_eq!((status, body.contains("ready")), (200, true), "{body}");
     server.stop();
+}
+
+#[test]
+fn reset_connection_gets_a_transport_error() {
+    // `conn_reset=1` drops every accepted connection, `/stats` included,
+    // so the injection count is read from this test's handle on the plan.
+    let faults = Arc::new(FaultPlan::parse("conn_reset=1").unwrap());
+    let server = server_with(ServiceConfig {
+        workers: 1,
+        faults: Arc::clone(&faults),
+        ..ServiceConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reply = client.simulate(BODY);
+    assert!(reply.is_err(), "a reset connection answered: {reply:?}");
+    server.stop();
+    let resets = faults
+        .injected_counts()
+        .into_iter()
+        .find(|&(site, _)| site == "conn_reset")
+        .map(|(_, count)| count);
+    assert_eq!(resets, Some(1), "{:?}", faults.injected_counts());
 }

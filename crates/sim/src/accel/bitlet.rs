@@ -42,8 +42,7 @@ impl Accelerator for Bitlet {
         // Config-independent and parameterless: memoized on the workload.
         let entry = wl.profiles.get_or_build(profile_key(&[3]), || {
             let qt = &wl.weights;
-            let epc = qt.elems_per_channel();
-            let mut builder = ProfileBuilder::with_capacity(qt.channels(), epc.div_ceil(GROUP));
+            let mut builder = ProfileBuilder::with_capacity(qt.channels());
             for c in 0..qt.channels() {
                 let row = qt.channel(c);
                 for group in row.chunks(GROUP) {

@@ -136,8 +136,7 @@ impl BitVert {
 
         let group = self.prune.group_size;
         let passes_per_group = group / PE_GROUP;
-        let groups_per_channel = qt.elems_per_channel().div_ceil(group) * passes_per_group;
-        let mut builder = ProfileBuilder::with_capacity(qt.channels(), groups_per_channel);
+        let mut builder = ProfileBuilder::with_capacity(qt.channels());
         let mut stored_bits_sampled: u64 = 0;
 
         // Channels in chunked (reordered) order: sensitive first.

@@ -87,8 +87,7 @@ impl BitWave {
     /// over the sampled weights.
     fn build_profile(&self, wl: &LayerWorkload) -> ProfileEntry {
         let qt = &wl.weights;
-        let epc = qt.elems_per_channel();
-        let mut builder = ProfileBuilder::with_capacity(qt.channels(), epc.div_ceil(GROUP));
+        let mut builder = ProfileBuilder::with_capacity(qt.channels());
         let mut stored_bits_sampled: u64 = 0;
         for c in 0..qt.channels() {
             let row = qt.channel(c);

@@ -1,10 +1,14 @@
 //! The accelerator performance-model interface and shared machinery.
 //!
 //! Bit-serial accelerators are modelled through per-group latencies driven
-//! by real weight bit patterns; [`wave_schedule`] then plays the PE-array
-//! synchronization: every *wave* processes one weight group per PE column
-//! and stalls on the slowest one (the inter-PE loss of Figs. 14/15), while
-//! idle lanes inside a busy PE accrue intra-PE loss.
+//! by real weight bit patterns, summed per channel into a
+//! [`LatencyProfile`]; [`wave_schedule`] then plays the PE-array
+//! synchronization one channel tile at a time: each PE column drains its
+//! channel's groups at its own pace and the tile ends with the slowest
+//! column (the inter-PE loss of Figs. 14/15), while idle lanes inside a
+//! busy PE accrue intra-PE loss. Lock-step synchronization after every
+//! group ([`wave_schedule_lockstep`]) is Ablation C's contrast; no
+//! accelerator model runs it.
 
 pub mod ant;
 pub mod bitlet;
@@ -51,47 +55,40 @@ pub trait Accelerator: Send + Sync {
     fn layer_performance(&self, wl: &LayerWorkload, cfg: &ArrayConfig) -> LayerPerf;
 }
 
-/// Per-channel, per-group latency/usefulness profile of one layer.
+/// Per-channel latency/usefulness totals of one layer: each channel's
+/// PE-pass cycles and effectual lane-cycles, summed over its weight groups.
 ///
-/// Stored as two flat row-major buffers (`channels × groups` strides), so
-/// building a profile is append-only and scheduling it is linear slice
-/// walks — no per-channel heap allocations on the hot path. Construct via
-/// [`LatencyProfile::uniform`], [`ProfileBuilder`] or
+/// Those two sums are all the per-tile [`wave_schedule`] reads, so the
+/// profile is one pair per channel however many groups a channel has.
+/// Construct via [`LatencyProfile::uniform`], [`ProfileBuilder`] or
 /// [`LatencyProfile::from_nested`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyProfile {
-    channels: usize,
-    groups: usize,
-    /// PE-pass cycles, `[channel * groups + group]`.
-    latencies: Vec<u32>,
-    /// Effectual lane-cycles in that pass, `[channel * groups + group]`.
-    useful: Vec<u64>,
+    /// `(cycles, useful)` per channel.
+    totals: Vec<(u64, u64)>,
 }
 
 impl LatencyProfile {
     /// A profile where every group of every channel costs `latency` cycles
     /// with `useful` effectual lane-cycles (the dense bit-serial designs).
     pub fn uniform(channels: usize, groups: usize, latency: u32, useful: u64) -> Self {
+        let groups = groups as u64;
         LatencyProfile {
-            channels,
-            groups,
-            latencies: vec![latency; channels * groups],
-            useful: vec![useful; channels * groups],
+            totals: vec![(groups * latency as u64, groups * useful); channels],
         }
     }
 
-    /// Converts nested per-channel rows (the historical representation,
-    /// still used by tests and ad-hoc ablations).
+    /// Sums nested per-channel rows (`[channel][group]`), as Ablation C
+    /// and the tests write them.
     ///
     /// # Panics
     ///
     /// Panics if the two nestings differ in shape or group counts differ
     /// across channels.
-    pub fn from_nested(latencies: Vec<Vec<u32>>, useful: Vec<Vec<u64>>) -> Self {
+    pub fn from_nested(latencies: &[Vec<u32>], useful: &[Vec<u64>]) -> Self {
         assert_eq!(latencies.len(), useful.len(), "channel counts differ");
-        let groups = latencies.first().map_or(0, Vec::len);
-        let mut b = ProfileBuilder::with_capacity(latencies.len(), groups);
-        for (lat_row, use_row) in latencies.iter().zip(&useful) {
+        let mut b = ProfileBuilder::with_capacity(latencies.len());
+        for (lat_row, use_row) in latencies.iter().zip(useful) {
             assert_eq!(
                 lat_row.len(),
                 use_row.len(),
@@ -105,90 +102,60 @@ impl LatencyProfile {
         b.build()
     }
 
-    /// Approximate heap footprint (the two flat buffers), for the
+    /// Approximate heap footprint (the per-channel totals), for the
     /// workload store's byte accounting.
     pub fn approx_bytes(&self) -> usize {
-        self.latencies.len() * std::mem::size_of::<u32>()
-            + self.useful.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Number of channels (profile rows).
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// Groups per channel.
-    pub fn groups(&self) -> usize {
-        self.groups
+        self.totals.len() * std::mem::size_of::<(u64, u64)>()
     }
 
     /// Whether the profile holds no channels.
     pub fn is_empty(&self) -> bool {
-        self.channels == 0
-    }
-
-    /// The latency row of channel `c`.
-    fn latency_row(&self, c: usize) -> &[u32] {
-        &self.latencies[c * self.groups..(c + 1) * self.groups]
-    }
-
-    /// The useful-lane-cycle row of channel `c`.
-    fn useful_row(&self, c: usize) -> &[u64] {
-        &self.useful[c * self.groups..(c + 1) * self.groups]
+        self.totals.is_empty()
     }
 }
 
-/// Appends `(latency, useful)` pairs group by group, channel by channel,
-/// into the flat buffers of a [`LatencyProfile`]. Every accelerator model
-/// fills its profile through this — one pair of `Vec` grows, no per-channel
-/// allocations.
+/// Adds `(latency, useful)` pairs group by group, channel by channel, into
+/// the per-channel totals of a [`LatencyProfile`]. Every memoizing
+/// accelerator model fills its profile through this.
 #[derive(Debug, Clone)]
 pub struct ProfileBuilder {
-    groups: usize,
-    first_channel: bool,
+    /// Groups per channel, fixed by the first finished channel.
+    groups: Option<usize>,
+    /// Groups pushed to the open channel so far.
     row_len: usize,
-    channels: usize,
-    latencies: Vec<u32>,
-    useful: Vec<u64>,
+    /// The open channel's running totals.
+    open: (u64, u64),
+    totals: Vec<(u64, u64)>,
 }
 
 impl ProfileBuilder {
-    /// A builder sized for `channels × groups` entries (hints only — the
-    /// built profile takes its true shape from what was pushed).
-    pub fn with_capacity(channels: usize, groups: usize) -> Self {
+    /// A builder sized for `channels` channels (a hint only: the built
+    /// profile holds the channels that were finished).
+    pub fn with_capacity(channels: usize) -> Self {
         ProfileBuilder {
-            groups,
-            first_channel: true,
+            groups: None,
             row_len: 0,
-            channels: 0,
-            latencies: Vec::with_capacity(channels * groups),
-            useful: Vec::with_capacity(channels * groups),
+            open: (0, 0),
+            totals: Vec::with_capacity(channels),
         }
     }
 
-    /// Appends one group to the current channel.
+    /// Adds one group to the open channel's totals.
     pub fn push_group(&mut self, latency: u32, useful: u64) {
-        self.latencies.push(latency);
-        self.useful.push(useful);
+        self.open.0 += latency as u64;
+        self.open.1 += useful;
         self.row_len += 1;
     }
 
-    /// Closes the current channel row.
+    /// Closes the open channel.
     ///
     /// # Panics
     ///
     /// Panics if the row's group count differs from the first channel's.
     pub fn finish_channel(&mut self) {
-        if self.first_channel {
-            self.groups = self.row_len;
-            self.first_channel = false;
-        } else {
-            assert_eq!(
-                self.row_len, self.groups,
-                "group counts differ across channels"
-            );
-        }
-        self.channels += 1;
+        let groups = *self.groups.get_or_insert(self.row_len);
+        assert_eq!(self.row_len, groups, "group counts differ across channels");
+        self.totals.push(std::mem::take(&mut self.open));
         self.row_len = 0;
     }
 
@@ -203,10 +170,7 @@ impl ProfileBuilder {
     pub fn build(self) -> LatencyProfile {
         assert_eq!(self.row_len, 0, "unfinished channel row");
         LatencyProfile {
-            channels: self.channels,
-            groups: self.groups,
-            latencies: self.latencies,
-            useful: self.useful,
+            totals: self.totals,
         }
     }
 }
@@ -224,98 +188,35 @@ pub struct WaveStats {
     pub inter_fraction: f64,
 }
 
-/// When PE columns synchronize with each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncGranularity {
-    /// Lock-step: every group index is a barrier (worst-case coupling; the
-    /// ablation point for schedulers without per-column buffering).
-    PerGroup,
-    /// Output-stationary: each column drains its channel's groups at its
-    /// own pace and the array synchronizes when the channel tile finishes
-    /// (the default, matching the buffered designs the paper compares).
-    PerTile,
-}
-
-/// Schedules a latency profile onto `pe_cols` columns of `lanes`-lane PEs:
-/// channels are tiled across columns; the tile completes at the slowest
-/// column (`PerTile`) or every group completes at the slowest column
-/// (`PerGroup`).
-///
-/// Runs on the flat profile buffers: the per-tile path reduces each
-/// channel's latency/useful rows in one linear pass, then plays the tile
-/// arithmetic on those per-channel sums. Bit-identical to the nested-`Vec`
-/// scheduler it replaced, which the property tests keep as their oracle.
-///
-/// # Panics
-///
-/// Panics if the profile is empty.
-pub fn wave_schedule_with(
-    profile: &LatencyProfile,
-    pe_cols: usize,
-    lanes: usize,
-    sync: SyncGranularity,
-) -> WaveStats {
-    assert!(!profile.is_empty());
-    let groups = profile.groups();
-    let channels = profile.channels();
+/// Plays `waves` onto `pe_cols` columns of `lanes`-lane PEs. A wave runs
+/// one `(cycles, useful)` item on each column of a tile and ends when its
+/// slowest column does: lanes idle inside a busy column are intra-PE loss,
+/// and columns that finish early, or that a partial tile leaves empty, are
+/// inter-PE loss.
+fn play_waves<W>(waves: impl Iterator<Item = W>, pe_cols: usize, lanes: usize) -> WaveStats
+where
+    W: Iterator<Item = (u64, u64)> + Clone,
+{
     let mut cycles: u64 = 0;
     let mut useful: f64 = 0.0;
     let mut intra: f64 = 0.0;
     let mut inter: f64 = 0.0;
-
-    match sync {
-        SyncGranularity::PerGroup => {
-            for tile_start in (0..channels).step_by(pe_cols) {
-                let tile = tile_start..(tile_start + pe_cols).min(channels);
-                let idle_cols = pe_cols - tile.len();
-                for g in 0..groups {
-                    let wave = tile
-                        .clone()
-                        .map(|c| profile.latencies[c * groups + g])
-                        .max()
-                        .unwrap_or(0) as u64;
-                    if wave == 0 {
-                        continue;
-                    }
-                    cycles += wave;
-                    for c in tile.clone() {
-                        let lat = profile.latencies[c * groups + g] as u64;
-                        let u = profile.useful[c * groups + g] as f64;
-                        useful += u;
-                        intra += (lat * lanes as u64) as f64 - u;
-                        inter += ((wave - lat) * lanes as u64) as f64;
-                    }
-                    inter += (idle_cols as u64 * wave * lanes as u64) as f64;
-                }
-            }
+    for columns in waves {
+        let wave = columns.clone().map(|(lat, _)| lat).max().unwrap_or(0);
+        if wave == 0 {
+            continue;
         }
-        SyncGranularity::PerTile => {
-            // One linear pass folds every channel row to (cycle, useful)
-            // sums; the tile loop below then never touches the groups axis.
-            let col_stats: Vec<(u64, f64)> = (0..channels)
-                .map(|c| {
-                    let lat: u64 = profile.latency_row(c).iter().map(|&l| l as u64).sum();
-                    let u: f64 = profile.useful_row(c).iter().map(|&x| x as f64).sum();
-                    (lat, u)
-                })
-                .collect();
-            for tile_stats in col_stats.chunks(pe_cols) {
-                let idle_cols = pe_cols - tile_stats.len();
-                let tile_cycles = tile_stats.iter().map(|&(lat, _)| lat).max().unwrap_or(0);
-                if tile_cycles == 0 {
-                    continue;
-                }
-                cycles += tile_cycles;
-                for &(lat, u) in tile_stats {
-                    useful += u;
-                    intra += (lat * lanes as u64) as f64 - u;
-                    inter += ((tile_cycles - lat) * lanes as u64) as f64;
-                }
-                inter += (idle_cols as u64 * tile_cycles * lanes as u64) as f64;
-            }
+        cycles += wave;
+        let mut busy = 0;
+        for (lat, u) in columns {
+            let u = u as f64;
+            useful += u;
+            intra += (lat * lanes as u64) as f64 - u;
+            inter += ((wave - lat) * lanes as u64) as f64;
+            busy += 1;
         }
+        inter += ((pe_cols - busy) as u64 * wave * lanes as u64) as f64;
     }
-
     let total = (cycles * (pe_cols * lanes) as u64) as f64;
     WaveStats {
         cycles,
@@ -325,9 +226,50 @@ pub fn wave_schedule_with(
     }
 }
 
-/// [`wave_schedule_with`] at the default [`SyncGranularity::PerTile`].
+/// Schedules a latency profile onto `pe_cols` columns of `lanes`-lane PEs,
+/// output-stationary: channels are tiled across the columns, each column
+/// drains its channel's groups at its own pace, and the tile completes at
+/// the slowest column. Every accelerator model schedules this way.
+///
+/// # Panics
+///
+/// Panics if the profile is empty.
 pub fn wave_schedule(profile: &LatencyProfile, pe_cols: usize, lanes: usize) -> WaveStats {
-    wave_schedule_with(profile, pe_cols, lanes, SyncGranularity::PerTile)
+    assert!(!profile.is_empty());
+    let tiles = profile.totals.chunks(pe_cols);
+    play_waves(tiles.map(|tile| tile.iter().copied()), pe_cols, lanes)
+}
+
+/// The lock-step contrast to [`wave_schedule`] (Ablation C): every group
+/// index is a barrier, so a tile's columns wait for the slowest of them
+/// after each group, not once per tile. Takes nested `[channel][group]`
+/// rows, since the barriers need every group.
+///
+/// # Panics
+///
+/// Panics if the profile is empty, the two nestings differ in channel
+/// count, or group counts differ across rows.
+pub fn wave_schedule_lockstep(
+    latencies: &[Vec<u32>],
+    useful: &[Vec<u64>],
+    pe_cols: usize,
+    lanes: usize,
+) -> WaveStats {
+    assert!(!latencies.is_empty());
+    assert_eq!(latencies.len(), useful.len(), "channel counts differ");
+    let (channels, groups) = (latencies.len(), latencies[0].len());
+    assert!(
+        latencies.iter().all(|r| r.len() == groups) && useful.iter().all(|r| r.len() == groups),
+        "group counts differ across channels"
+    );
+    let waves = (0..channels).step_by(pe_cols).flat_map(|start| {
+        let tile = start..(start + pe_cols).min(channels);
+        (0..groups).map(move |g| {
+            tile.clone()
+                .map(move |c| (latencies[c][g] as u64, useful[c][g]))
+        })
+    });
+    play_waves(waves, pe_cols, lanes)
 }
 
 /// Folds an accelerator's profile-shaping parameters into a
@@ -375,13 +317,18 @@ pub fn dense_traffic(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::simulate_lowered;
+    use crate::workload::lower_model;
+    use bbs_models::zoo;
+
+    fn useful_of(lat: &[Vec<u32>]) -> Vec<Vec<u64>> {
+        lat.iter()
+            .map(|ch| ch.iter().map(|&l| (l as u64) * 4).collect())
+            .collect()
+    }
 
     fn profile(lat: Vec<Vec<u32>>) -> LatencyProfile {
-        let useful = lat
-            .iter()
-            .map(|ch| ch.iter().map(|&l| (l as u64) * 4).collect())
-            .collect();
-        LatencyProfile::from_nested(lat, useful)
+        LatencyProfile::from_nested(&lat, &useful_of(&lat))
     }
 
     #[test]
@@ -397,9 +344,9 @@ mod tests {
 
     #[test]
     fn per_group_sync_is_never_faster() {
-        let p = profile(vec![vec![2, 4], vec![6, 2]]);
-        let tile = wave_schedule_with(&p, 2, 8, SyncGranularity::PerTile);
-        let group = wave_schedule_with(&p, 2, 8, SyncGranularity::PerGroup);
+        let lat = vec![vec![2, 4], vec![6, 2]];
+        let tile = wave_schedule(&profile(lat.clone()), 2, 8);
+        let group = wave_schedule_lockstep(&lat, &useful_of(&lat), 2, 8);
         // Lock-step: max(2,6) + max(4,2) = 10 >= 8.
         assert_eq!(group.cycles, 10);
         assert!(group.cycles >= tile.cycles);
@@ -440,20 +387,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "group counts")]
     fn mismatched_groups_rejected() {
-        let _ = LatencyProfile::from_nested(vec![vec![1, 2], vec![1]], vec![vec![1, 2], vec![1]]);
+        let _ = LatencyProfile::from_nested(&[vec![1, 2], vec![1]], &[vec![1, 2], vec![1]]);
     }
 
     #[test]
     #[should_panic(expected = "unfinished channel row")]
     fn dangling_builder_row_rejected() {
-        let mut b = ProfileBuilder::with_capacity(1, 2);
+        let mut b = ProfileBuilder::with_capacity(1);
         b.push_group(3, 1);
         let _ = b.build();
     }
 
     #[test]
     fn builder_uniform_and_nested_agree() {
-        let mut b = ProfileBuilder::with_capacity(2, 3);
+        let mut b = ProfileBuilder::with_capacity(2);
         for _ in 0..2 {
             for _ in 0..3 {
                 b.push_group(5, 7);
@@ -464,9 +411,45 @@ mod tests {
         assert_eq!(built, LatencyProfile::uniform(2, 3, 5, 7));
         assert_eq!(
             built,
-            LatencyProfile::from_nested(vec![vec![5; 3]; 2], vec![vec![7; 3]; 2])
+            LatencyProfile::from_nested(&[vec![5; 3], vec![5; 3]], &[vec![7; 3], vec![7; 3]])
         );
-        assert_eq!(built.latency_row(1), &[5, 5, 5]);
-        assert_eq!(built.useful_row(0), &[7, 7, 7]);
+    }
+
+    /// A profile is one pair of totals per channel and synthesis keeps
+    /// every channel at any cap, so a layer's memoized profiles take the
+    /// same bytes however many weights per channel the cap samples. (At
+    /// caps up to 4096 every ViT-Small layer samples one 32-weight group
+    /// per channel; at 65536 its 384-channel layers sample five.)
+    #[test]
+    fn profile_bytes_do_not_grow_with_the_cap() {
+        use crate::accel::{
+            ant::Ant, bitlet::Bitlet, bitvert::BitVert, bitwave::BitWave, pragmatic::Pragmatic,
+            sparten::SparTen, stripes::Stripes,
+        };
+        let cfg = ArrayConfig::paper_16x32();
+        let model = zoo::vit_small();
+        let accelerators: [&dyn Accelerator; 8] = [
+            &Stripes::new(),
+            &SparTen::new(),
+            &Ant::new(),
+            &Pragmatic::new(),
+            &Bitlet::new(),
+            &BitWave::new(),
+            &BitVert::conservative(),
+            &BitVert::moderate(),
+        ];
+        let profile_bytes = |cap| {
+            let layers = lower_model(&model, 7, cap);
+            for accel in accelerators {
+                simulate_lowered(accel, model.name, &layers, &cfg);
+            }
+            layers
+                .iter()
+                .map(|wl| wl.profiles.approx_bytes())
+                .collect::<Vec<_>>()
+        };
+        let small = profile_bytes(256);
+        assert!(small.iter().all(|&b| b > 0), "{small:?}");
+        assert_eq!(small, profile_bytes(65536));
     }
 }

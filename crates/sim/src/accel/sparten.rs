@@ -6,7 +6,7 @@
 //! effectual-pair fraction approaches 1 while the bitmask still costs
 //! 12.5% extra memory — the failure mode the paper highlights.
 
-use crate::accel::{dense_traffic, Accelerator, LayerPerf};
+use crate::accel::{Accelerator, LayerPerf};
 use crate::config::ArrayConfig;
 use crate::workload::LayerWorkload;
 use bbs_hw::pe::{sparten_pe, PeModel};
@@ -45,7 +45,6 @@ impl Accelerator for SparTen {
         let w_dram = ((wl.params() as f64) * ((1.0 - wsp) * 8.0 + 1.0)) as u64;
         let input_bits = (wl.unique_input_elems as f64) * ((1.0 - asp) * 8.0 + 1.0);
         let output_bits = (wl.output_elems() * 8) as f64; // pre-activation dense
-        let (_, _, _, _) = dense_traffic(wl, cfg, 8.0);
         let channel_tiles = (wl.channels as u64).div_ceil(cfg.pe_cols as u64);
         let pos_tiles = crate::accel::position_tiles(wl, cfg);
 

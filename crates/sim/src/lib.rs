@@ -7,9 +7,13 @@
 //!
 //! Group latencies are driven by the *actual bit patterns* of the
 //! synthesized weights: every weight-group pass costs what its bit content
-//! dictates for the given microarchitecture, and PE columns synchronize on
-//! the slowest group of each wave — this produces the load-imbalance
+//! dictates for the given microarchitecture. Each layer's profile keeps
+//! those costs summed per channel, and the array runs one channel tile at
+//! a time: each PE column drains its channel at its own pace and the tile
+//! ends with the slowest column — this produces the load-imbalance
 //! behaviour of Figs. 14/15 mechanically rather than statistically.
+//! (Lock-step synchronization after every group is only Ablation C's
+//! contrast.)
 //! DRAM/SRAM streaming is modelled at tile granularity with double
 //! buffering (execution time = max(compute, memory) per layer).
 //!

@@ -117,8 +117,8 @@ pub fn model_fingerprint(model: &ModelSpec) -> u64 {
 /// overhead for the fixed fields). Memos grow *after* insertion as
 /// accelerators run, so the store re-evaluates totals at each insert —
 /// between inserts the growth is bounded by the accelerator count times
-/// the profile size (a profile is the same order of magnitude as the
-/// weights it derives from).
+/// the profile size (a profile is two `u64` totals per channel, however
+/// many weights each channel holds).
 fn layer_bytes(wl: &LayerWorkload) -> usize {
     wl.weights.data.as_slice().len()
         + wl.weights.scales.len() * std::mem::size_of::<f32>()

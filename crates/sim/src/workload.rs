@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 /// configuration (`pe_cols`/`lanes` only enter at scheduling time).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileEntry {
-    /// Per-channel, per-group pass latencies and effectual lane-cycles.
+    /// Per-channel totals of pass latencies and effectual lane-cycles.
     pub profile: LatencyProfile,
     /// Stored weight bits over the sampled fan-in (pre-extrapolation).
     pub stored_bits_sampled: u64,

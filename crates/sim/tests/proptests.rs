@@ -1,13 +1,13 @@
 //! Property tests for the simulator: the functional BitVert datapath is
-//! exact for every encodable group, the scheduling machinery respects its
-//! invariants, the flat-profile scheduler is bit-identical to the retained
-//! nested reference, and store-cached lowering is bit-identical to fresh
-//! lowering.
+//! exact for every encodable group, the per-tile and lock-step schedules
+//! respect their invariants, the per-tile schedule over per-channel totals
+//! is bit-identical to the retained nested reference, and store-cached
+//! lowering is bit-identical to fresh lowering.
 
 use bbs_core::averaging::rounded_averaging;
 use bbs_core::shifting::zero_point_shifting;
 use bbs_models::zoo;
-use bbs_sim::accel::{wave_schedule_with, LatencyProfile, SyncGranularity};
+use bbs_sim::accel::{wave_schedule, wave_schedule_lockstep, LatencyProfile};
 use bbs_sim::bitvert_func::pe::group_dot;
 use bbs_sim::bitvert_func::scheduler::subgroup_partial_sum;
 use bbs_sim::store::WorkloadStore;
@@ -53,9 +53,9 @@ proptest! {
             .iter()
             .map(|ch| ch.iter().map(|&l| l as u64).collect())
             .collect();
-        let profile = LatencyProfile::from_nested(lat.clone(), useful);
-        let tile = wave_schedule_with(&profile, cols, 8, SyncGranularity::PerTile);
-        let group = wave_schedule_with(&profile, cols, 8, SyncGranularity::PerGroup);
+        let profile = LatencyProfile::from_nested(&lat, &useful);
+        let tile = wave_schedule(&profile, cols, 8);
+        let group = wave_schedule_lockstep(&lat, &useful, cols, 8);
 
         // Lock-step can never be faster than buffered per-tile sync.
         prop_assert!(group.cycles >= tile.cycles);
@@ -81,7 +81,7 @@ proptest! {
         }
 
         // One column per tile: no inter-PE stall possible.
-        let solo = wave_schedule_with(&profile, 1, 8, SyncGranularity::PerTile);
+        let solo = wave_schedule(&profile, 1, 8);
         prop_assert!(solo.inter_fraction.abs() < 1e-9);
     }
 
@@ -93,18 +93,19 @@ proptest! {
             .iter()
             .map(|ch| ch.iter().map(|&l| l as u64).collect())
             .collect();
-        let profile = LatencyProfile::from_nested(lat, useful);
-        let narrow = wave_schedule_with(&profile, 2, 8, SyncGranularity::PerTile);
-        let wide = wave_schedule_with(&profile, 8, 8, SyncGranularity::PerTile);
+        let profile = LatencyProfile::from_nested(&lat, &useful);
+        let narrow = wave_schedule(&profile, 2, 8);
+        let wide = wave_schedule(&profile, 8, 8);
         // Fewer columns -> more serialization -> at least as many cycles.
         prop_assert!(narrow.cycles >= wide.cycles);
     }
 
-    /// The flat scheduler is bit-identical to the retained nested
-    /// reference: same cycles (`u64` equality) and the same fractions
-    /// (`f64` bit equality — the arithmetic order is preserved), at both
-    /// sync granularities, including partial tiles (channel counts not
-    /// divisible by `cols`) and zero-latency groups.
+    /// The per-tile schedule over per-channel totals is bit-identical to
+    /// the retained nested reference: same cycles (`u64` equality) and the
+    /// same fractions (`f64` bit equality — integer totals below 2^53 make
+    /// a `u64` sum converted once equal the in-order `f64` sum), including
+    /// partial tiles (channel counts not divisible by `cols`) and
+    /// zero-latency groups.
     #[test]
     fn flat_schedule_matches_nested_reference(
         lat in vec(vec(0u32..=9, 1..=6), 1..=17),
@@ -121,16 +122,14 @@ proptest! {
             .iter()
             .map(|ch| ch.iter().map(|&l| l as u64 * useful_scale).collect())
             .collect();
-        let nested = NestedProfile { latencies: lat.clone(), useful: useful.clone() };
-        let flat = LatencyProfile::from_nested(lat, useful);
-        for sync in [SyncGranularity::PerTile, SyncGranularity::PerGroup] {
-            let expect = wave_schedule_nested(&nested, cols, lanes, sync);
-            let got = wave_schedule_with(&flat, cols, lanes, sync);
-            prop_assert_eq!(got.cycles, expect.cycles);
-            prop_assert_eq!(got.useful_fraction.to_bits(), expect.useful_fraction.to_bits());
-            prop_assert_eq!(got.intra_fraction.to_bits(), expect.intra_fraction.to_bits());
-            prop_assert_eq!(got.inter_fraction.to_bits(), expect.inter_fraction.to_bits());
-        }
+        let flat = LatencyProfile::from_nested(&lat, &useful);
+        let nested = NestedProfile { latencies: lat, useful };
+        let expect = wave_schedule_nested(&nested, cols, lanes);
+        let got = wave_schedule(&flat, cols, lanes);
+        prop_assert_eq!(got.cycles, expect.cycles);
+        prop_assert_eq!(got.useful_fraction.to_bits(), expect.useful_fraction.to_bits());
+        prop_assert_eq!(got.intra_fraction.to_bits(), expect.intra_fraction.to_bits());
+        prop_assert_eq!(got.inter_fraction.to_bits(), expect.inter_fraction.to_bits());
     }
 
     /// Store-cached lowering is bit-identical to fresh `lower_model`
@@ -164,10 +163,7 @@ proptest! {
 #[test]
 #[should_panic(expected = "group counts differ across channels")]
 fn ragged_nested_profile_panics() {
-    let _ = LatencyProfile::from_nested(
-        vec![vec![1, 2, 3], vec![1, 2]],
-        vec![vec![1, 2, 3], vec![1, 2]],
-    );
+    let _ = LatencyProfile::from_nested(&[vec![1, 2, 3], vec![1, 2]], &[vec![1, 2, 3], vec![1, 2]]);
 }
 
 /// The reference scheduler keeps its own panic for ragged profiles.
@@ -178,13 +174,13 @@ fn ragged_nested_reference_panics() {
         latencies: vec![vec![1, 2], vec![1]],
         useful: vec![vec![1, 2], vec![1]],
     };
-    let _ = wave_schedule_nested(&p, 2, 8, SyncGranularity::PerTile);
+    let _ = wave_schedule_nested(&p, 2, 8);
 }
 
 /// Empty profiles are rejected by both implementations.
 #[test]
 #[should_panic(expected = "is_empty")]
 fn empty_flat_profile_panics() {
-    let p = LatencyProfile::from_nested(Vec::new(), Vec::new());
-    let _ = wave_schedule_with(&p, 2, 8, SyncGranularity::PerTile);
+    let p = LatencyProfile::from_nested(&[], &[]);
+    let _ = wave_schedule(&p, 2, 8);
 }

@@ -1,10 +1,10 @@
-//! The retained nested-`Vec` wave scheduler — the pre-flat-profile
-//! implementation, kept verbatim as the bit-identity oracle for
-//! `bbs_sim::accel::wave_schedule_with`. It allocates per channel and
-//! walks the nested rows twice per tile, so it lives with the property
-//! tests, which require exact `u64`/`f64` agreement on random profiles.
+//! The nested-`Vec` per-tile wave scheduler — the implementation from
+//! before profiles became per-channel totals, kept as the bit-identity
+//! oracle for `bbs_sim::accel::wave_schedule`. It re-sums every channel's
+//! group rows on each tile, so it lives with the property tests, which
+//! require exact `u64`/`f64` agreement on random profiles.
 
-use bbs_sim::accel::{SyncGranularity, WaveStats};
+use bbs_sim::accel::WaveStats;
 
 /// Per-channel, per-group latency/usefulness rows in the historical
 /// nested representation.
@@ -16,18 +16,13 @@ pub struct NestedProfile {
     pub useful: Vec<Vec<u64>>,
 }
 
-/// The original nested-row wave scheduler (see
-/// `bbs_sim::accel::wave_schedule_with` for the semantics).
+/// The original nested-row per-tile scheduler (see
+/// `bbs_sim::accel::wave_schedule` for the semantics).
 ///
 /// # Panics
 ///
 /// Panics if the profile is empty or group counts differ across channels.
-pub fn wave_schedule_nested(
-    profile: &NestedProfile,
-    pe_cols: usize,
-    lanes: usize,
-    sync: SyncGranularity,
-) -> WaveStats {
+pub fn wave_schedule_nested(profile: &NestedProfile, pe_cols: usize, lanes: usize) -> WaveStats {
     assert!(!profile.latencies.is_empty());
     let groups = profile.latencies[0].len();
     assert!(
@@ -44,46 +39,20 @@ pub fn wave_schedule_nested(
     for tile_start in (0..channels).step_by(pe_cols) {
         let tile = tile_start..(tile_start + pe_cols).min(channels);
         let idle_cols = pe_cols - tile.len();
-        match sync {
-            SyncGranularity::PerGroup => {
-                for g in 0..groups {
-                    let wave = tile
-                        .clone()
-                        .map(|c| profile.latencies[c][g])
-                        .max()
-                        .unwrap_or(0) as u64;
-                    if wave == 0 {
-                        continue;
-                    }
-                    cycles += wave;
-                    for c in tile.clone() {
-                        let lat = profile.latencies[c][g] as u64;
-                        let u = profile.useful[c][g] as f64;
-                        useful += u;
-                        intra += (lat * lanes as u64) as f64 - u;
-                        inter += ((wave - lat) * lanes as u64) as f64;
-                    }
-                    inter += (idle_cols as u64 * wave * lanes as u64) as f64;
-                }
-            }
-            SyncGranularity::PerTile => {
-                let col_sum =
-                    |c: usize| -> u64 { profile.latencies[c].iter().map(|&l| l as u64).sum() };
-                let tile_cycles = tile.clone().map(col_sum).max().unwrap_or(0);
-                if tile_cycles == 0 {
-                    continue;
-                }
-                cycles += tile_cycles;
-                for c in tile.clone() {
-                    let lat = col_sum(c);
-                    let u: f64 = profile.useful[c].iter().map(|&x| x as f64).sum();
-                    useful += u;
-                    intra += (lat * lanes as u64) as f64 - u;
-                    inter += ((tile_cycles - lat) * lanes as u64) as f64;
-                }
-                inter += (idle_cols as u64 * tile_cycles * lanes as u64) as f64;
-            }
+        let col_sum = |c: usize| -> u64 { profile.latencies[c].iter().map(|&l| l as u64).sum() };
+        let tile_cycles = tile.clone().map(col_sum).max().unwrap_or(0);
+        if tile_cycles == 0 {
+            continue;
         }
+        cycles += tile_cycles;
+        for c in tile.clone() {
+            let lat = col_sum(c);
+            let u: f64 = profile.useful[c].iter().map(|&x| x as f64).sum();
+            useful += u;
+            intra += (lat * lanes as u64) as f64 - u;
+            inter += ((tile_cycles - lat) * lanes as u64) as f64;
+        }
+        inter += (idle_cols as u64 * tile_cycles * lanes as u64) as f64;
     }
 
     let total = (cycles * (pe_cols * lanes) as u64) as f64;

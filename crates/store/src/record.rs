@@ -18,6 +18,8 @@
 //! caught by the magic check, the length check, or the checksum — the
 //! property tests in `tests/proptests.rs` flip every bit to prove it.
 
+use bbs_json::Fnv1a64;
+
 /// Record magic: "BBSR" (BBS Record).
 pub const MAGIC: [u8; 4] = *b"BBSR";
 /// Current format version. Bump on layout changes; old records are
@@ -56,19 +58,11 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-fn fnv1a_64(init: u64, bytes: &[u8]) -> u64 {
-    let mut hash = init;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 fn checksum(meta: &[u8], payload: &[u8]) -> u64 {
-    fnv1a_64(fnv1a_64(FNV_OFFSET, meta), payload)
+    let mut hash = Fnv1a64::new();
+    hash.write(meta);
+    hash.write(payload);
+    hash.finish()
 }
 
 /// Encodes `payload` under `key` into a self-validating record.
@@ -124,6 +118,20 @@ mod tests {
             assert_eq!(key, 0xdead_beef_cafe_f00d);
             assert_eq!(out, payload);
         }
+    }
+
+    /// Records already on disk keep decoding: one fixed record's bytes,
+    /// checksum included, are pinned literally.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let key = 0x0123_4567_89ab_cdef_u64;
+        let mut expect = b"BBSR\x01\x00\x00\x00".to_vec();
+        expect.extend_from_slice(&key.to_le_bytes());
+        expect.extend_from_slice(&14u64.to_le_bytes());
+        expect.extend_from_slice(&0x69fd_298f_0658_3bea_u64.to_le_bytes());
+        expect.extend_from_slice(b"pinned payload");
+        assert_eq!(encode(key, b"pinned payload"), expect);
+        assert_eq!(decode(&expect), Ok((key, b"pinned payload".to_vec())));
     }
 
     #[test]
