@@ -64,11 +64,9 @@ pub fn rounded_averaging_packed(packed: &PackedGroup, target_sparse: usize) -> C
         let mean = packed.low_bits_sum(g) as f64 / packed.len() as f64;
         (mean.round() as u32).min(mask) as u8
     };
-    let kept: Vec<u64> = (g..WEIGHT_BITS - r).map(|b| packed.column(b)).collect();
-
     CompressedGroup::from_parts(
         packed.len(),
-        kept,
+        &packed.columns()[g..WEIGHT_BITS - r],
         BbsMetadata {
             num_redundant: r as u8,
             constant: c as i8,
@@ -119,7 +117,7 @@ mod tests {
 
         CompressedGroup::from_parts(
             group.len(),
-            kept,
+            &kept,
             BbsMetadata {
                 num_redundant: r as u8,
                 constant: c as i8,

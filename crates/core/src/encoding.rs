@@ -100,17 +100,24 @@ impl BbsMetadata {
 /// assert_eq!(compressed.kept_column_count(), 4);
 /// assert_eq!(compressed.decode(), vec![-11, 21, -59, 13]);
 /// ```
+///
+/// The kept columns live inline: building a group allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedGroup {
-    n: usize,
-    kept: Vec<u64>,
+    /// Kept column masks; entries from `columns` on are zero.
+    kept: [u64; WEIGHT_BITS],
+    /// Number of kept columns.
+    columns: u8,
+    /// Group size.
+    n: u8,
     meta: BbsMetadata,
     kind: ConstantKind,
 }
 
 impl CompressedGroup {
     /// Assembles a compressed group from parts, validating the encoding
-    /// invariants.
+    /// invariants. `kept` holds the kept column masks, lowest significance
+    /// first; they are copied inline.
     ///
     /// # Panics
     ///
@@ -119,7 +126,7 @@ impl CompressedGroup {
     /// the 2-bit field, an averaging constant that does not fit the pruned
     /// low-column count, or a shifting constant outside the signed 6-bit
     /// range.
-    pub fn from_parts(n: usize, kept: Vec<u64>, meta: BbsMetadata, kind: ConstantKind) -> Self {
+    pub fn from_parts(n: usize, kept: &[u64], meta: BbsMetadata, kind: ConstantKind) -> Self {
         assert!((1..=MAX_GROUP).contains(&n), "group size {n}");
         assert!(!kept.is_empty(), "at least one kept column required");
         let r = meta.num_redundant as usize;
@@ -153,9 +160,12 @@ impl CompressedGroup {
         for (j, &c) in kept.iter().enumerate() {
             assert!(c & !lane_mask == 0, "kept column {j} has stray lane bits");
         }
+        let mut columns = [0; WEIGHT_BITS];
+        columns[..kept.len()].copy_from_slice(kept);
         CompressedGroup {
-            n,
-            kept,
+            kept: columns,
+            columns: kept.len() as u8,
+            n: n as u8,
             meta,
             kind,
         }
@@ -171,10 +181,9 @@ impl CompressedGroup {
         // One pack serves both the redundant count and the kept columns.
         let bits = bbs_tensor::bits::PackedGroup::from_words(group);
         let r = crate::redundant::encoded_redundant_columns_packed(&bits);
-        let kept: Vec<u64> = (0..WEIGHT_BITS - r).map(|b| bits.column(b)).collect();
         CompressedGroup::from_parts(
             group.len(),
-            kept,
+            &bits.columns()[..WEIGHT_BITS - r],
             BbsMetadata {
                 num_redundant: r as u8,
                 constant: 0,
@@ -185,7 +194,7 @@ impl CompressedGroup {
 
     /// Group size.
     pub fn len(&self) -> usize {
-        self.n
+        self.n as usize
     }
 
     /// Whether the group is empty (never true for a constructed group).
@@ -195,12 +204,12 @@ impl CompressedGroup {
 
     /// Number of kept (stored) bit columns.
     pub fn kept_column_count(&self) -> usize {
-        self.kept.len()
+        self.columns as usize
     }
 
     /// Number of pruned columns (redundant + generated sparse).
     pub fn pruned_columns(&self) -> usize {
-        WEIGHT_BITS - self.kept.len()
+        WEIGHT_BITS - self.kept_column_count()
     }
 
     /// Number of redundant columns removed.
@@ -210,7 +219,7 @@ impl CompressedGroup {
 
     /// Number of generated sparse low columns (`g`).
     pub fn low_pruned(&self) -> usize {
-        WEIGHT_BITS - self.num_redundant() - self.kept.len()
+        WEIGHT_BITS - self.num_redundant() - self.kept_column_count()
     }
 
     /// The metadata word.
@@ -225,13 +234,12 @@ impl CompressedGroup {
 
     /// The kept column mask at index `j` (significance `low_pruned() + j`).
     pub fn kept_column(&self, j: usize) -> u64 {
-        self.kept[j]
+        self.kept_columns()[j]
     }
 
-    /// All kept column masks, lowest significance first (the allocation-free
-    /// view behind [`kept_column`](Self::kept_column)).
+    /// All kept column masks, lowest significance first.
     pub fn kept_columns(&self) -> &[u64] {
-        &self.kept
+        &self.kept[..self.kept_column_count()]
     }
 
     /// Decodes the reconstructed integer weights.
@@ -247,16 +255,15 @@ impl CompressedGroup {
     pub fn decode(&self) -> Vec<i32> {
         let g = self.low_pruned();
         let r = self.meta.num_redundant as usize;
+        let kept = self.kept_columns();
         let mut planes = [0u64; WEIGHT_BITS];
-        for (j, &col) in self.kept.iter().enumerate() {
-            planes[g + j] = col;
-        }
-        let msb = self.kept[self.kept.len() - 1];
+        planes[g..g + kept.len()].copy_from_slice(kept);
+        let msb = kept[kept.len() - 1];
         for plane in planes.iter_mut().skip(WEIGHT_BITS - r) {
             *plane = msb;
         }
         let c = self.meta.constant as i32;
-        bbs_tensor::bits::unpack_planes(&planes, self.n)
+        bbs_tensor::bits::unpack_planes(&planes, self.len())
             .into_iter()
             .map(|w| match self.kind {
                 ConstantKind::LowBitsAverage => w as i32 + c,
@@ -271,23 +278,23 @@ impl CompressedGroup {
     ///
     /// Panics if `original.len() != self.len()`.
     pub fn mse(&self, original: &[i8]) -> f64 {
-        assert_eq!(original.len(), self.n);
+        assert_eq!(original.len(), self.len());
         metrics::mse_i8(original, &self.decode())
     }
 
     /// Storage cost in bits: kept columns plus the metadata word.
     pub fn stored_bits(&self) -> usize {
-        self.n * self.kept.len() + METADATA_BITS
+        self.len() * self.kept_column_count() + METADATA_BITS
     }
 
     /// Uncompressed cost in bits.
     pub fn original_bits(&self) -> usize {
-        self.n * WEIGHT_BITS
+        self.len() * WEIGHT_BITS
     }
 
     /// Effective bits per weight including metadata amortization.
     pub fn effective_bits_per_weight(&self) -> f64 {
-        self.stored_bits() as f64 / self.n as f64
+        self.stored_bits() as f64 / self.len() as f64
     }
 
     /// Per-column dot-product weight for the simulator: the signed scale of
@@ -295,7 +302,7 @@ impl CompressedGroup {
     pub fn column_scale(&self, j: usize) -> i64 {
         let g = self.low_pruned();
         let b = g + j;
-        if j == self.kept.len() - 1 {
+        if j == self.kept_column_count() - 1 {
             -(1i64 << b)
         } else {
             1i64 << b
@@ -312,10 +319,13 @@ impl CompressedGroup {
     ///
     /// Panics if `activations.len() != self.len()`.
     pub fn dot(&self, activations: &[i32]) -> i64 {
-        assert_eq!(activations.len(), self.n);
-        let col_part: i64 = (0..self.kept.len())
-            .map(|j| {
-                self.column_scale(j) * crate::bbs_math::column_sum_direct(self.kept[j], activations)
+        assert_eq!(activations.len(), self.len());
+        let col_part: i64 = self
+            .kept_columns()
+            .iter()
+            .enumerate()
+            .map(|(j, &col)| {
+                self.column_scale(j) * crate::bbs_math::column_sum_direct(col, activations)
             })
             .sum();
         let sum_a: i64 = activations.iter().map(|&a| a as i64).sum();
@@ -461,7 +471,7 @@ mod tests {
     fn rejects_empty_columns() {
         let _ = CompressedGroup::from_parts(
             4,
-            vec![],
+            &[],
             BbsMetadata {
                 num_redundant: 0,
                 constant: 0,
@@ -475,7 +485,7 @@ mod tests {
     fn rejects_out_of_range_shift_constant() {
         let _ = CompressedGroup::from_parts(
             4,
-            vec![0; 4],
+            &[0; 4],
             BbsMetadata {
                 num_redundant: 0,
                 constant: 40,
@@ -489,7 +499,7 @@ mod tests {
     fn rejects_stray_lane_bits() {
         let _ = CompressedGroup::from_parts(
             2,
-            vec![0b100; 8],
+            &[0b100; 8],
             BbsMetadata {
                 num_redundant: 0,
                 constant: 0,

@@ -7,10 +7,12 @@
 //! to a multiple of the hardware parallelism `CH` so reordered chunks map
 //! cleanly onto the PE array.
 //!
-//! Normal channels are compressed through the packed bit-plane kernels
-//! ([`BinaryPruner::compress_channel`] packs each group exactly once and
-//! runs the mask-arithmetic search), so the whole-model channel sweep is
-//! bounded by pack + mask ops rather than per-weight loops.
+//! Selecting the sensitive channels takes linear time: the top `k` under
+//! (scale descending, position ascending) is found by selection, not by
+//! sorting. Normal channels are compressed group by group through
+//! [`BinaryPruner::compress_channel`]: rounded averaging packs each group
+//! into bit planes once, and zero-point shifting runs its bounded search
+//! on byte lanes.
 
 use crate::prune::{BinaryPruner, CompressedChannel, DEFAULT_GROUP_SIZE};
 use bbs_tensor::quant::QuantTensor;
@@ -104,10 +106,16 @@ impl PrunedLayer {
 /// Selects per-layer sensitivity masks from per-channel scale factors
 /// (Algorithm 2, lines 1–9).
 ///
+/// The model's `⌈β·N⌉` channels with the largest scales are sensitive;
+/// each layer's count of them is rounded up to a multiple of `ch` (capped
+/// at the layer's width), and the layer keeps that many of its own
+/// largest-scale channels. Equal scales go to the lower position (layer,
+/// then channel), which is the order a stable descending sort gives.
+///
 /// # Panics
 ///
-/// Panics if `layer_scales` is empty, any layer has no channels, `beta` is
-/// outside `[0, 1]`, or `ch` is zero.
+/// Panics if `layer_scales` is empty, any layer has no channels, any scale
+/// is NaN, `beta` is outside `[0, 1]`, or `ch` is zero.
 pub fn select_sensitive_channels(
     layer_scales: &[Vec<f32>],
     beta: f64,
@@ -115,48 +123,82 @@ pub fn select_sensitive_channels(
 ) -> Vec<Vec<bool>> {
     assert!(!layer_scales.is_empty());
     assert!(layer_scales.iter().all(|l| !l.is_empty()));
+    assert!(
+        layer_scales.iter().flatten().all(|s| !s.is_nan()),
+        "scales must not be NaN"
+    );
     assert!((0.0..=1.0).contains(&beta), "beta must be a fraction");
     assert!(ch > 0);
 
-    // Global channel sorting by scale factor, descending.
-    let mut all: Vec<(usize, usize, f32)> = Vec::new();
-    for (li, scales) in layer_scales.iter().enumerate() {
-        for (ci, &s) in scales.iter().enumerate() {
-            all.push((li, ci, s));
-        }
-    }
-    all.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("scales must not be NaN"));
-    let global_sensitive = ((all.len() as f64) * beta).ceil() as usize;
-
-    // Count globally sensitive channels per layer.
+    // How many of the model's top channels each layer holds.
+    let total: usize = layer_scales.iter().map(Vec::len).sum();
+    let global_sensitive = ((total as f64) * beta).ceil() as usize;
     let mut per_layer_count = vec![0usize; layer_scales.len()];
-    for &(li, _, _) in all.iter().take(global_sensitive) {
-        per_layer_count[li] += 1;
+    if global_sensitive > 0 {
+        let mut top = TopK::new(&mut layer_scales.concat(), global_sensitive);
+        for (count, scales) in per_layer_count.iter_mut().zip(layer_scales) {
+            *count = scales.iter().filter(|&&s| top.takes(s)).count();
+        }
     }
 
     // Per layer: round the count up to a multiple of CH (capped at the
     // layer's channel count) and take the layer-local top channels.
-    let mut masks = Vec::with_capacity(layer_scales.len());
-    for (li, scales) in layer_scales.iter().enumerate() {
-        let mut num_sens = per_layer_count[li];
-        if num_sens > 0 {
-            num_sens = num_sens.div_ceil(ch) * ch;
-        }
-        num_sens = num_sens.min(scales.len());
+    let mut scratch = Vec::new();
+    layer_scales
+        .iter()
+        .zip(per_layer_count)
+        .map(|(scales, count)| {
+            let num_sens = (count.div_ceil(ch) * ch).min(scales.len());
+            if num_sens == 0 {
+                return vec![false; scales.len()];
+            }
+            scratch.clear();
+            scratch.extend_from_slice(scales);
+            let mut top = TopK::new(&mut scratch, num_sens);
+            scales.iter().map(|&s| top.takes(s)).collect()
+        })
+        .collect()
+}
 
-        let mut order: Vec<usize> = (0..scales.len()).collect();
-        order.sort_by(|&a, &b| {
-            scales[b]
-                .partial_cmp(&scales[a])
-                .expect("scales must not be NaN")
-        });
-        let mut mask = vec![false; scales.len()];
-        for &c in order.iter().take(num_sens) {
-            mask[c] = true;
+/// The top `k` of a list of scales under (scale descending, position
+/// ascending), without sorting: every scale above the `k`-th largest is
+/// in, and of the scales equal to it, the first ones in position order
+/// fill the remaining places.
+struct TopK {
+    /// The `k`-th largest scale.
+    pivot: f32,
+    /// Places left for scales equal to `pivot`.
+    ties: usize,
+}
+
+impl TopK {
+    /// The top `k` of `scales` (reordered in place as scratch).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= k <= scales.len()`, or if a scale is NaN.
+    fn new(scales: &mut [f32], k: usize) -> Self {
+        let descending = |a: &f32, b: &f32| b.partial_cmp(a).expect("scales must not be NaN");
+        let (above, &mut pivot, _) = scales.select_nth_unstable_by(k - 1, descending);
+        let greater = above.iter().filter(|&&s| s > pivot).count();
+        TopK {
+            pivot,
+            ties: k - greater,
         }
-        masks.push(mask);
     }
-    masks
+
+    /// Whether the scale at the next position is in the top `k`; call it
+    /// once per position, in position order.
+    fn takes(&mut self, scale: f32) -> bool {
+        if scale > self.pivot {
+            true
+        } else if scale == self.pivot && self.ties > 0 {
+            self.ties -= 1;
+            true
+        } else {
+            false
+        }
+    }
 }
 
 /// Applies global binary pruning to a set of per-channel quantized layers
@@ -217,6 +259,81 @@ mod tests {
     use bbs_tensor::quant::{quantize_per_channel, ScaleMethod};
     use bbs_tensor::rng::SeededRng;
     use bbs_tensor::{Shape, Tensor};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The oracle for [`select_sensitive_channels`]: Algorithm 2 by
+    /// sorting. A stable descending sort of every (layer, channel, scale)
+    /// triple gives each layer's share of the global top, and a stable
+    /// descending sort of each layer's scales gives its mask.
+    fn select_by_sorting(layer_scales: &[Vec<f32>], beta: f64, ch: usize) -> Vec<Vec<bool>> {
+        let mut all: Vec<(usize, usize, f32)> = Vec::new();
+        for (li, scales) in layer_scales.iter().enumerate() {
+            for (ci, &s) in scales.iter().enumerate() {
+                all.push((li, ci, s));
+            }
+        }
+        all.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("scales must not be NaN"));
+        let global_sensitive = ((all.len() as f64) * beta).ceil() as usize;
+
+        let mut per_layer_count = vec![0usize; layer_scales.len()];
+        for &(li, _, _) in all.iter().take(global_sensitive) {
+            per_layer_count[li] += 1;
+        }
+
+        let mut masks = Vec::with_capacity(layer_scales.len());
+        for (li, scales) in layer_scales.iter().enumerate() {
+            let mut num_sens = per_layer_count[li];
+            if num_sens > 0 {
+                num_sens = num_sens.div_ceil(ch) * ch;
+            }
+            num_sens = num_sens.min(scales.len());
+
+            let mut order: Vec<usize> = (0..scales.len()).collect();
+            order.sort_by(|&a, &b| {
+                scales[b]
+                    .partial_cmp(&scales[a])
+                    .expect("scales must not be NaN")
+            });
+            let mut mask = vec![false; scales.len()];
+            for &c in order.iter().take(num_sens) {
+                mask[c] = true;
+            }
+            masks.push(mask);
+        }
+        masks
+    }
+
+    /// Scales drawn from a few values, so that ties are common; `-0.0`
+    /// ties with `0.0`.
+    const TIED_SCALES: [f32; 6] = [0.0, -0.0, 0.003, 0.01, 0.010_000_001, 0.5];
+
+    proptest! {
+        #[test]
+        fn selection_equals_the_sorting_oracle(
+            layers in vec(vec(0usize..TIED_SCALES.len(), 1..=300), 1..=6),
+            beta_kind in 0usize..3,
+            random_beta in 0.0f64..=1.0,
+            ch in 1usize..=64,
+        ) {
+            let scales: Vec<Vec<f32>> = layers
+                .iter()
+                .map(|l| l.iter().map(|&i| TIED_SCALES[i]).collect())
+                .collect();
+            let beta = [0.0, random_beta, 1.0][beta_kind];
+            prop_assert_eq!(
+                select_sensitive_channels(&scales, beta, ch),
+                select_by_sorting(&scales, beta, ch),
+                "beta {} ch {}", beta, ch
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scales must not be NaN")]
+    fn nan_scales_are_rejected() {
+        let _ = select_sensitive_channels(&[vec![0.5, f32::NAN]], 0.0, 1);
+    }
 
     fn synth_layer(chans: usize, epc: usize, outliers: usize, seed: u64) -> QuantTensor {
         let mut rng = SeededRng::new(seed);

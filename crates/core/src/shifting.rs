@@ -2,8 +2,8 @@
 //!
 //! Adding an optimal signed constant to a weight group changes every
 //! weight's binary content, which can make zero columns appear in the low
-//! significances. The search is exhaustive over the 6-bit constant range
-//! `[-32, 31]`; for each candidate:
+//! significances. The constant comes from the 6-bit range `[-32, 31]`; for
+//! each candidate:
 //!
 //! 1. `Wt = clip(W + c)`,
 //! 2. count/remove redundant sign-extension columns,
@@ -17,18 +17,30 @@
 //! Only *zero* sparse columns are generated (the constant field already
 //! holds the shift), matching Algorithm 1 line 8.
 //!
-//! The search runs on byte lanes: the group's weights sit as `i8` lanes,
-//! one [`ByteLanes`] register per 32 weights, and each candidate costs a
-//! dozen exact integer vector ops. The squared error is an exact integer,
-//! which preserves the per-weight oracle's selection bit-for-bit: the
-//! oracle's f64 MSE is `sse / n` with `sse` and `n` exactly representable,
-//! and `x ↦ x/n` is strictly monotone and injective for these magnitudes,
-//! so integer comparisons (and ties) coincide with the oracle's.
+//! The search is bounded. Every rounded weight is a multiple of `2^g`, so
+//! a lane's error is at least the distance from `w + c` to the nearest
+//! multiple, which depends only on `w` and `c` mod `2^g`; a clip or the
+//! clamp at the top of the range only lands it on a farther multiple.
+//! Summed over the group, that gives a lower bound on every candidate's
+//! squared error from a table per lane. The search scores candidates in
+//! ascending bound and stops when no bound left can beat the winner: on
+//! the serve models, about nine exact scores (1.2 batches of eight) per
+//! group instead of 64.
+//!
+//! The exact scores run on byte lanes: the group's weights sit as `i8`
+//! lanes, one [`ByteLanes`] register per 32 weights, and each candidate
+//! costs a dozen exact integer vector ops. The squared error is an exact
+//! integer, which preserves the per-weight oracle's selection bit-for-bit:
+//! the oracle's f64 MSE is `sse / n` with `sse` and `n` exactly
+//! representable, and `x ↦ x/n` is strictly monotone and injective for
+//! these magnitudes, so integer comparisons (and ties) coincide with the
+//! oracle's.
 
 use crate::encoding::{BbsMetadata, CompressedGroup, ConstantKind};
 use crate::redundant::MAX_ENCODED_REDUNDANT;
 use bbs_tensor::bits::{MAX_GROUP, WEIGHT_BITS};
 use bbs_tensor::lanes::{Backend, ByteLanes, I8x32, BYTES};
+use std::cmp::Reverse;
 
 /// Inclusive search range of the signed 6-bit shift constant.
 pub const SHIFT_MIN: i32 = -32;
@@ -36,11 +48,11 @@ pub const SHIFT_MIN: i32 = -32;
 pub const SHIFT_MAX: i32 = 31;
 
 /// Algorithm 1: finds the optimal shift constant and returns the compressed
-/// group. Evaluates all 64 shift constants on byte lanes under the
-/// process-wide [`Backend::active`] backend, bit-identical to the
-/// per-weight Algorithm 1 oracle in this module's tests (same winning
-/// constant under the same tie-breaking, same stored columns) on every
-/// backend.
+/// group. Scores the shift constants on byte lanes under the process-wide
+/// [`Backend::active`] backend, skipping those whose lower bound cannot
+/// win, bit-identical to the per-weight Algorithm 1 oracle over all 64
+/// constants in this module's tests (same winning constant under the same
+/// tie-breaking, same stored columns) on every backend.
 ///
 /// # Panics
 ///
@@ -86,7 +98,8 @@ fn lanes_of(words: &[i8]) -> [i8; MAX_GROUP] {
 
 /// Running winner of the constant search, with the oracle's tie rules:
 /// lowest SSE, then more redundant columns (more free compression), then
-/// the smaller shift magnitude.
+/// the smaller shift magnitude, then the smaller constant (the oracle
+/// scans the constants in ascending order and keeps the first of a tie).
 struct BestShift {
     sse: u32,
     r: usize,
@@ -96,31 +109,26 @@ struct BestShift {
 impl BestShift {
     #[inline]
     fn consider(&mut self, sse: u32, r: usize, c: i32) {
-        let better = sse < self.sse
-            || (sse == self.sse && r > self.r)
-            || (sse == self.sse && r == self.r && c.abs() < self.c.abs());
-        if better {
+        if (sse, Reverse(r), c.abs(), c) < (self.sse, Reverse(self.r), self.c.abs(), self.c) {
             *self = BestShift { sse, r, c };
         }
+    }
+
+    /// The constants that would beat the winner at an equal SSE: those
+    /// keeping more redundant columns, or as many with a smaller
+    /// `(|c|, c)`. `at_least` is the search's candidate masks by
+    /// redundant count.
+    #[inline]
+    fn tie_winners(&self, at_least: &[u64; MAX_ENCODED_REDUNDANT + 2]) -> u64 {
+        let m = self.c.abs();
+        let nearer = span(1 - m, m - 1) | if self.c > 0 { span(-m, -m) } else { 0 };
+        let same_r = at_least[self.r] & !at_least[self.r + 1];
+        at_least[self.r + 1] | (same_r & nearer)
     }
 }
 
 /// The winning shift and the bit planes of its shifted, rounded weights.
 type Found = (BestShift, [u64; WEIGHT_BITS]);
-
-/// Redundant columns of the group shifted by `c` (capped at the 2-bit
-/// field), from its extremes alone: the group keeps `r` columns exactly
-/// when `wmin + c` and `wmax + c` both fit `8 - r` bits, and a clipped
-/// weight fits none of the narrowed ranges, as its unclipped value.
-#[inline]
-fn redundant_after_shift(wmin: i32, wmax: i32, c: i32) -> usize {
-    (1..=MAX_ENCODED_REDUNDANT)
-        .filter(|&r| {
-            let half = 1 << (WEIGHT_BITS - 1 - r);
-            wmin + c >= -half && wmax + c < half
-        })
-        .count()
-}
 
 /// The byte-lane constants of rounding to a multiple of `2^g` after `r`
 /// redundant columns: `s = min(sat(t + bias) & keep, hi)`, where the bias
@@ -170,6 +178,73 @@ fn shift_lanes<B: ByteLanes>(w: B, valid: B, c: i32, rounding: &Rounding<B>) -> 
     (s, err)
 }
 
+/// The residue bits the lower bound reads: a lane's `w mod 16`. A multiple
+/// of `2^g` for `g >= 4` is a multiple of 16, so the 4-bit bound holds for
+/// every larger `g` too (only less tightly).
+const BOUND_BITS: usize = 4;
+/// Residues mod `2^BOUND_BITS`.
+const RESIDUES: usize = 1 << BOUND_BITS;
+
+/// `BOUND_ROWS[b][x][ρ]`: the squared distance from `x + ρ` to the nearest
+/// multiple of `2^b`, the least squared error of a lane `w ≡ x` under a
+/// shift `c ≡ ρ (mod 16)` rounded to `b` zero low columns. At most 64, so
+/// a group's sum fits `u16`.
+static BOUND_ROWS: [[[u16; RESIDUES]; RESIDUES]; BOUND_BITS + 1] = {
+    let mut rows = [[[0; RESIDUES]; RESIDUES]; BOUND_BITS + 1];
+    let mut b = 1;
+    while b <= BOUND_BITS {
+        let step = 1 << b;
+        let mut x = 0;
+        while x < RESIDUES {
+            let mut rho = 0;
+            while rho < RESIDUES {
+                let y = (x + rho) % step;
+                let d = if y < step - y { y } else { step - y };
+                rows[b][x][rho] = (d * d) as u16;
+                rho += 1;
+            }
+            x += 1;
+        }
+        b += 1;
+    }
+    rows
+};
+
+/// `RESIDUE_CLASS[b]`: the candidates `k` with `k ≡ 0 (mod 2^b)`, bits
+/// `0, 2^b, 2·2^b, ..`. `c = k + SHIFT_MIN` has the residues of `k`.
+const RESIDUE_CLASS: [u64; BOUND_BITS + 1] = [
+    u64::MAX,
+    0x5555_5555_5555_5555,
+    0x1111_1111_1111_1111,
+    0x0101_0101_0101_0101,
+    0x0001_0001_0001_0001,
+];
+
+/// The residues mod `2^bits` of the constants in `candidates`, as bits:
+/// the mask folded onto its low `2^bits` bits.
+#[inline]
+fn open_residues(candidates: u64, bits: usize) -> u64 {
+    let mut x = candidates;
+    let mut half = 32;
+    while half >= 1 << bits {
+        x |= x >> half;
+        half >>= 1;
+    }
+    x & ((1u64 << (1 << bits)) - 1)
+}
+
+/// The constants `lo..=hi` as a candidate mask: bit `c - SHIFT_MIN` stands
+/// for the constant `c`.
+#[inline]
+fn span(lo: i32, hi: i32) -> u64 {
+    let (lo, hi) = ((lo - SHIFT_MIN).max(0), (hi - SHIFT_MIN).min(63));
+    if lo > hi {
+        0
+    } else {
+        (u64::MAX >> (63 - hi)) & (u64::MAX << lo)
+    }
+}
+
 /// `MAX_GROUP` all-ones bytes, then `MAX_GROUP` zeros.
 static IN_GROUP: [[i8; MAX_GROUP]; 2] = [[-1; MAX_GROUP], [0; MAX_GROUP]];
 
@@ -179,17 +254,24 @@ fn register<B: ByteLanes>(lanes: &[i8; MAX_GROUP], k: usize) -> B {
     B::load(lanes[k * BYTES..][..BYTES].try_into().expect("32 lanes"))
 }
 
-/// The byte-lane search: scores all 64 constants (squared errors reduced
-/// eight candidates at a time), picks the winner in ascending `c` with
-/// [`BestShift`]'s rules, and rebuilds only the winner's planes. Groups of
-/// up to 32 weights take one register, larger ones two. Lanes at or
-/// beyond `len` (which counts a partial group's zero padding) never
-/// reach a score or a plane.
+/// The bounded byte-lane search.
+///
+/// The constants fall into classes of one redundant count `r` and one
+/// residue mod `2^b`, `b = min(target - r, 4)`, which share a lower bound
+/// on the SSE: the sum over lanes of [`BOUND_ROWS`]. The search scores the
+/// open constants eight at a time (squared errors reduced in one pass),
+/// filling each batch class by class in ascending bound, and after each
+/// batch keeps open only the constants whose bound (and tie rank, when the
+/// bound equals the winner's SSE) can still beat [`BestShift`]'s winner.
+/// It rebuilds only the winner's planes. Groups of up to 32 weights take
+/// one register, larger ones two. Lanes at or beyond `len` (which counts a
+/// partial group's zero padding) never reach a score or a plane.
 ///
 /// `#[inline(always)]` so the AVX2 monomorphization inlines into its
 /// `#[target_feature(enable = "avx2")]` wrapper — otherwise the
 /// feature-gated intrinsics cannot inline and every lane op becomes an
-/// out-of-line call.
+/// out-of-line call. For the same reason it uses loops, not closures: a
+/// closure does not inherit the wrapper's target feature.
 #[inline(always)]
 fn search<B: ByteLanes>(lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> Found {
     let regs = n.div_ceil(BYTES);
@@ -200,8 +282,10 @@ fn search<B: ByteLanes>(lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> Fou
         .expect("64 lanes");
     let w: [B; 2] = [register(lanes, 0), register(lanes, 1)];
     let valid: [B; 2] = [register(in_group, 0), register(in_group, 1)];
-    let wmin = i32::from(*lanes[..n].iter().min().expect("non-empty group"));
-    let wmax = i32::from(*lanes[..n].iter().max().expect("non-empty group"));
+    let group = &lanes[..n];
+    // Folds over values, which vectorize (`min()` tracks references).
+    let wmin = i32::from(group.iter().fold(i8::MAX, |m, &x| m.min(x)));
+    let wmax = i32::from(group.iter().fold(i8::MIN, |m, &x| m.max(x)));
     // One entry per encodable `r`, spelled out: a closure would not
     // inherit the AVX2 feature, so the lane ops in it could not inline.
     let rounding: [Rounding<B>; MAX_ENCODED_REDUNDANT + 1] = [
@@ -211,18 +295,94 @@ fn search<B: ByteLanes>(lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> Fou
         Rounding::new(target, 3),
     ];
 
+    // `at_least[j]`: the constants after which the group keeps at least
+    // `j` redundant columns, from its extremes alone. It keeps `j` exactly
+    // when `wmin + c` and `wmax + c` both fit `8 - j` bits (a clipped
+    // weight fits none of the narrowed ranges, as its unclipped value), so
+    // each set is an interval and `at_least[j + 1]` lies inside it.
+    let mut at_least = [u64::MAX, 0, 0, 0, 0];
+    for (j, mask) in at_least
+        .iter_mut()
+        .enumerate()
+        .skip(1)
+        .take(MAX_ENCODED_REDUNDANT)
+    {
+        let half = 1 << (WEIGHT_BITS - 1 - j);
+        *mask = span(-half - wmin, half - 1 - wmax);
+    }
+    // One level per redundant count some constant reaches (a single one
+    // for most groups): the count, its bound bits, its constants, and the
+    // lower bound of each residue class, the sum over lanes of
+    // `BOUND_ROWS`. A class is the level's constants of one residue
+    // mod 2^bits.
+    let mut levels = [(0usize, 0usize, 0u64, [0u16; RESIDUES]); MAX_ENCODED_REDUNDANT + 1];
+    let mut present = 0;
+    for r in 0..=MAX_ENCODED_REDUNDANT {
+        let mask = at_least[r] & !at_least[r + 1];
+        if mask == 0 {
+            continue;
+        }
+        let bits = target.saturating_sub(r).min(BOUND_BITS);
+        let mut bound = [0u16; RESIDUES];
+        if bits > 0 {
+            for &x in group {
+                let row = &BOUND_ROWS[bits][usize::from(x as u8) % RESIDUES];
+                for (sum, &d) in bound.iter_mut().zip(row) {
+                    *sum += d;
+                }
+            }
+        }
+        levels[present] = (r, bits, mask, bound);
+        present += 1;
+    }
+
     let mut best = BestShift {
         sse: u32::MAX,
         r: 0,
         c: 0,
     };
+    // The constants not yet scored that may still win.
+    let mut open = u64::MAX;
     let mut err = [[B::splat(0); 8]; 2];
-    for c0 in (0..8).map(|block| SHIFT_MIN + 8 * block) {
-        let red: [usize; 8] =
-            core::array::from_fn(|j| redundant_after_shift(wmin, wmax, c0 + j as i32));
-        for j in 0..8 {
+    while open != 0 {
+        // (c, r, bound) of up to eight open constants, class by class in
+        // ascending bound.
+        let mut batch = [(0i32, 0usize, 0u16); 8];
+        let mut filled = 0;
+        while filled < batch.len() {
+            // The open class of the lowest bound, as `bound << 8 | level
+            // << 4 | residue`: a branch-free minimum.
+            let mut key = u32::MAX;
+            for (l, (_, bits, mask, bound)) in levels.iter().enumerate().take(present) {
+                let residues = open_residues(open & mask, *bits) as u32;
+                for (rho, &b) in bound.iter().enumerate() {
+                    // All ones unless residue `rho` has open constants.
+                    let closed = ((residues >> rho & 1) ^ 1).wrapping_neg();
+                    key = key.min((u32::from(b) << 8) | (l << 4 | rho) as u32 | closed);
+                }
+            }
+            if key == u32::MAX {
+                break;
+            }
+            let (r, bits, mask, _) = levels[(key >> 4 & 0xf) as usize];
+            let mut take = open & mask & (RESIDUE_CLASS[bits] << (key & 0xf));
+            while take != 0 && filled < batch.len() {
+                let k = take.trailing_zeros();
+                take &= take - 1;
+                open &= !(1 << k);
+                batch[filled] = (k as i32 + SHIFT_MIN, r, (key >> 8) as u16);
+                filled += 1;
+            }
+        }
+        // Slots past `filled` repeat the first constant: eight fixed slots
+        // keep the squared errors in registers.
+        let first = batch[0];
+        for slot in &mut batch[filled..] {
+            *slot = first;
+        }
+        for (j, &(c, r, _)) in batch.iter().enumerate() {
             for k in 0..regs {
-                err[k][j] = shift_lanes(w[k], valid[k], c0 + j as i32, &rounding[red[j]]).1;
+                err[k][j] = shift_lanes(w[k], valid[k], c, &rounding[r]).1;
             }
         }
         let mut sse = B::square_sums(&err[0]);
@@ -231,9 +391,30 @@ fn search<B: ByteLanes>(lanes: &[i8; MAX_GROUP], n: usize, target: usize) -> Fou
                 *sum += hi;
             }
         }
-        for j in 0..8 {
-            best.consider(sse[j], red[j], c0 + j as i32);
+        for (&(c, r, bound), &sse) in batch.iter().zip(&sse).take(filled) {
+            debug_assert!(
+                sse >= u32::from(bound),
+                "c = {c}: SSE {sse} below bound {bound}"
+            );
+            best.consider(sse, r, c);
         }
+        // Keep open the constants whose bound beats the winner's SSE, or
+        // ties it with a better tie rank.
+        let ties = best.tie_winners(&at_least);
+        let mut live = 0;
+        for (_, bits, mask, bound) in levels.iter().take(present) {
+            let (mut below, mut equal) = (0u64, 0u64);
+            for (rho, &b) in bound.iter().enumerate() {
+                below |= u64::from(u32::from(b) < best.sse) << rho;
+                equal |= u64::from(u32::from(b) == best.sse) << rho;
+            }
+            // Residue sets times the class pattern: every constant of each
+            // residue in the set (no carries, the set is below `2^2^bits`).
+            let first = (1u64 << (1 << bits)) - 1;
+            let class = RESIDUE_CLASS[*bits];
+            live |= mask & (((below & first) * class) | (((equal & first) * class) & ties));
+        }
+        open &= live;
     }
     let mut planes = [0u64; WEIGHT_BITS];
     for k in 0..regs {
@@ -277,7 +458,7 @@ fn encode(n: usize, target: usize, (best, planes): Found) -> CompressedGroup {
     );
     CompressedGroup::from_parts(
         n,
-        planes[g..WEIGHT_BITS - best.r].to_vec(),
+        &planes[g..WEIGHT_BITS - best.r],
         BbsMetadata {
             num_redundant: best.r as u8,
             constant: best.c as i8,
@@ -404,7 +585,7 @@ mod tests {
 
         CompressedGroup::from_parts(
             group.len(),
-            kept,
+            &kept,
             BbsMetadata {
                 num_redundant: r as u8,
                 constant: best.constant as i8,

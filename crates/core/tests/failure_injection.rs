@@ -31,7 +31,7 @@ fn corrupted_constant_changes_every_reconstruction_uniformly() {
         .collect();
     let corrupted = CompressedGroup::from_parts(
         enc.len(),
-        kept,
+        &kept,
         corrupted_meta,
         ConstantKind::ZeroPointShift,
     );
@@ -46,7 +46,7 @@ fn corrupted_constant_changes_every_reconstruction_uniformly() {
 fn oversized_redundant_field_rejected() {
     let _ = CompressedGroup::from_parts(
         4,
-        vec![0; 4],
+        &[0; 4],
         BbsMetadata {
             num_redundant: 4, // beyond the 2-bit field
             constant: 0,
@@ -60,7 +60,7 @@ fn oversized_redundant_field_rejected() {
 fn too_many_columns_rejected() {
     let _ = CompressedGroup::from_parts(
         4,
-        vec![0; 8],
+        &[0; 8],
         BbsMetadata {
             num_redundant: 3,
             constant: 0,
@@ -75,7 +75,7 @@ fn averaging_constant_overflow_rejected() {
     // 2 pruned low columns can encode constants 0..=3 only.
     let _ = CompressedGroup::from_parts(
         4,
-        vec![0; 6],
+        &[0; 6],
         BbsMetadata {
             num_redundant: 0,
             constant: 9,
@@ -118,7 +118,7 @@ fn metadata_wire_corruption_is_bounded() {
         let kept: Vec<u64> = (0..enc.kept_column_count())
             .map(|j| enc.kept_column(j))
             .collect();
-        let g = CompressedGroup::from_parts(enc.len(), kept, meta, ConstantKind::ZeroPointShift);
+        let g = CompressedGroup::from_parts(enc.len(), &kept, meta, ConstantKind::ZeroPointShift);
         for v in g.decode() {
             assert!((-256..=255).contains(&v), "bit {bit}: runaway value {v}");
         }

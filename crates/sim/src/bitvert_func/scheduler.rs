@@ -189,7 +189,7 @@ mod tests {
             let packed = PackedGroup::from_words_padded(&words, len);
             let raw = CompressedGroup::from_parts(
                 len,
-                packed.columns().to_vec(),
+                packed.columns(),
                 BbsMetadata { num_redundant: 0, constant: 0 },
                 ConstantKind::LowBitsAverage,
             );
