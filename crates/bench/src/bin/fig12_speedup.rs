@@ -6,5 +6,5 @@
 use bbs_bench::experiments::fig12;
 
 fn main() -> std::process::ExitCode {
-    bbs_bench::serve_path::figure_main("fig12_speedup", fig12::table, fig12::print, fig12::to_json)
+    bbs_bench::serve_path::figure_main("fig12_speedup", fig12::tables)
 }

@@ -6,5 +6,5 @@
 use bbs_bench::experiments::fig13;
 
 fn main() -> std::process::ExitCode {
-    bbs_bench::serve_path::figure_main("fig13_energy", fig13::table, fig13::print, fig13::to_json)
+    bbs_bench::serve_path::figure_main("fig13_energy", fig13::tables)
 }

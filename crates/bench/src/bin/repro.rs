@@ -3,32 +3,26 @@
 //! `BBS_CAP` (default 65536) bounds the per-layer synthesized weights; use
 //! a smaller value for a quick pass.
 //!
-//! `--json` emits the machine-readable core results (the fig12 speedup and
-//! fig13 energy sweeps, which every downstream comparison is built on)
-//! instead of the full stdout-table run.
+//! `--json` prints the Fig. 12 speedup and Fig. 13 energy tables, which
+//! every downstream comparison is built on, as the one JSON document
+//! (`bbs_bench::json_document`) instead of the full text run. Any other
+//! argument fails the run.
 use bbs_bench::experiments::{fig12, fig13};
+use std::process::ExitCode;
 
-fn main() {
-    if std::env::args().any(|a| a == "--json") {
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = args.iter().find(|a| *a != "--json") {
+        eprintln!("repro: unknown argument '{arg}' (known: --json)");
+        return ExitCode::FAILURE;
+    }
+    // Every argument left is `--json`.
+    if !args.is_empty() {
         const IN_PROCESS: &str = "registry ids run in process";
-        let doc = bbs_json::Json::obj(vec![
-            ("schema", bbs_json::Json::str("bbs-repro/v1")),
-            ("seed", bbs_json::Json::from_u64(bbs_bench::SEED)),
-            (
-                "bbs_cap",
-                bbs_json::Json::from_usize(bbs_bench::weight_cap()),
-            ),
-            (
-                "fig12",
-                fig12::to_json(&fig12::table(None).expect(IN_PROCESS)),
-            ),
-            (
-                "fig13",
-                fig13::to_json(&fig13::table(None).expect(IN_PROCESS)),
-            ),
-        ]);
-        println!("{}", doc.pretty(2));
-        return;
+        let mut tables = fig12::tables(None).expect(IN_PROCESS);
+        tables.extend(fig13::tables(None).expect(IN_PROCESS));
+        println!("{}", bbs_bench::json_document(&tables).pretty(2));
+        return ExitCode::SUCCESS;
     }
     println!(
         "# BBS / BitVert — full reproduction run (seed {}, cap {})",
@@ -36,4 +30,5 @@ fn main() {
         bbs_bench::weight_cap()
     );
     bbs_bench::experiments::run_all();
+    ExitCode::SUCCESS
 }

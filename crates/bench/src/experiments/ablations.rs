@@ -6,7 +6,7 @@
 //! * array synchronization granularity (per-tile vs lock-step),
 //! * BBS strategy crossover vs pruned-column count.
 
-use crate::{f, print_table, weight_cap, workload_store, SEED};
+use crate::{weight_cap, workload_store, Cell, Table, SEED};
 use bbs_core::averaging::rounded_averaging;
 use bbs_core::global::GlobalPruneConfig;
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
@@ -55,16 +55,17 @@ pub fn group_size() {
             }
         }
         rows.push(vec![
-            group.to_string(),
-            f(orig.len() as f64 * 8.0 / stored as f64, 3),
-            f(mse_i8(&orig, &recon), 2),
+            Cell::num(group as f64, 0),
+            Cell::num(orig.len() as f64 * 8.0 / stored as f64, 3),
+            Cell::num(mse_i8(&orig, &recon), 2),
         ]);
     }
-    print_table(
+    let table = Table::new(
         "Ablation A — compression group size (moderate pruning, ResNet-34 front): metadata amortization vs fit error",
         &["group size", "compression ratio", "mse"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }
 
 /// Ablation B: sensitive-channel fraction β sweep (accuracy/footprint
@@ -78,7 +79,7 @@ fn beta_sweep() {
     let base = simulate_with(store, &Stripes::new(), &model, &sim_cfg, SEED, cap).total_cycles();
     // One flat parallel job per β: its fidelity and its BitVert simulation.
     let betas = [0.0f64, 0.05, 0.10, 0.20, 0.40];
-    let rows: Vec<Vec<String>> = betas
+    let rows = betas
         .par_iter()
         .map(|&beta| {
             let method = CompressionMethod {
@@ -103,18 +104,19 @@ fn beta_sweep() {
             )
             .total_cycles();
             vec![
-                format!("{}%", (beta * 100.0) as u32),
-                f(fit.compression_ratio, 2),
-                format!("{}%", f(fit.est_accuracy_loss_pct, 2)),
-                format!("{}x", f(base as f64 / bv as f64, 2)),
+                Cell::template("{}%", &[(beta * 100.0, 0)]),
+                Cell::num(fit.compression_ratio, 2),
+                Cell::template("{}%", &[(fit.est_accuracy_loss_pct, 2)]),
+                Cell::template("{}x", &[(base as f64 / bv as f64, 2)]),
             ]
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "Ablation B — sensitive fraction β (ViT-Small, moderate pruning): footprint/accuracy/speedup trade",
         &["beta", "compression", "est acc loss", "speedup"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }
 
 /// Ablation C: array synchronization granularity — what the per-column
@@ -146,21 +148,20 @@ fn sync_granularity() {
     for &cols in &[4usize, 16, 32] {
         let tile = wave_schedule(&profile, cols, 8);
         let group = wave_schedule_lockstep(&latencies, &useful, cols, 8);
+        let penalty = 100.0 * (group.cycles as f64 / tile.cycles as f64 - 1.0);
         rows.push(vec![
-            cols.to_string(),
-            tile.cycles.to_string(),
-            group.cycles.to_string(),
-            format!(
-                "{}%",
-                f(100.0 * (group.cycles as f64 / tile.cycles as f64 - 1.0), 1)
-            ),
+            Cell::num(cols as f64, 0),
+            Cell::num(tile.cycles as f64, 0),
+            Cell::num(group.cycles as f64, 0),
+            Cell::template("{}%", &[(penalty, 1)]),
         ]);
     }
-    print_table(
+    let table = Table::new(
         "Ablation C — synchronization granularity on an imbalanced (Pragmatic-like) profile: lock-step penalty vs per-tile buffering",
         &["PE cols", "per-tile cycles", "lock-step cycles", "penalty"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }
 
 /// Ablation D: strategy crossover — MSE of averaging vs shifting per
@@ -181,22 +182,22 @@ fn strategy_crossover() {
         }
         let n = groups.len() as f64;
         rows.push(vec![
-            cols.to_string(),
-            f(avg_mse / n, 3),
-            f(zps_mse / n, 3),
-            if zps_mse <= avg_mse {
+            Cell::num(cols as f64, 0),
+            Cell::num(avg_mse / n, 3),
+            Cell::num(zps_mse / n, 3),
+            Cell::text(if zps_mse <= avg_mse {
                 "shifting"
             } else {
                 "averaging"
-            }
-            .to_string(),
+            }),
         ]);
     }
-    print_table(
+    let table = Table::new(
         "Ablation D — strategy MSE vs pruned columns (groups of 32, Gaussian sigma 35). Note: shifting wins MSE everywhere, yet averaging wins KL at 2 cols (Fig. 6) — the paper's point that distribution preservation, not MSE, predicts accuracy",
         &["cols", "averaging mse", "shifting mse", "winner"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }
 
 /// Runs all ablations.

@@ -1,7 +1,7 @@
 //! Figure 3: inherent weight value sparsity, bit sparsity (2's complement
 //! and sign-magnitude) and BBS (bit-vector size 8) across INT8 DNNs.
 
-use crate::{f, print_table, weight_cap, SEED};
+use crate::{labelled, weight_cap, Cell, Table, SEED};
 use bbs_models::accuracy::synthesize_model;
 use bbs_models::zoo;
 use bbs_tensor::bits::SparsityStats;
@@ -31,22 +31,18 @@ pub fn run() {
         zoo::vit_base(),
         zoo::bert_mrpc(),
     ];
-    let rows: Vec<Vec<String>> = models
+    let rows = models
         .par_iter()
         .map(|m| {
             let s = model_sparsity(m);
-            vec![
-                m.name.to_string(),
-                f(s.value, 3),
-                f(s.bit_twos_complement, 3),
-                f(s.bit_sign_magnitude, 3),
-                f(s.bbs, 3),
-            ]
+            let shares = [s.value, s.bit_twos_complement, s.bit_sign_magnitude, s.bbs];
+            labelled(m.name, shares.map(|v| Cell::num(v, 3)))
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "Fig. 3 — weight sparsity by definition (paper: value < 0.05, 2C ~ 0.45-0.5, SM higher, BBS > 0.5 highest)",
         &["model", "value", "bit (2C)", "bit (SM)", "BBS (2C, v=8)"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }

@@ -2,7 +2,7 @@
 //! techniques (zero-column, rounded averaging, zero-point shifting) on
 //! ResNet-34 and ViT-Base at 2 and 4 pruned columns, group size 32.
 
-use crate::{f, print_table, synthesize_all};
+use crate::{labelled, synthesize_all, Cell, Table};
 use bbs_core::averaging::rounded_averaging;
 use bbs_core::shifting::zero_point_shifting;
 use bbs_core::zero_col::sign_magnitude_zero_column;
@@ -43,23 +43,23 @@ pub fn run() {
     let jobs: Vec<(usize, usize)> = (0..specs.len())
         .flat_map(|m| [2usize, 4].map(|columns| (m, columns)))
         .collect();
-    let rows: Vec<Vec<String>> = jobs
+    let rows = jobs
         .par_iter()
         .map(|&(m, columns)| {
             let [zc, avg, zps] = technique_kls(&models[m], columns);
             let max = zc.max(avg).max(zps).max(1e-12);
-            vec![
-                specs[m].name.to_string(),
-                columns.to_string(),
-                format!("{} ({})", f(zc / max, 3), f(zc, 5)),
-                format!("{} ({})", f(avg / max, 3), f(avg, 5)),
-                format!("{} ({})", f(zps / max, 3), f(zps, 5)),
-            ]
+            let cells =
+                [zc, avg, zps].map(|kl| Cell::template("{} ({})", &[(kl / max, 3), (kl, 5)]));
+            labelled(
+                specs[m].name,
+                [Cell::num(columns as f64, 0)].into_iter().chain(cells),
+            )
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "Fig. 6 — normalized KL divergence, lower is better (paper: averaging wins at 2 cols, shifting wins at 4, zero-column worst)",
         &["model", "cols", "zero-col norm (raw)", "rounded-avg norm (raw)", "zps norm (raw)"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }

@@ -7,7 +7,7 @@
 //! 2. *real measured* accuracy on the trained-MLP substrate (averaged over
 //!    seeds).
 
-use crate::{f, print_table, synthesize_all};
+use crate::{labelled, synthesize_all, Cell, Table};
 use bbs_models::accuracy::{train_classifier, CompressionMethod, ModelFidelity, RealAccuracy};
 use bbs_models::zoo;
 use rayon::prelude::*;
@@ -88,30 +88,28 @@ pub fn run() {
         let mut rows = Vec::new();
         let mut ratio_sum = [0.0f64; 3];
         for (model, model_fits) in models.iter().zip(&fits) {
-            let mut row = vec![model.name.to_string()];
-            for (i, fit) in model_fits[level_fits.clone()].iter().enumerate() {
-                ratio_sum[i] += fit.compression_ratio;
-                row.push(format!(
-                    "{}% ({}x)",
-                    f(fit.est_accuracy_loss_pct, 2),
-                    f(fit.compression_ratio, 2)
-                ));
-            }
-            rows.push(row);
+            let cells = model_fits[level_fits.clone()].iter().zip(&mut ratio_sum);
+            rows.push(labelled(
+                model.name,
+                cells.map(|(fit, sum)| {
+                    *sum += fit.compression_ratio;
+                    Cell::template(
+                        "{}% ({}x)",
+                        &[(fit.est_accuracy_loss_pct, 2), (fit.compression_ratio, 2)],
+                    )
+                }),
+            ));
         }
-        rows.push(vec![
-            "mean ratio".to_string(),
-            format!("{}x", f(ratio_sum[0] / models.len() as f64, 2)),
-            format!("{}x", f(ratio_sum[1] / models.len() as f64, 2)),
-            format!("{}x", f(ratio_sum[2] / models.len() as f64, 2)),
-        ]);
-        print_table(
-            &format!(
+        let mean = ratio_sum.map(|sum| Cell::template("{}x", &[(sum / models.len() as f64, 2)]));
+        rows.push(labelled("mean ratio", mean));
+        let table = Table::new(
+            format!(
                 "Fig. 11 ({level}) — estimated accuracy loss (paper: BBS lowest; avg 0.25% cons / 0.45% mod at 1.29x / 1.66x)"
             ),
             &["model", "PTQ", "BitWave", "BBS"],
-            &rows,
+            rows,
         );
+        print!("{}", table.render());
     }
 
     let mut rows = Vec::new();
@@ -123,14 +121,15 @@ pub fn run() {
             fp32 += seed_accs[mi].fp32;
         }
         rows.push(vec![
-            name.to_string(),
-            format!("{}%", f(loss / seeds.len() as f64, 2)),
-            f(fp32 / seeds.len() as f64, 3),
+            Cell::text(*name),
+            Cell::template("{}%", &[(loss / seeds.len() as f64, 2)]),
+            Cell::num(fp32 / seeds.len() as f64, 3),
         ]);
     }
-    print_table(
+    let table = Table::new(
         "Fig. 11 (measured) — real accuracy loss vs INT8 on the trained-MLP substrate, 5-seed average",
         &["method", "Δacc", "fp32 ref"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }

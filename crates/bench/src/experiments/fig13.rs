@@ -3,14 +3,12 @@
 //!
 //! Like fig12, the table is one grid run by [`crate::grid_results`] in
 //! process or through a `bbs-serve` `/sweep` route; energies ride the wire
-//! in bit-exact shortest-round-trip form, so both paths render
-//! byte-identical output.
+//! in bit-exact shortest-round-trip form, so both paths produce the same
+//! table.
 
-use crate::{display_names, f, paper_grid, print_table};
-use bbs_hw::energy::EnergyBreakdown;
-use bbs_hw::json::energy_breakdown_to_json;
-use bbs_json::Json;
-use bbs_sim::SimResult;
+use crate::{display_names, labelled, paper_grid, Cell, Table};
+use bbs_models::zoo;
+use bbs_sim::{ArrayConfig, SimResult};
 use bbs_tensor::metrics::geomean;
 use std::net::SocketAddr;
 
@@ -27,99 +25,57 @@ const LINEUP: [&str; 8] = [
     "bitvert-moderate",
 ];
 
-/// Energy breakdowns per benchmark, one per accelerator of the lineup.
-pub type Energies = Vec<(&'static str, Vec<EnergyBreakdown>)>;
-
 /// Fig. 13's table, computed in process (`via` = `None`) or by the server
-/// at `via`.
-pub fn table(via: Option<SocketAddr>) -> Result<Energies, String> {
-    Ok(paper_grid(&LINEUP, via)?
-        .into_iter()
-        .map(|(model, row)| (model, row.iter().map(SimResult::energy_breakdown).collect()))
-        .collect())
-}
-
-/// Fig. 13 as machine-readable JSON (the `--json` output mode): absolute
-/// per-accelerator energy breakdowns (via the shared serialization layer)
-/// plus the SparTen-normalized totals the figure plots.
-pub fn to_json(table: &Energies) -> Json {
-    let names = display_names(&LINEUP);
-    let rows: Vec<Json> = table
-        .iter()
-        .map(|(model, breakdowns)| {
-            // SparTen is lineup column 0 — the normalization base.
-            let base = breakdowns[0].total_pj();
-            let cells: Vec<Json> = names
-                .iter()
-                .zip(breakdowns)
-                .map(|(name, b)| {
-                    Json::obj(vec![
-                        ("accelerator", Json::str(name)),
-                        ("energy_pj", energy_breakdown_to_json(b)),
-                        ("normalized_total", Json::Num(b.total_pj() / base)),
-                    ])
-                })
-                .collect();
-            Json::obj(vec![
-                ("model", Json::str(model)),
-                ("breakdown", Json::Arr(cells)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("figure", Json::str("fig13")),
-        ("baseline", Json::str("SparTen")),
-        (
-            "accelerators",
-            Json::Arr(names.iter().map(|n| Json::str(n)).collect()),
-        ),
-        ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// Prints Fig. 13 as a text table.
-pub fn print(table: &Energies) {
+/// at `via`: per benchmark, each accelerator's total energy over
+/// SparTen's with its off-chip/on-chip split, then the geomeans of the
+/// totals.
+pub fn tables(via: Option<SocketAddr>) -> Result<Vec<Table>, String> {
+    let grid = paper_grid(
+        zoo::paper_benchmarks(),
+        &LINEUP,
+        vec![ArrayConfig::paper_16x32()],
+        via,
+    )?;
     let mut header = vec!["model".to_string()];
     header.extend(display_names(&LINEUP));
 
     let mut norm_totals: Vec<Vec<f64>> = vec![Vec::new(); LINEUP.len()];
     let mut rows = Vec::new();
-    for (model, breakdowns) in table {
+    for (model, results) in &grid {
+        let breakdowns: Vec<_> = results.iter().map(SimResult::energy_breakdown).collect();
         let base = breakdowns[0].total_pj();
-        let mut row = vec![model.to_string()];
-        for (col, b) in breakdowns.iter().enumerate() {
+        let cells = breakdowns.iter().zip(&mut norm_totals).map(|(b, totals)| {
             let total = b.total_pj() / base;
-            norm_totals[col].push(total);
-            row.push(format!(
+            totals.push(total);
+            Cell::template(
                 "{} ({}/{})",
-                f(total, 2),
-                f(b.dram_pj / base, 2),
-                f(b.on_chip_pj() / base, 2)
-            ));
-        }
-        rows.push(row);
+                &[
+                    (total, 2),
+                    (b.dram_pj / base, 2),
+                    (b.on_chip_pj() / base, 2),
+                ],
+            )
+        });
+        rows.push(labelled(model, cells));
     }
-    let mut geo = vec!["geomean".to_string()];
-    geo.extend(norm_totals.iter().map(|v| f(geomean(v), 2)));
-    rows.push(geo);
-    let mut paper = vec!["paper geomean".to_string()];
-    paper.extend(
-        [
-            "1.00", "~0.6", "0.57", "0.59", "0.63", "0.52", "0.47", "0.41",
-        ]
-        .iter()
-        .map(|s| s.to_string()),
-    );
-    rows.push(paper);
-
-    print_table(
+    rows.push(labelled(
+        "geomean",
+        norm_totals.iter().map(|v| Cell::num(geomean(v), 2)),
+    ));
+    let paper = [
+        "1.00", "~0.6", "0.57", "0.59", "0.63", "0.52", "0.47", "0.41",
+    ];
+    rows.push(labelled("paper geomean", paper.map(Cell::text)));
+    Ok(vec![Table::new(
         "Fig. 13 — total energy normalized to SparTen, cells show total (off-chip/on-chip); lower is better",
         &header,
-        &rows,
-    );
+        rows,
+    )])
 }
 
 /// Regenerates Fig. 13.
 pub fn run() {
-    print(&table(None).expect("registry ids run in process"));
+    for table in tables(None).expect("registry ids run in process") {
+        print!("{}", table.render());
+    }
 }

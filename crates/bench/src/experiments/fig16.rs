@@ -4,7 +4,7 @@
 //! normalized to the dense Stripes baseline, accuracy loss is the
 //! documented fidelity estimate.
 
-use crate::{f, print_table, weight_cap, workload_store, SEED};
+use crate::{weight_cap, workload_store, Cell, Table, SEED};
 use bbs_core::global::GlobalPruneConfig;
 use bbs_core::prune::{BinaryPruner, PruneStrategy};
 use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod};
@@ -165,25 +165,22 @@ fn on_frontier(points: &[ParetoPoint], p: &ParetoPoint) -> bool {
 /// Regenerates Fig. 16.
 pub fn run() {
     let points = pareto_points();
-    let rows: Vec<Vec<String>> = points
+    let rows = points
         .iter()
         .map(|p| {
             vec![
-                p.series.to_string(),
-                p.config.clone(),
-                f(p.norm_edp, 3),
-                format!("{}%", f(p.acc_loss_pct, 2)),
-                if on_frontier(&points, p) {
-                    "*".into()
-                } else {
-                    "".into()
-                },
+                Cell::text(p.series),
+                Cell::text(&p.config),
+                Cell::num(p.norm_edp, 3),
+                Cell::template("{}%", &[(p.acc_loss_pct, 2)]),
+                Cell::text(if on_frontier(&points, p) { "*" } else { "" }),
             ]
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "Fig. 16 (ResNet-50) — EDP vs estimated accuracy loss (paper: BitVert always sits on the Pareto frontier); * marks frontier points",
         &["series", "config", "norm EDP", "acc loss", "frontier"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }

@@ -4,7 +4,7 @@
 //! synthetic corpora standing in for Wikitext and C4), and weight-space
 //! fidelity on Llama-3-8B-shaped tensors.
 
-use crate::{f, print_table, weight_cap, SEED};
+use crate::{labelled, weight_cap, Cell, Table, SEED};
 use bbs_core::prune::PruneStrategy;
 use bbs_models::accuracy::{synthesize_model, CompressionKind, CompressionMethod, ModelFidelity};
 use bbs_models::lm::{llama_subset, train_micro_lm};
@@ -93,42 +93,46 @@ pub fn run() {
         }
     }
 
-    let mut rows = Vec::new();
-    for (mi, (name, _)) in methods.iter().enumerate() {
-        let mut row = vec![name.to_string()];
-        for corpus in per_seed.chunks(3) {
-            let mut fp32 = 0.0;
-            let mut comp = 0.0;
-            for (seed_fp32, ppl) in corpus {
-                fp32 += seed_fp32;
-                comp += ppl[mi];
-            }
-            row.push(format!("{} (fp32 {})", f(comp / 3.0, 3), f(fp32 / 3.0, 3)));
-        }
-        rows.push(row);
-    }
-    print_table(
+    let rows = methods
+        .iter()
+        .enumerate()
+        .map(|(mi, (name, _))| {
+            let cells = per_seed.chunks(3).map(|corpus| {
+                let mut fp32 = 0.0;
+                let mut comp = 0.0;
+                for (seed_fp32, ppl) in corpus {
+                    fp32 += seed_fp32;
+                    comp += ppl[mi];
+                }
+                Cell::template("{} (fp32 {})", &[(comp / 3.0, 3), (fp32 / 3.0, 3)])
+            });
+            labelled(name, cells)
+        })
+        .collect();
+    let table = Table::new(
         "Fig. 17 (measured) — micro-LM perplexity after weight compression, 3-seed average (paper: BBS-mod beats Olive at similar footprint; BBS-cons ~ lossless)",
         &["method", "wikitext-like ppl", "c4-like ppl"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 
-    let rows: Vec<Vec<String>> = compressed
+    let rows = compressed
         .iter()
         .zip(&fits)
         .map(|((name, _), fit)| {
             vec![
-                name.to_string(),
-                f(fit.effective_bits, 2),
-                format!("{:.2e}", fit.kl_divergence),
-                f(fit.mse, 2),
-                f(fit.output_sqnr_db, 1),
+                Cell::text(*name),
+                Cell::num(fit.effective_bits, 2),
+                Cell::sci(fit.kl_divergence, 2),
+                Cell::num(fit.mse, 2),
+                Cell::num(fit.output_sqnr_db, 1),
             ]
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "Fig. 17 (fidelity) — Llama-3-8B-shaped weight fidelity (paper effective bits: Olive 4, BBS cons 6.25, BBS mod 4.25)",
         &["method", "eff bits", "KL", "MSE", "out SQNR dB"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }

@@ -1,5 +1,9 @@
-//! One module per regenerated table/figure. Each exposes `run()`, invoked
-//! by the matching binary and by the `repro` driver.
+//! One module per regenerated table/figure. Each exposes `run()`, which
+//! builds the experiment's [`Table`](crate::Table)s and prints each as it
+//! is done; the matching binary and `repro` call it.
+//! Figs. 12 and 13 also expose `tables(via)`, which computes their grid
+//! in process or through a `bbs-serve` `/sweep` route, for
+//! [`figure_main`](crate::serve_path::figure_main) and `repro --json`.
 
 pub mod ablations;
 pub mod fig03;

@@ -5,7 +5,7 @@
 //! trained substrate (which reproduces the paper's point: per-channel INT8
 //! PTQ is accuracy-neutral).
 
-use crate::{f, print_table};
+use crate::{labelled, Cell, Table};
 use bbs_models::accuracy::{measure_real_accuracy, CompressionMethod};
 use bbs_models::lm::measure_lm_perplexity;
 use bbs_models::zoo;
@@ -13,23 +13,24 @@ use rayon::prelude::*;
 
 /// Regenerates Table I.
 pub fn run() {
-    let rows: Vec<Vec<String>> = zoo::paper_benchmarks()
+    let rows = zoo::paper_benchmarks()
         .iter()
         .map(|m| {
             vec![
-                m.name.to_string(),
-                m.family.to_string(),
-                m.layers.len().to_string(),
-                format!("{}M", f(m.params() as f64 / 1e6, 1)),
-                format!("{}G", f(m.macs() as f64 / 1e9, 2)),
+                Cell::text(m.name),
+                Cell::text(m.family.to_string()),
+                Cell::num(m.layers.len() as f64, 0),
+                Cell::template("{}M", &[(m.params() as f64 / 1e6, 1)]),
+                Cell::template("{}G", &[(m.macs() as f64 / 1e9, 2)]),
             ]
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "Table I — evaluated models (shapes of the real architectures)",
         &["model", "family", "weight layers", "params", "MACs"],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 
     // INT8 neutrality on the measured substrates: the LM (`None`, the
     // longest job, so it starts first) and three classifier seeds, as one
@@ -55,16 +56,15 @@ pub fn run() {
         fp32 += seed_fp32;
         int8 += seed_int8;
     }
-    print_table(
+    let rows = [
+        ("classifier accuracy (3-seed avg)", fp32 / 3.0, int8 / 3.0),
+        ("micro-LM perplexity", lm.0, lm.1),
+    ];
+    let table = Table::new(
         "Table I (measured) — FP32 vs INT8 baselines (paper: INT8 loss negligible)",
         &["substrate", "FP32", "INT8"],
-        &[
-            vec![
-                "classifier accuracy (3-seed avg)".to_string(),
-                f(fp32 / 3.0, 3),
-                f(int8 / 3.0, 3),
-            ],
-            vec!["micro-LM perplexity".to_string(), f(lm.0, 3), f(lm.1, 3)],
-        ],
+        rows.map(|(name, fp32, int8)| labelled(name, [Cell::num(fp32, 3), Cell::num(int8, 3)]))
+            .into(),
     );
+    print!("{}", table.render());
 }

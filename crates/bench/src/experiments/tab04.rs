@@ -1,33 +1,36 @@
 //! Table IV: BitVert PE design-space exploration — sub-group size and the
 //! circuit optimizations.
 
-use crate::{f, print_table};
+use crate::{Cell, Table};
 use bbs_hw::explore::bitvert_design_space;
 use bbs_hw::gates::Technology;
 
 /// Regenerates Table IV.
 pub fn run() {
-    let rows: Vec<Vec<String>> = bitvert_design_space(&Technology::tsmc28())
+    let mut rows: Vec<Vec<Cell>> = bitvert_design_space(&Technology::tsmc28())
         .into_iter()
         .map(|r| {
             vec![
-                r.sub_group.to_string(),
-                f(r.area_unopt_um2, 1),
-                f(r.power_unopt_mw, 2),
-                f(r.area_opt_um2, 1),
-                f(r.power_opt_mw, 2),
+                Cell::num(r.sub_group as f64, 0),
+                Cell::num(r.area_unopt_um2, 1),
+                Cell::num(r.power_unopt_mw, 2),
+                Cell::num(r.area_opt_um2, 1),
+                Cell::num(r.power_opt_mw, 2),
             ]
         })
         .collect();
-    let mut rows = rows;
-    rows.push(vec![
-        "paper (16/8/4)".to_string(),
-        "1342/897/879".to_string(),
-        "0.61/0.49/0.51".to_string(),
-        "972/740/787".to_string(),
-        "0.53/0.45/0.47".to_string(),
-    ]);
-    print_table(
+    rows.push(
+        [
+            "paper (16/8/4)",
+            "1342/897/879",
+            "0.61/0.49/0.51",
+            "972/740/787",
+            "0.53/0.45/0.47",
+        ]
+        .map(Cell::text)
+        .into(),
+    );
+    let table = Table::new(
         "Table IV — BitVert PE area/power vs sub-group size, before/after circuit optimization",
         &[
             "sub-group",
@@ -36,6 +39,7 @@ pub fn run() {
             "area opt (um2)",
             "power opt (mW)",
         ],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }

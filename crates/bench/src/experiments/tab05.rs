@@ -1,34 +1,38 @@
 //! Table V: PE area and power of BitVert vs prior bit-serial accelerators
 //! (28 nm, 800 MHz, 8 bit-serial multipliers per PE).
 
-use crate::{f, print_table};
+use crate::{labelled, Cell, Table};
 use bbs_hw::explore::pe_comparison;
 use bbs_hw::gates::Technology;
 
 /// Regenerates Table V.
 pub fn run() {
-    let mut rows: Vec<Vec<String>> = pe_comparison(&Technology::tsmc28())
+    let mut rows: Vec<Vec<Cell>> = pe_comparison(&Technology::tsmc28())
         .into_iter()
         .map(|r| {
-            vec![
-                r.name.to_string(),
-                f(r.mult_area_um2, 1),
-                f(r.other_area_um2, 1),
-                f(r.total_area_um2, 1),
-                format!("{}x", f(r.ratio_vs_stripes, 2)),
-                f(r.power_mw, 2),
-            ]
+            let cells = [
+                Cell::num(r.mult_area_um2, 1),
+                Cell::num(r.other_area_um2, 1),
+                Cell::num(r.total_area_um2, 1),
+                Cell::template("{}x", &[(r.ratio_vs_stripes, 2)]),
+                Cell::num(r.power_mw, 2),
+            ];
+            labelled(r.name, cells)
         })
         .collect();
-    rows.push(vec![
-        "paper".to_string(),
-        "(Stripes 286/BitVert 332)".to_string(),
-        "(247/407)".to_string(),
-        "533/923/1666/702/740".to_string(),
-        "1.00/1.73/3.13/1.32/1.39x".to_string(),
-        "0.37/0.51/0.57/0.49/0.45".to_string(),
-    ]);
-    print_table(
+    rows.push(
+        [
+            "paper",
+            "(Stripes 286/BitVert 332)",
+            "(247/407)",
+            "533/923/1666/702/740",
+            "1.00/1.73/3.13/1.32/1.39x",
+            "0.37/0.51/0.57/0.49/0.45",
+        ]
+        .map(Cell::text)
+        .into(),
+    );
+    let table = Table::new(
         "Table V — PE area/power comparison (Stripes anchor = 532.8 um2, 0.37 mW)",
         &[
             "PE",
@@ -38,6 +42,7 @@ pub fn run() {
             "vs Stripes",
             "power (mW)",
         ],
-        &rows,
+        rows,
     );
+    print!("{}", table.render());
 }

@@ -1,12 +1,15 @@
 //! The `--via-serve` figure path: run a whole grid through a `bbs-serve`
-//! instance's `/sweep` route instead of calling the engine in-process.
+//! instance's `/sweep` route instead of calling the engine in-process,
+//! and [`figure_main`], the command line of the figure binaries.
 //!
 //! The wire carries [`bbs_sim::SimResult`]s through the workspace
 //! serialization layer, whose f64/u64 round trips are bit-exact — so a
 //! figure computed from served results is **byte-identical** to the
-//! in-process grid (asserted in CI by diffing `fig12_speedup` output
-//! against `fig12_speedup --via-serve`, and in `tests/grid.rs`).
+//! in-process grid (asserted in CI by diffing the text and `--json`
+//! output of `fig12_speedup` and `fig13_energy` against `--via-serve`,
+//! and in `tests/grid.rs`).
 
+use crate::{json_document, Table};
 use bbs_json::Json;
 use bbs_serve::client::Client;
 use bbs_serve::registry::canonical_id;
@@ -130,50 +133,80 @@ pub fn self_hosted_server() -> Result<ServerHandle, String> {
     start(config).map_err(|e| format!("failed to start in-process server: {e}"))
 }
 
-/// The `main` of a figure binary. It computes `table` in process, or
+/// The flags [`figure_main`] accepts.
+const FIGURE_FLAGS: &str = "--json, --via-serve, --via-serve-addr HOST:PORT";
+
+/// A figure binary's flags; `--via-serve-addr` wins over `--via-serve`.
+#[derive(Debug, Default, PartialEq)]
+struct FigureArgs {
+    json: bool,
+    via_serve: bool,
+    via_serve_addr: Option<SocketAddr>,
+}
+
+impl FigureArgs {
+    /// Parses `args` (without the program name). Any other argument is an
+    /// error that lists the known flags.
+    fn parse(args: &[String]) -> Result<FigureArgs, String> {
+        let mut out = FigureArgs::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--json" => out.json = true,
+                "--via-serve" => out.via_serve = true,
+                "--via-serve-addr" => {
+                    let addr = args.next().ok_or("--via-serve-addr requires HOST:PORT")?;
+                    let addr = addr
+                        .parse()
+                        .map_err(|e| format!("bad --via-serve-addr '{addr}': {e}"))?;
+                    out.via_serve_addr = Some(addr);
+                }
+                other => {
+                    return Err(format!(
+                        "unknown argument '{other}' (known: {FIGURE_FLAGS})"
+                    ))
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// `tables` computed where the serve flags say.
+    fn compute(&self, tables: Tables) -> Result<Vec<Table>, String> {
+        if let Some(addr) = self.via_serve_addr {
+            return tables(Some(addr));
+        }
+        if !self.via_serve {
+            return tables(None);
+        }
+        let server = self_hosted_server()?;
+        let out = tables(Some(server.addr()));
+        server.stop();
+        out
+    }
+}
+
+/// A figure's tables, computed in process (`None`) or by the server at
+/// the given address.
+type Tables = fn(Option<SocketAddr>) -> Result<Vec<Table>, String>;
+
+/// The `main` of a figure binary. It computes `tables` in process, or
 /// through a `bbs-serve` `/sweep` route with `--via-serve` (an ephemeral
 /// in-process server) or `--via-serve-addr HOST:PORT` (a running one).
-/// It prints the table as text, or as JSON with `--json`; either path
-/// prints the same bytes.
-pub fn figure_main<T>(
-    bin: &str,
-    table: fn(Option<SocketAddr>) -> Result<T, String>,
-    print: fn(&T),
-    to_json: fn(&T) -> Json,
-) -> ExitCode {
+/// It prints them as text, or with `--json` as the one JSON document
+/// ([`crate::json_document`]); either path prints the same bytes. Any
+/// other argument fails the run.
+pub fn figure_main(bin: &str, tables: Tables) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match table_from_args(&args, table) {
-        Ok(t) if args.iter().any(|a| a == "--json") => println!("{}", to_json(&t).pretty(2)),
-        Ok(t) => print(&t),
+    match FigureArgs::parse(&args).and_then(|args| Ok((args.json, args.compute(tables)?))) {
+        Ok((true, t)) => println!("{}", json_document(&t).pretty(2)),
+        Ok((false, t)) => t.iter().for_each(|t| print!("{}", t.render())),
         Err(e) => {
             eprintln!("{bin}: {e}");
             return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
-}
-
-/// `table` computed where the serve flags in `args` say.
-fn table_from_args<T>(
-    args: &[String],
-    table: fn(Option<SocketAddr>) -> Result<T, String>,
-) -> Result<T, String> {
-    if let Some(pos) = args.iter().position(|a| a == "--via-serve-addr") {
-        let addr = args
-            .get(pos + 1)
-            .ok_or("--via-serve-addr requires HOST:PORT")?;
-        let addr: SocketAddr = addr
-            .parse()
-            .map_err(|e| format!("bad --via-serve-addr '{addr}': {e}"))?;
-        return table(Some(addr));
-    }
-    if !args.iter().any(|a| a == "--via-serve") {
-        return table(None);
-    }
-    let server = self_hosted_server()?;
-    let out = table(Some(server.addr()));
-    server.stop();
-    out
 }
 
 #[cfg(test)]
@@ -187,13 +220,13 @@ mod tests {
     /// [`check_echo`] on a record for cell 3 of a 2×2 grid, built by the
     /// server's own formatter from that cell's echo with `edit` applied.
     fn echo_check(edit: impl FnOnce(&mut CellMeta)) -> Result<(), String> {
-        let spec = SweepSpec::grid(
-            vec![zoo::vgg16(), zoo::resnet34()],
-            vec!["stripes".to_string(), "bitvert-mod".to_string()],
-            ArrayConfig::paper_16x32(),
-            7,
-            256,
-        );
+        let spec = SweepSpec {
+            models: vec![zoo::vgg16(), zoo::resnet34()],
+            accelerators: vec!["stripes".to_string(), "bitvert-mod".to_string()],
+            configs: vec![ArrayConfig::paper_16x32()],
+            seeds: vec![7],
+            caps: vec![256],
+        };
         let cell = spec.cells()[3];
         let mut meta = CellMeta {
             index: 3,
@@ -242,5 +275,35 @@ mod tests {
     #[test]
     fn clamped_cap_echo_is_rejected() {
         assert_rejected("cap", |m| m.cap = 128);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn known_flags_parse() {
+        let parsed = FigureArgs::parse(&args(&["--json", "--via-serve-addr", "127.0.0.1:9"]));
+        let expected = FigureArgs {
+            json: true,
+            via_serve: false,
+            via_serve_addr: Some("127.0.0.1:9".parse().unwrap()),
+        };
+        assert_eq!(parsed, Ok(expected));
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_with_the_known_ones() {
+        let err = FigureArgs::parse(&args(&["--via-serve-adr", "127.0.0.1:9"]))
+            .expect_err("a misspelt flag must fail");
+        assert!(err.contains("'--via-serve-adr'"), "{err}");
+        assert!(err.contains(FIGURE_FLAGS), "{err}");
+    }
+
+    #[test]
+    fn via_serve_addr_without_a_value_is_rejected() {
+        let err = FigureArgs::parse(&args(&["--json", "--via-serve-addr"]))
+            .expect_err("a flag without its value must fail");
+        assert!(err.contains("requires HOST:PORT"), "{err}");
     }
 }

@@ -1,6 +1,6 @@
 //! Workspace-plumbing smoke tests for the bench harness.
 
-use bbs_bench::{f, print_table, weight_cap, SEED};
+use bbs_bench::{weight_cap, Cell, Table, SEED};
 
 /// `BBS_CAP` must steer `weight_cap()`; garbage and absence fall back to
 /// the 64 Ki default. Environment mutation keeps all scenarios in one test
@@ -26,15 +26,16 @@ fn seed_is_the_paper_seed() {
 
 #[test]
 fn float_formatter_rounds() {
-    assert_eq!(f(2.456, 2), "2.46");
-    assert_eq!(f(-0.5, 0), "-0");
+    let text = |cell: Cell| Table::new("", &["x"], vec![vec![cell]]).render();
+    assert!(text(Cell::num(2.456, 2)).ends_with("\n2.46\n"));
+    assert!(text(Cell::num(-0.5, 0)).ends_with("\n-0\n"));
 }
 
 #[test]
 fn print_table_smoke() {
-    print_table(
-        "smoke",
-        &["model", "speedup"],
-        &[vec!["resnet50".to_string(), "3.03".to_string()]],
+    let rows = vec![vec![Cell::text("resnet50"), Cell::text("3.03")]];
+    print!(
+        "{}",
+        Table::new("smoke", &["model", "speedup"], rows).render()
     );
 }

@@ -5,7 +5,7 @@
 //! divergence (Fig. 6).
 
 use crate::global::PrunedLayer;
-use bbs_tensor::metrics::{self, HistogramI8};
+use bbs_tensor::metrics;
 use bbs_tensor::quant::QuantTensor;
 use std::fmt;
 
@@ -68,14 +68,12 @@ pub fn layer_report(layer: &PrunedLayer, original: &QuantTensor) -> CompressionR
         stored_bits += enc.stored_bits();
     }
     let mse = metrics::mse_i8(&original_values, &recon_values);
-    let p = HistogramI8::from_samples(&original_values);
-    let q = HistogramI8::from_samples_i32(&recon_values);
     CompressionReport {
         original_bits: original_values.len() * 8,
         stored_bits,
         weights: original_values.len(),
         mse,
-        kl_divergence: p.kl_divergence(&q),
+        kl_divergence: metrics::kl_divergence_i8_binned(&original_values, &recon_values, 1),
     }
 }
 

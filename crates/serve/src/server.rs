@@ -602,7 +602,7 @@ fn metrics_body(shared: &Shared) -> String {
     );
     p.counter_vec(
         "bbs_faults_injected_total",
-        "Faults injected by the BBS_FAULTS plan, by site.",
+        "Faults injected by the --faults plan, by site.",
         "site",
         &service.faults().injected_counts(),
     );

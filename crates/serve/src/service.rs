@@ -85,7 +85,8 @@ pub struct ServiceConfig {
     /// workloads; oldest records are evicted past it.
     pub disk_bytes: u64,
     /// Fault-injection plan shared by the disk tier, the worker pool and
-    /// the event loop. Defaults to `BBS_FAULTS` (inert when unset).
+    /// the event loop. Defaults to the inert plan; `bbs serve --faults`
+    /// sets it.
     pub faults: Arc<FaultPlan>,
 }
 
@@ -98,7 +99,7 @@ impl Default for ServiceConfig {
             max_cap: 64 * 1024,
             cache_dir: None,
             disk_bytes: 1 << 30,
-            faults: Arc::new(FaultPlan::from_env()),
+            faults: Arc::new(FaultPlan::none()),
         }
     }
 }

@@ -58,24 +58,6 @@ pub struct SweepCell {
 }
 
 impl SweepSpec {
-    /// A single-config, single-seed, single-cap grid — the common
-    /// figure-sweep shape (models × accelerators).
-    pub fn grid(
-        models: Vec<ModelSpec>,
-        accelerators: Vec<String>,
-        config: ArrayConfig,
-        seed: u64,
-        cap: usize,
-    ) -> SweepSpec {
-        SweepSpec {
-            models,
-            accelerators,
-            configs: vec![config],
-            seeds: vec![seed],
-            caps: vec![cap],
-        }
-    }
-
     /// Total cells in the grid, or `None` if any axis is empty or the
     /// product overflows.
     pub fn cell_count(&self) -> Option<usize> {

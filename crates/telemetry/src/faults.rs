@@ -1,12 +1,12 @@
 //! Deterministic seeded fault injection.
 //!
-//! A [`FaultPlan`] is parsed from a compact spec string (usually the
-//! `BBS_FAULTS` environment variable, or a `ServeConfig` knob in tests) and
+//! A [`FaultPlan`] is parsed from a compact spec string (`bbs serve
+//! --faults SPEC`, or a `ServiceConfig::faults` plan in tests) and
 //! threaded through the disk tier, the worker pool and the event loop, so
 //! adversarial tests exercise the *real* failure paths rather than mocks:
 //!
 //! ```text
-//! BBS_FAULTS="seed=7;disk_read_err=0.5;torn_write=0.25;panic_key=00c0ffee00c0ffee"
+//! --faults 'seed=7;disk_read_err=0.5;torn_write=0.25;panic_key=00c0ffee00c0ffee'
 //! ```
 //!
 //! Directives are `;`-separated `site=arg` pairs:
@@ -180,18 +180,6 @@ impl FaultPlan {
             || !plan.panic_keys.is_empty()
             || !plan.panic_hard_keys.is_empty();
         Ok(plan)
-    }
-
-    /// Builds a plan from `BBS_FAULTS`; unset means inert, malformed aborts
-    /// (a chaos run with a typo'd spec must not silently run fault-free).
-    pub fn from_env() -> Self {
-        match std::env::var("BBS_FAULTS") {
-            Ok(spec) => match Self::parse(&spec) {
-                Ok(plan) => plan,
-                Err(e) => panic!("BBS_FAULTS: {e}"),
-            },
-            Err(_) => Self::none(),
-        }
     }
 
     /// True if any directive can fire — callers may skip work when inert.

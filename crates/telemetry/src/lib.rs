@@ -21,7 +21,7 @@
 //! * [`faults`] — deterministic seeded fault injection ([`FaultPlan`]):
 //!   disk I/O errors, torn/bit-flipped records, worker panics on chosen
 //!   cell keys, injected latency and connection resets, driven by a
-//!   `BBS_FAULTS=` spec so chaos tests exercise real failure paths.
+//!   `--faults` spec so chaos tests exercise real failure paths.
 //!
 //! The simulation core stays dependency-free: `bbs-sim` hands back how
 //! long a lowering took, `bbs-serve`'s workers time the simulation step

@@ -67,88 +67,9 @@ pub fn sqnr_db(signal: &[f32], reconstructed: &[f32]) -> f64 {
     }
 }
 
-/// Exact 256-bin histogram of `i8` samples, optionally Laplace-smoothed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramI8 {
-    counts: [u64; 256],
-    total: u64,
-}
-
-impl HistogramI8 {
-    /// Builds a histogram from samples.
-    pub fn from_samples(samples: &[i8]) -> Self {
-        let mut counts = [0u64; 256];
-        for &s in samples {
-            counts[(s as i16 + 128) as usize] += 1;
-        }
-        HistogramI8 {
-            counts,
-            total: samples.len() as u64,
-        }
-    }
-
-    /// Builds a histogram from integer reconstructions, clamping values
-    /// outside the `i8` range into the rails (out-of-range reconstructions
-    /// can appear after zero-point shifting).
-    pub fn from_samples_i32(samples: &[i32]) -> Self {
-        let mut counts = [0u64; 256];
-        for &s in samples {
-            let c = s.clamp(-128, 127);
-            counts[(c + 128) as usize] += 1;
-        }
-        HistogramI8 {
-            counts,
-            total: samples.len() as u64,
-        }
-    }
-
-    /// Number of samples in the histogram.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count for a particular value.
-    pub fn count(&self, value: i8) -> u64 {
-        self.counts[(value as i16 + 128) as usize]
-    }
-
-    /// Smoothed probability of a bin (Laplace smoothing with `eps`).
-    fn prob(&self, idx: usize, eps: f64) -> f64 {
-        (self.counts[idx] as f64 + eps) / (self.total as f64 + 256.0 * eps)
-    }
-
-    /// KL divergence `KL(self ‖ other)` with Laplace smoothing.
-    ///
-    /// This is the metric of Figs. 1 and 6: lower means the compressed
-    /// distribution better preserves the original.
-    pub fn kl_divergence(&self, other: &HistogramI8) -> f64 {
-        const EPS: f64 = 1e-4;
-        (0..256)
-            .map(|i| {
-                let p = self.prob(i, EPS);
-                let q = other.prob(i, EPS);
-                p * (p / q).ln()
-            })
-            .sum()
-    }
-}
-
-/// KL divergence between an original `i8` tensor and an integer-valued
-/// reconstruction (convenience wrapper over [`HistogramI8`]).
-///
-/// # Panics
-///
-/// Panics if `original` is empty.
-pub fn kl_divergence_i8(original: &[i8], reconstructed: &[i32]) -> f64 {
-    assert!(!original.is_empty());
-    let p = HistogramI8::from_samples(original);
-    let q = HistogramI8::from_samples_i32(reconstructed);
-    p.kl_divergence(&q)
-}
-
 /// KL divergence over a coarse histogram with the given bin width.
 ///
-/// A width of 4 measures distribution preservation at the resolution that
+/// A width of 1 is the exact 256-bin KL. A width of 4 measures distribution preservation at the resolution that
 /// matters for quantization-level collapse (the paper's Figs. 1/6
 /// argument): sub-bin rounding noise is ignored, while level collapse onto
 /// coarse grids (e.g. multiples of 16 after zero-column pruning) remains
@@ -270,16 +191,15 @@ mod tests {
 
     #[test]
     fn kl_of_identical_distributions_is_zero() {
-        let samples: Vec<i8> = (-100..100).collect();
-        let h = HistogramI8::from_samples(&samples);
+        let mut h = BinnedHistogramI8::new(1);
+        (-100..100).for_each(|v| h.add(v));
         assert!(h.kl_divergence(&h).abs() < 1e-12);
     }
 
     #[test]
     fn kl_is_positive_for_different_distributions() {
-        let p = HistogramI8::from_samples(&[-50, -25, 0, 25, 50]);
-        let q = HistogramI8::from_samples(&[0, 0, 0, 0, 0]);
-        assert!(p.kl_divergence(&q) > 0.1);
+        let p: Vec<i8> = vec![-50, -25, 0, 25, 50];
+        assert!(kl_divergence_i8_binned(&p, &[0; 5], 1) > 0.1);
     }
 
     #[test]
@@ -292,27 +212,12 @@ mod tests {
             .iter()
             .map(|&w| (w as i32 + if w % 2 == 0 { 1 } else { 0 }).clamp(-128, 127))
             .collect();
-        let kl_collapsed = kl_divergence_i8(&original, &collapsed);
-        let kl_preserved = kl_divergence_i8(&original, &preserved);
+        let kl_collapsed = kl_divergence_i8_binned(&original, &collapsed, 1);
+        let kl_preserved = kl_divergence_i8_binned(&original, &preserved, 1);
         assert!(
             kl_collapsed > kl_preserved,
             "collapse {kl_collapsed} vs preserve {kl_preserved}"
         );
-    }
-
-    #[test]
-    fn support_size_counts_levels() {
-        let h = HistogramI8::from_samples(&[1, 1, 2, 3]);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.count(1), 2);
-    }
-
-    #[test]
-    fn histogram_from_i32_clamps_rails() {
-        let h = HistogramI8::from_samples_i32(&[300, -300, 0]);
-        assert_eq!(h.count(127), 1);
-        assert_eq!(h.count(-128), 1);
-        assert_eq!(h.count(0), 1);
     }
 
     #[test]

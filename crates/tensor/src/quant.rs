@@ -351,7 +351,7 @@ pub fn quantize_per_channel(
 /// The returned values are integers in the INT8 value domain (rounded), so
 /// they can be compared against the originals with
 /// [`metrics::mse_i8`](crate::metrics::mse_i8) and
-/// [`metrics::kl_divergence_i8`](crate::metrics::kl_divergence_i8).
+/// [`metrics::kl_divergence_i8_binned`](crate::metrics::kl_divergence_i8_binned).
 ///
 /// # Panics
 ///

@@ -51,9 +51,9 @@ serve options:
                        first (default 1073741824)
   --drain-timeout-ms N shutdown grace for in-flight work on SIGTERM/SIGINT
                        (default 10000)
-  --faults SPEC        deterministic fault-injection plan (chaos testing),
-                       e.g. 'seed=7;disk_read_err=0.1;torn_write=0.05';
-                       same grammar as the BBS_FAULTS env var
+  --faults SPEC        deterministic fault-injection plan (chaos testing):
+                       ';'-separated site=arg directives, e.g.
+                       'seed=7;disk_read_err=0.1;torn_write=0.05'
   --shard-of A1,A2,..  coordinator mode: forward every /simulate request and
                        /sweep cell to one of these downstream bbs-serve
                        instances, rendezvous-hashed by its content key (so
